@@ -27,7 +27,7 @@ fi
 echo "== tier-1: pytest =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-echo "== scheduler/aggregation identity: heap vs wheel vs flat solver =="
+echo "== scheduler identity: heap vs wheel =="
 PYTHONPATH=src python scripts/check_scheduler_identity.py --scale ci
 
 echo "== backend identity: daos path byte-identical to golden results =="

@@ -9,9 +9,13 @@ load; its admissibility rests on dispatching exactly the heap's
 the unit-level ordering tests live in
 ``tests/simulation/test_scheduler_identity.py``.
 
-Also cross-checks the flat (non-aggregated) flow solver against the default
-hierarchical one (``REPRO_FLAT_SOLVER=1``), the equivalent end-to-end gate
-for the aggregation rails.
+There is no flow-solver pass any more.  ``REPRO_FLAT_SOLVER=1`` used to
+swap the scalar kernel every experiment runs on; since the scalar kernels
+collapsed into one group-level kernel it only picks between the two
+*vector* kernels, which at CI scale run for four solves of ``fig3`` and in
+no other experiment — a third full render would gate nothing.  Vector flat
+vs vector grouped vs scalar identity is policed where those kernels do run:
+``tests/network/test_flow_aggregation.py`` and the ``repro bench`` digests.
 
 Usage::
 
@@ -33,7 +37,6 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 PASSES = (
     ("heap", {"REPRO_SCHEDULER": "heap"}),
     ("wheel", {"REPRO_SCHEDULER": "wheel"}),
-    ("flat-solver", {"REPRO_FLAT_SOLVER": "1"}),
 )
 
 

@@ -22,6 +22,10 @@ repeat statistic that converges on a noisy shared runner.
 Recalibrate after an intentional kernel change::
 
     PYTHONPATH=src python scripts/ci_bench_smoke.py --update-reference
+
+This re-records wall times only: it refuses to write when any scenario's
+digest differs from the recorded one (delete the reference file first to
+re-anchor digests deliberately).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.bench.runner import run_kernel_benchmarks
+from repro.bench.runner import digest_drift, run_kernel_benchmarks
 
 REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick_baseline.json"
 
@@ -69,6 +73,17 @@ def main(argv=None) -> int:
     scenarios = payload["scenarios"]
 
     if args.update_reference:
+        if args.reference.exists():
+            recorded = json.loads(args.reference.read_text())["scenarios"]
+            drift = digest_drift(recorded, scenarios)
+            if drift:
+                # Recalibration is for wall times; a moved digest is a
+                # changed simulated outcome and must be a deliberate act.
+                print(f"refusing to rewrite {args.reference}: digest drift in")
+                for line in drift:
+                    print(f"  {line}")
+                print("delete the file first to re-anchor the digests")
+                return 1
         reference = {
             "note": "quick-mode reference for scripts/ci_bench_smoke.py",
             "repeats": args.repeat,

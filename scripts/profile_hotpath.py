@@ -16,6 +16,12 @@ Usage::
 
 The scenario digest is printed alongside, so a profiling session doubles
 as an identity check: optimising must not move it.
+
+Scenarios that move data (``--scenario fieldio_small``, the flow storms)
+additionally get a per-function table of ``network/flow.py`` self time —
+calls, microseconds per call and share of the scenario — which is the
+table the scalar-kernel collapse started from (DESIGN.md §6) and the one
+the next flow-solver change should start from.
 """
 
 from __future__ import annotations
@@ -37,7 +43,29 @@ def profile_scenario(name: str, quick: bool, top: int, sort: str) -> None:
     print(f"wall {result.wall_s:.3f}s  sim_time {result.sim_time:.6f}")
     print(f"digest {result.digest}")
     stats = pstats.Stats(profiler, stream=sys.stdout)
+    flow_rows = sorted(
+        (
+            (self_s, n_calls, func)
+            for (path, _line, func), (_, n_calls, self_s, _, _) in stats.stats.items()
+            if path.endswith("network/flow.py")
+        ),
+        reverse=True,
+    )
     stats.strip_dirs().sort_stats(sort).print_stats(top)
+    if flow_rows:
+        total = stats.total_tt
+        flow_total = sum(row[0] for row in flow_rows)
+        print(
+            f"network/flow.py self time {flow_total:.3f}s "
+            f"({100 * flow_total / total:.0f}% of {total:.3f}s profiled)"
+        )
+        print(f"  {'self s':>8} {'calls':>8} {'us/call':>9} {'share':>6}  function")
+        for self_s, n_calls, func in flow_rows[:top]:
+            print(
+                f"  {self_s:8.4f} {n_calls:8d} {1e6 * self_s / n_calls:9.2f} "
+                f"{100 * self_s / total:5.1f}%  {func}"
+            )
+        print()
 
 
 def main(argv=None) -> int:

@@ -141,10 +141,28 @@ def run_kernel_benchmarks(
     }
 
 
+class DigestDriftError(RuntimeError):
+    """A re-recording would replace a scenario's recorded digest."""
+
+
+def digest_drift(recorded: dict, scenarios: dict) -> List[str]:
+    """Scenarios whose digest differs from the one ``recorded`` for them."""
+    return [
+        f"{name}: {recorded[name]['digest'][:12]} -> {entry['digest'][:12]}"
+        for name, entry in scenarios.items()
+        if name in recorded and recorded[name]["digest"] != entry["digest"]
+    ]
+
+
 def write_kernel_bench(
     payload: dict, path: Path, baseline: Optional[Path] = None
 ) -> dict:
     """Write ``BENCH_kernel.json``, embedding speedups vs a baseline file.
+
+    Re-recording is for wall times: when ``path`` already holds a payload
+    of the same scenario sizes and any scenario's digest would change, the
+    simulated outcome moved and :class:`DigestDriftError` is raised instead
+    of writing.  Delete the file first to re-anchor digests deliberately.
 
     ``baseline`` points at a previously written payload (e.g. the pre-PR
     kernel's numbers); per-scenario ``speedup`` is baseline wall time over
@@ -153,6 +171,16 @@ def write_kernel_bench(
     ``quick`` flag matches) — a quick run against a full baseline would
     report nonsense ratios.
     """
+    path = Path(path)
+    if path.exists():
+        recorded = json.loads(path.read_text())
+        if recorded.get("quick") == payload["quick"]:
+            drift = digest_drift(recorded.get("scenarios", {}), payload["scenarios"])
+            if drift:
+                raise DigestDriftError(
+                    f"refusing to overwrite {path}: digest drift in "
+                    + "; ".join(drift)
+                )
     if baseline is not None:
         reference = json.loads(Path(baseline).read_text())
         payload = dict(payload)
@@ -169,5 +197,5 @@ def write_kernel_bench(
                 if ref and entry["wall_s"] > 0:
                     speedups[name] = round(ref["wall_s"] / entry["wall_s"], 2)
             payload["speedup"] = speedups
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload

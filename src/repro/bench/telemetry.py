@@ -77,7 +77,7 @@ class LinkSampler:
                 stat = self.stats.get(name)
                 if stat is None:
                     stat = self.stats[name] = LinkUtilisation(name)
-                stat.record(link.utilisation, len(link.flows))
+                stat.record(link.utilisation, link.n_flows)
             yield self.sim.timeout(self.interval)
 
     # -- reporting --------------------------------------------------------------

@@ -130,7 +130,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _run_bench(args: argparse.Namespace) -> int:
     from repro.bench.kernel_perf import SCENARIOS
-    from repro.bench.runner import run_kernel_benchmarks, write_kernel_bench
+    from repro.bench.runner import (
+        DigestDriftError,
+        run_kernel_benchmarks,
+        write_kernel_bench,
+    )
 
     if args.scenarios:
         unknown = [name for name in args.scenarios if name not in SCENARIOS]
@@ -163,7 +167,11 @@ def _run_bench(args: argparse.Namespace) -> int:
     payload = run_kernel_benchmarks(
         quick=args.quick, repeats=args.repeat, scenarios=args.scenarios
     )
-    payload = write_kernel_bench(payload, args.json, baseline=args.baseline)
+    try:
+        payload = write_kernel_bench(payload, args.json, baseline=args.baseline)
+    except DigestDriftError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if payload.get("baseline", {}).get("size_mismatch"):
         print(
             "note: baseline used different scenario sizes (quick flag "

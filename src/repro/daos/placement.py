@@ -194,23 +194,18 @@ def shard_layout(
         raise ValueError(f"cell size must be >= 1, got {cell_size}")
     if size == 0:
         return []
-    totals = [0] * stripes
-    first_offset = [None] * stripes
-    offset = 0
-    cell = 0
-    while offset < size:
-        length = min(cell_size, size - offset)
-        shard = cell % stripes
-        if first_offset[shard] is None:
-            first_offset[shard] = offset
-        totals[shard] += length
-        offset += length
-        cell += 1
-    return [
-        (shard, first_offset[shard], totals[shard])
-        for shard in range(stripes)
-        if totals[shard] > 0
-    ]
+    # Closed form of dealing cells round-robin: every shard gets the full
+    # rounds, the first ``extra`` shards one more full cell, and the shard
+    # after those the partial tail cell; shard s first appears at cell s.
+    full_cells, tail = divmod(size, cell_size)
+    rounds, extra = divmod(full_cells, stripes)
+    layout = []
+    for shard in range(min(stripes, full_cells + (tail > 0))):
+        length = (rounds + (shard < extra)) * cell_size
+        if shard == extra:
+            length += tail
+        layout.append((shard, shard * cell_size, length))
+    return layout
 
 
 def shard_for_offset(offset: int, stripes: int, cell_size: int) -> int:

@@ -23,7 +23,7 @@ __all__ = ["FieldKey"]
 class FieldKey(Mapping[str, str]):
     """An immutable mapping of key names to string values."""
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_pairs", "_hash", "_encoded")
 
     def __init__(self, pairs: Mapping[str, str] | Iterable[Tuple[str, str]]) -> None:
         items = dict(pairs)
@@ -39,6 +39,24 @@ class FieldKey(Mapping[str, str]):
                     f"'=' and ',' are reserved in key components: {name}={value!r}"
                 )
         self._pairs: Dict[str, str] = dict(sorted(items.items()))
+        # Filled on first use: keys are immutable and the per-op path hashes
+        # and encodes the same key many times.
+        self._hash: int | None = None
+        self._encoded: bytes | None = None
+
+    @classmethod
+    def _trusted(cls, pairs: Dict[str, str]) -> "FieldKey":
+        """Wrap ``pairs`` without re-validating or re-sorting them.
+
+        Internal: the caller guarantees every component already passed the
+        public constructor's checks and the dict is in sorted-name order
+        (as pairs derived from existing keys are).
+        """
+        key = object.__new__(cls)
+        key._pairs = pairs
+        key._hash = None
+        key._encoded = None
+        return key
 
     # -- Mapping interface ------------------------------------------------------
     def __getitem__(self, name: str) -> str:
@@ -51,7 +69,10 @@ class FieldKey(Mapping[str, str]):
         return len(self._pairs)
 
     def __hash__(self) -> int:
-        return hash(tuple(self._pairs.items()))
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(tuple(self._pairs.items()))
+        return value
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FieldKey):
@@ -63,16 +84,23 @@ class FieldKey(Mapping[str, str]):
     # -- derivation ----------------------------------------------------------------
     def subset(self, names: Iterable[str]) -> "FieldKey":
         """The sub-key holding only ``names`` (all must be present)."""
-        missing = [n for n in names if n not in self._pairs]
-        if missing:
+        wanted = frozenset(names)
+        # Filtering the sorted pairs keeps the result canonical.
+        pairs = {n: v for n, v in self._pairs.items() if n in wanted}
+        if len(pairs) != len(wanted):
+            missing = sorted(wanted.difference(pairs))
             raise KeyError(f"key lacks components {missing}; has {sorted(self._pairs)}")
-        return FieldKey({n: self._pairs[n] for n in names})
+        return self._trusted(pairs)
 
     def merged(self, other: Mapping[str, str]) -> "FieldKey":
         """A new key with ``other``'s pairs added/overriding."""
+        if not isinstance(other, FieldKey):
+            other = FieldKey(other)  # outside input: validate it
         combined = dict(self._pairs)
-        combined.update(other)
-        return FieldKey(combined)
+        combined.update(other._pairs)
+        if len(combined) != len(self._pairs):  # new names: restore the order
+            combined = dict(sorted(combined.items()))
+        return self._trusted(combined)
 
     # -- encodings -------------------------------------------------------------------
     def canonical(self) -> str:
@@ -81,7 +109,10 @@ class FieldKey(Mapping[str, str]):
 
     def encode(self) -> bytes:
         """Canonical bytes for use as a DAOS KV key."""
-        return self.canonical().encode("utf-8")
+        encoded = self._encoded
+        if encoded is None:
+            encoded = self._encoded = self.canonical().encode("utf-8")
+        return encoded
 
     @classmethod
     def decode(cls, data: bytes) -> "FieldKey":

@@ -13,7 +13,10 @@ constant, so progress is exact (no per-packet events), which keeps the event
 count proportional to the number of transfers rather than the number of
 bytes.
 
-Performance notes (the kernel fast path, see ``repro bench``):
+Performance notes (the kernel fast path, see ``repro bench``).  Three
+kernels compute the same allocation — one scalar, two vectorized — and the
+network picks between them from what it can observe (population, solver
+rows), never from a user setting:
 
 * **Same-instant batching.**  All flow-set changes at one simulated
   timestamp — a synchronised wave of arrivals, a batch of completions, and
@@ -30,29 +33,59 @@ Performance notes (the kernel fast path, see ``repro bench``):
   water-filling recurrence — results are bit-identical to the reference
   algorithm (see ``tests/network/test_flow_reference.py``).
 * **Hierarchical flow aggregation.**  Flows sharing an identical link path
-  and rate cap are coalesced into one :class:`FlowGroup`, and the solver
-  operates on groups instead of flows: the dominant NWP pattern — N
-  synchronised ensemble writers on the same client→engine path — costs
-  O(distinct paths) solver rows instead of O(N).  The coalescing is exact,
-  not approximate: same-group flows have bitwise-identical per-round bounds
-  (the same minimum over the same link shares and cap), so the flat solver
-  fixes them in the same round at the same rate; the grouped solver fixes
-  the group once and replays each link's per-member capacity debits as the
-  identical subtract/clamp chain (count-for-count), making every completion
-  time bit-identical to the flat solve (see
-  ``tests/network/test_flow_aggregation.py``).  ``aggregate=False`` or
-  ``REPRO_FLAT_SOLVER=1`` pins the flat per-flow solver.
+  and rate cap are coalesced into one :class:`FlowGroup`: the dominant NWP
+  pattern — N synchronised ensemble writers on the same client→engine path
+  — costs O(distinct paths) solver rows instead of O(N).  The coalescing
+  is exact, not approximate.  Same-group flows have bitwise-identical
+  per-round bounds (the same minimum over the same link shares and cap),
+  so the textbook per-flow pass fixes them in the same round at the same
+  rate; a group-level pass fixes the group once and replays each link's
+  per-member capacity debits as the identical subtract/clamp chain.  That
+  pass interleaves the steps of different groups, but every step of a
+  round subtracts the same non-negative round minimum, so a link's result
+  depends only on its step *count* — and once a clamp fires the value is
+  pinned at 0.0 for the rest of the round (0.0 - m clamps back to 0.0).
+* **One scalar kernel, link-driven** (:meth:`FlowNetwork._solve_scalar`).
+  It serves every solve with fewer than ``_VEC_SOLVE_MIN`` group rows — in
+  the paper's Field I/O regime that is all of them: ~6 flows in ~6 groups
+  over ~29 links, 2–3 filling rounds.  Two incrementally maintained
+  aggregates make it cheap: ``Link.groups`` (group -> multiplicity, touched
+  only when a group appears or disappears) lets one traversal discover the
+  perturbed component *and* initialise its links, and ``Link.n_occ`` (path
+  occurrences on the link) is each link's initial divisor.  A link only
+  one group crosses cannot change its share before that group fixes, so it
+  is divided once and folded into the group's effective cap; rounds then
+  visit only the *shared* links.  Per round the minimum is the least
+  shared-link share or unfixed effective cap, and exactly the groups on a
+  link at or under the tie threshold, plus those capped at or under it,
+  fix — the same set the per-group scan ``min(shares along path, cap) <=
+  threshold`` selects, since a minimum is at or under the threshold iff
+  one of its operands is.  Every quotient is the same ``cap_left /
+  n_unfixed`` division, every minimum is a pure (order-independent)
+  minimum, and every surviving link takes the same number of debit steps,
+  so the result equals the per-flow reference bit for bit; the only work
+  skipped is debits nobody reads (links emptied this round, the final
+  round).
 * **Vectorized solving.**  Above ``_VEC_ON`` concurrent flows the network
   migrates its hot state into a compact numpy arena: per-flow
-  remaining/rate/deadline arrays are kept dense by swap-deleting completed
-  flows, and each flow's path lives in one row of a fixed-stride incidence
-  matrix padded with a sentinel "link" whose fair share is pinned to +inf.
-  Progress debits, completion scans, component discovery, and the
-  water-filling rounds are then a handful of whole-array operations each —
-  no per-flow Python.  Every floating-point operation matches the scalar
-  path bit for bit (see ``tests/network/test_flow_vector.py``); the scalar
-  path remains available as an escape hatch via ``REPRO_SCALAR_SOLVER=1``
-  or ``FlowNetwork(sim, solver="scalar")``.
+  remaining/rate arrays are kept dense by swap-deleting completed flows,
+  and each flow's path lives in one row of a fixed-stride incidence matrix
+  padded with a sentinel "link" whose fair share is pinned to +inf.
+  Progress debits, completion scans and component discovery are then a
+  handful of whole-array operations each — no per-flow Python — and solves
+  of ``_VEC_SOLVE_MIN`` or more rows run one of two array kernels:
+  ``_solve_vector_grouped`` (rows are groups) when groups actually
+  coalesce, ``_solve_vector`` (rows are flows) when they are
+  near-singletons.  ``aggregate=False`` / ``REPRO_FLAT_SOLVER=1`` pins the
+  per-flow array kernel; that choice between the two vector kernels is all
+  it selects.  Solves with fewer rows stay on the scalar kernel, which
+  then reads and writes the group rows of the arena.  The link-link
+  co-traversal adjacency the vector scoper walks is *lazy*: nothing reads
+  it in scalar mode, so it is rebuilt from the live groups on entry to the
+  arena and maintained only until exit.  Every floating-point operation
+  matches the scalar kernel bit for bit (see
+  ``tests/network/test_flow_vector.py``); ``REPRO_SCALAR_SOLVER=1`` or
+  ``FlowNetwork(sim, solver="scalar")`` keeps the arena out entirely.
 
 Determinism is a hard constraint: identical seeds produce bit-identical
 timestamp logs, guarded by golden digests in
@@ -89,9 +122,9 @@ _INF = math.inf
 _VEC_ON = 96
 _VEC_OFF = 24
 
-#: Minimum scoped-component size for the vectorized water-filling pass;
-#: smaller perturbed components are cheaper in the scalar solver even while
-#: the arena is active.
+#: Minimum size for a vectorized pass to beat scalar Python: solves with
+#: fewer rows (groups in scope) stay on the scalar kernel even while the
+#: arena is active, and it folds debit chains this long in numpy.
 _VEC_SOLVE_MIN = 40
 
 
@@ -108,13 +141,18 @@ def _env_forces_flat() -> bool:
 #: C-level sort key for completion ordering (hot at 100k-flow batches).
 _fid_of = attrgetter("fid")
 
+#: C-level sort key ordering a scalar solve's groups by effective cap.
+_bound_of = attrgetter("_bound")
+
 
 class Link:
     """A unidirectional capacity-limited network element.
 
-    ``capacity`` is in bytes/second.  A link knows the flows currently
-    crossing it (mapped to their path multiplicity); the :class:`FlowNetwork`
-    updates this mapping and uses it during rate computation.
+    ``capacity`` is in bytes/second.  A link knows the aggregation groups
+    currently crossing it (``groups``, mapped to their path multiplicity)
+    and how many path occurrences share it (``n_occ``); the
+    :class:`FlowNetwork` maintains both and solves from them.  The per-flow
+    view ``flows`` is derived from the groups on demand.
 
     ``capacity_fn``, if given, makes the capacity depend on the number of
     concurrent flows: ``effective = min(capacity, capacity_fn(n_flows))``.
@@ -126,13 +164,15 @@ class Link:
         "name",
         "capacity",
         "capacity_fn",
-        "flows",
+        "groups",
+        "n_occ",
+        "n_amplified",
         "idx",
         # Memoised capacity_fn evaluations (the provider curves are pure
         # functions of the stream count, which repeats heavily).
         "_fn_cache",
-        # Water-filling working state, valid within one scalar recompute
-        # (_epoch stamps which recompute initialised it).
+        # Water-filling working state, valid within one scalar solve
+        # (_epoch stamps which solve initialised it as a *shared* link).
         "_cap_left",
         "_n_unfixed",
         "_share",
@@ -149,21 +189,49 @@ class Link:
         self.capacity_fn = capacity_fn
         self.idx = idx
         self._fn_cache: Dict[int, float] = {}
-        # Insertion-ordered mapping flow -> occurrences of this link in the
-        # flow's path (write amplification).  Deterministic iteration keeps
-        # rate computation and tie-breaking reproducible run to run.
-        self.flows: Dict["Flow", int] = {}
+        #: Live aggregation groups crossing this link -> occurrences of the
+        #: link in their path (write amplification); touched only when a
+        #: group appears or disappears.
+        self.groups: Dict["FlowGroup", int] = {}
+        #: Path occurrences sharing the link — the sum of ``flows``' values,
+        #: i.e. water-filling's initial divisor — kept per member flow.
+        self.n_occ = 0
+        #: How many of ``groups`` list the link more than once; while zero,
+        #: every flow occupies it once and the flow count equals ``n_occ``.
+        self.n_amplified = 0
         self._cap_left = 0.0
         self._n_unfixed = 0
         self._share = 0.0
         self._epoch = -1
 
+    @property
+    def n_flows(self) -> int:
+        """Number of distinct flows currently crossing the link."""
+        if not self.n_amplified:
+            return self.n_occ
+        return sum(group.n for group in self.groups)
+
+    @property
+    def flows(self) -> Dict["Flow", int]:
+        """Flows crossing the link -> their path multiplicity.
+
+        A snapshot in admission order (fids are assigned at admission), so
+        iteration is reproducible run to run.
+        """
+        pairs = [
+            (flow, mult)
+            for group, mult in self.groups.items()
+            for flow in group.members
+        ]
+        pairs.sort(key=lambda pair: pair[0].fid)
+        return dict(pairs)
+
     def effective_capacity(self, n_flows: Optional[int] = None) -> float:
         """Capacity given ``n_flows`` concurrent streams (default: current)."""
-        if n_flows is None:
-            n_flows = len(self.flows)
         if self.capacity_fn is None:
             return self.capacity
+        if n_flows is None:
+            n_flows = self.n_flows
         cached = self._fn_cache.get(n_flows)
         if cached is None:
             cached = min(self.capacity, float(self.capacity_fn(n_flows)))
@@ -177,13 +245,13 @@ class Link:
         A flow listing this link more than once (write amplification)
         consumes capacity per occurrence, and is counted accordingly.
         """
-        if not self.flows:
+        if not self.groups:
             return 0.0
         consumed = sum(f.rate * mult for f, mult in self.flows.items())
         return min(1.0, consumed / self.effective_capacity())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Link {self.name!r} cap={self.capacity:.3g} B/s {len(self.flows)} flows>"
+        return f"<Link {self.name!r} cap={self.capacity:.3g} B/s {self.n_flows} flows>"
 
 
 class FlowGroup:
@@ -204,7 +272,21 @@ class FlowGroup:
     mode is active (-1 otherwise).
     """
 
-    __slots__ = ("key", "path", "occ_items", "rate_cap", "n", "gid", "_bound")
+    __slots__ = (
+        "key",
+        "path",
+        "occ_items",
+        "rate_cap",
+        "members",
+        "n",
+        "gid",
+        # Scalar-solve scratch: which solve discovered the group, whether
+        # it is still unfixed there, and its effective cap (rate cap folded
+        # with the shares of the links no other group crosses).
+        "_epoch",
+        "_unfixed",
+        "_bound",
+    )
 
     def __init__(self, key, path: Tuple["Link", ...], rate_cap: float) -> None:
         self.key = key
@@ -217,10 +299,14 @@ class FlowGroup:
             counts[link] = counts.get(link, 0) + 1
         self.occ_items: Tuple[Tuple["Link", int], ...] = tuple(counts.items())
         self.rate_cap = rate_cap
-        #: Number of active member flows.
+        #: Active member flows (insertion-ordered); the scalar kernel fans
+        #: a fixed group's rate out through this set.
+        self.members: Dict["Flow", None] = {}
+        #: ``len(members)``, kept as a plain int for the solver's hot reads.
         self.n = 0
         self.gid = -1
-        # Per-round water-filling bound (scratch, valid within one round).
+        self._epoch = -1
+        self._unfixed = False
         self._bound = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -233,9 +319,9 @@ class Flow:
     Attributes of interest once finished: ``start_time``, ``end_time`` and
     ``mean_rate`` (bytes/second averaged over the flow's lifetime).
 
-    While in flight, ``remaining``/``rate``/``deadline`` read through to
-    wherever the owning network keeps its hot state (plain attributes in
-    scalar mode, the numpy arena in vector mode).
+    While in flight, ``remaining``/``rate`` read through to wherever the
+    owning network keeps its hot state (plain attributes in scalar mode, the
+    numpy arena in vector mode) and ``deadline`` is derived from them.
     """
 
     __slots__ = (
@@ -259,9 +345,6 @@ class Flow:
         # Scalar-mode hot state (authoritative while ``pos`` is -1).
         "_rem",
         "_rate",
-        "_dl",
-        # Per-round water-filling bound (scratch, valid within one round).
-        "_bound",
     )
 
     def __init__(
@@ -286,8 +369,6 @@ class Flow:
         self._net: Optional["FlowNetwork"] = None
         self._rem = float(size)
         self._rate = 0.0
-        self._dl: Optional[float] = None
-        self._bound = 0.0
 
     @property
     def remaining(self) -> float:
@@ -307,17 +388,14 @@ class Flow:
     def deadline(self) -> Optional[float]:
         """Projected absolute completion time; None while unknown/finished.
 
-        In vector mode this is derived on demand from the arena (the owning
-        network does not materialise per-flow deadlines; only the earliest
-        one matters for its wake-up timer).
+        Derived on demand (the owning network does not materialise
+        per-flow deadlines; only the earliest one matters for its wake-up
+        timer).
         """
-        if self.pos >= 0:
-            net = self._net
-            rate = float(net._rate_v[self.pos])
-            if rate <= 0.0:
-                return None
-            return net._last_advance + float(net._rem_v[self.pos]) / rate
-        return self._dl
+        rate = self.rate
+        if self._net is None or rate <= 0.0:
+            return None
+        return self._net._last_advance + self.remaining / rate
 
     @property
     def mean_rate(self) -> float:
@@ -350,11 +428,11 @@ class FlowNetwork:
     ``REPRO_SCALAR_SOLVER=1`` environment escape hatch), ``"vector"`` pins
     the arena from the first flow (used by the equivalence tests).
 
-    ``aggregate`` selects hierarchical flow aggregation (see the module
-    docstring): True (default) solves per :class:`FlowGroup`, False (or
-    ``REPRO_FLAT_SOLVER=1``) solves per flow.  Group bookkeeping is
-    maintained either way — only the solver kernel differs.  All solver and
-    aggregation modes are bit-identical.
+    ``aggregate`` selects between the two *vector* kernels (see the module
+    docstring): True (default) lets the arena solve per :class:`FlowGroup`
+    when groups coalesce, False (or ``REPRO_FLAT_SOLVER=1``) pins its
+    per-flow kernel.  The scalar kernel always works on groups.  All solver
+    and aggregation modes are bit-identical.
     """
 
     def __init__(
@@ -375,6 +453,9 @@ class FlowNetwork:
         #: Live path-less (rate-cap-only) flows; lets the vector scoper
         #: prove full coverage without gathering the whole arena.
         self._pathless_active = 0
+        #: Links crossed by at least one live group; with no path-less flow
+        #: alive, a component covering this many links covers every flow.
+        self._n_occupied = 0
         self.links: Dict[str, Link] = {}
         self._link_list: List[Link] = []
         self._fn_links: List[Link] = []
@@ -391,8 +472,8 @@ class FlowNetwork:
         #: The currently armed wake-up event; wake-ups from superseded
         #: solves no longer match and are ignored.
         self._wake_event: Optional[Event] = None
-        #: Monotonic stamp marking which scalar solve initialised a link's
-        #: water-filling working state.
+        #: Monotonic stamp marking which scalar solve discovered a group or
+        #: initialised a shared link's water-filling working state.
         self._epoch = 0
         #: Whether this instant's solve is already queued with the
         #: simulator's end-of-instant flush.  All flow-set changes at one
@@ -431,13 +512,15 @@ class FlowNetwork:
         self._stride = 4
         self._pad = 0
         #: Link-link co-traversal adjacency: ``_adjb[a, b]`` is True when
-        #: some live arena flow's path visits both links.  Every flow's
-        #: path forms a clique here, so connected components of this tiny
-        #: (#links x #links) graph match the flow-side components exactly —
-        #: scoping BFS runs on it instead of re-gathering every flow column
-        #: per round.  ``_pairs`` holds the per-pair flow counts (keyed by
-        #: the sorted index pair) so the bool matrix is touched only on
-        #: 0 <-> 1 transitions.
+        #: some live group's path visits both links.  Every path forms a
+        #: clique here, so connected components of this tiny (#links x
+        #: #links) graph match the flow-side components exactly — the
+        #: vector scoping BFS runs on it instead of re-gathering every flow
+        #: column per round.  ``_pairs`` holds the per-pair group counts
+        #: (keyed by the sorted index pair) so the bool matrix is touched
+        #: only on 0 <-> 1 transitions.  Only the vector scoper reads
+        #: either, so both are valid only while ``_vector`` is true:
+        #: rebuilt from ``_groups`` on entry, maintained until exit.
         self._adjb = np.zeros((0, 0), dtype=bool)
         self._pairs: Dict[Tuple[int, int], int] = {}
         # -- group arena (rows [0, _ng); freed rows are recycled) ----------
@@ -451,9 +534,9 @@ class FlowNetwork:
         self._g_cap = np.zeros(0)
         #: Rate of every member of the group as of the last solve that
         #: touched it.  Invariant: correct for *all* active groups after
-        #: every solve (scoped solves leave untouched components' rates
-        #: unchanged by construction), so a full solve may scatter
-        #: ``_g_rate[gid_v]`` across the whole flow arena.
+        #: every solve (each kernel writes the rows it solved; scoped solves
+        #: leave untouched components' rates unchanged by construction), so
+        #: ``_g_rate[gid_v]`` may be scattered across the whole flow arena.
         self._g_rate = np.zeros(0)
         self._g_occ_t = np.zeros((4, 0), dtype=np.int64)
         # -- solver scratch (reused across solves; sized on demand) -------
@@ -519,9 +602,11 @@ class FlowNetwork:
         transfer completes.  Zero-byte transfers complete on the next
         simulator step without touching the links.
         """
-        if nbytes < 0:
+        # Negated comparisons so NaN (for which every ordering test is
+        # false) is rejected instead of poisoning its component's rates.
+        if not nbytes >= 0:
             raise ValueError(f"transfer size must be non-negative, got {nbytes}")
-        if rate_cap <= 0:
+        if not rate_cap > 0:
             raise ValueError(f"rate cap must be positive, got {rate_cap}")
         sim = self.sim
         now = sim._now
@@ -533,46 +618,18 @@ class FlowNetwork:
         flow.start_time = now
         if nbytes == 0:
             flow.end_time = now
-            flow.done = None  # break the flow<->event cycle (see _on_wake)
+            flow.done = None  # break the flow<->event cycle (see _retire)
             done.succeed(flow)
             return done
         if not tpath and not math.isfinite(rate_cap):
             raise ValueError("a flow needs a non-empty path or a finite rate cap")
-        # The body below is the per-flow admission fast path: guards are
-        # inlined (method calls cost real time at 100k flows/instant) and
-        # the per-link multiplicity work is done once per *group*.
         if now > self._last_advance:
             self._advance_to_now()
         self.flow_changes += 1
-        flow._net = self
-        self._active[flow] = None
-        # Marking the flow dirty is enough to seed the recompute scope:
-        # both _scope_scalar and _scope_vector expand from a dirty flow's
-        # own path, so arrivals do not need per-link dirty marks.
-        self._dirty_flows[flow] = None
-        if tpath:
-            # Links hash by identity, so the link tuple itself is the path
-            # key — no per-flow index materialisation.
-            key = (tpath, flow.rate_cap)
-        else:
-            key = flow.fid  # singleton group (see FlowGroup docstring)
-        groups = self._groups
-        group = groups.get(key)
-        if group is None:
-            groups[key] = group = FlowGroup(key, tpath, flow.rate_cap)
-            if len(tpath) > 1:
-                self._register_pairs(group)
-        for link, mult in group.occ_items:
-            link.flows[flow] = mult
-        if not tpath:
-            self._pathless_active += 1
-        group.n += 1
-        flow.group = group
-        if group.gid >= 0:
-            self._g_n[group.gid] = group.n
+        self._admit(flow)
         if not self._recompute_pending:
             self._recompute_pending = True
-            self.sim.request_flush(self._flush_recompute)
+            sim.request_flush(self._flush_recompute)
         return done
 
     def admit_flows(
@@ -592,18 +649,14 @@ class FlowNetwork:
         same order: fid assignment, ``_active``/link insertion orders,
         group creation order and the single end-of-instant solve all match
         the sequential loop (same-instant batching already coalesces the
-        solves — what this call strips is the per-flow method dispatch,
-        argument validation re-entry, flush arming and name interning,
-        which dominate admission cost at 100k flows per wave).
+        solves — what this call strips is the per-flow argument-validation
+        re-entry, progress check, flush arming and name interning).
         """
         sim = self.sim
         now = sim._now
         default_ename = _sintern("flow:" + name) if name else "flow:"
         fids = self._fid
-        active = self._active
-        dirty_flows = self._dirty_flows
-        groups = self._groups
-        groups_get = groups.get
+        admit = self._admit
         events: List[Event] = []
         append = events.append
         # transfer() only advances progress when admitting a nonzero-size
@@ -622,11 +675,11 @@ class FlowNetwork:
                 fname = name
             else:
                 path, nbytes, rate_cap, fname = spec
-            if nbytes < 0:
+            if not nbytes >= 0:  # negated: rejects NaN too (see transfer)
                 raise ValueError(
                     f"transfer size must be non-negative, got {nbytes}"
                 )
-            if rate_cap <= 0:
+            if not rate_cap > 0:
                 raise ValueError(f"rate cap must be positive, got {rate_cap}")
             if fname is name:
                 ename = default_ename
@@ -650,26 +703,7 @@ class FlowNetwork:
                 self._advance_to_now()
                 advanced = True
             changes += 1
-            flow._net = self
-            active[flow] = None
-            dirty_flows[flow] = None
-            if tpath:
-                key = (tpath, flow.rate_cap)
-            else:
-                key = flow.fid  # singleton group (see FlowGroup docstring)
-            group = groups_get(key)
-            if group is None:
-                groups[key] = group = FlowGroup(key, tpath, flow.rate_cap)
-                if len(tpath) > 1:
-                    self._register_pairs(group)
-            for link, mult in group.occ_items:
-                link.flows[flow] = mult
-            if not tpath:
-                self._pathless_active += 1
-            group.n += 1
-            flow.group = group
-            if group.gid >= 0:
-                self._g_n[group.gid] = group.n
+            admit(flow)
         if changes:
             self.flow_changes += changes
             if not self._recompute_pending:
@@ -691,66 +725,14 @@ class FlowNetwork:
         """
         if self.sim._now > self._last_advance:
             self._advance_to_now()
-        now = self.sim.now
         active = self._active
         # De-duplicated, order-preserving filter: double-listing a flow
         # must not double-decrement its group.
         victims = list(dict.fromkeys(f for f in flows if f in active))
-        if not victims:
-            return 0
-        dirty = self._dirty
-        groups = self._groups
-        batch = self._vector and len(victims) >= 64
-        touched = {}
-        for flow in victims:
-            touched[flow.group] = None
-        for group in touched:
-            for link, _ in group.occ_items:
-                dirty[link] = None
-        rem_v = self._rem_v
-        done_pos: List[int] = []
-        for flow in victims:
-            del active[flow]
-            group = flow.group
-            for link, _ in group.occ_items:
-                link.flows.pop(flow, None)
-            if not group.path:
-                self._pathless_active -= 1
-            group.n -= 1
-            if group.n == 0:
-                del groups[group.key]
-                if len(group.path) > 1:
-                    self._unregister_pairs(group)
-                if group.gid >= 0:
-                    self._g_retire(group)
-            elif group.gid >= 0:
-                self._g_n[group.gid] = group.n
-            flow.group = None
-            pos = flow.pos
-            if pos >= 0:
-                # Preserve the byte count the flow was cancelled at — the
-                # arena column is about to be recycled.
-                flow._rem = float(rem_v[pos])
-                if batch:
-                    done_pos.append(pos)
-                    flow.pos = -1
-                else:
-                    self._evict(flow)
-            flow._net = None
-            flow._rate = 0.0
-            flow._dl = None
-            flow.end_time = now
-        n_evicted = len(victims)
-        self.flow_changes += n_evicted
-        self.evicted_flows += n_evicted
-        if batch:
-            self._evict_batch(np.asarray(done_pos, dtype=np.int64))
-        self._schedule_recompute()
-        for flow in victims:
-            done = flow.done
-            flow.done = None  # break the flow<->event cycle (see _on_wake)
-            done.succeed(flow)
-        return n_evicted
+        if victims:
+            self.evicted_flows += len(victims)
+            self._retire(victims, finished=False)
+        return len(victims)
 
     @property
     def active_flows(self) -> int:
@@ -770,9 +752,122 @@ class FlowNetwork:
         """Number of distinct (path, rate_cap) aggregation groups in flight."""
         return len(self._groups)
 
-    # -- co-traversal adjacency (maintained on group 0 <-> 1 transitions) ----
-    def _register_pairs(self, group: FlowGroup) -> None:
-        """Mark the group's path clique in the link-link adjacency.
+    # -- membership bookkeeping (every arrival and departure goes through) ---
+    def _admit(self, flow: Flow) -> None:
+        """Enter ``flow`` into the active set, its links and its group."""
+        tpath = flow.path
+        flow._net = self
+        self._active[flow] = None
+        # Marking the flow dirty is enough to seed the recompute scope:
+        # both scopers expand from a dirty flow's own group, so arrivals do
+        # not need per-link dirty marks.
+        self._dirty_flows[flow] = None
+        # Links hash by identity, so the link tuple itself is the path key;
+        # a path-less flow gets a singleton group (see FlowGroup).
+        key = (tpath, flow.rate_cap) if tpath else flow.fid
+        group = self._groups.get(key)
+        if group is None:
+            self._groups[key] = group = FlowGroup(key, tpath, flow.rate_cap)
+            for link, mult in group.occ_items:
+                if not link.groups:
+                    self._n_occupied += 1
+                link.groups[group] = mult
+                if mult > 1:
+                    link.n_amplified += 1
+            if not tpath:
+                self._pathless_active += 1
+            elif self._vector and len(tpath) > 1:
+                self._register_pairs(group, 1)
+        for link, mult in group.occ_items:
+            link.n_occ += mult
+        group.members[flow] = None
+        group.n += 1
+        flow.group = group
+        if group.gid >= 0:
+            self._g_n[group.gid] = group.n
+
+    def _retire(self, flows: List[Flow], finished: bool) -> None:
+        """Take ``flows`` (all active) out of the network at this instant.
+
+        The one departure path: completions (``finished``, remaining bytes
+        zeroed) and evictions (the cancelled-at byte count preserved) both
+        leave their links, groups and arena columns here, then succeed
+        their done events after this instant's solve has been queued.
+        """
+        now = self.sim.now
+        active = self._active
+        dirty = self._dirty
+        groups = self._groups
+        # Above the threshold, arena columns are compacted in one vectorized
+        # pass instead of one swap-delete per flow (see _evict_batch).
+        batch = self._vector and len(flows) >= 64
+        done_pos: List[int] = []
+        # Dirty-marking is per *group*: a 100k-flow batch touches the same
+        # handful of links, so mark each link once up front.
+        for group in {flow.group: None for flow in flows}:
+            for link, _ in group.occ_items:
+                dirty[link] = None
+        rem_v = self._rem_v
+        for flow in flows:
+            del active[flow]
+            group = flow.group
+            for link, mult in group.occ_items:
+                link.n_occ -= mult
+            del group.members[flow]
+            group.n -= 1
+            if group.n == 0:
+                del groups[group.key]
+                for link, mult in group.occ_items:
+                    del link.groups[group]
+                    if not link.groups:
+                        self._n_occupied -= 1
+                    if mult > 1:
+                        link.n_amplified -= 1
+                if not group.path:
+                    self._pathless_active -= 1
+                elif self._vector and len(group.path) > 1:
+                    self._register_pairs(group, -1)
+                if group.gid >= 0:
+                    self._g_retire(group)
+            elif group.gid >= 0:
+                self._g_n[group.gid] = group.n
+            flow.group = None
+            pos = flow.pos
+            if pos >= 0:
+                if not finished:
+                    # An evicted flow keeps the byte count it was cancelled
+                    # at — the arena column is about to be recycled.
+                    flow._rem = float(rem_v[pos])
+                if batch:
+                    done_pos.append(pos)
+                    flow.pos = -1
+                else:
+                    self._evict(flow)
+            if finished:
+                flow._rem = 0.0
+            flow._net = None
+            flow._rate = 0.0
+            flow.end_time = now
+        self.flow_changes += len(flows)
+        if batch:
+            self._evict_batch(np.asarray(done_pos, dtype=np.int64))
+        # The solve is deferred to the end-of-instant flush: completions
+        # resume processes that often start replacement flows at this same
+        # instant, and one solve serves the departures and the replacements.
+        self._schedule_recompute()
+        for flow in flows:
+            done = flow.done
+            # Clear the back-reference before triggering: the done event
+            # holds the flow as its value, and ``flow.done`` pointing back
+            # would make every finished transfer a reference cycle — 100k
+            # cycles per wave is pure cyclic-GC load (gen2 pauses dominate
+            # the storm benchmarks).  With the edge cut, refcounting frees
+            # the whole wave as soon as the caller drops its events.
+            flow.done = None
+            done.succeed(flow)
+
+    def _register_pairs(self, group: FlowGroup, step: int) -> None:
+        """Add (``step`` 1) or drop (-1) the group's path clique.
 
         ``_pairs`` counts live *groups* (not flows) per link pair, so the
         bool matrix is touched only when a distinct path appears or
@@ -785,27 +880,13 @@ class FlowNetwork:
             a = idxs[i]
             for b in idxs[i + 1 :]:
                 key = (a, b) if a <= b else (b, a)
-                seen = pairs.get(key, 0)
-                if not seen:
-                    adjb[a, b] = True
-                    adjb[b, a] = True
-                pairs[key] = seen + 1
-
-    def _unregister_pairs(self, group: FlowGroup) -> None:
-        pairs = self._pairs
-        adjb = self._adjb
-        idxs = [link.idx for link in group.path]
-        for i in range(len(idxs) - 1):
-            a = idxs[i]
-            for b in idxs[i + 1 :]:
-                key = (a, b) if a <= b else (b, a)
-                seen = pairs[key] - 1
+                seen = pairs.get(key, 0) + step
                 if seen:
                     pairs[key] = seen
                 else:
                     del pairs[key]
-                    adjb[a, b] = False
-                    adjb[b, a] = False
+                if seen == (step > 0):  # the pair's 0 <-> 1 transition
+                    adjb[a, b] = adjb[b, a] = step > 0
 
     # -- arena bookkeeping ---------------------------------------------------
     def _ensure_capacity(self, n: int, pathlen: int) -> None:
@@ -1000,14 +1081,18 @@ class FlowNetwork:
         self._n_live = m
 
     def _enter_vector(self) -> None:
-        # The co-traversal adjacency (``_pairs``/``_adjb``) is maintained
-        # continuously on group transitions, so it is already correct here.
         self._n_live = 0
         self._pad = len(self._link_list)
         self._ng = 0
         self._g_free.clear()
+        # Nothing maintained the co-traversal adjacency while the scalar
+        # kernel (which never reads it) was in charge: rebuild it.
+        self._pairs.clear()
+        self._adjb.fill(False)
         for group in self._groups.values():
             group.gid = -1
+            if len(group.path) > 1:
+                self._register_pairs(group, 1)
         if len(self._active) >= 64:
             self._ingest_batch(list(self._active))
         else:
@@ -1018,18 +1103,11 @@ class FlowNetwork:
 
     def _exit_vector(self) -> None:
         rem, rate = self._rem_v, self._rate_v
-        last_advance = self._last_advance
         flows_pos = self._flows_pos
         for flow in self._active:
             pos = flow.pos
             flow._rem = float(rem[pos])
             flow._rate = float(rate[pos])
-            # Same on-demand projection as Flow.deadline in vector mode.
-            flow._dl = (
-                last_advance + flow._rem / flow._rate
-                if flow._rate > 0.0
-                else None
-            )
             flow.pos = -1
             flows_pos[pos] = None
         for group in self._groups.values():
@@ -1080,8 +1158,16 @@ class FlowNetwork:
                 else:
                     for flow in arrivals:
                         self._ingest(flow)
-                scope = self._scope_vector(dirty, dirty_flows)
-                if scope is None or scope.size >= _VEC_SOLVE_MIN:
+                # Solver rows are the groups in scope; an upper bound will
+                # do, and with few groups alive no scoping is needed to know
+                # the scalar kernel (which scopes for itself) gets the solve.
+                scope = None
+                rows = len(self._groups)
+                if rows >= _VEC_SOLVE_MIN:
+                    scope = self._scope_vector(dirty, dirty_flows)
+                    if scope is not None and scope.size < rows:
+                        rows = scope.size
+                if rows >= _VEC_SOLVE_MIN:
                     # Aggregation only pays when groups actually coalesce;
                     # with near-singleton groups the flat kernel is cheaper.
                     # Free choice: both kernels are bit-identical.
@@ -1091,28 +1177,13 @@ class FlowNetwork:
                         self._solve_vector_grouped(scope)
                     else:
                         self._solve_vector(scope)
-                elif scope.size:
-                    # Tiny perturbed component: the scalar kernel wins even
-                    # with the arena active.  The flat kernel is used for
-                    # both aggregation settings (its result is bit-identical
-                    # to the grouped one); only the _g_rate upkeep differs.
-                    flows_pos = self._flows_pos
-                    flows = [flows_pos[pos] for pos in scope]
-                    self._compute_rates(flows)
-                    rate = self._rate_v
-                    gid_v = self._gid_v
-                    g_rate = self._g_rate
-                    for flow in flows:
-                        r = flow._rate
-                        rate[flow.pos] = r
-                        g_rate[gid_v[flow.pos]] = r
+                elif rows:
+                    # Few rows: the scalar kernel, which works on groups
+                    # and writes ``_g_rate``, wins even with the arena live.
+                    self._solve_scalar(dirty, dirty_flows)
+                    self._fan_out(scope)
             else:
-                scope = self._scope_scalar(dirty, dirty_flows)
-                if scope:
-                    if self.aggregate:
-                        self._compute_rates_grouped(scope)
-                    else:
-                        self._compute_rates(scope)
+                self._solve_scalar(dirty, dirty_flows)
         self._refresh_deadlines_and_arm()
 
     def _advance_to_now(self) -> None:
@@ -1137,43 +1208,6 @@ class FlowNetwork:
         self._last_advance = now
 
     # -- component scoping ---------------------------------------------------
-    def _scope_scalar(
-        self, dirty: Dict[Link, None], dirty_flows: Dict[Flow, None]
-    ) -> List[Flow]:
-        """Flows in the connected component(s) of the dirty links.
-
-        A batch of arrivals/departures can only change rates of flows
-        sharing a link with a perturbed flow, transitively.  The returned
-        list preserves ``_active`` insertion order so the scoped
-        water-filling pass fixes flows in exactly the order a full pass
-        would.
-        """
-        active = self._active
-        seen_links = set(dirty)
-        seen_flows = set(flow for flow in dirty_flows if flow in active)
-        n_active = len(active)
-        queue: List[Link] = list(dirty)
-        for flow in seen_flows:
-            for link in flow.path:
-                if link not in seen_links:
-                    seen_links.add(link)
-                    queue.append(link)
-        pop = queue.pop
-        while queue:
-            if len(seen_flows) >= n_active:
-                return list(active)
-            link = pop()
-            for flow in link.flows:
-                if flow not in seen_flows:
-                    seen_flows.add(flow)
-                    for other in flow.path:
-                        if other not in seen_links:
-                            seen_links.add(other)
-                            queue.append(other)
-        if len(seen_flows) >= n_active:
-            return list(active)
-        return [flow for flow in active if flow in seen_flows]
-
     def _scope_vector(
         self, dirty: Dict[Link, None], dirty_flows: Dict[Flow, None]
     ) -> Optional[np.ndarray]:
@@ -1203,7 +1237,10 @@ class FlowNetwork:
         pad = self._pad
         link_seen = np.zeros(pad + 1, dtype=bool)
         for link in dirty:
-            link_seen[link.idx] = True
+            # An emptied link belongs to no flow's component; leaving it
+            # out keeps every seen link an occupied one (see below).
+            if link.n_occ:
+                link_seen[link.idx] = True
         # Path-less (rate-cap-only) flows are isolated single-flow
         # components; they never hit a link during the BFS, so collect
         # their rows separately and splice them into the result.
@@ -1230,15 +1267,12 @@ class FlowNetwork:
             if grown == count:
                 break
             count = grown
-        if not isolated and not self._pathless_active:
-            # Full-cover shortcut: with no path-less flows alive, the scope
-            # is total iff every *occupied* link landed in the component —
-            # checked over #links instead of gathering the whole arena.
-            for link in self._link_list:
-                if link.flows and not seen_l[link.idx]:
-                    break
-            else:
-                return None
+        if count >= self._n_occupied and not self._pathless_active:
+            # Full-cover shortcut: every seen link is occupied (seeds are,
+            # and the BFS only reaches links some live group crosses), so
+            # with no path-less flows alive the scope is total iff the
+            # component holds *all* occupied links — one int compare.
+            return None
         # One flow gather against the settled link set.
         hit = link_seen[occ[:, :n]].any(axis=0)
         if isolated:
@@ -1249,15 +1283,17 @@ class FlowNetwork:
 
     # -- wake-ups and completions --------------------------------------------
     def _refresh_deadlines_and_arm(self) -> None:
-        """Recompute every active flow's projected completion, arm a wake.
+        """Project the earliest completion among active flows, arm a wake.
 
-        All deadlines are re-evaluated as ``now + remaining / rate`` at the
-        flush instant — exactly the division the reference kernel performs
-        after each advance — so completion wake-ups land on bit-identical
-        times whichever mode computed them.
+        Every flow's time to go is re-evaluated as ``remaining / rate`` at
+        the flush instant.  IEEE addition is monotone, so the flow
+        minimising it also minimises ``now + remaining / rate`` — the
+        deadline the reference kernel computes per flow after each advance
+        — and for that flow the one sum below is that exact expression, so
+        wake-ups land on bit-identical times whichever mode computed them.
         """
         now = self.sim.now
-        earliest = _INF
+        shortest = _INF
         if self._vector:
             n = self._n_live
             if n:
@@ -1271,27 +1307,19 @@ class FlowNetwork:
                 # remaining, as nan — caught below and recomputed the
                 # careful way.
                 np.divide(self._rem_v[:n], rate, out=left)
-                # IEEE addition is monotone, so the flow minimising
-                # remaining/rate also minimises now + remaining/rate, and
-                # for that flow the sum below is the exact scalar-path
-                # expression — no per-flow deadline array needed.
                 shortest = float(np.minimum.reduce(left))
                 if shortest != shortest:  # pragma: no cover - 0-rate guard
                     left.fill(_INF)
                     np.divide(self._rem_v[:n], rate, out=left, where=rate > 0.0)
                     shortest = float(np.minimum.reduce(left))
-                if shortest != _INF:
-                    earliest = now + shortest
         else:
             for flow in self._active:
                 rate = flow._rate
-                if rate > 0.0:
-                    deadline = now + flow._rem / rate
-                    flow._dl = deadline
-                    if deadline < earliest:
-                        earliest = deadline
-                else:  # pragma: no cover - defensive; rates > 0 always
-                    flow._dl = None
+                if rate > 0.0:  # always, once solved; guards the division
+                    left = flow._rem / rate
+                    if left < shortest:
+                        shortest = left
+        earliest = now + shortest
         if earliest == _INF:
             self._wake_event = None
             return
@@ -1307,7 +1335,6 @@ class FlowNetwork:
             return  # a newer solve superseded this wake-up
         self._wake_event = None
         self._advance_to_now()
-        now = self.sim.now
         if self._vector:
             n = self._n_live
             done_pos = (self._rem_v[:n] <= _EPSILON_BYTES).nonzero()[0]
@@ -1322,230 +1349,167 @@ class FlowNetwork:
         if not finished:  # pragma: no cover - defensive
             self._schedule_recompute()
             return
-        active = self._active
-        dirty = self._dirty
-        groups = self._groups
-        # Above the threshold, arena columns are compacted in one vectorized
-        # pass instead of one swap-delete per flow (see _evict_batch).
-        batch = self._vector and len(finished) >= 64
-        # Dirty-marking is per *group*: a 100k-flow completion batch touches
-        # the same handful of links, so mark each link once up front.
-        touched = {}
-        for flow in finished:
-            touched[flow.group] = None
-        for group in touched:
-            for link, _ in group.occ_items:
-                dirty[link] = None
         completed_bytes = self.completed_bytes
         for flow in finished:
-            active.pop(flow, None)
-            group = flow.group
-            for link, _ in group.occ_items:
-                link.flows.pop(flow, None)
-            if not group.path:
-                self._pathless_active -= 1
-            group.n -= 1
-            if group.n == 0:
-                del groups[group.key]
-                if len(group.path) > 1:
-                    self._unregister_pairs(group)
-                if group.gid >= 0:
-                    self._g_retire(group)
-            elif group.gid >= 0:
-                self._g_n[group.gid] = group.n
-            flow.group = None
-            if flow.pos >= 0:
-                if batch:
-                    flow.pos = -1
-                else:
-                    self._evict(flow)
-            flow._net = None
-            flow._rem = 0.0
-            flow._rate = 0.0
-            flow._dl = None
-            flow.end_time = now
             # Sequential accumulation preserved bit-for-bit: same additions
-            # in the same order as the per-flow form, via a local.
+            # in the same order as a per-flow ``+=`` on the attribute.
             completed_bytes += flow.size
         self.completed_bytes = completed_bytes
-        self.flow_changes += len(finished)
         self.completed_flows += len(finished)
-        if batch:
-            self._evict_batch(done_pos)
-        # The solve is deferred to the end-of-instant flush: completions
-        # resume processes that often start replacement flows at this same
-        # instant, and one solve serves the departures and the replacements.
-        self._schedule_recompute()
-        for flow in finished:
-            done = flow.done
-            # Clear the back-reference before triggering: the done event
-            # holds the flow as its value, and ``flow.done`` pointing back
-            # would make every completed transfer a reference cycle — 100k
-            # cycles per wave is pure cyclic-GC load (gen2 pauses dominate
-            # the storm benchmarks).  With the edge cut, refcounting frees
-            # the whole wave as soon as the caller drops its events.
-            flow.done = None
-            done.succeed(flow)
+        self._retire(finished, finished=True)
 
     # -- water-filling -------------------------------------------------------
-    def _compute_rates(self, flows: List[Flow]) -> None:
-        """Progressive-filling max-min fair allocation with per-flow caps.
+    def _solve_scalar(
+        self, dirty: Dict[Link, None], dirty_flows: Dict[Flow, None]
+    ) -> None:
+        """Progressive-filling max-min fair allocation, the scalar kernel.
 
-        Repeatedly: compute each link's fair share among its unfixed flows;
-        each unfixed flow's bound is the minimum of its links' fair shares
-        and its own cap; fix every flow whose bound equals the round's
-        minimum bound; subtract fixed rates from link capacities.  This is
-        the textbook water-filling algorithm, restricted to the perturbed
-        component (``flows``) and evaluated with per-link running
-        aggregates rather than per-recompute dicts.
+        Water-fills the connected component(s) the dirty links and flows
+        perturb, over (path, cap) groups, in pure Python: repeatedly, each
+        link's fair share is its remaining capacity over its unfixed path
+        occurrences; a group's bound is the minimum of its links' shares
+        and its cap; every group whose bound is within the tie threshold of
+        the round's minimum bound is fixed at that minimum, and its
+        members' rates are debited from its links.
+
+        Discovery and link initialisation are one traversal of ``link ->
+        groups -> links``.  A link only one group crosses is folded into
+        that group's effective cap ``_bound`` and never stamped; the rounds
+        are driven from the stamped (shared) links, so a group's path is
+        walked when it fixes, not once per round.  The module docstring
+        argues why every rate equals the per-flow reference bit for bit.
         """
-        if not flows:
-            return
-        self.solver_runs += 1
-        if self._pathless_active:
-            # A path-less (rate-cap-only) flow is constrained by nothing:
-            # its max-min rate is exactly its cap.  Fix it before filling so
-            # the tie threshold can never collapse it onto an unrelated
-            # component's bound that drifted within a ULP of the cap.
-            filling = []
-            for flow in flows:
-                if flow.path:
-                    filling.append(flow)
-                else:
-                    flow._rate = flow.rate_cap
-            flows = filling
-            if not flows:
-                return
-        self._epoch += 1
-        epoch = self._epoch
-        links: List[Link] = []
-        for flow in flows:
-            for link in flow.path:
-                if link._epoch != epoch:
-                    link._epoch = epoch
-                    link._cap_left = link.effective_capacity(len(link.flows))
-                    link._n_unfixed = 0
-                    links.append(link)
-                link._n_unfixed += 1
-
-        unfixed = flows
-        while unfixed:
-            for link in links:
-                n = link._n_unfixed
-                if n > 0:
-                    link._share = link._cap_left / n
-            minimum = _INF
-            for flow in unfixed:
-                bound = flow.rate_cap
-                for link in flow.path:
-                    share = link._share
-                    if share < bound:
-                        bound = share
-                flow._bound = bound
-                if bound < minimum:
-                    minimum = bound
-            if minimum == _INF:  # pragma: no cover - guarded in transfer()
-                raise AssertionError("unbounded flow rate: no cap and empty path")
-            threshold = minimum * (1.0 + 1e-12)
-            still_unfixed: List[Flow] = []
-            for flow in unfixed:
-                if flow._bound <= threshold:
-                    flow._rate = minimum
-                    for link in flow.path:
-                        # Inlined max(left, 0.0) — this line runs once per
-                        # (flow, link) per round and the builtin call
-                        # dominated the barrier_burst profile.
-                        left = link._cap_left - minimum
-                        link._cap_left = left if left >= 0.0 else 0.0
-                        link._n_unfixed -= 1
-                else:
-                    still_unfixed.append(flow)
-            unfixed = still_unfixed
-
-    def _compute_rates_grouped(self, flows: List[Flow]) -> None:
-        """Progressive filling over (path, cap) groups instead of flows.
-
-        Bit-identical to :meth:`_compute_rates` on the same scope:
-
-        * link init is the same per-member accounting (``_n_unfixed`` counts
-          member path occurrences), so every round's shares are the same
-          quotients;
-        * a group's bound is the exact expression every member would
-          compute — ``min(shares along the path, rate_cap)`` — so the round
-          minimum, the fix decisions and the assigned rates all coincide
-          with the flat pass (same-group flows always fix together there);
-        * the capacity debit replays one ``cap_left - minimum`` + clamp step
-          per fixed member per occurrence.  The flat pass interleaves these
-          steps across groups, but every step subtracts the same
-          non-negative ``minimum``, so the result depends only on the step
-          count per link — and once a clamp fires the value is pinned at
-          0.0 for the rest of the round (0.0 - m < 0 clamps back to 0.0),
-          which the early ``break`` below exploits.
-        """
-        if not flows:
-            return
-        self.solver_runs += 1
-        self._epoch += 1
-        epoch = self._epoch
-        links: List[Link] = []
-        buckets: Dict[FlowGroup, List[Flow]] = {}
-        for flow in flows:
-            if not flow.path:
-                # Path-less flows always run at exactly their cap; see
-                # :meth:`_compute_rates`.
-                flow._rate = flow.rate_cap
+        self._epoch = epoch = self._epoch + 1
+        # With the arena live a solved rate goes to the group's ``_g_rate``
+        # row (the caller fans it out); otherwise to each member flow.
+        g_rate = self._g_rate if self._vector else None
+        shared: List[Link] = []
+        groups: List[FlowGroup] = []
+        pathless = False
+        stack: List[FlowGroup] = []
+        for link in dirty:
+            stack.extend(link.groups)
+        for flow in dirty_flows:
+            if flow.group is not None:  # else it already left again
+                stack.append(flow.group)
+        while stack:
+            group = stack.pop()
+            if group._epoch == epoch:
                 continue
-            group = flow.group
-            members = buckets.get(group)
-            if members is None:
-                buckets[group] = [flow]
-            else:
-                members.append(flow)
-            for link in flow.path:
-                if link._epoch != epoch:
-                    link._epoch = epoch
-                    link._cap_left = link.effective_capacity(len(link.flows))
-                    link._n_unfixed = 0
-                    links.append(link)
-                link._n_unfixed += 1
-
-        unfixed = list(buckets.items())
-        while unfixed:
-            for link in links:
-                n = link._n_unfixed
-                if n > 0:
-                    link._share = link._cap_left / n
-            minimum = _INF
-            for group, _ in unfixed:
-                bound = group.rate_cap
-                for link in group.path:
-                    share = link._share
+            group._epoch = epoch
+            bound = group.rate_cap
+            if not group.occ_items:
+                # A path-less (rate-cap-only) flow is constrained by
+                # nothing: its max-min rate is exactly its cap.  It never
+                # enters the filling, so the tie threshold cannot collapse
+                # it onto another component's bound a ULP from the cap.
+                pathless = True
+                if g_rate is not None:
+                    g_rate[group.gid] = bound
+                else:
+                    for flow in group.members:
+                        flow._rate = bound
+                continue
+            for link, _ in group.occ_items:
+                if link._epoch == epoch:
+                    continue
+                private = len(link.groups) == 1
+                if link.capacity_fn is None:
+                    cap = link.capacity
+                else:  # a private link's streams are this group's members
+                    cap = link.effective_capacity(group.n if private else None)
+                if private:
+                    share = cap / link.n_occ
                     if share < bound:
                         bound = share
-                group._bound = bound
-                if bound < minimum:
-                    minimum = bound
+                else:
+                    link._epoch = epoch
+                    link._cap_left = cap
+                    link._n_unfixed = link.n_occ
+                    shared.append(link)
+                    stack.extend(link.groups)
+            group._bound = bound
+            group._unfixed = True
+            groups.append(group)
+        if not groups and not pathless:
+            return
+        self.solver_runs += 1
+
+        groups.sort(key=_bound_of)
+        n_left = n_groups = len(groups)
+        first = 0  # groups[:first] are fixed
+        while n_left:
+            # ``tight`` collects every link whose share was within the tie
+            # threshold of the running minimum when seen — a superset of
+            # those within the final threshold, as the minimum only falls.
+            minimum = limit = _INF
+            tight: List[Link] = []
+            for link in shared:
+                n = link._n_unfixed
+                if n:
+                    link._share = share = link._cap_left / n
+                    if share <= limit:
+                        tight.append(link)
+                        if share < minimum:
+                            minimum = share
+                            limit = share * (1.0 + 1e-12)
+            while not groups[first]._unfixed:
+                first += 1
+            if groups[first]._bound < minimum:
+                minimum = groups[first]._bound
             if minimum == _INF:  # pragma: no cover - guarded in transfer()
                 raise AssertionError("unbounded flow rate: no cap and empty path")
             threshold = minimum * (1.0 + 1e-12)
-            still_unfixed: List[Tuple[FlowGroup, List[Flow]]] = []
-            for group, members in unfixed:
-                if group._bound <= threshold:
-                    for flow in members:
+            fixing: List[FlowGroup] = []
+            for link in tight:
+                if link._share <= threshold:
+                    for group in link.groups:
+                        if group._unfixed:
+                            group._unfixed = False
+                            fixing.append(group)
+                    link._n_unfixed = 0
+            while first < n_groups:
+                group = groups[first]
+                if group._unfixed:
+                    if group._bound > threshold:
+                        break
+                    group._unfixed = False
+                    fixing.append(group)
+                first += 1
+            n_left -= len(fixing)
+            for group in fixing:
+                if g_rate is not None:
+                    g_rate[group.gid] = minimum
+                else:
+                    for flow in group.members:
                         flow._rate = minimum
-                    k = len(members)
-                    for link in group.path:
-                        left = link._cap_left
-                        for _ in range(k):
+                if not n_left:
+                    continue  # the final round's debit is dead scratch
+                k = group.n
+                for link, mult in group.occ_items:
+                    if link._epoch != epoch or link._share <= threshold:
+                        continue  # folded into _bound / emptied this round
+                    # One ``cap_left - minimum`` + clamp step per fixed
+                    # member per occurrence.
+                    steps = k * mult
+                    link._n_unfixed -= steps
+                    left = link._cap_left
+                    if steps < _VEC_SOLVE_MIN:
+                        for _ in range(steps):
                             left -= minimum
                             if left < 0.0:
                                 left = 0.0
                                 break  # pinned at 0.0 for the round
-                        link._cap_left = left
-                        link._n_unfixed -= k
-                else:
-                    still_unfixed.append((group, members))
-            unfixed = still_unfixed
+                    else:
+                        # A long chain as one sequential left fold; a single
+                        # final clamp equals clamping between steps (see
+                        # :meth:`_solve_vector`).
+                        fold = np.full(steps + 1, minimum)
+                        fold[0] = left
+                        left = float(np.subtract.reduce(fold))
+                        if left < 0.0:
+                            left = 0.0
+                    link._cap_left = left
 
     def _solve_scratch(self, rows: int, n: int, n_pad: int) -> None:
         """Size the reusable solver scratch for a (rows x n) working set.
@@ -1577,11 +1541,11 @@ class FlowNetwork:
         """Vectorized water-filling over the scoped arena columns.
 
         ``scope`` is an array of arena columns, or None for all live flows.
-        Bit-identical to :meth:`_compute_rates`: shares are the same
-        one-division-per-link quotients, per-flow bounds are pure minima
-        (order-independent, with the pad sentinel's +inf share absorbed),
-        every fixed flow receives the round minimum, and the per-link
-        capacity debit replays the scalar path's subtract-then-clamp chain
+        The textbook per-flow pass, bit-identical to :meth:`_solve_scalar`:
+        shares are the same one-division-per-link quotients, per-flow bounds
+        are pure minima (order-independent, with the pad sentinel's +inf
+        share absorbed), every fixed flow receives the round minimum, and the
+        per-link capacity debit replays the scalar subtract-then-clamp chain
         exactly — for a link whose flows fix ``k`` times in a round,
         ``np.subtract.reduceat`` left-folds the identical
         ``cap_left - minimum - minimum - ...`` sequence and a single final
@@ -1622,7 +1586,7 @@ class FlowNetwork:
         cap_left[pad] = _INF
         for link in self._fn_links:
             if counts[link.idx]:
-                cap_left[link.idx] = link.effective_capacity(len(link.flows))
+                cap_left[link.idx] = link.effective_capacity()
         div = self._sc_div[:n_pad]
         g = self._sc_flat_f[: rows * n].reshape(rows, n)
         bounds = self._sc_flow_f[:n]
@@ -1650,7 +1614,7 @@ class FlowNetwork:
                 n_done = int(ppos.size)
         while n_done < n:
             # Links with no unfixed flows get share == cap_left instead of
-            # the scalar path's +inf, but no live column references them —
+            # the textbook +inf, but no live column references them —
             # their flows are all poisoned — so the value is never read.
             np.maximum(counts, 1, out=div)
             np.divide(cap_left, div, out=share_ext[:n_pad])
@@ -1696,8 +1660,13 @@ class FlowNetwork:
             # a - b rounds ties to +0.0), so the only divergence case never
             # occurs.
             np.maximum(folded, 0.0, out=cap_left)
-        if scope is not None:
+        if scope is None:
+            self._g_rate[self._gid_v[:n]] = rates
+        else:
             self._rate_v[scope] = rates
+            # Keep the ``_g_rate`` invariant: same-group members carry the
+            # same rate, so duplicate rows write one value.
+            self._g_rate[self._gid_v[scope]] = rates
 
     def _solve_vector_grouped(self, fscope: Optional[np.ndarray]) -> None:
         """Vectorized water-filling over aggregation groups.
@@ -1711,9 +1680,9 @@ class FlowNetwork:
           weight ``w`` (member count) per path entry, via weighted
           ``bincount``.  The weights are small integers held in float64, so
           every sum is exact and the quotients ``cap_left / counts`` are the
-          identical divisions the flat solver performs.
+          identical divisions the per-flow kernel performs.
         * the per-round debit folds ``k = sum(w * multiplicity)`` identical
-          subtractions per link — the same count the flat solver would
+          subtractions per link — the same count the per-flow kernel would
           execute across the group's members, so the reduceat fold replays
           the identical exact chain.
 
@@ -1764,7 +1733,7 @@ class FlowNetwork:
         cap_left[pad] = _INF
         for link in self._fn_links:
             if counts[link.idx]:
-                cap_left[link.idx] = link.effective_capacity(len(link.flows))
+                cap_left[link.idx] = link.effective_capacity()
         div = self._sc_div[:n_pad]
         g = self._sc_flat_f[: rows * ng].reshape(rows, ng)
         bounds = self._sc_flow_f[:ng]
@@ -1812,7 +1781,7 @@ class FlowNetwork:
             np.subtract(counts, kw, out=counts)
             occT[:, fpos] = pad
             # Exact: kw holds small integer sums, so the int64 round-trip is
-            # lossless and seg/offsets match the flat solver's layout.
+            # lossless and seg/offsets match the per-flow kernel's layout.
             offsets[0] = 0
             np.add(kw[:pad].astype(np.int64), 1, out=seg)
             seg.cumsum(out=offsets[1:])
@@ -1824,10 +1793,18 @@ class FlowNetwork:
             fold[offsets] = cap_left
             np.subtract.reduceat(fold, offsets, out=folded)
             np.maximum(folded, 0.0, out=cap_left)
-        n = self._n_live
-        if gscope is None:
-            # rates wrote _g_rate[:ng] in place; fan out to every flow.
+        if gscope is not None:  # else rates wrote _g_rate[:ng] in place
+            self._g_rate[gscope] = rates
+        self._fan_out(fscope)
+
+    def _fan_out(self, fscope: Optional[np.ndarray]) -> None:
+        """Copy solved group rates into the scoped flows' arena columns.
+
+        ``None`` fans out to every live flow, which the ``_g_rate``
+        invariant makes valid for the whole arena.
+        """
+        if fscope is None:
+            n = self._n_live
             self._g_rate.take(self._gid_v[:n], out=self._rate_v[:n])
         else:
-            self._g_rate[gscope] = rates
             self._rate_v[fscope] = self._g_rate[self._gid_v[fscope]]

@@ -80,3 +80,19 @@ def test_cli_bench_speedup_against_baseline(tmp_path, capsys):
         payload["scenarios"]["fieldio_small"]["digest"]
         == reference["scenarios"]["fieldio_small"]["digest"]
     )
+
+
+def test_cli_bench_refuses_to_overwrite_a_different_digest(tmp_path, capsys):
+    """Re-recording is for wall times; a moved digest must not slip in."""
+    out = tmp_path / "BENCH_kernel.json"
+    args = ["bench", "--quick", "--scenario", "fieldio_small", "--json", str(out)]
+    assert main(args) == 0
+    assert main(args) == 0  # same digest: re-recording is fine
+    payload = json.loads(out.read_text())
+    payload["scenarios"]["fieldio_small"]["digest"] = "0" * 64
+    tampered = json.dumps(payload)
+    out.write_text(tampered)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "digest drift in fieldio_small" in capsys.readouterr().err
+    assert out.read_text() == tampered  # left untouched

@@ -84,6 +84,42 @@ def test_shard_layout_partial_tail_cell():
     assert totals == {0: 1024, 1: 512}
 
 
+def _shard_layout_cell_by_cell(size, stripes, cell_size):
+    """The original O(cells) dealing loop, kept as the closed form's oracle."""
+    totals = [0] * stripes
+    first_offset = [None] * stripes
+    offset = 0
+    cell = 0
+    while offset < size:
+        length = min(cell_size, size - offset)
+        shard = cell % stripes
+        if first_offset[shard] is None:
+            first_offset[shard] = offset
+        totals[shard] += length
+        offset += length
+        cell += 1
+    return [
+        (shard, first_offset[shard], totals[shard])
+        for shard in range(stripes)
+        if totals[shard] > 0
+    ]
+
+
+@given(
+    cells=st.integers(min_value=0, max_value=200),
+    tail=st.integers(min_value=0, max_value=63),
+    stripes=st.integers(min_value=1, max_value=64),
+    cell_size=st.sampled_from([1, 7, 64, 1024]),
+)
+@settings(max_examples=300, deadline=None)
+def test_shard_layout_matches_cell_by_cell_oracle(cells, tail, stripes, cell_size):
+    """Sizes of 0, under one cell, exact multiples and ragged tails."""
+    size = cells * cell_size + tail % cell_size
+    assert shard_layout(size, stripes, cell_size) == _shard_layout_cell_by_cell(
+        size, stripes, cell_size
+    )
+
+
 def test_shard_layout_zero_size():
     assert shard_layout(0, stripes=2, cell_size=1024) == []
 

@@ -58,6 +58,32 @@ def test_subset_and_merged():
     assert key["a"] == "1"  # original untouched
 
 
+def test_derived_keys_are_canonical_without_revalidation():
+    """subset()/merged() skip the constructor; results must match it."""
+    key = FieldKey({"b": "2", "d": "4", "a": "1"})
+    sub = key.subset(("d", "a"))  # unsorted names
+    assert list(sub) == ["a", "d"]
+    assert sub.encode() == FieldKey({"a": "1", "d": "4"}).encode()
+    assert hash(sub) == hash(FieldKey({"d": "4", "a": "1"}))
+    merged = key.merged({"c": "3", "a": "9"})  # one new name, one override
+    assert list(merged) == ["a", "b", "c", "d"]
+    assert merged == FieldKey({"a": "9", "b": "2", "c": "3", "d": "4"})
+    assert hash(merged) == hash(FieldKey(dict(merged)))
+    assert key.merged(FieldKey({"b": "7"})).canonical() == "a=1,b=7,d=4"
+    # Outside input to merged() is still validated.
+    with pytest.raises(ValueError):
+        key.merged({"e": "x,y"})
+    with pytest.raises(ValueError):
+        key.merged({"e": 5})
+
+
+def test_hash_and_encoding_are_stable_across_calls():
+    key = FieldKey({"class": "od", "date": "20201224"})
+    assert hash(key) == hash(key)
+    assert key.encode() is key.encode()  # cached canonical bytes
+    assert key.encode() == b"class=od,date=20201224"
+
+
 def test_encode_decode_roundtrip():
     key = FieldKey({"class": "od", "date": "20201224", "param": "t"})
     assert FieldKey.decode(key.encode()) == key

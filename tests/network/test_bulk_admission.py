@@ -16,7 +16,9 @@ import pytest
 from repro.network.flow import FlowNetwork
 from repro.simulation import Simulator
 
-#: Every solver path: (solver, aggregate).
+#: Every solver configuration: (solver, aggregate).  ``aggregate`` picks
+#: between the two arena kernels; the scalar kernel always works on groups,
+#: so under ``"scalar"`` the flag must simply be invisible.
 SOLVER_GRID = [
     ("scalar", False),
     ("scalar", True),

@@ -118,6 +118,27 @@ def test_negative_size_rejected():
         net.transfer([link], -1.0)
 
 
+def test_nan_size_rejected():
+    """NaN fails every ordering test, so ``nbytes < 0`` alone admitted it."""
+    _, net = make_net()
+    link = net.add_link("l", 1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        net.transfer([link], float("nan"))
+    with pytest.raises(ValueError, match="non-negative"):
+        net.admit_flows([((link,), float("nan"))])
+    assert net.active_flows == 0
+
+
+def test_nan_rate_cap_rejected():
+    _, net = make_net()
+    link = net.add_link("l", 1.0)
+    with pytest.raises(ValueError, match="rate cap"):
+        net.transfer([link], 10.0, rate_cap=float("nan"))
+    with pytest.raises(ValueError, match="rate cap"):
+        net.admit_flows([((link,), 10.0, float("nan"))])
+    assert net.active_flows == 0
+
+
 def test_empty_path_without_cap_rejected():
     _, net = make_net()
     with pytest.raises(ValueError, match="non-empty path or a finite rate cap"):

@@ -7,11 +7,14 @@ per-round bounds in the flat water-filling pass, so fixing the group once at
 that bound reproduces the flat result bit for bit.  These tests run seeded
 random workloads — shared and distinct paths, ``capacity_fn`` links,
 write-amplified paths, path-less rate-capped flows, and staggered arrivals
-that join/leave groups mid-flight — under every combination of
-``aggregate=True/False`` and scalar/vector/auto solver modes, and require
-exact float equality of every completion time.
+that join/leave groups mid-flight — through the three surviving kernels
+(scalar, which always works on groups; vector flat, ``aggregate=False``;
+vector grouped) and require exact float equality of every completion time.
+The flat per-flow arithmetic itself lives on in the vector flat kernel and
+in the reference pass of ``test_flow_reference.py``.
 """
 
+import itertools
 import math
 import random
 
@@ -89,20 +92,74 @@ def test_aggregated_vs_flat_bitwise_identical(seed):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_aggregated_vs_flat_scalar_solver(seed):
-    """The scalar grouped kernel is exact too, not just the vector one."""
-    flat, _ = _run(seed, 60, solver="scalar", aggregate=False)
-    grouped, _ = _run(seed, 60, solver="scalar", aggregate=True)
-    assert flat == grouped
+    """Few solver rows: the scalar kernel serves every configuration.
+
+    Pinned to the arena it reads and writes group rows instead of member
+    flows, so ``aggregate`` must be invisible there too.
+    """
+    scalar, _ = _run(seed, 60, solver="scalar", aggregate=True)
+    flat, net_f = _run(seed, 60, solver="vector", aggregate=False)
+    grouped, net_g = _run(seed, 60, solver="vector", aggregate=True)
+    assert scalar == flat == grouped
+    for net in (net_f, net_g):
+        assert net.mode_switches >= 1  # the arena held the flows...
+        assert net.vector_solves < net.solver_runs  # ...the scalar kernel solved
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_aggregated_vector_vs_flat_scalar(seed):
-    """Cross-mode: grouped arena solve == flat pure-Python solve."""
-    flat, _ = _run(seed, 150, solver="scalar", aggregate=False)
-    grouped, net = _run(seed, 150, solver="vector", aggregate=True)
-    assert flat == grouped
-    assert net.mode_switches >= 1  # the arena actually ran
+    """Cross-mode: both arena kernels == the pure-Python solve."""
+    scalar, net_s = _run(seed, 150, solver="scalar", aggregate=False)
+    flat, net_f = _run(seed, 150, solver="vector", aggregate=False)
+    grouped, net_g = _run(seed, 150, solver="vector", aggregate=True)
+    assert scalar == flat == grouped
+    assert net_s.vector_solves == 0
+    assert net_f.mode_switches >= 1 and net_g.mode_switches >= 1
+
+
+def test_each_arena_kernel_runs_and_agrees_with_scalar():
+    """60 paths x 3 members: enough rows for the arena's own kernels.
+
+    ``aggregate=True`` must take the grouped kernel (groups coalesce 3:1),
+    ``aggregate=False`` the per-flow one, and both must reproduce the
+    scalar kernel's completion times bit for bit.
+    """
+
+    def run(solver, aggregate):
+        sim = Simulator()
+        net = FlowNetwork(sim, solver=solver, aggregate=aggregate)
+        links = [net.add_link(f"l{i}", 30.0 + 7.0 * i) for i in range(12)]
+        links.append(net.add_link("fn", 150.0, capacity_fn=_staircase))
+        ran = {"_solve_vector": 0, "_solve_vector_grouped": 0}
+        for name in ran:
+            def spy(scope, _kernel=getattr(net, name), _name=name):
+                ran[_name] += 1
+                _kernel(scope)
+            setattr(net, name, spy)
+        done = []
+
+        def submit(delay, path, size):
+            yield sim.timeout(delay)
+            flow = yield net.transfer(path, size)
+            return flow.end_time
+
+        pairs = list(itertools.combinations(range(13), 2))[:60]
+        for index, (a, b) in enumerate(pairs):
+            path = [links[a], links[b], links[a]] if index % 5 == 0 else [links[a], links[b]]
+            for member in range(3):
+                size = 40.0 + 3.0 * index + 11.0 * member
+                done.append(sim.process(submit(0.25 * (member % 2), path, size)))
+        sim.run(until=sim.all_of(done))
+        return [process.value for process in done], ran
+
+    scalar, ran_s = run("scalar", True)
+    flat, ran_f = run("vector", False)
+    grouped, ran_g = run("vector", True)
+    assert scalar == flat == grouped
+    assert ran_s == {"_solve_vector": 0, "_solve_vector_grouped": 0}
+    assert ran_f["_solve_vector"] > 0 and ran_f["_solve_vector_grouped"] == 0
+    assert ran_g["_solve_vector_grouped"] > 0
 
 
 def test_groups_collapse_shared_paths():

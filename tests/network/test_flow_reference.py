@@ -303,3 +303,172 @@ def test_write_amplified_path_counts_per_occurrence():
     sim.run()
     assert checks == [1.0]
     assert net.completed_flows == 2
+
+
+def test_long_debit_chain_matches_reference():
+    """Many-member group debited from a link that outlives the round.
+
+    ``slow`` (75 members, its private ``narrow`` link binding at the
+    inexact 1/7) fixes first while ``shared`` still serves ``fast``, so
+    ``shared`` takes one 150-step debit chain (75 members x 2 occurrences)
+    — long enough that the kernel folds it in numpy rather than looping —
+    and the next round divides what the chain left.
+    """
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    shared = net.add_link("shared", 1000.0)
+    narrow = net.add_link("narrow", 75.0 / 7.0)
+    wide = net.add_link("wide", 900.0)
+    for i in range(75):
+        net.transfer([narrow, shared, shared], 30.0 + i)
+    for i in range(5):
+        net.transfer([wide, shared], 5000.0 + i)
+    checks = []
+
+    def probe():
+        yield sim.timeout(1.0)
+        _check(net, checks)
+        rates = {flow.rate for flow in net._active}
+        assert len(rates) == 2 and 1.0 / 7.0 in rates
+
+    sim.process(probe())
+    sim.run()
+    assert checks == [1.0]
+    assert net.completed_flows == 80
+
+
+def assert_bookkeeping(net):
+    """The solver's incremental aggregates equal a recount from ``_active``."""
+    members = {}
+    for flow in net._active:
+        members.setdefault(flow.group, []).append(flow)
+    assert set(members) == set(net._groups.values())
+    for group, flows in members.items():
+        assert group.n == len(flows)
+        assert list(group.members) == flows
+    for link in net.links.values():
+        crossing = {
+            group: group.path.count(link)
+            for group in members
+            if link in group.path
+        }
+        assert link.groups == crossing
+        assert link.n_occ == sum(link.flows.values())
+        assert link.n_occ == sum(f.path.count(link) for f in net._active)
+        assert link.n_flows == len(link.flows)
+        assert list(link.flows) == [f for f in net._active if link in f.path]
+    occupied = sum(1 for link in net.links.values() if link.groups)
+    assert net._n_occupied == occupied
+    assert net._pathless_active == sum(1 for f in net._active if not f.path)
+
+
+def _degrading(n_flows):
+    """Deterministic capacity function: throughput degrades with load."""
+    return 96.0 / (1 + n_flows)
+
+
+@st.composite
+def schedules(draw):
+    """Arrivals and evictions over plain and ``capacity_fn`` links."""
+    n_links = draw(st.integers(min_value=2, max_value=6))
+    links = [
+        (draw(st.integers(min_value=1, max_value=50)), draw(st.booleans()))
+        for _ in range(n_links)
+    ]
+    n_flows = draw(st.integers(min_value=1, max_value=24))
+    # A few path templates so groups accrete members (multiplicity > 1
+    # comes from repeated indices), plus free-form paths.
+    templates = draw(
+        st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=n_links - 1),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    flows = []
+    for _ in range(n_flows):
+        if draw(st.booleans()):
+            path = draw(st.sampled_from(templates))
+        else:
+            path = draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=n_links - 1),
+                    min_size=0,
+                    max_size=4,
+                )
+            )
+        cap = draw(st.sampled_from([None, None, 1, 2, 5, 17]))
+        if not path and cap is None:
+            cap = 3  # an empty path needs a finite cap
+        size = draw(st.integers(min_value=1, max_value=200))
+        arrival = draw(st.integers(min_value=0, max_value=8))
+        flows.append((path, size, cap, arrival))
+    evictions = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=30),  # when (x 0.1 s)
+                st.integers(min_value=2, max_value=4),  # every k-th live flow
+            ),
+            max_size=3,
+        )
+    )
+    return links, flows, evictions
+
+
+@given(schedule=schedules(), solver=st.sampled_from(["auto", "vector"]))
+@settings(max_examples=80, deadline=None)
+def test_kernel_and_bookkeeping_match_reference_after_every_flush(schedule, solver):
+    """The scalar kernel (on flow state and on arena state) == reference.
+
+    After *every* flush — not just at probes — rates must equal the
+    independent water-filling bit for bit and the incremental aggregates
+    (``Link.n_occ``, ``Link.groups``, group member sets, occupied-link
+    count) must equal a recount.  ``solver="vector"`` pins the arena, so
+    the same kernel runs against group rows and the fan-out.
+    """
+    link_specs, flow_specs, evictions = schedule
+    sim = Simulator()
+    net = FlowNetwork(sim, solver=solver)
+    links = [
+        net.add_link(f"l{i}", float(c), capacity_fn=_degrading if fn else None)
+        for i, (c, fn) in enumerate(link_specs)
+    ]
+    flushes = []
+    flush = net._flush_recompute
+
+    def checked_flush():
+        flush()
+        assert_bookkeeping(net)
+        assert_matches_reference(net)
+        assert_maxmin_invariants(net)
+        flushes.append(sim.now)
+
+    net._flush_recompute = checked_flush
+
+    def submit(path, size, cap, arrival):
+        yield sim.timeout(arrival * 0.25)
+        yield net.transfer(
+            [links[i] for i in path],
+            float(size),
+            rate_cap=_INF if cap is None else float(cap),
+        )
+
+    def evict(at, stride):
+        yield sim.timeout(at * 0.1)
+        net.evict_flows(net.flows()[::stride])
+
+    processes = [sim.process(submit(*spec)) for spec in flow_specs]
+    for at, stride in evictions:
+        sim.process(evict(at, stride))
+    sim.run(until=sim.all_of(processes))
+
+    assert flushes
+    assert net.active_flows == 0
+    assert net.completed_flows + net.evicted_flows == len(flow_specs)
+    assert_bookkeeping(net)
+    for link in links:
+        assert not link.flows and not link.groups and link.n_occ == 0

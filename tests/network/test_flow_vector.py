@@ -15,6 +15,7 @@ flows.
 import math
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.network.flow import FlowNetwork
@@ -104,3 +105,80 @@ def test_env_hatch_zero_is_off(monkeypatch):
     sim = Simulator()
     net = FlowNetwork(sim, solver="vector")
     assert net.solver == "vector"
+
+
+def _expected_adjacency(net):
+    """Co-traversal pair counts and bool matrix rebuilt from ``_groups``."""
+    pairs = {}
+    for group in net._groups.values():
+        idxs = [link.idx for link in group.path]
+        for i, a in enumerate(idxs):
+            for b in idxs[i + 1:]:
+                key = (a, b) if a <= b else (b, a)
+                pairs[key] = pairs.get(key, 0) + 1
+    adjb = np.zeros_like(net._adjb)
+    for a, b in pairs:
+        adjb[a, b] = adjb[b, a] = True
+    return pairs, adjb
+
+
+def _run_waves(solver, waves=4, per_wave=130):
+    """Population swings 0 -> 130 -> 0 per wave: several arena round trips.
+
+    Paths are mostly distinct (so the arena's own kernels run, not just
+    the scalar one on group rows), with a ``capacity_fn`` link, repeated
+    links and path-less flows mixed in.  While the arena is live, the
+    lazily-maintained adjacency is compared with a from-scratch rebuild
+    after every flush — the first of which is the entry rebuild itself.
+    """
+    rng = random.Random(1234)
+    sim = Simulator()
+    net = FlowNetwork(sim, solver=solver)
+    links = [net.add_link(f"l{i}", 40.0 + 15.0 * i) for i in range(10)]
+    links.append(net.add_link("fn", 150.0, capacity_fn=_staircase))
+    ends = []
+    checked = [0]
+    flush = net._flush_recompute
+
+    def checked_flush():
+        flush()
+        if net._vector:
+            pairs, adjb = _expected_adjacency(net)
+            assert net._pairs == pairs
+            assert np.array_equal(net._adjb, adjb)
+            checked[0] += 1
+
+    net._flush_recompute = checked_flush
+
+    def driver():
+        for _ in range(waves):
+            done = []
+            for _ in range(per_wave):
+                if rng.random() < 0.05:
+                    path, rate_cap = [], rng.choice([5.0, 20.0])
+                else:
+                    path = rng.sample(links, rng.randint(1, 4))
+                    if rng.random() < 0.2:
+                        path = path + [rng.choice(path)]
+                    rate_cap = rng.choice([math.inf, 30.0, 90.0])
+                size = rng.choice([64.0, 256.0, 1024.0, 4096.0])
+                done.append(net.transfer(path, size, rate_cap=rate_cap))
+            result = yield sim.all_of(done)
+            ends.extend(event.value.end_time for event in result.events)
+            yield sim.timeout(0.5)
+
+    sim.run(until=sim.process(driver()))
+    assert net.active_flows == 0
+    return ends, net, checked[0]
+
+
+def test_repeated_mode_round_trips_stay_identical_and_rebuild_adjacency():
+    scalar, net_s, _ = _run_waves("scalar")
+    vector, net_v, checked_v = _run_waves("vector")
+    auto, net_a, checked_a = _run_waves("auto")
+    assert scalar == vector == auto  # exact: no tolerance
+    assert net_s.solver_runs == net_v.solver_runs == net_a.solver_runs
+    assert net_s.mode_switches == 0 and not net_s._pairs
+    assert net_a.mode_switches >= 8  # in and out of the arena every wave
+    assert net_a.vector_solves > 0
+    assert checked_a > 0 and checked_v > checked_a
