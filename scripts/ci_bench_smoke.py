@@ -8,10 +8,11 @@ reference (``benchmarks/bench_quick_baseline.json``):
    timestamp by one ulp fails here, which is the determinism contract every
    solver optimisation must keep;
 2. the timed gate scenarios (``many_flow_contention``, ``flow_storm_5k``,
-   ``flow_storm_100k``, ``flow_storm_100k_bulk`` and ``rpc_storm`` — the
-   ones that exercise the batched, vectorized max-min solver, hierarchical
-   aggregation, the calendar-queue scheduler, the bulk-admission fast
-   path and the metadata-plane RPC fast path) have not
+   ``flow_storm_100k``, ``flow_storm_100k_bulk``, ``rpc_storm`` and
+   ``serving_storm`` — the ones that exercise the batched, vectorized
+   max-min solver, hierarchical aggregation, the calendar-queue scheduler,
+   the bulk-admission fast path, the metadata-plane RPC fast path and the
+   memoised request -> key -> index-entry path) have not
    regressed by more than ``--slack`` (default 25%) against the reference
    wall time, after scaling by a per-run calibration factor measured on the
    untimed scenarios so a slower CI runner does not trip the gate.
@@ -46,12 +47,15 @@ REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick
 #: through ``admit_flows`` (its digest must equal ``flow_storm_100k``'s).
 #: ``rpc_storm`` gates the metadata-plane fast path (fused delay bodies +
 #: the plain-chain RPC specialisation) on both storage backends.
+#: ``serving_storm`` gates the request path: interned requests, memoised
+#: expansion and per-key schema split under the serving gateway.
 GATED = (
     "many_flow_contention",
     "flow_storm_5k",
     "flow_storm_100k",
     "flow_storm_100k_bulk",
     "rpc_storm",
+    "serving_storm",
 )
 
 

@@ -207,21 +207,19 @@ def run_fieldio_pattern_a(
     clients = []
     for op, phase in (("write", "a-write"), ("read", "a-read")):
         delays = _skew_delays(cluster, len(addresses), params.startup_skew, phase)
-        processes = []
+        streams = []
         for rank, address in enumerate(addresses):
             fieldio = _make_fieldio(system, pool, address, params)
             clients.append(fieldio.client)
             keys = pattern_a_keys(rank, params.n_ops, shared)
             node = rank // params.processes_per_node
-            processes.append(
-                cluster.sim.process(
-                    _field_stream_process(
-                        fieldio, keys, op, rank, node, delays[rank],
-                        params.field_size, log,
-                    ),
-                    name=f"fieldio:{phase}:{rank}",
+            streams.append(
+                _field_stream_process(
+                    fieldio, keys, op, rank, node, delays[rank],
+                    params.field_size, log,
                 )
             )
+        processes = cluster.sim.spawn_batch(streams, name=f"fieldio:{phase}")
         cluster.sim.run(until=cluster.sim.all_of(processes))
 
     log.execution_end = cluster.sim.now
@@ -258,45 +256,41 @@ def run_fieldio_pattern_b(
 
     # Setup phase: populate the designated fields (half the processes write
     # one object each; untimed, like IOR's setup).
-    setup_processes = []
     fieldios = {}
     for rank, address in enumerate(addresses):
         fieldios[rank] = _make_fieldio(system, pool, address, params)
-    for writer_rank in range(n_writers):
-        key = writer_keys[writer_rank]
-        setup_processes.append(
-            cluster.sim.process(
-                _field_stream_process(
-                    fieldios[writer_rank], [key], "write", writer_rank,
-                    writer_rank // params.processes_per_node, 0.0,
-                    params.field_size, TimestampLog(),
-                ),
-                name=f"fieldio:b-setup:{writer_rank}",
+    setup_processes = cluster.sim.spawn_batch(
+        (
+            _field_stream_process(
+                fieldios[writer_rank], [writer_keys[writer_rank]], "write",
+                writer_rank, writer_rank // params.processes_per_node, 0.0,
+                params.field_size, TimestampLog(),
             )
-        )
+            for writer_rank in range(n_writers)
+        ),
+        name="fieldio:b-setup",
+    )
     cluster.sim.run(until=cluster.sim.all_of(setup_processes))
 
     # Main phase: re-writes and reads, simultaneously.
     log = TimestampLog()
     log.execution_start = cluster.sim.now
     delays = _skew_delays(cluster, len(addresses), params.startup_skew, "b-main")
-    processes = []
-    for rank, address in enumerate(addresses):
+    streams = []
+    for rank in range(len(addresses)):
         node = rank // params.processes_per_node
         if rank < n_writers:
             op, key = "write", writer_keys[rank]
         else:
             op, key = "read", reader_keys[rank - n_writers]
         keys = [key] * params.n_ops
-        processes.append(
-            cluster.sim.process(
-                _field_stream_process(
-                    fieldios[rank], keys, op, rank, node, delays[rank],
-                    params.field_size, log,
-                ),
-                name=f"fieldio:b-main:{rank}",
+        streams.append(
+            _field_stream_process(
+                fieldios[rank], keys, op, rank, node, delays[rank],
+                params.field_size, log,
             )
         )
+    processes = cluster.sim.spawn_batch(streams, name="fieldio:b-main")
     cluster.sim.run(until=cluster.sim.all_of(processes))
     log.execution_end = cluster.sim.now
     log.validate()

@@ -215,17 +215,16 @@ def run_interface_bench(
     _bootstrap(cluster, system, pool, params.interface)
     addresses = cluster.client_addresses(params.processes_per_node)
 
-    adapters = []
-    setup_processes = []
-    for rank, address in enumerate(addresses):
-        adapter = _ADAPTERS[params.interface](
-            system.make_client(address), pool, rank, params
-        )
-        adapters.append(adapter)
-        if hasattr(adapter, "setup"):
-            setup_processes.append(
-                sim.process(adapter.setup(), name=f"iface-setup:{rank}")
-            )
+    adapters = [
+        _ADAPTERS[params.interface](system.make_client(address), pool, rank, params)
+        for rank, address in enumerate(addresses)
+    ]
+    # Each wave below starts at one instant, so it rides one shared
+    # bootstrap (event-order identical to a spawn loop).
+    setup_processes = sim.spawn_batch(
+        (adapter.setup() for adapter in adapters if hasattr(adapter, "setup")),
+        name="iface-setup",
+    )
     if setup_processes:
         sim.run(until=sim.all_of(setup_processes))
 
@@ -237,15 +236,16 @@ def run_interface_bench(
             delays = list(rng.uniform(0.0, params.startup_skew, size=len(addresses)))
         else:
             delays = [0.0] * len(addresses)
-        processes = []
-        for rank, adapter in enumerate(adapters):
-            node = rank // params.processes_per_node
-            processes.append(
-                sim.process(
-                    _stream(sim, adapter, op, rank, node, delays[rank], params, log),
-                    name=f"iface:{phase}:{rank}",
+        processes = sim.spawn_batch(
+            (
+                _stream(
+                    sim, adapter, op, rank, rank // params.processes_per_node,
+                    delays[rank], params, log,
                 )
-            )
+                for rank, adapter in enumerate(adapters)
+            ),
+            name=f"iface:{phase}",
+        )
         sim.run(until=sim.all_of(processes))
     log.execution_end = sim.now
     log.validate()

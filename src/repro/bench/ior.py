@@ -160,18 +160,18 @@ def _run_phase(
         name: Barrier(cluster.sim, n, name=f"ior:{op}:{name}")
         for name in ("initial", "pre_io", "post_io", "final")
     }
-    processes = []
-    for rank, address in enumerate(addresses):
-        client = system.make_client(address)
-        node = rank // params.processes_per_node
-        processes.append(
-            cluster.sim.process(
-                _ior_process(
-                    client, pool, container, rank, node, params, barriers, oids, log, op
-                ),
-                name=f"ior:{op}:{rank}",
+    # One wave at one instant: a shared bootstrap (event-order identical to
+    # a spawn loop, see Simulator.spawn_batch) instead of one per rank.
+    processes = cluster.sim.spawn_batch(
+        (
+            _ior_process(
+                system.make_client(address), pool, container, rank,
+                rank // params.processes_per_node, params, barriers, oids, log, op,
             )
-        )
+            for rank, address in enumerate(addresses)
+        ),
+        name=f"ior:{op}",
+    )
     cluster.sim.run(until=cluster.sim.all_of(processes))
 
 

@@ -14,6 +14,9 @@ deterministic micro-workload aimed at one kernel hot path:
 * ``kv_storm`` — a storm of small KV puts/gets against a shared index
   object through the full DAOS client stack: stresses event dispatch,
   resources, locks and dkey hashing.
+* ``serving_storm`` — zipf MARS requests through the serving gateway and
+  FDB: stresses the request -> key -> index-entry path (expansion, schema
+  split, key encoding) that product generation repeats per field.
 * ``fieldio_small`` — a miniature Field I/O pattern-A run end to end.
 
 Every scenario returns a :class:`ScenarioResult` carrying a bit-exact
@@ -559,6 +562,49 @@ def _rpc_storm(quick: bool) -> ScenarioResult:
     )
 
 
+# -- scenario: product-serving request storm -------------------------------------------
+
+
+def _serving_storm(quick: bool) -> ScenarioResult:
+    """Zipf MARS requests through ``Gateway`` + FDB after a catalog archive.
+
+    One CI-scale ``product_serving`` grid point, QoS on: ``serving_request``
+    -> ``Request.expand`` -> cache probe -> ``FieldIO.read`` (key split, two
+    index lookups, array read), on a schedule that re-requests a small
+    catalog many times over -- the regime where the interned requests and
+    the per-key memos (expansion, schema split, canonical bytes) carry the
+    client-side cost.  The digest covers the whole projection: served/shed
+    counts, cache and QoS counters, the serve duration and the latency
+    percentiles of every served request.
+    """
+    import json
+
+    from repro.experiments.product_serving import serving_point
+    from repro.units import KiB
+
+    n_fields, n_requests = (32, 600) if quick else (128, 4000)
+    field_size = 64 * KiB
+    start = time.perf_counter()
+    point = serving_point(
+        servers=1, clients=2, seed=17,
+        n_fields=n_fields, field_size=field_size, exponent=1.2, n_tenants=2,
+        rate=4000.0, n_requests=n_requests, span=2,
+        cache_bytes=n_fields * field_size // 2, ttl=None,
+        replication=1, promote_threshold=8, workers=2,
+        qos_rate=3000.0, qos_burst=1.0, qos_depth=4096,
+    )
+    wall = time.perf_counter() - start
+    return ScenarioResult(
+        name="serving_storm",
+        wall_s=wall,
+        sim_time=point["duration"],
+        digest=_hexdigest([json.dumps(point, sort_keys=True)]),
+        extra={
+            key: point[key] for key in ("served", "shed", "fields", "hits", "misses")
+        },
+    )
+
+
 # -- scenario: small Field I/O run --------------------------------------------------
 
 
@@ -658,6 +704,7 @@ SCENARIOS: Dict[str, Callable[[bool], ScenarioResult]] = {
     "flow_storm_100k_bulk": _flow_storm_100k_bulk,
     "kv_storm": _kv_storm,
     "rpc_storm": _rpc_storm,
+    "serving_storm": _serving_storm,
     "fieldio_small": _fieldio_small,
     "grid_fanout": _grid_fanout,
 }

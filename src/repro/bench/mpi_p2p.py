@@ -84,10 +84,10 @@ def run_mpi_p2p(config: ClusterConfig, params: MpiP2pParams) -> MpiP2pResult:
     src = NodeSocket(0, 0)
     dst = NodeSocket(1, 0)
     start = cluster.sim.now
-    processes = [
-        cluster.sim.process(_sender(cluster, src, dst, params), name=f"mpi:{i}")
-        for i in range(params.process_pairs)
-    ]
+    processes = cluster.sim.spawn_batch(
+        (_sender(cluster, src, dst, params) for _ in range(params.process_pairs)),
+        name="mpi",
+    )
     cluster.sim.run(until=cluster.sim.all_of(processes))
     elapsed = cluster.sim.now - start
     total = params.process_pairs * params.messages * params.transfer_size

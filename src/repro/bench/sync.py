@@ -7,7 +7,7 @@ releases all waiters once the configured number have arrived.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Optional
 
 from repro.simulation.events import Event
 
@@ -22,6 +22,14 @@ class Barrier:
 
     Each process does ``yield barrier.wait()``; the nth arrival releases the
     whole generation and the barrier resets for the next use.
+
+    A generation is *one* event shared by its waiters: each waiter's resume
+    is a callback on it, appended as the waiter yields, so the generation
+    resumes its waiters in arrival order -- the order in which one event per
+    waiter, triggered back to back, would dispatch (consecutive ``(now,
+    seq)`` queue entries admit nothing between them; the argument
+    :meth:`~repro.simulation.core.Simulator.spawn_batch` makes for
+    bootstraps).  A wave of N ranks costs one queue entry, not N.
     """
 
     def __init__(self, sim: "Simulator", parties: int, name: str = "") -> None:
@@ -30,28 +38,31 @@ class Barrier:
         self.sim = sim
         self.parties = parties
         self.name = name
-        self._waiting: List[Event] = []
         self.generation = 0
+        self._n_waiting = 0
+        self._event: Optional[Event] = None
 
     @property
     def n_waiting(self) -> int:
-        return len(self._waiting)
+        return self._n_waiting
 
     def wait(self) -> Event:
         """Event that triggers when all parties have arrived."""
-        event = Event(self.sim, name=f"{self.name}:barrier{self.generation}")
-        self._waiting.append(event)
-        if len(self._waiting) >= self.parties:
-            generation = self.generation
-            waiters = self._waiting
-            self._waiting = []
+        event = self._event
+        if event is None:
+            event = self._event = Event(
+                self.sim, name=f"{self.name}:barrier{self.generation}"
+            )
+        self._n_waiting += 1
+        if self._n_waiting >= self.parties:
+            self._event = None
+            self._n_waiting = 0
             self.generation += 1
-            for waiter in waiters:
-                waiter.succeed(generation)
+            event.succeed(self.generation - 1)
         return event
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Barrier {self.name!r} {len(self._waiting)}/{self.parties} "
+            f"<Barrier {self.name!r} {self._n_waiting}/{self.parties} "
             f"gen={self.generation}>"
         )

@@ -66,8 +66,11 @@ ContainerRef = Union[uuid_module.UUID, str]
 #: small keyset with puts then gets (often thousands of ops per key), and
 #: the sha256 is by far the dominant cost of placement; the raw 32-bit
 #: prefix is cached (not the target index) so it stays valid across objects
-#: with different layouts.
+#: with different layouts.  Cleared when it grows past the bound rather than
+#: LRU-tracked, like ``payload._DIGEST_MEMO`` (re-hashing after a clear is
+#: correct, just slower once).
 _DKEY_HASH_CACHE: Dict[bytes, int] = {}
+_DKEY_HASH_CACHE_BOUND = 1 << 16
 
 
 def default_middleware(config) -> List[Middleware]:
@@ -91,6 +94,16 @@ def default_middleware(config) -> List[Middleware]:
     if fault.enabled:
         chain.append(FaultInjectionMiddleware(fault))
     return chain
+
+
+def _is_plain(middleware: List[Middleware]) -> bool:
+    """Whether ``middleware`` is exactly ``[metrics, tracing]`` -- the chain
+    that keeps no per-client state and that the fast path may stand in for."""
+    return (
+        len(middleware) == 2
+        and type(middleware[0]) is MetricsMiddleware
+        and type(middleware[1]) is TracingMiddleware
+    )
 
 
 class _FastDriver(Event):
@@ -118,21 +131,23 @@ class _FastDriver(Event):
     its yield (or re-raised synchronously from ``_fast_submit`` when the
     body fails before its first wait).
 
-    Drivers and their lane events are pooled (per client / per simulator),
+    Drivers and their lane events are pooled (per system / per simulator),
     so a storm of metadata ops allocates O(concurrent ops) objects rather
-    than several events, closures and middleware frames per op.
+    than several events, closures and middleware frames per op -- also when
+    each op comes from a short-lived client of its own, as in an IOR wave.
     """
 
-    __slots__ = ("_client", "_body", "_lane", "_cbs", "_entry", "_nbytes", "_start")
+    __slots__ = ("_pool", "_body", "_lane", "_cbs", "_entry", "_nbytes", "_start")
 
-    def __init__(self, client: "DaosClient") -> None:
-        self.sim = client.sim
+    def __init__(self, sim, pool: List["_FastDriver"]) -> None:
+        self.sim = sim
         self.name = "fastop"
         self.callbacks = []
         self._value = PENDING
         self._ok = True
         self._defused = False
-        self._client = client
+        #: The system-wide free-list this driver returns to when it finishes.
+        self._pool = pool
         #: Persistent one-element callback list installed on the lane event
         #: each time it is re-armed (the dispatcher nulls ``event.callbacks``
         #: but never mutates the list itself).
@@ -207,12 +222,11 @@ class _FastDriver(Event):
             callback(self)
         # Recycle only after the caller resumed: a nested fast op started
         # inside the callback must not grab this driver mid-finish.
-        client = self._client
         sim.lane_release(self._lane)
         self._lane = None
         self._body = None
         self._entry = None
-        client._driver_pool.append(self)
+        self._pool.append(self)
         if error is not None and not callbacks and not self._defused:
             # Nobody was waiting: surface the failure like the dispatcher
             # does for an unhandled failed event.  ``_fast_submit`` relies
@@ -265,10 +279,21 @@ class DaosClient:
         #: The client's cached pool-map view (possibly stale; refreshed via
         #: the PoolMapRefreshMiddleware when a target rejects an op).
         self._map_view = system.pool_map.snapshot()
-        if middleware is None:
+        if middleware is not None:
+            chain = compose_chain(middleware)
+        elif system.plain_chain is not None:
+            # Both plain middlewares are stateless (they account on the
+            # client they are handed), so every default client of a system
+            # shares the one composed chain; the list stays the client's own.
+            shared, chain = system.plain_chain
+            middleware = list(shared)
+        else:
             middleware = default_middleware(self.config)
+            chain = compose_chain(middleware)
+            if _is_plain(middleware):
+                system.plain_chain = (tuple(middleware), chain)
         self.middleware = middleware
-        self._chain = compose_chain(middleware)
+        self._chain = chain
         #: Metadata fast path engages only when the chain is plain (exactly
         #: metrics + tracing — no fault/retry/QoS/pool-map middleware to
         #: honour) and health is off (no degraded routing / authoritative
@@ -278,12 +303,8 @@ class DaosClient:
         self._fast_ok = (
             os.environ.get("REPRO_RPC_FAST", "") != "0"
             and not self._health
-            and len(middleware) == 2
-            and type(middleware[0]) is MetricsMiddleware
-            and type(middleware[1]) is TracingMiddleware
+            and _is_plain(middleware)
         )
-        #: Recycled fast-op drivers (see :class:`_FastDriver`).
-        self._driver_pool: List[_FastDriver] = []
 
     # -- RPC submission ----------------------------------------------------------
     def _submit(self, request: Request):
@@ -306,8 +327,8 @@ class DaosClient:
         entry = self.op_metrics.get(op)
         if entry is None:
             self.op_metrics[op] = entry = OpStats()
-        pool = self._driver_pool
-        driver = pool.pop() if pool else _FastDriver(self)
+        pool = self.system.fast_drivers
+        driver = pool.pop() if pool else _FastDriver(self.sim, pool)
         driver.callbacks = []
         driver._value = PENDING
         driver._ok = True
@@ -673,6 +694,8 @@ class DaosClient:
         if prefix is None:
             digest = hashlib.sha256(key).digest()
             prefix = int.from_bytes(digest[:4], "little")
+            if len(_DKEY_HASH_CACHE) >= _DKEY_HASH_CACHE_BOUND:
+                _DKEY_HASH_CACHE.clear()
             _DKEY_HASH_CACHE[key] = prefix
         return prefix
 

@@ -237,7 +237,7 @@ class FieldIO:
         Overwrites allocate a fresh array and re-point the index entry; the
         previous array is de-referenced but never deleted (§4).
         """
-        self.schema.validate(key)
+        msk, lsk = self.schema.split(key)
         if not isinstance(payload, Payload):
             payload = BytesPayload(bytes(payload))
         client = self.client
@@ -253,8 +253,6 @@ class FieldIO:
             yield from client.array_write(array, 0, payload, pool=self.pool)
             yield from client.array_close(array)
             return
-        msk = self.schema.msk(key)
-        lsk = self.schema.lsk(key)
         handles = yield from self._forecast_for_write(msk)
         array = yield from client.array_create(handles.store_container, self.array_oclass)
         ref = _encode_field_ref(handles.store_container.uuid, array.oid, payload.size)
@@ -299,11 +297,9 @@ class FieldIO:
         client = self.client
         puts = []
         for key, payload in items:
-            self.schema.validate(key)
+            msk, lsk = self.schema.split(key)
             if not isinstance(payload, Payload):
                 payload = BytesPayload(bytes(payload))
-            msk = self.schema.msk(key)
-            lsk = self.schema.lsk(key)
             handles = yield from self._forecast_for_write(msk)
             array = yield from client.array_create(
                 handles.store_container, self.array_oclass
@@ -324,7 +320,7 @@ class FieldIO:
         Raises :class:`FieldNotFoundError` at either index level if the key
         was never written.
         """
-        self.schema.validate(key)
+        msk, lsk = self.schema.split(key)
         client = self.client
         if self.mode is FieldIOMode.NO_INDEX:
             main = yield from self._open_main()
@@ -333,8 +329,6 @@ class FieldIO:
             payload = yield from client.array_read(array, 0, size)
             yield from client.array_close(array)
             return payload
-        msk = self.schema.msk(key)
-        lsk = self.schema.lsk(key)
         handles = yield from self._forecast_for_read(msk)
         ref = yield from client.kv_get_or_none(handles.index_kv, lsk.encode())
         if ref is None:
@@ -373,12 +367,9 @@ class FieldIO:
         gets = []
         per_key = []
         for key in keys:
-            self.schema.validate(key)
-            msk = self.schema.msk(key)
+            msk, lsk = self.schema.split(key)
             handles = yield from self._forecast_for_read(msk)
-            gets.append(
-                client.request_kv_get(handles.index_kv, self.schema.lsk(key).encode())
-            )
+            gets.append(client.request_kv_get(handles.index_kv, lsk.encode()))
             per_key.append(handles)
         refs = []
         if gets:
@@ -459,16 +450,13 @@ class FieldIO:
     # -- introspection -------------------------------------------------------------------
     def exists(self, key: FieldKey):
         """Whether ``key`` resolves to a stored field (index probes only)."""
-        self.schema.validate(key)
+        msk, lsk = self.schema.split(key)
         if self.mode is FieldIOMode.NO_INDEX:
             main = yield from self._open_main()
             return main.has_object(_array_oid_for_field(key))
-        msk = self.schema.msk(key)
         try:
             handles = yield from self._forecast_for_read(msk)
         except FieldNotFoundError:
             return False
-        ref = yield from self.client.kv_get_or_none(
-            handles.index_kv, self.schema.lsk(key).encode()
-        )
+        ref = yield from self.client.kv_get_or_none(handles.index_kv, lsk.encode())
         return ref is not None

@@ -15,34 +15,40 @@ from __future__ import annotations
 
 import hashlib
 import uuid as uuid_module
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, KeysView, Mapping, Tuple
 
 __all__ = ["FieldKey"]
+
+
+def _check_component(name: object, value: object) -> None:
+    """Raise :class:`ValueError` unless ``name=value`` is a legal component."""
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"key names must be non-empty strings, got {name!r}")
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"key values must be non-empty strings, got {name}={value!r}")
+    if "=" in name or "," in name or "=" in value or "," in value:
+        raise ValueError(
+            f"'=' and ',' are reserved in key components: {name}={value!r}"
+        )
 
 
 class FieldKey(Mapping[str, str]):
     """An immutable mapping of key names to string values."""
 
-    __slots__ = ("_pairs", "_hash", "_encoded")
+    __slots__ = ("_pairs", "_hash", "_encoded", "_split")
 
     def __init__(self, pairs: Mapping[str, str] | Iterable[Tuple[str, str]]) -> None:
         items = dict(pairs)
         for name, value in items.items():
-            if not isinstance(name, str) or not name:
-                raise ValueError(f"key names must be non-empty strings, got {name!r}")
-            if not isinstance(value, str) or not value:
-                raise ValueError(
-                    f"key values must be non-empty strings, got {name}={value!r}"
-                )
-            if "=" in name or "," in name or "=" in value or "," in value:
-                raise ValueError(
-                    f"'=' and ',' are reserved in key components: {name}={value!r}"
-                )
+            _check_component(name, value)
         self._pairs: Dict[str, str] = dict(sorted(items.items()))
-        # Filled on first use: keys are immutable and the per-op path hashes
-        # and encodes the same key many times.
+        # Filled on first use: keys are immutable and the per-op path hashes,
+        # encodes and splits the same key many times.
         self._hash: int | None = None
         self._encoded: bytes | None = None
+        # ``(schema, msk, lsk)`` for the last schema that split this key
+        # (:meth:`repro.fdb.schema.KeySchema.split`).
+        self._split: tuple | None = None
 
     @classmethod
     def _trusted(cls, pairs: Dict[str, str]) -> "FieldKey":
@@ -56,11 +62,24 @@ class FieldKey(Mapping[str, str]):
         key._pairs = pairs
         key._hash = None
         key._encoded = None
+        key._split = None
         return key
+
+    def __reduce__(self):
+        # Pairs only: the cached hash is seeded per interpreter and the split
+        # memo is keyed by an object identity, so neither may travel.
+        return type(self)._trusted, (self._pairs,)
 
     # -- Mapping interface ------------------------------------------------------
     def __getitem__(self, name: str) -> str:
         return self._pairs[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._pairs
+
+    def keys(self) -> KeysView[str]:
+        # The dict's own view: set comparisons against it run in C.
+        return self._pairs.keys()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._pairs)

@@ -9,26 +9,32 @@ retrieve in bulk.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import product
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.fdb.key import FieldKey
+from repro.fdb.key import FieldKey, _check_component
 from repro.fdb.schema import DEFAULT_SCHEMA, KeySchema
 
 __all__ = ["Request"]
 
-ValueSpec = Union[str, Sequence[str]]
+ValueSpec = Union[str, int, Sequence[Union[str, int]]]
 
 
 class Request:
-    """A multi-valued field request: each component maps to >= 1 values."""
+    """A multi-valued field request: each component maps to >= 1 values.
+
+    Immutable and hashable.  A bare scalar (``{"step": 6}``) is one value.
+    """
+
+    __slots__ = ("_spec", "_hash", "_keys", "_schema")
 
     def __init__(self, spec: Mapping[str, ValueSpec]) -> None:
         if not spec:
             raise ValueError("a request needs at least one component")
         normalised: Dict[str, Tuple[str, ...]] = {}
         for name, values in spec.items():
-            if isinstance(values, str):
+            if isinstance(values, str) or not isinstance(values, Iterable):
                 values = (values,)
             values = tuple(str(v) for v in values)
             if not values:
@@ -37,6 +43,11 @@ class Request:
                 raise ValueError(f"component {name!r} has duplicate values")
             normalised[name] = values
         self._spec = dict(sorted(normalised.items()))
+        self._hash: Optional[int] = None
+        # Filled by the first expand(): the expansion, and the last schema
+        # (by identity) that accepted it.
+        self._keys: Optional[Tuple[FieldKey, ...]] = None
+        self._schema: Optional[KeySchema] = None
 
     @classmethod
     def parse(cls, text: str) -> "Request":
@@ -71,21 +82,50 @@ class Request:
         """All field keys in the request, validated against ``schema``.
 
         Expansion order is deterministic: components sorted by name, values
-        in the order given.
+        in the order given.  The keys are built once per request and shared
+        between calls (they are immutable); the list is the caller's own.
         """
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = self._build_keys()
+        if self._schema is not schema:
+            # Every key carries the same names, so the first one speaks for
+            # all -- and is the one a key-by-key pass would have named.
+            schema.validate(keys[0])
+            self._schema = schema
+        return list(keys)
+
+    def _build_keys(self) -> Tuple[FieldKey, ...]:
         names = list(self._spec)
-        keys = [
-            FieldKey(dict(zip(names, combo)))
-            for combo in product(*(self._spec[n] for n in names))
-        ]
-        for key in keys:
-            schema.validate(key)
-        return keys
+        combos = product(*self._spec.values())
+        try:
+            for name, values in self._spec.items():
+                for value in values:
+                    _check_component(name, value)
+        except ValueError:
+            # Report what a key-by-key construction reports: the first bad
+            # component of the first key (in expansion order) that has one.
+            for combo in combos:
+                FieldKey(zip(names, combo))
+            raise
+        # ``names`` is sorted and every component just passed the public
+        # constructor's checks.
+        return tuple(FieldKey._trusted(dict(zip(names, combo))) for combo in combos)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Request):
             return NotImplemented
         return self._spec == other._spec
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(tuple(self._spec.items()))
+        return value
+
+    def __reduce__(self):
+        # Spec only: the cached hash is seeded per interpreter.
+        return Request, (self._spec,)
 
     def __repr__(self) -> str:
         parts = ",".join(f"{k}={'/'.join(v)}" for k, v in self._spec.items())

@@ -10,8 +10,8 @@ components (identifying a field within the forecast — second index level).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import FrozenSet, Optional, Tuple
 
 from repro.fdb.key import FieldKey
 
@@ -28,6 +28,8 @@ class KeySchema:
 
     most_significant: Tuple[str, ...]
     least_significant: Tuple[str, ...]
+    #: ``all_components`` as a set: what a conforming key's names must equal.
+    _names: FrozenSet[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.most_significant or not self.least_significant:
@@ -35,13 +37,21 @@ class KeySchema:
         overlap = set(self.most_significant) & set(self.least_significant)
         if overlap:
             raise ValueError(f"components in both levels: {sorted(overlap)}")
+        object.__setattr__(self, "_names", frozenset(self.all_components))
 
     @property
     def all_components(self) -> Tuple[str, ...]:
         return self.most_significant + self.least_significant
 
+    def _memo(self, key: FieldKey) -> Optional[tuple]:
+        """``key``'s memoised ``(schema, msk, lsk)`` if *this* schema made it."""
+        split = key._split
+        return split if split is not None and split[0] is self else None
+
     def validate(self, key: FieldKey) -> None:
         """Raise :class:`SchemaError` unless ``key`` has every component."""
+        if self._memo(key) is not None or key.keys() == self._names:
+            return
         missing = [c for c in self.all_components if c not in key]
         if missing:
             raise SchemaError(
@@ -53,13 +63,33 @@ class KeySchema:
                 f"field key {key.canonical()!r} has unknown components {extra}"
             )
 
+    def split(self, key: FieldKey) -> Tuple[FieldKey, FieldKey]:
+        """Validate ``key`` and return its ``(msk, lsk)`` sub-keys.
+
+        The verdict and both sub-keys are memoised on the key, under this
+        schema's *identity*: a key another schema split is validated again.
+        Re-used key objects therefore carry their sub-keys' cached hash and
+        canonical bytes from one field operation to the next.
+        """
+        split = self._memo(key)
+        if split is None:
+            self.validate(key)
+            split = key._split = (
+                self,
+                key.subset(self.most_significant),
+                key.subset(self.least_significant),
+            )
+        return split[1], split[2]
+
     def msk(self, key: FieldKey) -> FieldKey:
         """The most-significant sub-key (forecast identity)."""
-        return key.subset(self.most_significant)
+        split = self._memo(key)
+        return split[1] if split else key.subset(self.most_significant)
 
     def lsk(self, key: FieldKey) -> FieldKey:
         """The least-significant sub-key (field within the forecast)."""
-        return key.subset(self.least_significant)
+        split = self._memo(key)
+        return split[2] if split else key.subset(self.least_significant)
 
 
 #: MARS-flavoured default: class/stream/expver/date/time identify the

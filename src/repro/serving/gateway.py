@@ -9,7 +9,9 @@ all tenants share one :class:`~repro.serving.cache.FieldCache`.
 Serving a :class:`~repro.fdb.request.Request` expands it once and walks the
 field keys in expansion order: a cache hit costs only the configured
 gateway service time, a miss goes to storage through the tenant's QoS'd
-client and populates the cache.  Concurrent misses of the same field are
+client and populates the cache.  A request keeps its expansion and each key
+its schema split, so a product requested again (the same ``Request``
+object, as the workload generators hand out) costs the gateway no key work.  Concurrent misses of the same field are
 *coalesced* by default: the first misser becomes the leader and issues the
 single storage read, every other misser parks on an in-flight event and is
 handed the payload when the leader's read lands — the thundering herd of a

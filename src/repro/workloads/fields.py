@@ -63,11 +63,12 @@ class GaussianGrid:
         return self.points * 4
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _seed_from_key(key: FieldKey) -> int:
     # Cached: benchmarks call this once per op (write *and* verify-read) for
     # a keyset that is tiny compared to the op count; FieldKey is frozen and
-    # hashable, so the seed is a pure function of the key.
+    # hashable, so the seed is a pure function of the key.  Bounded well
+    # above any one run's keyset, so a long-lived worker cannot grow it.
     digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "little")
 

@@ -14,6 +14,7 @@ same *field*, only (in high contention) the same *index object*.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 from repro.fdb.key import FieldKey
@@ -28,13 +29,26 @@ __all__ = [
 ]
 
 
+#: Bounds of the interning caches below: above the paper-scale catalog (512
+#: fields, each requested at a handful of spans) and the widest benchmark's
+#: rank count, small enough to be irrelevant to the footprint.
+_MAX_INTERNED_REQUESTS = 4096
+_MAX_INTERNED_FORECASTS = 1024
+_MAX_INTERNED_CATALOGS = 8
+
+
 def forecast_msk(rank: int, shared: bool) -> FieldKey:
     """Most-significant key for a benchmark process.
 
     ``shared=True`` gives every rank the same forecast (maximum contention
-    on its index KV); otherwise each rank gets its own ``expver``.
+    on its index KV); otherwise each rank gets its own ``expver``.  Equal
+    arguments return the same (immutable) key object.
     """
-    expver = "0001" if shared else f"{rank + 1:04x}"
+    return _forecast_msk("0001" if shared else f"{rank + 1:04x}")
+
+
+@lru_cache(maxsize=_MAX_INTERNED_FORECASTS)
+def _forecast_msk(expver: str) -> FieldKey:
     return FieldKey(
         {
             "class": "rd",
@@ -105,12 +119,20 @@ def serving_catalog(n_fields: int) -> List[FieldKey]:
     All fields live in one shared forecast (the freshly completed cycle the
     users are hammering); field ``i`` is addressed by ``step=i``, so a MARS
     request covering several consecutive steps expands to several catalog
-    fields.
+    fields.  The list is the caller's own; the keys in it are shared
+    between calls.
     """
     if n_fields < 1:
         raise ValueError(f"need >= 1 fields, got {n_fields}")
+    return list(_serving_catalog(n_fields))
+
+
+@lru_cache(maxsize=_MAX_INTERNED_CATALOGS)
+def _serving_catalog(n_fields: int) -> Tuple[FieldKey, ...]:
     msk = forecast_msk(0, shared=True)
-    return [msk.merged({**_SERVING_LSK, "step": str(i)}) for i in range(n_fields)]
+    return tuple(
+        msk.merged({**_SERVING_LSK, "step": str(i)}) for i in range(n_fields)
+    )
 
 
 def serving_request(field_index: int, n_fields: int, span: int = 1) -> Request:
@@ -118,12 +140,19 @@ def serving_request(field_index: int, n_fields: int, span: int = 1) -> Request:
 
     ``span`` consecutive steps (wrapping at the catalog end) are requested
     together — the multi-field retrieval shape of product generation.  The
-    expansion covers exactly the :func:`serving_catalog` keys.
+    expansion covers exactly the :func:`serving_catalog` keys.  Equal
+    arguments return the same (immutable) request, so a re-requested field
+    arrives with its expansion already attached.
     """
     if not 0 <= field_index < n_fields:
         raise ValueError(f"field_index {field_index} outside [0, {n_fields})")
     if not 1 <= span <= n_fields:
         raise ValueError(f"span must be in [1, {n_fields}], got {span}")
+    return _serving_request(field_index, n_fields, span)
+
+
+@lru_cache(maxsize=_MAX_INTERNED_REQUESTS)
+def _serving_request(field_index: int, n_fields: int, span: int) -> Request:
     msk = forecast_msk(0, shared=True)
     steps = tuple(str((field_index + j) % n_fields) for j in range(span))
     return Request({**dict(msk), **_SERVING_LSK, "step": steps})

@@ -19,15 +19,18 @@ digests, recapture the goldens with the recipe in each test and say so in
 the PR.
 """
 
+import pytest
+
 from repro.bench.fieldio_bench import (
     Contention,
     FieldIOBenchParams,
     run_fieldio_pattern_a,
     run_fieldio_pattern_b,
 )
+from repro.bench.ior import IorParams, run_ior
 from repro.bench.runner import build_deployment
 from repro.config import ClusterConfig
-from repro.units import KiB
+from repro.units import KiB, MiB
 
 #: Captured from the reference (pre-incremental) kernel; see module docstring.
 GOLDEN_A_DIGEST = "de81781b4c9f4ec4cdd0546632182cb687a575021ba12c6d82680b786359cc6c"
@@ -89,3 +92,27 @@ def test_different_seed_changes_the_timeline():
     )
     result = run_fieldio_pattern_a(cluster, system, pool, _params())
     assert result.log.digest() != GOLDEN_A_DIGEST
+
+
+#: Captured at the commit before IOR ranks were batch-spawned and barrier
+#: generations became one shared event (per-rank bootstraps, one event per
+#: waiter): ``run_ior`` below, ``result.log.digest()`` / ``sim.now.hex()``.
+GOLDEN_IOR = {
+    "daos": (
+        "d2c1f7883cccd5650298380896ff605a65ebcb99e1a86492bfe49d11cc360c3b",
+        "0x1.72e62b84b779ap-6",
+    ),
+    "posixfs": (
+        "723742e64c2b77f6ba6158498c2ecae7c2aa8a7f1601d30349114bf6c1888a91",
+        "0x1.7b25184c8665bp-6",
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(GOLDEN_IOR))
+def test_ior_bit_identical_and_golden(backend):
+    cluster, system, pool = build_deployment(_config(), backend=backend)
+    params = IorParams(segment_size=1 * MiB, segments=6, processes_per_node=6)
+    result = run_ior(cluster, system, pool, params)
+    assert len(result.log) == 24
+    assert (result.log.digest(), float(cluster.sim.now).hex()) == GOLDEN_IOR[backend]

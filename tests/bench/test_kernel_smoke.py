@@ -31,6 +31,7 @@ def test_quick_scenarios_run_and_digest_deterministically():
         "flow_storm_100k_bulk",
         "kv_storm",
         "rpc_storm",
+        "serving_storm",
         "fieldio_small",
         "grid_fanout",
     }

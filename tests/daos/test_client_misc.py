@@ -1,6 +1,8 @@
 """DaosClient paths not covered elsewhere: pool connect, existence probes,
 cross-provider timing, write-lock contention windows."""
 
+import hashlib
+
 import pytest
 
 from repro.config import ClusterConfig, PSM2_PROVIDER
@@ -162,3 +164,19 @@ def test_container_destroy_releases_pool_space():
     # under the same label starts an empty container.
     container = run_process(cluster, client.container_create(pool, label="temp"))
     assert list(container.objects()) == []
+
+
+def test_dkey_hash_cache_is_bounded_and_overflow_changes_nothing(monkeypatch):
+    from repro.daos import client as client_module
+
+    monkeypatch.setattr(client_module, "_DKEY_HASH_CACHE_BOUND", 16)
+    keys = [b"dkey/%d" % index for index in range(100)]
+    client_module._DKEY_HASH_CACHE.clear()
+    first = [DaosClient._dkey_prefix(key) for key in keys]
+    assert 0 < len(client_module._DKEY_HASH_CACHE) <= 16
+    # Cold (just cleared), warm and straight-from-sha256 answers agree.
+    assert [DaosClient._dkey_prefix(key) for key in keys] == first
+    assert first == [
+        int.from_bytes(hashlib.sha256(key).digest()[:4], "little") for key in keys
+    ]
+    assert len(client_module._DKEY_HASH_CACHE) <= 16

@@ -23,6 +23,9 @@ def test_mapping_protocol():
     assert key["class"] == "od"
     assert len(key) == 2
     assert "date" in key
+    assert "step" not in key and 7 not in key
+    assert key.keys() == {"class", "date"}
+    assert list(key.keys()) == ["class", "date"]
     assert dict(key) == {"class": "od", "date": "20201224"}
 
 
@@ -118,3 +121,42 @@ def test_roundtrip_property(pairs):
     key = FieldKey(pairs)
     assert FieldKey.decode(key.encode()) == key
     assert key.canonical() == FieldKey(dict(reversed(list(pairs.items())))).canonical()
+
+
+def test_pickle_and_copy_carry_the_value_not_the_memos():
+    import copy
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    from repro.fdb.request import Request
+    from repro.fdb.schema import KeySchema
+
+    schema = KeySchema(most_significant=("a",), least_significant=("b",))
+    key = FieldKey({"a": "1", "b": "2"})
+    request = Request({"a": "1", "b": ("2", "3")})
+    # Fill every memo slot before copying.
+    hash(key), key.encode(), schema.split(key), hash(request), request.expand(schema)
+    for clone in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key)):
+        assert clone == key and hash(clone) == hash(key)
+        assert clone.encode() == key.encode()
+        assert schema.split(clone) == schema.split(key)
+    assert pickle.loads(pickle.dumps(request)) == request
+
+    # str hashes are seeded per interpreter: a worker that unpickles a key
+    # must hash it afresh, or dict lookups there silently miss.
+    probe = (
+        "import pickle, sys\n"
+        "from repro.fdb.key import FieldKey\n"
+        "from repro.fdb.request import Request\n"
+        "key, request = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert key in {FieldKey({'a': '1', 'b': '2'})}\n"
+        "assert request in {Request({'a': '1', 'b': ('2', '3')})}\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], input=pickle.dumps((key, request)),
+        env=env, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()

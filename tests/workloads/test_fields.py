@@ -62,3 +62,20 @@ def test_synthesized_field_is_physical():
     assert data[grid.n_lat // 2].mean() > data[0].mean()
     assert data[grid.n_lat // 2].mean() > data[-1].mean()
     assert np.isfinite(data).all()
+
+
+def test_seed_cache_is_bounded_and_overflow_changes_nothing():
+    from repro.workloads import fields
+
+    bound = fields._seed_from_key.cache_info().maxsize
+    assert bound is not None
+    probe = FieldKey({"step": "probe"})
+    before = field_payload(probe, 4096)
+    reference = fields._seed_from_key.__wrapped__(probe)
+    # Push more distinct keys through than the cache holds.
+    for index in range(bound + 8):
+        fields._seed_from_key(FieldKey._trusted({"step": str(index)}))
+    info = fields._seed_from_key.cache_info()
+    assert info.currsize == bound
+    assert fields._seed_from_key(probe) == reference
+    assert field_payload(probe, 4096) == before

@@ -61,3 +61,32 @@ def test_pattern_b_validation():
 def test_pattern_b_writers_distinct():
     writers, _ = pattern_b_pairs(10, shared_forecast=True)
     assert len({w.canonical() for w in writers}) == 5
+
+
+def test_serving_generators_intern_their_immutable_values():
+    from repro.workloads import generator
+    from repro.workloads.generator import serving_catalog, serving_request
+
+    assert forecast_msk(0, shared=True) is forecast_msk(7, shared=True)
+    assert forecast_msk(3, shared=False) is forecast_msk(3, shared=False)
+    # Keyword or positional, a re-requested field is the same Request.
+    assert serving_request(3, 16) is serving_request(3, 16, span=1)
+    assert serving_request(3, 16, span=2) is not serving_request(3, 16)
+    assert serving_request(15, 16, span=2).expand() == [
+        serving_catalog(16)[15], serving_catalog(16)[0]
+    ]
+    # The catalog list is the caller's, its keys are shared.
+    first, second = serving_catalog(16), serving_catalog(16)
+    assert first is not second and all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert len(serving_catalog(16)) == 16
+    # Argument checks run before the cache, every call.
+    for bad in ((16, 16), (-1, 16), (0, 16, 0), (0, 16, 17)):
+        with pytest.raises(ValueError):
+            serving_request(*bad)
+    with pytest.raises(ValueError):
+        serving_catalog(0)
+    for cached in (
+        generator._forecast_msk, generator._serving_catalog, generator._serving_request
+    ):
+        assert cached.cache_info().maxsize is not None
