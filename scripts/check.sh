@@ -27,9 +27,6 @@ fi
 echo "== tier-1: pytest =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-echo "== scheduler identity: heap vs wheel =="
-PYTHONPATH=src python scripts/check_scheduler_identity.py --scale ci
-
 echo "== backend identity: daos path byte-identical to golden results =="
 PYTHONPATH=src python scripts/check_backend_identity.py --jobs 2
 

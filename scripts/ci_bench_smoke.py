@@ -7,12 +7,13 @@ reference (``benchmarks/bench_quick_baseline.json``):
 1. every scenario's digest matches — a kernel change that moves any event
    timestamp by one ulp fails here, which is the determinism contract every
    solver optimisation must keep;
-2. the timed gate scenarios (``many_flow_contention``, ``flow_storm_5k``,
-   ``flow_storm_100k``, ``flow_storm_100k_bulk``, ``rpc_storm`` and
-   ``serving_storm`` — the ones that exercise the batched, vectorized
-   max-min solver, hierarchical aggregation, the calendar-queue scheduler,
-   the bulk-admission fast path, the metadata-plane RPC fast path and the
-   memoised request -> key -> index-entry path) have not
+2. the timed gate scenarios (``many_flow_contention``, ``barrier_burst``,
+   ``flow_storm_5k``, ``flow_storm_100k``, ``flow_storm_100k_bulk``,
+   ``rpc_storm`` and ``serving_storm`` — the ones that exercise the
+   batched, vectorized max-min solver, hierarchical aggregation, the
+   time-bucket event queue in both its regimes, the bulk-admission fast
+   path, the metadata-plane RPC fast path and the memoised request -> key
+   -> index-entry path) have not
    regressed by more than ``--slack`` (default 25%) against the reference
    wall time, after scaling by a per-run calibration factor measured on the
    untimed scenarios so a slower CI runner does not trip the gate.
@@ -42,7 +43,11 @@ REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick
 
 #: Scenarios whose wall time gates the solver's performance.
 #: ``flow_storm_100k`` runs its trimmed quick shape here (2 waves x 20k
-#: flows) — enough to exercise aggregation and the calendar-queue wheel.
+#: flows) — enough to exercise aggregation and to park tens of thousands of
+#: events on one instant of the event queue; ``barrier_burst`` is the
+#: opposite regime (every completion its own instant, a lone event each).
+#: Together they are what notices the queue regress at either end, now that
+#: no second scheduler stands behind it.
 #: ``flow_storm_100k_bulk`` is the same storm admitted wave-at-a-time
 #: through ``admit_flows`` (its digest must equal ``flow_storm_100k``'s).
 #: ``rpc_storm`` gates the metadata-plane fast path (fused delay bodies +
@@ -51,6 +56,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick
 #: expansion and per-key schema split under the serving gateway.
 GATED = (
     "many_flow_contention",
+    "barrier_burst",
     "flow_storm_5k",
     "flow_storm_100k",
     "flow_storm_100k_bulk",

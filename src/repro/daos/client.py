@@ -361,13 +361,13 @@ class DaosClient:
         bulk = self._kv_bulk_size(value)
         yield self._message_latency
         lock = kv.lock
-        if not (sim.peek() > sim._now and lock.try_acquire_write()):
+        if not (sim.settled() and lock.try_acquire_write()):
             yield lock.acquire_write()
         try:
             service_time = self.config.kv_put_service_time
             for target in self._kv_write_targets(kv, key):
                 service = self.system.target(target).service
-                if sim.peek() > sim._now and service.try_acquire():
+                if sim.settled() and service.try_acquire():
                     try:
                         yield service_time
                     finally:
@@ -386,12 +386,12 @@ class DaosClient:
         sim = self.sim
         yield self._message_latency
         lock = kv.lock
-        if not (sim.peek() > sim._now and lock.try_acquire_write()):
+        if not (sim.settled() and lock.try_acquire_write()):
             yield lock.acquire_write()
         try:
             service = self.system.target(self._key_target(kv, key)).service
             service_time = self.config.kv_get_service_time
-            if sim.peek() > sim._now and service.try_acquire():
+            if sim.settled() and service.try_acquire():
                 try:
                     yield service_time
                 finally:
@@ -412,13 +412,13 @@ class DaosClient:
         sim = self.sim
         yield self._message_latency
         lock = kv.lock
-        if not (sim.peek() > sim._now and lock.try_acquire_write()):
+        if not (sim.settled() and lock.try_acquire_write()):
             yield lock.acquire_write()
         try:
             service_time = self.config.kv_put_service_time
             for target in self._kv_write_targets(kv, key):
                 service = self.system.target(target).service
-                if sim.peek() > sim._now and service.try_acquire():
+                if sim.settled() and service.try_acquire():
                     try:
                         yield service_time
                     finally:
@@ -436,7 +436,7 @@ class DaosClient:
         yield self._message_latency
         service = self.system.target(self._lead_target(kv)).service
         service_time = self.config.rpc_service_time
-        if sim.peek() > sim._now and service.try_acquire():
+        if sim.settled() and service.try_acquire():
             try:
                 yield service_time
             finally:
@@ -452,7 +452,7 @@ class DaosClient:
         yield self._message_latency
         service = self.system.pool_service
         service_time = self.config.rpc_service_time
-        if sim.peek() > sim._now and service.try_acquire():
+        if sim.settled() and service.try_acquire():
             try:
                 yield service_time
             finally:
@@ -469,7 +469,7 @@ class DaosClient:
         sim = self.sim
         service = self.system.pool_service
         service_time = self.config.container_touch_service_time
-        if sim.peek() > sim._now and service.try_acquire():
+        if sim.settled() and service.try_acquire():
             try:
                 yield service_time
             finally:
@@ -484,7 +484,7 @@ class DaosClient:
         yield from self._fast_container_touch(container)
         service = self.system.target(self._lead_target(array)).service
         service_time = self.config.array_create_service_time
-        if sim.peek() > sim._now and service.try_acquire():
+        if sim.settled() and service.try_acquire():
             try:
                 yield service_time
             finally:
@@ -501,7 +501,7 @@ class DaosClient:
         yield from self._fast_container_touch(container)
         service = self.system.target(self._lead_target(array)).service
         service_time = self.config.array_open_service_time
-        if sim.peek() > sim._now and service.try_acquire():
+        if sim.settled() and service.try_acquire():
             try:
                 yield service_time
             finally:
@@ -516,7 +516,7 @@ class DaosClient:
         sim = self.sim
         service = self.system.target(self._lead_target(array)).service
         service_time = self.config.array_close_service_time
-        if sim.peek() > sim._now and service.try_acquire():
+        if sim.settled() and service.try_acquire():
             try:
                 yield service_time
             finally:
@@ -531,7 +531,7 @@ class DaosClient:
         yield self._message_latency
         service = self.system.target(self._lead_target(array)).service
         service_time = self.config.rpc_service_time
-        if sim.peek() > sim._now and service.try_acquire():
+        if sim.settled() and service.try_acquire():
             try:
                 yield service_time
             finally:

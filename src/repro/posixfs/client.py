@@ -93,7 +93,7 @@ class PosixClient(DaosClient):
                 f"MDS request queue at {mds.queue_length} (limit {limit})"
             )
         sim = self.sim
-        if sim.peek() > sim._now and mds.try_acquire():
+        if sim.settled() and mds.try_acquire():
             try:
                 yield service_time
             finally:
@@ -114,7 +114,7 @@ class PosixClient(DaosClient):
             target = self._key_target(kv, key)
             service = self.system.target(target).service
             service_time = self.config.kv_put_service_time
-            if sim.peek() > sim._now and service.try_acquire():
+            if sim.settled() and service.try_acquire():
                 try:
                     yield service_time
                 finally:
@@ -138,7 +138,7 @@ class PosixClient(DaosClient):
             yield from self._fast_mds_service(self.posix.mds_getattr_service)
             service = self.system.target(self._key_target(kv, key)).service
             service_time = self.config.kv_get_service_time
-            if sim.peek() > sim._now and service.try_acquire():
+            if sim.settled() and service.try_acquire():
                 try:
                     yield service_time
                 finally:
@@ -164,7 +164,7 @@ class PosixClient(DaosClient):
             yield from self._fast_mds_service(self.posix.mds_unlink_service)
             service = self.system.target(self._key_target(kv, key)).service
             service_time = self.config.kv_put_service_time
-            if sim.peek() > sim._now and service.try_acquire():
+            if sim.settled() and service.try_acquire():
                 try:
                     yield service_time
                 finally:
@@ -224,7 +224,7 @@ class PosixClient(DaosClient):
         yield from self._fast_mds_service(self.posix.mds_getattr_service)
         service = self.system.target(self._lead_target(array)).service
         service_time = self.config.rpc_service_time
-        if sim.peek() > sim._now and service.try_acquire():
+        if sim.settled() and service.try_acquire():
             try:
                 yield service_time
             finally:

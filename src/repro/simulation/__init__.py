@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel.
 
 This subpackage provides the substrate the rest of :mod:`repro` runs on: a
-priority-queue event loop (:class:`~repro.simulation.core.Simulator`),
+time-bucket-queue event loop (:class:`~repro.simulation.core.Simulator`),
 generator-based simulated processes (:class:`~repro.simulation.process.Process`),
 waitable events and composite conditions, and shared-resource primitives
 (mutexes, capacity-limited resources, FIFO stores).
@@ -9,7 +9,7 @@ waitable events and composite conditions, and shared-resource primitives
 The kernel is intentionally SimPy-flavoured so the higher layers read like
 ordinary process-interaction simulation code, but it is implemented from
 scratch and guarantees *determinism*: same seed, same program, same trace —
-ties in time are broken by scheduling sequence number.
+ties in time are broken by scheduling order.
 """
 
 from repro.simulation.core import Simulator, StopSimulation

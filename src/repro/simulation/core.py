@@ -1,173 +1,43 @@
 """The simulator event loop.
 
-:class:`Simulator` owns simulated time and a pending-event queue of
-triggered events.  Events are processed in ``(time, sequence)`` order,
-making runs fully deterministic: two events triggered for the same instant
-are processed in the order they were scheduled.
+:class:`Simulator` owns simulated time and the queue of pending events.
+Events are processed in ``(time, sequence)`` order, making runs fully
+deterministic: two events due at the same instant are processed in the
+order they were scheduled.
 
-Two interchangeable queue implementations back the loop:
+The queue is a **time-bucket queue**: a dict ``timestamp -> events in
+arrival order`` plus a binary heap of the *distinct* pending timestamps
+(plain floats), with the bucket of the current instant kept *live* in a
+deque the dispatch loop pops from.  It is exact by construction, with no
+sequence number ever materialised:
 
-* a **binary heap** (``heapq``) — optimal for the small pending sets of
-  ordinary runs;
-* a **calendar queue** (:class:`CalendarQueue`) — amortised O(1)
-  push/pop under storm load, when hundreds of thousands of events are
-  pending and every heap operation pays an O(log n) sift through them.
+* within a bucket, append order *is* sequence order;
+* no second bucket can appear for the current timestamp while it is
+  current — anything scheduled for ``now`` (every triggered event, every
+  zero-delay timeout) is appended to the live bucket itself;
+* the heap only ever compares distinct floats, so buckets are visited in
+  strictly ascending time.
 
-``scheduler="auto"`` (the default) starts on the heap and migrates to the
-calendar queue once the pending count crosses ``_WHEEL_ON`` (and back below
-``_WHEEL_OFF``); ``"heap"``/``"wheel"`` pin one implementation, as does the
-``REPRO_SCHEDULER`` environment variable.  Both orders are exactly
-``(time, sequence)`` — the golden digests cannot tell them apart (enforced
-by ``tests/simulation/test_scheduler_identity.py``).
+The live bucket running empty *is* the end of the instant: that is where
+the flush hook fires and what makes :meth:`Simulator.settled` and
+:meth:`Simulator.peek` O(1).  Synchronised waves (thousands of events on a
+handful of timestamps) pay two heap operations per *instant* instead of two
+per event; DESIGN.md section 6 has the counts.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import insort
-from heapq import heapify, heappop, heappush
-from itertools import count
+from collections import deque
+from heapq import heappop, heappush
 from math import inf as _INF
-from typing import Any, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Generator, Iterable, List, Optional, Union
 
 from repro.simulation.events import PENDING, AllOf, AnyOf, Event, Timeout
 from repro.simulation.process import Process
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import Tracer, global_tracer
 
-__all__ = ["CalendarQueue", "Simulator", "StopSimulation"]
-
-#: Pending-event population at which ``scheduler="auto"`` migrates the queue
-#: onto the calendar wheel, and back off it.  The wide hysteresis band keeps
-#: workloads hovering around the boundary from thrashing between
-#: representations (mirrors ``_VEC_ON``/``_VEC_OFF`` in the flow solver).
-_WHEEL_ON = 4096
-_WHEEL_OFF = 512
-
-#: Calendar day granularity: pending times are bucketed into integer days of
-#: 1/4096 s.  Any granularity is *correct* (order is always (time, seq));
-#: this one keeps same-instant storms in one day while bounding the number
-#: of distinct days a paper-scale run can populate.
-_DAYS_PER_SECOND = 4096.0
-
-
-def _env_scheduler() -> str:
-    """Scheduler forced by ``REPRO_SCHEDULER`` (``auto`` when unset)."""
-    value = os.environ.get("REPRO_SCHEDULER", "")
-    if value in ("", "0", "auto"):
-        return "auto"
-    if value in ("heap", "wheel"):
-        return value
-    raise ValueError(
-        f"REPRO_SCHEDULER must be 'heap', 'wheel' or 'auto', got {value!r}"
-    )
-
-
-class CalendarQueue:
-    """Calendar-queue event scheduler with exact ``(time, seq)`` order.
-
-    Entries are the same ``(time, seq, event)`` tuples the heap path uses.
-    Time is quantised into integer *days* (``int(time * _DAYS_PER_SECOND)``);
-    each pending day keeps an append-only list of its entries in a dict
-    keyed by day number, and a small binary heap orders the *distinct* day
-    numbers only.  The earliest day is drained through ``_run``, a sorted
-    list with a consumed-prefix cursor.
-
-    Why this beats the heap under storm load: a synchronised wave parks
-    10^5 events on a handful of distinct days, so pushes are plain list
-    appends (no O(log n) sift through the whole pending set), each day is
-    sorted once on first touch (timsort, near-linear on the
-    sequence-ordered appends), and same-instant follow-up events — the
-    dominant pattern, since triggered events are enqueued for *now* —
-    binary-insert at the tail of the current run.  In the sparse regime the
-    structure degrades gracefully to a heap over days, never worse than
-    O(log n) per operation.
-
-    Ordering is exact for *any* day width: an entry never leaves its day
-    out of order, days are visited in ascending order, and late pushes into
-    the current or an earlier day (always at a time >= the last pop, since
-    simulated time cannot run backwards) are merged into the run by binary
-    insertion.  Non-finite times sort after every finite day.
-    """
-
-    __slots__ = ("_days", "_dayheap", "_run", "_rpos", "_run_day", "_size", "_inv")
-
-    def __init__(self, inv_width: float = _DAYS_PER_SECOND) -> None:
-        #: day number -> unsorted list of entries (days beyond ``_run_day``).
-        self._days: dict = {}
-        #: heap of the distinct day numbers present in ``_days``.
-        self._dayheap: List[Any] = []
-        #: sorted entries of every day <= ``_run_day``; ``_rpos`` is the
-        #: consumed prefix.
-        self._run: List[Tuple[float, int, "Event"]] = []
-        self._rpos = 0
-        self._run_day: Any = -(1 << 62)
-        self._size = 0
-        self._inv = inv_width
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: Tuple[float, int, "Event"]) -> None:
-        """Insert one ``(time, seq, event)`` entry."""
-        try:
-            day = int(entry[0] * self._inv)
-        except OverflowError:  # +inf: after every finite day
-            day = _INF
-        if day <= self._run_day:
-            # The run is sorted and everything before _rpos has already
-            # been popped; time monotonicity guarantees the entry lands at
-            # or after the cursor, so the binary search can skip the
-            # consumed prefix.
-            insort(self._run, entry, self._rpos)
-        else:
-            bucket = self._days.get(day)
-            if bucket is None:
-                self._days[day] = [entry]
-                heappush(self._dayheap, day)
-            else:
-                bucket.append(entry)
-        self._size += 1
-
-    def _advance(self) -> None:
-        """Replace the exhausted run with the next pending day's entries."""
-        day = heappop(self._dayheap)
-        entries = self._days.pop(day)
-        entries.sort()
-        self._run = entries
-        self._rpos = 0
-        self._run_day = day
-
-    def peek(self) -> float:
-        """Time of the earliest pending entry, or ``inf`` when empty."""
-        if self._rpos >= len(self._run):
-            if not self._size:
-                return _INF
-            self._advance()
-        return self._run[self._rpos][0]
-
-    def pop(self) -> Tuple[float, int, "Event"]:
-        """Remove and return the earliest entry (exact (time, seq) order)."""
-        if self._rpos >= len(self._run):
-            if not self._size:
-                raise IndexError("pop from an empty CalendarQueue")
-            self._advance()
-        entry = self._run[self._rpos]
-        self._rpos += 1
-        self._size -= 1
-        return entry
-
-    def drain(self) -> List[Tuple[float, int, "Event"]]:
-        """Remove and return all remaining entries (in no particular order)."""
-        out = self._run[self._rpos :]
-        for bucket in self._days.values():
-            out.extend(bucket)
-        self._days.clear()
-        self._dayheap.clear()
-        self._run = []
-        self._rpos = 0
-        self._size = 0
-        return out
+__all__ = ["Simulator", "StopSimulation"]
 
 
 class StopSimulation(Exception):
@@ -196,37 +66,42 @@ class Simulator:
     trace:
         When True, a :class:`Tracer` collects structured records that models
         emit via :meth:`record`.
-    scheduler:
-        ``"auto"`` (default) starts on the binary heap and migrates to the
-        calendar queue when the pending population crosses ``_WHEEL_ON``
-        (returning below ``_WHEEL_OFF``); ``"heap"`` / ``"wheel"`` pin one
-        implementation for the whole run.  ``REPRO_SCHEDULER`` overrides
-        this argument when set to ``heap`` or ``wheel``.
     """
 
-    def __init__(
-        self, seed: int = 0, trace: bool = False, scheduler: str = "auto"
-    ) -> None:
+    #: Retired: the heap<->calendar-wheel migrations of the old adaptive
+    #: scheduler.  There is one queue now, so this is the constant 0; the
+    #: name stays readable because the end-to-end ledger reports it.
+    scheduler_switches = 0
+
+    def __init__(self, seed: int = 0, trace: bool = False) -> None:
         self._now: float = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
-        self._seq = count()
+        #: The live bucket: events due at ``_now``, oldest first.  Never
+        #: rebound, so the dispatch loop and ``_enqueue_triggered`` can hold
+        #: its bound methods.
+        self._live: Deque[Event] = deque()
+        #: Future instants: timestamp -> events in arrival order.  A lone
+        #: event is stored bare and only its second arrival builds the list:
+        #: sparse workloads (one or two events an instant) then pay no list
+        #: per event.  No key ever equals ``_now`` (see :meth:`_schedule`).
+        self._buckets: Dict[float, Union[Event, List[Event]]] = {}
+        #: Binary heap of the keys of ``_buckets``.
+        self._times: List[float] = []
+        #: ``_enqueue_triggered(event)``: enqueue a just-triggered event for
+        #: processing at the current instant (internal API used by events).
+        #: It *is* the live bucket's ``append`` — no Python frame at all.
+        self._enqueue_triggered = self._live.append
         self._flush: List[Any] = []
         self._running = False
         #: Freelist of recycled fast-lane events (see :meth:`lane_acquire`).
         self._lane_free: List[Event] = []
-        mode = _env_scheduler()
-        if mode == "auto":
-            mode = scheduler
-        if mode not in ("auto", "heap", "wheel"):
-            raise ValueError(
-                f"scheduler must be 'auto', 'heap' or 'wheel', got {scheduler!r}"
-            )
-        self._auto = mode == "auto"
-        self._wheel: Optional[CalendarQueue] = (
-            CalendarQueue() if mode == "wheel" else None
-        )
-        #: Number of heap<->wheel migrations performed by ``scheduler="auto"``.
-        self.scheduler_switches = 0
+        #: Time advances so far, i.e. distinct timestamps taken off the
+        #: queue (the instant a simulator is created at has no timestamp to
+        #: take and is not counted).  Updated when ``run``/``step`` returns.
+        self.instants = 0
+        #: Events dispatched so far.  ``events_processed / instants`` is how
+        #: synchronised a workload is — the factor by which the bucket queue
+        #: cuts heap traffic.  Updated when ``run``/``step`` returns.
+        self.events_processed = 0
         self.rng = RngRegistry(seed)
         # trace=True gets a private tracer; otherwise fall back to the
         # process-wide tracer when one is installed (see ``--trace-out``).
@@ -238,17 +113,35 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    # -- scheduler introspection -------------------------------------------
+    # -- queue introspection -------------------------------------------------
     @property
     def pending(self) -> int:
         """Number of events waiting in the queue."""
-        wheel = self._wheel
-        return len(wheel) if wheel is not None else len(self._queue)
+        return len(self._live) + sum(
+            len(bucket) if type(bucket) is list else 1
+            for bucket in self._buckets.values()
+        )
 
-    @property
-    def active_scheduler(self) -> str:
-        """Which queue implementation currently backs the loop."""
-        return "wheel" if self._wheel is not None else "heap"
+    def peek(self) -> float:
+        """Time of the next queued event, or ``inf`` if the queue is empty."""
+        if self._live:
+            return self._now
+        return self._times[0] if self._times else _INF
+
+    def settled(self) -> bool:
+        """True when no pending event is scheduled for the current instant.
+
+        This is the guard the metadata fast path uses before eliding a
+        resource/lock grant event: when the instant is settled, nothing else
+        can observe (or be reordered against) the intermediate grant, so
+        continuing inline is indistinguishable from dispatching the grant
+        through the queue.  With a foreign event pending at ``now`` the fast
+        path falls back to the event-based grant, preserving exact
+        ``(time, seq)`` interleaving.
+
+        O(1): the instant is settled exactly when the live bucket is empty.
+        """
+        return not self._live
 
     # -- event factories ----------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -273,10 +166,11 @@ class Simulator:
         slots and dispatch back-to-back, each resuming its process —
         exactly what one shared bootstrap's callback list replays, in the
         same order, before any event the resumed processes themselves
-        scheduled (those carry later sequence numbers either way).  What
-        the batch saves is the per-process heap/wheel insertion and the
-        per-process ``f"{name}:start"`` string build, which at
-        100k-process waves is a measurable slice of spawn cost.
+        scheduled (those arrive later in the queue either way).  What the
+        batch saves is the per-process bootstrap :class:`Event` and its
+        ``f"{name}:start"`` string build (the queue insertion itself is a
+        bare append), which at 100k-process waves is a measurable slice of
+        spawn cost.
 
         All processes share ``name`` (or fall back to their generator's
         ``__name__``), so per-process name formatting is the caller's
@@ -317,19 +211,6 @@ class Simulator:
         """Return a lane event taken with :meth:`lane_acquire` to the freelist."""
         self._lane_free.append(event)
 
-    def settled(self) -> bool:
-        """True when no pending event is scheduled for the current instant.
-
-        This is the guard the metadata fast path uses before eliding a
-        resource/lock grant event: when the instant is settled, nothing else
-        can observe (or be reordered against) the intermediate grant, so
-        continuing inline is indistinguishable from dispatching the grant
-        through the queue.  With a foreign event pending at ``now`` the fast
-        path falls back to the event-based grant, preserving exact
-        ``(time, seq)`` interleaving.
-        """
-        return self.peek() > self._now
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have succeeded."""
         return AllOf(self, events)
@@ -341,50 +222,22 @@ class Simulator:
     # -- scheduling (internal API used by events) ---------------------------
     def _schedule(self, delay: float, event: Event) -> None:
         """Enqueue ``event`` to be processed at ``now + delay``."""
-        entry = (self._now + delay, next(self._seq), event)
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push(entry)
+        now = self._now
+        when = now + delay
+        if when == now:
+            # Zero (or absorbed) delay: the current instant's bucket is the
+            # live one.  Giving ``now`` a second bucket would dispatch this
+            # event after later appends to the live bucket.
+            self._live.append(event)
             return
-        queue = self._queue
-        heappush(queue, entry)
-        if self._auto and len(queue) >= _WHEEL_ON:
-            self._promote()
-
-    def _enqueue_triggered(self, event: Event) -> None:
-        """Enqueue an event that was just triggered for immediate processing."""
-        entry = (self._now, next(self._seq), event)
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push(entry)
-            return
-        queue = self._queue
-        heappush(queue, entry)
-        if self._auto and len(queue) >= _WHEEL_ON:
-            self._promote()
-
-    def _promote(self) -> None:
-        """Migrate the pending set from the heap onto the calendar queue.
-
-        ``self._queue`` is emptied *in place* so any caller holding the list
-        (the hoisted local in :meth:`_dispatch`) observes it drain rather
-        than keeping a stale alias; the dispatch loops re-check
-        ``self._wheel`` after every callback for exactly this reason.
-        """
-        wheel = CalendarQueue()
-        for entry in self._queue:
-            wheel.push(entry)
-        del self._queue[:]
-        self._wheel = wheel
-        self.scheduler_switches += 1
-
-    def _demote(self) -> None:
-        """Migrate the (now small) pending set back onto the heap."""
-        queue = self._queue
-        queue.extend(self._wheel.drain())
-        heapify(queue)
-        self._wheel = None
-        self.scheduler_switches += 1
+        buckets = self._buckets
+        bucket = buckets.setdefault(when, event)
+        if bucket is event:
+            heappush(self._times, when)  # first arrival: a new timestamp
+        elif type(bucket) is list:
+            bucket.append(event)
+        else:
+            buckets[when] = [bucket, event]
 
     def request_flush(self, callback: Any) -> None:
         """Run ``callback()`` once at the end of the current instant.
@@ -412,50 +265,13 @@ class Simulator:
     def step(self) -> None:
         """Process the single next event in the queue.
 
-        Raises ``IndexError`` if the queue is empty.  Attribute access is on
-        slots directly (not the public properties): this together with the
-        inlined loop in :meth:`run` is the event-dispatch fast path.
+        Raises ``IndexError`` if the queue is empty.  Dispatch order is that
+        of :meth:`run`: a loop of ``step()`` calls and one ``run()`` invoke
+        the same callbacks in the same sequence.
         """
-        wheel = self._wheel
-        if wheel is not None:
-            when, _, event = wheel.pop()
-        else:
-            when, _, event = heappop(self._queue)
-        if when < self._now:  # pragma: no cover - internal invariant
-            raise AssertionError("event scheduled in the past")
-        self._now = when
-
-        if event._value is PENDING:
-            # A time-scheduled event (Timeout) firing now: assume its value.
-            event._value = event._delayed_value
-
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None, "event processed twice"
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # Nobody handled the failure: surface it rather than dropping it.
-            raise event._value
-
-        flush = self._flush
-        while flush and self.peek() > self._now:
-            callbacks = flush[:]
-            del flush[:]
-            for callback in callbacks:
-                callback()
-
-        wheel = self._wheel
-        if wheel is not None and self._auto and len(wheel) <= _WHEEL_OFF:
-            self._demote()
-
-    def peek(self) -> float:
-        """Time of the next queued event, or ``inf`` if the queue is empty."""
-        wheel = self._wheel
-        if wheel is not None:
-            return wheel.peek()
-        return self._queue[0][0] if self._queue else _INF
+        if not self._live and not self._times:
+            raise IndexError("step() on an empty event queue")
+        self._dispatch(single=True)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -465,7 +281,8 @@ class Simulator:
         * ``None`` — run until the event queue is exhausted;
         * a number — run until simulated time reaches that instant;
         * an :class:`Event` — run until the event is processed, returning its
-          value (or raising its exception if it failed).
+          value (or raising its exception if it failed).  An event that is
+          already processed is answered without dispatching anything.
         """
         if self._running:
             raise RuntimeError("simulator is already running (no re-entrant run())")
@@ -475,19 +292,21 @@ class Simulator:
                 self._dispatch()
                 return None
             if isinstance(until, Event):
-                sentinel = until
-                sentinel.add_callback(_raise_stop)
-                try:
-                    self._dispatch()
-                except StopSimulation as stop:
-                    event = stop.args[0]
-                    if event._ok:
-                        return event._value
-                    event.defuse()
-                    raise event.value
-                raise RuntimeError(
-                    f"simulation ran out of events before {sentinel!r} triggered"
-                )
+                event = until
+                if event.callbacks is not None:
+                    event.callbacks.append(_raise_stop)
+                    try:
+                        self._dispatch()
+                    except StopSimulation as stop:
+                        event = stop.args[0]
+                    else:
+                        raise RuntimeError(
+                            f"simulation ran out of events before {until!r} triggered"
+                        )
+                if event._ok:
+                    return event._value
+                event.defuse()
+                raise event._value
             # numeric deadline
             deadline = float(until)
             if deadline < self._now:
@@ -500,93 +319,77 @@ class Simulator:
         finally:
             self._running = False
 
-    def _dispatch(self, deadline: Optional[float] = None) -> None:
-        """Drain the queue (up to ``deadline``) with step() inlined.
-
-        One bound-method call per event adds up over the tens of millions of
-        events a paper-scale run processes; hoisting the loop body (and the
-        queue/pop lookups) here is worth ~15% of total dispatch cost.
-        Semantics are identical to calling :meth:`step` in a loop.
-
-        The outer loop selects the queue implementation; each inner loop
-        runs until the simulation is finished or ``scheduler="auto"``
-        migrates the pending set.  The heap loop re-checks ``self._wheel``
-        after every batch of callbacks because any callback may push the
-        population over ``_WHEEL_ON`` (``_promote`` empties ``self._queue``
-        in place, so the hoisted ``queue`` local drains rather than going
-        stale).  The wheel loop only demotes at its own pop site, so its
-        hoisted locals cannot be invalidated mid-iteration.
-        """
+    def _run_flush(self) -> None:
+        """Run (and clear) the flush callbacks requested so far."""
         flush = self._flush
-        while True:
-            wheel = self._wheel
-            if wheel is None:
-                queue = self._queue
-                pop = heappop
-                while True:
-                    if flush and (not queue or queue[0][0] > self._now):
-                        # End of the current instant: run the one-shot flush
-                        # callbacks before time advances (or the run ends).
-                        callbacks = flush[:]
-                        del flush[:]
-                        for callback in callbacks:
-                            callback()
-                        if self._wheel is not None:
-                            break  # a flush callback promoted to the wheel
+        callbacks = flush[:]
+        del flush[:]
+        for callback in callbacks:
+            callback()
+
+    def _dispatch(self, deadline: float = _INF, single: bool = False) -> None:
+        """Drain the queue: up to ``deadline``, or one event if ``single``.
+
+        The one dispatch loop.  Everything it touches per event is a local:
+        one bound-method call per event adds up over the tens of millions of
+        events a paper-scale run processes.  The live bucket is popped from
+        the left, so a processed event is released at once rather than at
+        the end of its instant, and an exception leaving a callback
+        (``run(until=event)`` stops this way) leaves the rest of the bucket
+        queued, in order, for the next call.
+        """
+        live = self._live
+        popleft = live.popleft
+        flush = self._flush
+        times = self._times
+        pop_bucket = self._buckets.pop
+        events = instants = 0
+        try:
+            while True:
+                if not live:
+                    # End of the current instant.
+                    if flush:
+                        # One-shot callbacks, before time advances (or the
+                        # run ends); whatever they trigger for ``now``
+                        # reopens the instant.
+                        self._run_flush()
                         continue
-                    if not queue:
-                        if self._wheel is not None:
-                            break  # promoted mid-callback; queue drained
+                    if not times or times[0] > deadline:
                         return
-                    if deadline is not None and queue[0][0] > deadline:
-                        return
-                    when, _, event = pop(queue)
+                    when = heappop(times)
                     self._now = when
+                    instants += 1
+                    event = pop_bucket(when)
+                    if type(event) is list:
+                        live.extend(event)
+                        event = popleft()
+                    # else a lone event: it never passes through ``live``,
+                    # which stays empty — the instant reads as settled to
+                    # its callbacks, as it should.
+                else:
+                    event = popleft()
+                events += 1
 
-                    if event._value is PENDING:
-                        event._value = event._delayed_value
+                if event._value is PENDING:
+                    # A time-scheduled event (Timeout) firing now: assume
+                    # its value.
+                    event._value = event._delayed_value
 
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    assert callbacks is not None, "event processed twice"
-                    for callback in callbacks:
-                        callback(event)
+                callbacks = event.callbacks
+                event.callbacks = None
+                assert callbacks is not None, "event processed twice"
+                for callback in callbacks:
+                    callback(event)
 
-                    if not event._ok and not event._defused:
-                        raise event._value
+                if not event._ok and not event._defused:
+                    # Nobody handled the failure: surface it rather than
+                    # dropping it.
+                    raise event._value
 
-                    if self._wheel is not None:
-                        break  # an event callback promoted to the wheel
-            else:
-                wpeek = wheel.peek
-                wpop = wheel.pop
-                auto = self._auto
-                while True:
-                    if flush and wpeek() > self._now:
-                        callbacks = flush[:]
-                        del flush[:]
-                        for callback in callbacks:
-                            callback()
-                        continue
-                    if not wheel._size:
-                        return
-                    if deadline is not None and wpeek() > deadline:
-                        return
-                    when, _, event = wpop()
-                    self._now = when
-
-                    if event._value is PENDING:
-                        event._value = event._delayed_value
-
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    assert callbacks is not None, "event processed twice"
-                    for callback in callbacks:
-                        callback(event)
-
-                    if not event._ok and not event._defused:
-                        raise event._value
-
-                    if auto and wheel._size <= _WHEEL_OFF:
-                        self._demote()
-                        break
+                if single:
+                    while flush and not live:
+                        self._run_flush()
+                    return
+        finally:
+            self.instants += instants
+            self.events_processed += events

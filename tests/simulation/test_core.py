@@ -71,6 +71,32 @@ def test_run_until_event_raises_its_failure(sim):
         sim.run(until=sim.process(proc(sim)))
 
 
+def test_run_until_processed_event_returns_its_value_again(sim):
+    def proc(sim):
+        yield sim.timeout(1.0)
+        return "done"
+
+    process = sim.process(proc(sim))
+    later = sim.timeout(5.0)
+    assert sim.run(until=process) == "done"
+    # Asking again must answer from the processed event, not leak the
+    # internal StopSimulation, and must not dispatch anything.
+    assert sim.run(until=process) == "done"
+    assert sim.now == 1.0 and not later.processed
+
+
+def test_run_until_processed_failed_event_raises_its_failure_again(sim):
+    def proc(sim):
+        yield sim.timeout(1.0)
+        raise RuntimeError("boom")
+
+    process = sim.process(proc(sim))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run(until=process)
+    assert sim.now == 1.0
+
+
 def test_run_until_never_triggered_event_errors(sim):
     pending = sim.event()
     sim.timeout(1.0)
