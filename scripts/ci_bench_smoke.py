@@ -7,10 +7,8 @@ reference (``benchmarks/bench_quick_baseline.json``):
 1. every scenario's digest matches — a kernel change that moves any event
    timestamp by one ulp fails here, which is the determinism contract every
    solver optimisation must keep;
-2. the timed gate scenarios (``many_flow_contention``, ``barrier_burst``,
-   ``flow_storm_5k``, ``flow_storm_100k``, ``flow_storm_100k_bulk``,
-   ``rpc_storm`` and ``serving_storm`` — the ones that exercise the
-   batched, vectorized max-min solver, hierarchical aggregation, the
+2. the timed gate scenarios (``GATED`` below — the ones that exercise the
+   batched max-min solver's scalar and array kernels, flow grouping, the
    time-bucket event queue in both its regimes, the bulk-admission fast
    path, the metadata-plane RPC fast path and the memoised request -> key
    -> index-entry path) have not
@@ -42,6 +40,10 @@ from repro.bench.runner import digest_drift, run_kernel_benchmarks
 REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick_baseline.json"
 
 #: Scenarios whose wall time gates the solver's performance.
+#: ``wide_contention`` holds 160 flows on 96 distinct paths, so its solves
+#: have far more than 40 groups in scope: the only scenario that runs (and
+#: so the only gate on) the array kernel ``FlowNetwork._solve_vector``; the
+#: other flow scenarios coalesce below 40 groups and time the scalar one.
 #: ``flow_storm_100k`` runs its trimmed quick shape here (2 waves x 20k
 #: flows) — enough to exercise aggregation and to park tens of thousands of
 #: events on one instant of the event queue; ``barrier_burst`` is the
@@ -56,6 +58,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick
 #: expansion and per-key schema split under the serving gateway.
 GATED = (
     "many_flow_contention",
+    "wide_contention",
     "barrier_burst",
     "flow_storm_5k",
     "flow_storm_100k",

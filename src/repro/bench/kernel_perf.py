@@ -8,6 +8,9 @@ deterministic micro-workload aimed at one kernel hot path:
 
 * ``many_flow_contention`` — hundreds of simultaneously active flows over a
   shared fabric-like topology: stresses max-min rate recomputation.
+* ``wide_contention`` — a held population of flows on mostly *distinct*
+  paths, one completion and one replacement at a time: the wide Field I/O
+  regime, and the only scenario here whose solves run the array kernel.
 * ``barrier_burst`` — repeated waves of same-instant arrivals and
   near-simultaneous completions: stresses recompute coalescing and
   completion scheduling.
@@ -123,6 +126,72 @@ def _many_flow_contention(quick: bool) -> ScenarioResult:
             "n_flows": n_flows,
             "peak_concurrent_flows": peak[0],
             "solves": net.solver_runs,
+            "vector_solves": net.vector_solves,
+            "changes": net.flow_changes,
+        },
+    )
+
+
+# -- scenario: wide contention -------------------------------------------------------
+
+
+def _wide_contention(quick: bool) -> ScenarioResult:
+    """160 writers held on 96 distinct client→engine paths, closed loop.
+
+    The wide Field I/O regime (``fieldio_wide`` in the end-to-end ledger):
+    every process streams its own sequence of distinctly sized transfers
+    down its own path, so the population stays at 160 flows in 96 groups
+    and every instant is one completion plus its replacement — one solve
+    with far more than ``_VEC_SOLVE_MIN`` groups in scope, all joined
+    through the rails and engines.  Every other flow scenario here
+    coalesces to fewer than 40 groups and never leaves the scalar kernel;
+    this one is what times (and digests) ``FlowNetwork._solve_vector``.
+    """
+    n_procs, n_ops = (160, 4) if quick else (160, 25)
+    sim = Simulator(seed=31)
+    net = FlowNetwork(sim)
+    clients = [net.add_link(f"client{i}.tx", 9.5 * GiB) for i in range(96)]
+    rails = [net.add_link(f"rail{i}", 37.5 * GiB) for i in range(2)]
+    engines = [net.add_link(f"engine{i}.rx", 2.6 * GiB) for i in range(16)]
+    media = [net.add_link(f"scm{i}", 5.5 * GiB) for i in range(16)]
+    rng = sim.rng.stream("kernel-wide-contention")
+    sizes = rng.uniform(1 * MiB, 5 * MiB, size=(n_procs, n_ops))
+    end_times: List[List[float]] = [[] for _ in range(n_procs)]
+    peak = [0, 0]
+
+    def writer(i: int):
+        # Rail by parity, engine by i // 2: each rail reaches every engine,
+        # so the population is one component and every solve spans it.
+        target = (i // 2) % 16
+        path = (clients[i % 96], rails[i % 2], engines[target], media[target], media[target])
+        for op in range(n_ops):
+            done = net.transfer(path, float(sizes[i, op]), rate_cap=3.1 * GiB, name="w")
+            if net.active_flows > peak[0]:
+                peak[0] = net.active_flows
+                peak[1] = net.active_groups
+            flow = yield done
+            end_times[i].append(flow.end_time)
+
+    processes = [sim.process(writer(i), name=f"writer{i}") for i in range(n_procs)]
+    start = time.perf_counter()
+    sim.run(until=sim.all_of(processes))
+    wall = time.perf_counter() - start
+
+    digest = _hexdigest(
+        [t.hex() for times in end_times for t in times]
+        + [float(net.completed_bytes).hex(), float(sim.now).hex()]
+    )
+    return ScenarioResult(
+        name="wide_contention",
+        wall_s=wall,
+        sim_time=sim.now,
+        digest=digest,
+        extra={
+            "n_flows": n_procs * n_ops,
+            "peak_concurrent_flows": peak[0],
+            "groups": peak[1],
+            "solves": net.solver_runs,
+            "vector_solves": net.vector_solves,
             "changes": net.flow_changes,
         },
     )
@@ -252,6 +321,7 @@ def _flow_storm_5k(quick: bool) -> ScenarioResult:
             "flows_per_wave": per_wave,
             "peak_concurrent_flows": peak[0],
             "solves": net.solver_runs,
+            "vector_solves": net.vector_solves,
             "changes": net.flow_changes,
         },
     )
@@ -329,6 +399,7 @@ def _flow_storm_100k(quick: bool) -> ScenarioResult:
             "peak_concurrent_flows": peak[0],
             "groups": peak[1],
             "solves": net.solver_runs,
+            "vector_solves": net.vector_solves,
             "changes": net.flow_changes,
             "events_per_instant": round(sim.events_processed / sim.instants, 2),
         },
@@ -402,6 +473,7 @@ def _flow_storm_100k_bulk(quick: bool) -> ScenarioResult:
             "peak_concurrent_flows": peak[0],
             "groups": peak[1],
             "solves": net.solver_runs,
+            "vector_solves": net.vector_solves,
             "changes": net.flow_changes,
             "events_per_instant": round(sim.events_processed / sim.instants, 2),
         },
@@ -699,6 +771,7 @@ def _grid_fanout(quick: bool) -> ScenarioResult:
 #: Registry of kernel perf scenarios, in reporting order.
 SCENARIOS: Dict[str, Callable[[bool], ScenarioResult]] = {
     "many_flow_contention": _many_flow_contention,
+    "wide_contention": _wide_contention,
     "barrier_burst": _barrier_burst,
     "flow_storm_5k": _flow_storm_5k,
     "flow_storm_100k": _flow_storm_100k,

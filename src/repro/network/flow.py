@@ -13,10 +13,11 @@ constant, so progress is exact (no per-packet events), which keeps the event
 count proportional to the number of transfers rather than the number of
 bytes.
 
-Performance notes (the kernel fast path, see ``repro bench``).  Three
-kernels compute the same allocation — one scalar, two vectorized — and the
-network picks between them from what it can observe (population, solver
-rows), never from a user setting:
+Performance notes (the kernel fast path, see ``repro bench``).  Two kernels
+compute the same allocation — :meth:`FlowNetwork._solve_scalar` over
+(path, cap) groups in pure Python, :meth:`FlowNetwork._solve_vector` over
+flows in numpy — and the network picks between them from what it can
+observe (the groups in a solve's scope), never from a setting:
 
 * **Same-instant batching.**  All flow-set changes at one simulated
   timestamp — a synchronised wave of arrivals, a batch of completions, and
@@ -32,60 +33,58 @@ rows), never from a user setting:
   left untouched.  Within a component the arithmetic is the exact
   water-filling recurrence — results are bit-identical to the reference
   algorithm (see ``tests/network/test_flow_reference.py``).
-* **Hierarchical flow aggregation.**  Flows sharing an identical link path
-  and rate cap are coalesced into one :class:`FlowGroup`: the dominant NWP
-  pattern — N synchronised ensemble writers on the same client→engine path
-  — costs O(distinct paths) solver rows instead of O(N).  The coalescing
-  is exact, not approximate.  Same-group flows have bitwise-identical
-  per-round bounds (the same minimum over the same link shares and cap),
-  so the textbook per-flow pass fixes them in the same round at the same
-  rate; a group-level pass fixes the group once and replays each link's
-  per-member capacity debits as the identical subtract/clamp chain.  That
-  pass interleaves the steps of different groups, but every step of a
-  round subtracts the same non-negative round minimum, so a link's result
-  depends only on its step *count* — and once a clamp fires the value is
-  pinned at 0.0 for the rest of the round (0.0 - m clamps back to 0.0).
-* **One scalar kernel, link-driven** (:meth:`FlowNetwork._solve_scalar`).
-  It serves every solve with fewer than ``_VEC_SOLVE_MIN`` group rows — in
-  the paper's Field I/O regime that is all of them: ~6 flows in ~6 groups
-  over ~29 links, 2–3 filling rounds.  Two incrementally maintained
-  aggregates make it cheap: ``Link.groups`` (group -> multiplicity, touched
-  only when a group appears or disappears) lets one traversal discover the
-  perturbed component *and* initialise its links, and ``Link.n_occ`` (path
-  occurrences on the link) is each link's initial divisor.  A link only
-  one group crosses cannot change its share before that group fixes, so it
-  is divided once and folded into the group's effective cap; rounds then
-  visit only the *shared* links.  Per round the minimum is the least
-  shared-link share or unfixed effective cap, and exactly the groups on a
-  link at or under the tie threshold, plus those capped at or under it,
-  fix — the same set the per-group scan ``min(shares along path, cap) <=
-  threshold`` selects, since a minimum is at or under the threshold iff
-  one of its operands is.  Every quotient is the same ``cap_left /
-  n_unfixed`` division, every minimum is a pure (order-independent)
-  minimum, and every surviving link takes the same number of debit steps,
-  so the result equals the per-flow reference bit for bit; the only work
-  skipped is debits nobody reads (links emptied this round, the final
-  round).
-* **Vectorized solving.**  Above ``_VEC_ON`` concurrent flows the network
-  migrates its hot state into a compact numpy arena: per-flow
-  remaining/rate arrays are kept dense by swap-deleting completed flows,
-  and each flow's path lives in one row of a fixed-stride incidence matrix
-  padded with a sentinel "link" whose fair share is pinned to +inf.
-  Progress debits, completion scans and component discovery are then a
-  handful of whole-array operations each — no per-flow Python — and solves
-  of ``_VEC_SOLVE_MIN`` or more rows run one of two array kernels:
-  ``_solve_vector_grouped`` (rows are groups) when groups actually
-  coalesce, ``_solve_vector`` (rows are flows) when they are
-  near-singletons.  ``aggregate=False`` / ``REPRO_FLAT_SOLVER=1`` pins the
-  per-flow array kernel; that choice between the two vector kernels is all
-  it selects.  Solves with fewer rows stay on the scalar kernel, which
-  then reads and writes the group rows of the arena.  The link-link
-  co-traversal adjacency the vector scoper walks is *lazy*: nothing reads
-  it in scalar mode, so it is rebuilt from the live groups on entry to the
-  arena and maintained only until exit.  Every floating-point operation
-  matches the scalar kernel bit for bit (see
-  ``tests/network/test_flow_vector.py``); ``REPRO_SCALAR_SOLVER=1`` or
-  ``FlowNetwork(sim, solver="scalar")`` keeps the arena out entirely.
+* **Flow groups.**  Flows sharing an identical link path and rate cap form
+  one :class:`FlowGroup`: the IOR pattern — N synchronised writers on the
+  same client→engine path — is O(distinct paths) rows to the scalar kernel
+  instead of O(N).  The coalescing is exact, not approximate.  Same-group
+  flows have bitwise-identical per-round bounds (the same minimum over the
+  same link shares and cap), so the textbook per-flow pass fixes them in
+  the same round at the same rate; a group-level pass fixes the group once
+  and replays each link's per-member capacity debits as the identical
+  subtract/clamp chain.  That pass interleaves the steps of different
+  groups, but every step of a round subtracts the same non-negative round
+  minimum, so a link's result depends only on its step *count* — and once
+  a clamp fires the value is pinned at 0.0 for the rest of the round
+  (0.0 - m clamps back to 0.0).
+* **The scalar kernel, link-driven.**  It serves every solve with fewer
+  than ``_VEC_SOLVE_MIN`` groups in scope — in the paper's Field I/O
+  regime (~6 flows in ~6 groups over ~29 links, 2–3 filling rounds) and in
+  every synchronised storm (100k flows on 20 paths) that is all of them.
+  Two incrementally maintained aggregates make it cheap: ``Link.groups``
+  (group -> multiplicity, touched only when a group appears or disappears)
+  lets one traversal discover the perturbed component *and* initialise its
+  links, and ``Link.n_occ`` (path occurrences on the link) is each link's
+  initial divisor.  A link only one group crosses cannot change its share
+  before that group fixes, so it is divided once and folded into the
+  group's effective cap; rounds then visit only the *shared* links.  Per
+  round the minimum is the least shared-link share or unfixed effective
+  cap, and exactly the groups on a link at or under the tie threshold,
+  plus those capped at or under it, fix — the same set the per-group scan
+  ``min(shares along path, cap) <= threshold`` selects, since a minimum is
+  at or under the threshold iff one of its operands is.  Every quotient is
+  the same ``cap_left / n_unfixed`` division, every minimum is a pure
+  (order-independent) minimum, and every surviving link takes the same
+  number of debit steps, so the result equals the per-flow reference bit
+  for bit; the only work skipped is debits nobody reads (links emptied
+  this round, the final round).
+* **The arena and the vector kernel.**  Above ``_VEC_ON`` concurrent flows
+  the network migrates its hot state into a compact numpy arena (and back
+  below ``_VEC_OFF``): per-flow remaining/rate arrays are kept dense by
+  swap-deleting completed flows, and each flow's path lives in one column
+  of a fixed-stride incidence matrix padded with a sentinel "link" whose
+  fair share is pinned to +inf.  Progress debits, completion scans and
+  component discovery are then a handful of whole-array operations each —
+  no per-flow Python.  A solve with ``_VEC_SOLVE_MIN`` or more groups in
+  scope (the wide Field I/O regime: hundreds of processes on *distinct*
+  client→engine paths) runs ``_solve_vector``, the textbook per-flow pass
+  as array operations; one with fewer stays on the scalar kernel, which
+  then writes a rate per group row (``_g_rate``) for ``_fan_out`` to
+  scatter over the flow columns.  The link-link co-traversal adjacency the
+  vector scoper walks is *lazy*: nothing reads it outside the arena, so it
+  is rebuilt from the live groups on entry and maintained only until exit.
+  Every floating-point operation matches the scalar kernel bit for bit
+  (``tests/network/test_flow_vector.py``); DESIGN.md §6 has the
+  measurements behind the thresholds and behind one array kernel, not two.
 
 Determinism is a hard constraint: identical seeds produce bit-identical
 timestamp logs, guarded by golden digests in
@@ -95,7 +94,6 @@ timestamp logs, guarded by golden digests in
 from __future__ import annotations
 
 import math
-import os
 from itertools import count
 from operator import attrgetter
 from sys import intern as _sintern
@@ -126,16 +124,6 @@ _VEC_OFF = 24
 #: fewer rows (groups in scope) stay on the scalar kernel even while the
 #: arena is active, and it folds debit chains this long in numpy.
 _VEC_SOLVE_MIN = 40
-
-
-def _env_forces_scalar() -> bool:
-    """True when ``REPRO_SCALAR_SOLVER`` requests the pure-Python kernel."""
-    return os.environ.get("REPRO_SCALAR_SOLVER", "") not in ("", "0")
-
-
-def _env_forces_flat() -> bool:
-    """True when ``REPRO_FLAT_SOLVER`` disables hierarchical aggregation."""
-    return os.environ.get("REPRO_FLAT_SOLVER", "") not in ("", "0")
 
 
 #: C-level sort key for completion ordering (hot at 100k-flow batches).
@@ -260,16 +248,16 @@ class FlowGroup:
     Same-group flows are indistinguishable to the water-filling solver —
     each round they see the same link shares and the same cap, so they
     carry bitwise-identical bounds and always fix together at the round
-    minimum.  The solver therefore works on groups (one row, weight ``n``)
-    and fans the result back out to the members.
+    minimum.  The scalar kernel therefore works on groups (one row, weight
+    ``n``) and fans the result back out to the members.
 
     The grouping key is the exact tuple of link indices, multiplicity and
     order included; path-less (rate-cap-only) flows get a singleton group
     each, because they are isolated components that may be solved in
     different scopes and so cannot be assumed to share a rate.
 
-    ``gid`` is the group's row in the vectorized group arena while vector
-    mode is active (-1 otherwise).
+    ``gid`` is the group's row in the group arena (where the scalar kernel
+    leaves its rate) while the arena is active, -1 otherwise.
     """
 
     __slots__ = (
@@ -422,31 +410,14 @@ class FlowNetwork:
     returns an event that succeeds (with the finished :class:`Flow`) once
     the last byte has moved.
 
-    ``solver`` selects the water-filling implementation: ``"auto"``
-    (default) migrates to the vectorized arena above ``_VEC_ON`` concurrent
-    flows, ``"scalar"`` pins the pure-Python kernel (also forced by the
-    ``REPRO_SCALAR_SOLVER=1`` environment escape hatch), ``"vector"`` pins
-    the arena from the first flow (used by the equivalence tests).
-
-    ``aggregate`` selects between the two *vector* kernels (see the module
-    docstring): True (default) lets the arena solve per :class:`FlowGroup`
-    when groups coalesce, False (or ``REPRO_FLAT_SOLVER=1``) pins its
-    per-flow kernel.  The scalar kernel always works on groups.  All solver
-    and aggregation modes are bit-identical.
+    Nothing about the solver is settable: the flow population decides where
+    the hot state lives (``_VEC_ON`` / ``_VEC_OFF``) and the groups in a
+    solve's scope decide which of the two bit-identical kernels runs it
+    (``_VEC_SOLVE_MIN``); see the module docstring.
     """
 
-    def __init__(
-        self, sim: Simulator, solver: str = "auto", aggregate: bool = True
-    ) -> None:
-        if solver not in ("auto", "scalar", "vector"):
-            raise ValueError(f"unknown solver mode {solver!r}")
-        if _env_forces_scalar():
-            solver = "scalar"
-        if _env_forces_flat():
-            aggregate = False
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.solver = solver
-        self.aggregate = aggregate
         #: Active aggregation groups keyed by exact (path indices, cap)
         #: signature (or flow id for singleton path-less groups).
         self._groups: Dict[object, FlowGroup] = {}
@@ -523,22 +494,18 @@ class FlowNetwork:
         #: rebuilt from ``_groups`` on entry, maintained until exit.
         self._adjb = np.zeros((0, 0), dtype=bool)
         self._pairs: Dict[Tuple[int, int], int] = {}
-        # -- group arena (rows [0, _ng); freed rows are recycled) ----------
+        # -- group arena: one rate per group row, which is all the scalar
+        # kernel needs of it (rows [0, _ng); freed rows are recycled) -------
         #: Per-flow group row (int64, parallel to the flow arena columns).
         self._gid_v = np.zeros(0, dtype=np.int64)
         self._ng = 0
         self._g_free: List[int] = []
-        #: Member counts as float64 — used directly as bincount weights;
-        #: exact for any realistic population (integers < 2**53).
-        self._g_n = np.zeros(0)
-        self._g_cap = np.zeros(0)
         #: Rate of every member of the group as of the last solve that
         #: touched it.  Invariant: correct for *all* active groups after
         #: every solve (each kernel writes the rows it solved; scoped solves
         #: leave untouched components' rates unchanged by construction), so
         #: ``_g_rate[gid_v]`` may be scattered across the whole flow arena.
         self._g_rate = np.zeros(0)
-        self._g_occ_t = np.zeros((4, 0), dtype=np.int64)
         # -- solver scratch (reused across solves; sized on demand) -------
         self._sc_flat_i = np.zeros(0, dtype=np.int64)  # (stride+1, n) indices
         self._sc_flat_f = np.zeros(0)  # (stride+1, n) gathered shares
@@ -551,7 +518,6 @@ class FlowNetwork:
         self._sc_folded = np.zeros(0)
         self._sc_flow_f = np.zeros(0)  # per-flow float scratch (bounds, ...)
         self._sc_flow_f2 = np.zeros(0)  # per-flow float scratch (rates, ...)
-        self._sc_gw = np.zeros(0)  # per-group weight scratch (scoped solves)
         self._sc_flow_b = np.zeros(0, dtype=bool)  # per-flow bool scratch
         self._sc_ar = np.zeros(0, dtype=np.int64)  # 0..n arange
 
@@ -583,8 +549,6 @@ class FlowNetwork:
             # (their old value is exactly this link's index).
             live = self._occ_t[:, : self._n_live]
             live[live == self._pad] = idx + 1
-            glive = self._g_occ_t[:, : self._ng]
-            glive[glive == self._pad] = idx + 1
         self._pad = idx + 1
         return link
 
@@ -602,6 +566,29 @@ class FlowNetwork:
         transfer completes.  Zero-byte transfers complete on the next
         simulator step without touching the links.
         """
+        # Interned: flows overwhelmingly reuse a handful of role names, so
+        # a 100k-flow wave allocates a handful of strings instead of 100k.
+        flow, done = self._new_flow(
+            path, nbytes, rate_cap, name, _sintern("flow:" + name) if name else "flow:"
+        )
+        if flow.end_time is None:
+            if self.sim._now > self._last_advance:
+                self._advance_to_now()
+            self.flow_changes += 1
+            self._admit(flow)
+            self._schedule_recompute()
+        return done
+
+    def _new_flow(
+        self, path: Sequence[Link], nbytes: float, rate_cap: float, name: str, ename: str
+    ) -> Tuple[Flow, Event]:
+        """Validate one transfer and build its flow and completion event.
+
+        The one admission body behind :meth:`transfer` and
+        :meth:`admit_flows`.  A zero-byte flow completes right here
+        (``end_time`` set, event triggered); any other is left for the
+        caller to :meth:`_admit`.
+        """
         # Negated comparisons so NaN (for which every ordering test is
         # false) is rejected instead of poisoning its component's rates.
         if not nbytes >= 0:
@@ -609,28 +596,17 @@ class FlowNetwork:
         if not rate_cap > 0:
             raise ValueError(f"rate cap must be positive, got {rate_cap}")
         sim = self.sim
-        now = sim._now
-        # Interned: flows overwhelmingly reuse a handful of role names, so
-        # a 100k-flow wave allocates a handful of strings instead of 100k.
-        done = Event(sim, name=_sintern("flow:" + name) if name else "flow:")
+        done = Event(sim, name=ename)
         tpath = tuple(path)
         flow = Flow(next(self._fid), tpath, nbytes, rate_cap, done, name=name)
-        flow.start_time = now
+        flow.start_time = now = sim._now
         if nbytes == 0:
             flow.end_time = now
             flow.done = None  # break the flow<->event cycle (see _retire)
             done.succeed(flow)
-            return done
-        if not tpath and not math.isfinite(rate_cap):
+        elif not tpath and not math.isfinite(rate_cap):
             raise ValueError("a flow needs a non-empty path or a finite rate cap")
-        if now > self._last_advance:
-            self._advance_to_now()
-        self.flow_changes += 1
-        self._admit(flow)
-        if not self._recompute_pending:
-            self._recompute_pending = True
-            sim.request_flush(self._flush_recompute)
-        return done
+        return flow, done
 
     def admit_flows(
         self,
@@ -649,13 +625,13 @@ class FlowNetwork:
         same order: fid assignment, ``_active``/link insertion orders,
         group creation order and the single end-of-instant solve all match
         the sequential loop (same-instant batching already coalesces the
-        solves — what this call strips is the per-flow argument-validation
-        re-entry, progress check, flush arming and name interning).
+        solves — what this call strips is the per-flow progress check,
+        change accounting, flush arming and name interning).  That holds
+        for a batch cut short too: a spec that raises leaves the flows
+        admitted before it in flight with their solve queued.
         """
-        sim = self.sim
-        now = sim._now
         default_ename = _sintern("flow:" + name) if name else "flow:"
-        fids = self._fid
+        new_flow = self._new_flow
         admit = self._admit
         events: List[Event] = []
         append = events.append
@@ -663,52 +639,35 @@ class FlowNetwork:
         # flow; a batch must replicate that laziness — advancing for a
         # zero-byte-only batch would split later rate debits into two
         # steps, which is not bitwise the same as the one-step debit.
-        advanced = now <= self._last_advance
+        advanced = self.sim._now <= self._last_advance
         changes = 0
-        for spec in specs:
-            if len(spec) == 2:
-                path, nbytes = spec
-                rate_cap = _INF
-                fname = name
-            elif len(spec) == 3:
-                path, nbytes, rate_cap = spec
-                fname = name
-            else:
-                path, nbytes, rate_cap, fname = spec
-            if not nbytes >= 0:  # negated: rejects NaN too (see transfer)
-                raise ValueError(
-                    f"transfer size must be non-negative, got {nbytes}"
-                )
-            if not rate_cap > 0:
-                raise ValueError(f"rate cap must be positive, got {rate_cap}")
-            if fname is name:
-                ename = default_ename
-            else:
-                ename = _sintern("flow:" + fname) if fname else "flow:"
-            done = Event(sim, name=ename)
-            append(done)
-            tpath = tuple(path)
-            flow = Flow(next(fids), tpath, nbytes, rate_cap, done, name=fname)
-            flow.start_time = now
-            if nbytes == 0:
-                flow.end_time = now
-                flow.done = None  # break the cycle, as in transfer()
-                done.succeed(flow)
-                continue
-            if not tpath and not math.isfinite(rate_cap):
-                raise ValueError(
-                    "a flow needs a non-empty path or a finite rate cap"
-                )
-            if not advanced:
-                self._advance_to_now()
-                advanced = True
-            changes += 1
-            admit(flow)
-        if changes:
-            self.flow_changes += changes
-            if not self._recompute_pending:
-                self._recompute_pending = True
-                sim.request_flush(self._flush_recompute)
+        try:
+            for spec in specs:
+                if len(spec) == 2:
+                    path, nbytes = spec
+                    rate_cap = _INF
+                    fname = name
+                elif len(spec) == 3:
+                    path, nbytes, rate_cap = spec
+                    fname = name
+                else:
+                    path, nbytes, rate_cap, fname = spec
+                if fname is name:
+                    ename = default_ename
+                else:
+                    ename = _sintern("flow:" + fname) if fname else "flow:"
+                flow, done = new_flow(path, nbytes, rate_cap, fname, ename)
+                append(done)
+                if flow.end_time is None:
+                    if not advanced:
+                        self._advance_to_now()
+                        advanced = True
+                    changes += 1
+                    admit(flow)
+        finally:
+            if changes:
+                self.flow_changes += changes
+                self._schedule_recompute()
         return events
 
     def evict_flows(self, flows: Sequence[Flow]) -> int:
@@ -783,8 +742,6 @@ class FlowNetwork:
         group.members[flow] = None
         group.n += 1
         flow.group = group
-        if group.gid >= 0:
-            self._g_n[group.gid] = group.n
 
     def _retire(self, flows: List[Flow], finished: bool) -> None:
         """Take ``flows`` (all active) out of the network at this instant.
@@ -828,9 +785,9 @@ class FlowNetwork:
                 elif self._vector and len(group.path) > 1:
                     self._register_pairs(group, -1)
                 if group.gid >= 0:
-                    self._g_retire(group)
-            elif group.gid >= 0:
-                self._g_n[group.gid] = group.n
+                    # Recycle the arena row; nothing reads it until reuse.
+                    self._g_free.append(group.gid)
+                    group.gid = -1
             flow.group = None
             pos = flow.pos
             if pos >= 0:
@@ -899,11 +856,6 @@ class FlowNetwork:
             )
             occ[: self._stride] = self._occ_t
             self._occ_t = occ
-            gocc = np.full(
-                (pathlen, self._g_occ_t.shape[1]), self._pad, dtype=np.int64
-            )
-            gocc[: self._stride] = self._g_occ_t
-            self._g_occ_t = gocc
             self._stride = pathlen
         if n > self._rem_v.size:
             grown = max(64, 2 * self._rem_v.size, n)
@@ -934,41 +886,13 @@ class FlowNetwork:
         else:
             gid = self._ng
             self._ng = gid + 1
-            if self._ng > self._g_n.size:
-                grown = max(64, 2 * self._g_n.size, self._ng)
-                for attr in ("_g_n", "_g_cap", "_g_rate"):
-                    old = getattr(self, attr)
-                    new = np.zeros(grown)
-                    new[: old.size] = old
-                    setattr(self, attr, new)
-                gocc = np.full((self._stride, grown), self._pad, dtype=np.int64)
-                gocc[:, : self._g_occ_t.shape[1]] = self._g_occ_t
-                self._g_occ_t = gocc
+            if self._ng > self._g_rate.size:
+                grown = max(64, 2 * self._g_rate.size, self._ng)
+                rates = np.zeros(grown)
+                rates[: self._g_rate.size] = self._g_rate
+                self._g_rate = rates
         group.gid = gid
-        self._g_n[gid] = group.n
-        self._g_cap[gid] = group.rate_cap
         self._g_rate[gid] = rate
-        column = self._g_occ_t[:, gid]
-        length = len(group.path)
-        if length:
-            column[:length] = [link.idx for link in group.path]
-        column[length:] = self._pad
-
-    def _g_retire(self, group: FlowGroup) -> None:
-        """Neutralise an emptied group's arena row and recycle it.
-
-        The row stays inside ``[0, _ng)`` (no swap-compaction — that would
-        invalidate every member's ``_gid_v`` entry), but all-pad occupancy,
-        weight 0 and cap +inf make it inert: bound +inf, never fixed, zero
-        contribution to link counts, so a full-arena grouped solve can run
-        over ``[0, _ng)`` without masking.
-        """
-        gid = group.gid
-        self._g_n[gid] = 0.0
-        self._g_cap[gid] = _INF
-        self._g_occ_t[:, gid] = self._pad
-        self._g_free.append(gid)
-        group.gid = -1
 
     def _ingest(self, flow: Flow) -> None:
         """Append a flow to the arena (column ``_n_live``)."""
@@ -996,9 +920,9 @@ class FlowNetwork:
         A synchronised wave admits its entire population at one flush;
         per-flow :meth:`_ingest` pays ~6 numpy scalar writes each, while
         here the per-flow Python shrinks to position bookkeeping and the
-        arrays land via bulk converts.  Occupancy columns are copied from
-        the group arena — a member's path column is its group's by
-        definition — so path index lists are never re-derived per flow.
+        arrays land via bulk converts.  A member's path column is its
+        group's by definition, so index lists are derived once per distinct
+        group of the batch and gathered, never per flow.
         """
         m = len(flows)
         pos0 = self._n_live
@@ -1025,7 +949,11 @@ class FlowNetwork:
             (flow.group.gid for flow in flows), dtype=np.int64, count=m
         )
         self._gid_v[pos0:end] = gids
-        self._occ_t[:, pos0:end] = self._g_occ_t.take(gids, axis=1)
+        columns = np.full((self._stride, self._ng), self._pad, dtype=np.int64)
+        for i in np.unique(gids, return_index=True)[1].tolist():
+            path = flows[i].path
+            columns[: len(path), gids[i]] = [link.idx for link in path]
+        self._occ_t[:, pos0:end] = columns.take(gids, axis=1)
         self._n_live = end
 
     def _evict(self, flow: Flow) -> None:
@@ -1119,13 +1047,11 @@ class FlowNetwork:
         self.mode_switches += 1
 
     def _manage_mode(self) -> None:
-        if self.solver == "scalar":
-            return
         n = len(self._active)
         if not self._vector:
-            if n >= _VEC_ON or (self.solver == "vector" and n > 0):
+            if n >= _VEC_ON:
                 self._enter_vector()
-        elif n < _VEC_OFF and self.solver != "vector":
+        elif n < _VEC_OFF:
             self._exit_vector()
 
     # -- internals -----------------------------------------------------------
@@ -1146,6 +1072,13 @@ class FlowNetwork:
         if dirty or dirty_flows:
             self._dirty = {}
             self._dirty_flows = {}
+            # The one kernel rule: a solve with ``_VEC_SOLVE_MIN`` or more
+            # groups in scope runs the array kernel, every other solve the
+            # scalar one.  Only the arena can tell; an upper bound on the
+            # groups will do, and with few groups alive no scoping is needed
+            # to know the scalar kernel (which scopes for itself) gets it.
+            scope = None
+            rows = 0
             if self._vector:
                 active = self._active
                 arrivals = [
@@ -1158,32 +1091,18 @@ class FlowNetwork:
                 else:
                     for flow in arrivals:
                         self._ingest(flow)
-                # Solver rows are the groups in scope; an upper bound will
-                # do, and with few groups alive no scoping is needed to know
-                # the scalar kernel (which scopes for itself) gets the solve.
-                scope = None
                 rows = len(self._groups)
                 if rows >= _VEC_SOLVE_MIN:
                     scope = self._scope_vector(dirty, dirty_flows)
                     if scope is not None and scope.size < rows:
                         rows = scope.size
-                if rows >= _VEC_SOLVE_MIN:
-                    # Aggregation only pays when groups actually coalesce;
-                    # with near-singleton groups the flat kernel is cheaper.
-                    # Free choice: both kernels are bit-identical.
-                    if self.aggregate and 2 * len(self._groups) <= len(
-                        self._active
-                    ):
-                        self._solve_vector_grouped(scope)
-                    else:
-                        self._solve_vector(scope)
-                elif rows:
-                    # Few rows: the scalar kernel, which works on groups
-                    # and writes ``_g_rate``, wins even with the arena live.
-                    self._solve_scalar(dirty, dirty_flows)
-                    self._fan_out(scope)
+            if rows >= _VEC_SOLVE_MIN:
+                self._solve_vector(scope)
             else:
                 self._solve_scalar(dirty, dirty_flows)
+                if self._vector:
+                    # It wrote group rows (``_g_rate``), not flow columns.
+                    self._fan_out(scope)
         self._refresh_deadlines_and_arm()
 
     def _advance_to_now(self) -> None:
@@ -1667,135 +1586,6 @@ class FlowNetwork:
             # Keep the ``_g_rate`` invariant: same-group members carry the
             # same rate, so duplicate rows write one value.
             self._g_rate[self._gid_v[scope]] = rates
-
-    def _solve_vector_grouped(self, fscope: Optional[np.ndarray]) -> None:
-        """Vectorized water-filling over aggregation groups.
-
-        ``fscope`` is the scoped flow columns (None for all live flows); the
-        working set is the corresponding *group* rows — O(distinct paths)
-        columns instead of O(flows).  The structure mirrors
-        :meth:`_solve_vector` exactly, with two weighted twists:
-
-        * link counts are member counts: a group column contributes its
-          weight ``w`` (member count) per path entry, via weighted
-          ``bincount``.  The weights are small integers held in float64, so
-          every sum is exact and the quotients ``cap_left / counts`` are the
-          identical divisions the per-flow kernel performs.
-        * the per-round debit folds ``k = sum(w * multiplicity)`` identical
-          subtractions per link — the same count the per-flow kernel would
-          execute across the group's members, so the reduceat fold replays
-          the identical exact chain.
-
-        A full solve (``fscope is None``) runs over every group row
-        ``[0, _ng)`` including retired (all-pad, weight-0, cap-inf) rows,
-        which are inert by construction; termination counts fixed *members*
-        against the scope's member total, so inert rows never stall the
-        loop.  Afterwards group rates fan out to flows through ``_gid_v``
-        (valid for the whole arena on a full solve by the ``_g_rate``
-        invariant).
-        """
-        self.solver_runs += 1
-        self.vector_solves += 1
-        stride = self._stride
-        rows = stride + 1
-        n_pad = self._pad + 1
-        pad = n_pad - 1
-        if fscope is None:
-            gscope = None
-            ng = self._ng
-        else:
-            gscope = np.unique(self._gid_v[fscope])
-            ng = gscope.size
-        self._solve_scratch(rows, ng, n_pad)
-        if self._sc_gw.size < ng:
-            self._sc_gw = np.empty(max(64, 2 * ng))
-        occT = self._sc_flat_i[: rows * ng].reshape(rows, ng)
-        if gscope is None:
-            occT[:stride] = self._g_occ_t[:, :ng]
-            w = self._g_n[:ng]
-        else:
-            self._g_occ_t.take(gscope, axis=1, out=occT[:stride])
-            w = self._sc_gw[:ng]
-            self._g_n.take(gscope, out=w)
-        np.add(self._sc_ar[:ng], n_pad, out=occT[stride])
-        counts = np.bincount(
-            occT[:stride].ravel(),
-            weights=np.broadcast_to(w, (stride, ng)).ravel(),
-            minlength=n_pad,
-        )
-        share_ext = self._sc_share[: n_pad + ng]
-        if gscope is None:
-            share_ext[n_pad:] = self._g_cap[:ng]
-        else:
-            self._g_cap.take(gscope, out=share_ext[n_pad:])
-        cap_left = self._sc_capleft[:n_pad]
-        cap_left[:pad] = self._cap_a[:pad]
-        cap_left[pad] = _INF
-        for link in self._fn_links:
-            if counts[link.idx]:
-                cap_left[link.idx] = link.effective_capacity()
-        div = self._sc_div[:n_pad]
-        g = self._sc_flat_f[: rows * ng].reshape(rows, ng)
-        bounds = self._sc_flow_f[:ng]
-        folded = self._sc_folded[:n_pad]
-        offsets = self._sc_off[:n_pad]
-        seg = self._sc_seg[:pad]
-        rates = self._g_rate[:ng] if gscope is None else self._sc_flow_f2[:ng]
-        if self._sc_flow_b.size < ng:
-            self._sc_flow_b = np.empty(max(64, 2 * ng), dtype=bool)
-        fixed = self._sc_flow_b[:ng]
-        total = float(np.add.reduce(w))
-        n_done = 0.0
-        if self._pathless_active:
-            # Pre-fix path-less groups at their cap, exactly like the flat
-            # solver.  The w > 0 filter keeps retired (all-pad, weight-0,
-            # cap-inf) rows of a full solve unfixed and inert as before.
-            mask = (occT[0] == pad) if stride else np.ones(ng, dtype=bool)
-            ppos = (mask & (w > 0.0)).nonzero()[0]
-            if ppos.size:
-                rates[ppos] = share_ext[n_pad:][ppos]
-                occT[:, ppos] = pad
-                n_done = float(np.add.reduce(w[ppos]))
-        while n_done < total:
-            np.maximum(counts, 1, out=div)
-            np.divide(cap_left, div, out=share_ext[:n_pad])
-            share_ext.take(occT, out=g)
-            np.minimum.reduce(g, axis=0, out=bounds)
-            minimum = float(np.minimum.reduce(bounds))
-            if minimum == _INF:  # pragma: no cover - guarded in transfer()
-                raise AssertionError("unbounded flow rate: no cap and empty path")
-            np.less_equal(bounds, minimum * (1.0 + 1e-12), out=fixed)
-            fpos = fixed.nonzero()[0]
-            rates[fpos] = minimum
-            wf = w[fpos]
-            n_done += float(np.add.reduce(wf))
-            if n_done >= total:
-                break
-            cols = occT[:stride].take(fpos, axis=1)
-            kw = np.bincount(
-                cols.ravel(),
-                weights=np.broadcast_to(wf, (stride, fpos.size)).ravel(),
-                minlength=n_pad,
-            )
-            kw[pad] = 0.0  # path padding lands here; the sentinel never pays
-            np.subtract(counts, kw, out=counts)
-            occT[:, fpos] = pad
-            # Exact: kw holds small integer sums, so the int64 round-trip is
-            # lossless and seg/offsets match the per-flow kernel's layout.
-            offsets[0] = 0
-            np.add(kw[:pad].astype(np.int64), 1, out=seg)
-            seg.cumsum(out=offsets[1:])
-            fold_len = int(offsets[pad]) + 1
-            if self._sc_fold.size < fold_len:
-                self._sc_fold = np.empty(max(1024, 2 * fold_len))
-            fold = self._sc_fold[:fold_len]
-            fold.fill(minimum)
-            fold[offsets] = cap_left
-            np.subtract.reduceat(fold, offsets, out=folded)
-            np.maximum(folded, 0.0, out=cap_left)
-        if gscope is not None:  # else rates wrote _g_rate[:ng] in place
-            self._g_rate[gscope] = rates
-        self._fan_out(fscope)
 
     def _fan_out(self, fscope: Optional[np.ndarray]) -> None:
         """Copy solved group rates into the scoped flows' arena columns.

@@ -25,6 +25,7 @@ def test_quick_scenarios_run_and_digest_deterministically():
     names = set(payload["scenarios"])
     assert names == {
         "many_flow_contention",
+        "wide_contention",
         "barrier_burst",
         "flow_storm_5k",
         "flow_storm_100k",
@@ -39,6 +40,19 @@ def test_quick_scenarios_run_and_digest_deterministically():
         assert entry["wall_s"] >= 0.0
         assert entry["sim_time"] > 0.0
         assert len(entry["digest"]) == 64
+
+
+def test_wide_contention_is_the_scenario_that_times_the_array_kernel():
+    """Its solves have >= 40 groups in scope; the storms coalesce below that."""
+    payload = run_kernel_benchmarks(
+        quick=True, scenarios=["wide_contention", "many_flow_contention", "flow_storm_5k"]
+    )
+    wide = payload["scenarios"]["wide_contention"]
+    assert wide["peak_concurrent_flows"] >= 150 and wide["groups"] >= 60
+    assert wide["vector_solves"] > wide["solves"] // 2
+    assert wide["changes"] == 2 * wide["n_flows"]
+    for name in ("many_flow_contention", "flow_storm_5k"):
+        assert payload["scenarios"][name]["vector_solves"] == 0
 
 
 def test_cli_bench_profile_quick(tmp_path, capsys):

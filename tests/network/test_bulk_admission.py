@@ -1,8 +1,9 @@
 """Bulk admission/eviction: bit-identity with the sequential paths.
 
 ``admit_flows`` is contractually bit-identical to a loop of ``transfer``
-calls at the same instants — across every solver configuration (scalar and
-vector kernels, flat and aggregated solves).  These tests drive a mixed
+calls at the same instants — on every solver path (either kernel, with the
+arena pinned out, pinned in or left to the production hysteresis; see
+``conftest.pin_arena``).  These tests drive a mixed
 workload (shared paths, distinct rate caps, zero-byte flows, pathless
 capped flows, overlapping waves mid-flight) through both admission styles
 and compare the full hex-exact outcome.  ``evict_flows`` has the analogous
@@ -15,18 +16,18 @@ import pytest
 
 from repro.network.flow import FlowNetwork
 from repro.simulation import Simulator
-
-#: Every solver configuration: (solver, aggregate).  ``aggregate`` picks
-#: between the two arena kernels; the scalar kernel always works on groups,
-#: so under ``"scalar"`` the flag must simply be invisible.
-SOLVER_GRID = [
-    ("scalar", False),
-    ("scalar", True),
-    ("vector", False),
-    ("vector", True),
-]
+from tests.network.conftest import ARENAS, LOW_SOLVE_MIN
 
 INF = math.inf
+
+#: The three solver paths, as (kernel, arena live): the scalar kernel on
+#: flow state, the scalar kernel on the arena's group rows, and the array
+#: kernel (which only exists on the arena).
+SOLVER_PATHS = [("scalar", False), ("scalar", True), ("vector", True)]
+
+
+def _pin_path(pin_arena, kernel, arena):
+    pin_arena("always" if arena else "never", LOW_SOLVE_MIN if kernel == "vector" else None)
 
 
 def _specs(links, wave, n):
@@ -48,9 +49,9 @@ def _specs(links, wave, n):
     return specs
 
 
-def _run(bulk, solver, aggregate, n_per_wave=120, evict_at=None, evict_each=False):
+def _run(bulk, n_per_wave=120, evict_at=None, evict_each=False):
     sim = Simulator(seed=5)
-    net = FlowNetwork(sim, solver=solver, aggregate=aggregate)
+    net = FlowNetwork(sim)
     a = [net.add_link(f"a{i}", 50.0 + i) for i in range(4)]
     b = [net.add_link(f"b{i}", 80.0) for i in range(2)]
     flows = []
@@ -100,14 +101,28 @@ def _run(bulk, solver, aggregate, n_per_wave=120, evict_at=None, evict_each=Fals
     )
 
 
-@pytest.mark.parametrize("solver,aggregate", SOLVER_GRID)
-def test_bulk_admission_bit_identical_to_sequential(solver, aggregate):
-    assert _run(True, solver, aggregate) == _run(False, solver, aggregate)
+@pytest.mark.parametrize("kernel,arena", SOLVER_PATHS)
+def test_bulk_admission_bit_identical_to_sequential(kernel, arena, pin_arena):
+    _pin_path(pin_arena, kernel, arena)
+    assert _run(True) == _run(False)
 
 
-def test_bulk_admission_identical_across_solver_paths():
-    signatures = {_run(True, s, agg) for s, agg in SOLVER_GRID}
-    assert len(signatures) == 1
+def _signatures_on_every_solver_path(pin_arena, **kwargs):
+    """Bulk-run signatures over ``SOLVER_PATHS`` and the production hysteresis.
+
+    Default threshold: the scalar kernel solves (on flow state or on arena
+    group rows); low threshold: the array kernel does.
+    """
+    signatures = set()
+    for arena in ARENAS:
+        for solve_min in (None, LOW_SOLVE_MIN):
+            pin_arena(arena, solve_min)
+            signatures.add(_run(True, **kwargs))
+    return signatures
+
+
+def test_bulk_admission_identical_across_solver_paths(pin_arena):
+    assert len(_signatures_on_every_solver_path(pin_arena)) == 1
 
 
 def test_admit_flows_zero_byte_only_batch_keeps_clock_untouched():
@@ -135,25 +150,35 @@ def test_admit_flows_zero_byte_only_batch_keeps_clock_untouched():
 def test_admit_flows_validates_specs():
     sim = Simulator()
     net = FlowNetwork(sim)
-    link = net.add_link("l", 10.0)
+    link = net.add_link("l", 100.0)
     with pytest.raises(ValueError):
         net.admit_flows([((link,), -1.0)])
     with pytest.raises(ValueError):
         net.admit_flows([((link,), 5.0, 0.0)])
     with pytest.raises(ValueError):
         net.admit_flows([((), 5.0)])  # pathless needs a finite cap
+    assert net.active_flows == 0 and net.flow_changes == 0
+    # A spec rejected mid-batch leaves what the sequential transfer() loop
+    # would: the flows before it admitted, accounted and their solve queued.
+    with pytest.raises(ValueError):
+        net.admit_flows([((link,), 50.0), ((link,), -1.0)])
+    assert net.active_flows == 1 and net.flow_changes == 1
+    (flow,) = net.flows()
+    sim.run()
+    assert flow.end_time == 0.5 and sim.now == 0.5
+    assert net.active_flows == 0 and net.completed_flows == 1
 
 
-@pytest.mark.parametrize("solver,aggregate", SOLVER_GRID)
-def test_bulk_eviction_bit_identical_to_one_by_one(solver, aggregate):
-    batch = _run(True, solver, aggregate, evict_at=1.1)
-    single = _run(True, solver, aggregate, evict_at=1.1, evict_each=True)
+@pytest.mark.parametrize("kernel,arena", SOLVER_PATHS)
+def test_bulk_eviction_bit_identical_to_one_by_one(kernel, arena, pin_arena):
+    _pin_path(pin_arena, kernel, arena)
+    batch = _run(True, evict_at=1.1)
+    single = _run(True, evict_at=1.1, evict_each=True)
     assert batch == single
 
 
-def test_eviction_identical_across_solver_paths():
-    signatures = {_run(True, s, agg, evict_at=1.1) for s, agg in SOLVER_GRID}
-    assert len(signatures) == 1
+def test_eviction_identical_across_solver_paths(pin_arena):
+    assert len(_signatures_on_every_solver_path(pin_arena, evict_at=1.1)) == 1
 
 
 def test_evict_flows_semantics():
@@ -187,10 +212,11 @@ def test_evict_flows_semantics():
     assert float(net.completed_bytes) == pytest.approx(2 * 100.0)
 
 
-def test_evict_flows_vector_batch_path():
-    # >= 64 victims on the vector solver exercises the keep-mask batch evict.
+def test_evict_flows_vector_batch_path(pin_arena):
+    # >= 64 victims with the arena live exercises the keep-mask batch evict.
+    pin_arena("always")
     sim = Simulator(seed=3)
-    net = FlowNetwork(sim, solver="vector")
+    net = FlowNetwork(sim)
     link = net.add_link("l", 10.0)
     done = [net.transfer([link], 1000.0 + i) for i in range(150)]
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network.flow import FlowNetwork
 from repro.simulation import Simulator
+from tests.network.conftest import LOW_SOLVE_MIN, PIN_PER_EXAMPLE
 
 
 def _eager_recompute(self):
@@ -24,7 +25,7 @@ def _eager_recompute(self):
     self._flush_recompute()
 
 
-def _run_schedule(schedule, solver, eager):
+def _run_schedule(schedule, eager):
     """Run ``schedule`` and return {flow name: completion time}.
 
     ``schedule`` is a list of ``(delay, path_indices, size, rate_cap)``
@@ -32,7 +33,7 @@ def _run_schedule(schedule, solver, eager):
     simulated instant.
     """
     sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
+    net = FlowNetwork(sim)
     if eager:
         net._schedule_recompute = types.MethodType(_eager_recompute, net)
     links = [net.add_link(f"l{i}", 25.0 * (i + 1)) for i in range(4)]
@@ -70,22 +71,27 @@ _schedules = st.lists(
 
 
 @given(schedule=_schedules)
-@settings(max_examples=40, deadline=None)
-def test_batched_solve_matches_change_by_change(schedule):
-    batched, net_b = _run_schedule(schedule, solver="auto", eager=False)
-    eager, net_e = _run_schedule(schedule, solver="auto", eager=True)
+@settings(max_examples=40, deadline=None, suppress_health_check=PIN_PER_EXAMPLE)
+def test_batched_solve_matches_change_by_change(schedule, pin_arena):
+    """On the arena, with the array kernel taking every multi-group solve."""
+    pin_arena("always", solve_min=LOW_SOLVE_MIN)
+    batched, net_b = _run_schedule(schedule, eager=False)
+    eager, net_e = _run_schedule(schedule, eager=True)
     assert batched == eager  # bitwise: dict of exact floats
     # The eager run solves at least once per change; the batched run never
     # solves more often than that.
     assert net_b.solver_runs <= net_e.solver_runs
+    assert net_b.mode_switches == net_e.mode_switches == 1
 
 
 @given(schedule=_schedules)
-@settings(max_examples=20, deadline=None)
-def test_batched_solve_matches_change_by_change_scalar(schedule):
-    batched, _ = _run_schedule(schedule, solver="scalar", eager=False)
-    eager, _ = _run_schedule(schedule, solver="scalar", eager=True)
+@settings(max_examples=20, deadline=None, suppress_health_check=PIN_PER_EXAMPLE)
+def test_batched_solve_matches_change_by_change_scalar(schedule, pin_arena):
+    pin_arena("never")
+    batched, net_b = _run_schedule(schedule, eager=False)
+    eager, net_e = _run_schedule(schedule, eager=True)
     assert batched == eager
+    assert net_b.vector_solves == net_e.vector_solves == 0
 
 
 def test_synchronised_wave_solves_once_per_instant():

@@ -26,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.network.flow import FlowNetwork
 from repro.simulation import Simulator
+from tests.network.conftest import LOW_SOLVE_MIN, PIN_PER_EXAMPLE
 
 _INF = math.inf
 
@@ -419,24 +420,14 @@ def schedules(draw):
     return links, flows, evictions
 
 
-@given(schedule=schedules(), solver=st.sampled_from(["auto", "vector"]))
-@settings(max_examples=80, deadline=None)
-def test_kernel_and_bookkeeping_match_reference_after_every_flush(schedule, solver):
-    """The scalar kernel (on flow state and on arena state) == reference.
+def check_after_every_flush(net):
+    """Hold ``net`` to the reference after *every* flush, not just at probes.
 
-    After *every* flush — not just at probes — rates must equal the
-    independent water-filling bit for bit and the incremental aggregates
-    (``Link.n_occ``, ``Link.groups``, group member sets, occupied-link
-    count) must equal a recount.  ``solver="vector"`` pins the arena, so
-    the same kernel runs against group rows and the fan-out.
+    Rates must equal the independent water-filling bit for bit and the
+    incremental aggregates (``Link.n_occ``, ``Link.groups``, group member
+    sets, occupied-link count) must equal a recount.  Returns the list the
+    checked flush instants are appended to.
     """
-    link_specs, flow_specs, evictions = schedule
-    sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
-    links = [
-        net.add_link(f"l{i}", float(c), capacity_fn=_degrading if fn else None)
-        for i, (c, fn) in enumerate(link_specs)
-    ]
     flushes = []
     flush = net._flush_recompute
 
@@ -445,9 +436,31 @@ def test_kernel_and_bookkeeping_match_reference_after_every_flush(schedule, solv
         assert_bookkeeping(net)
         assert_matches_reference(net)
         assert_maxmin_invariants(net)
-        flushes.append(sim.now)
+        flushes.append(net.sim.now)
 
     net._flush_recompute = checked_flush
+    return flushes
+
+
+#: Both kernels on both representations: scalar on flow state, scalar on
+#: arena group rows + fan-out, and the array kernel on every solve with two
+#: or more groups in scope.
+_PINS = [("never", None), ("always", None), ("always", LOW_SOLVE_MIN)]
+
+
+@given(schedule=schedules(), pin=st.sampled_from(_PINS))
+@settings(max_examples=80, deadline=None, suppress_health_check=PIN_PER_EXAMPLE)
+def test_kernel_and_bookkeeping_match_reference_after_every_flush(schedule, pin, pin_arena):
+    """Every kernel, on flow state and on arena state, == reference."""
+    link_specs, flow_specs, evictions = schedule
+    pin_arena(*pin)
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    links = [
+        net.add_link(f"l{i}", float(c), capacity_fn=_degrading if fn else None)
+        for i, (c, fn) in enumerate(link_specs)
+    ]
+    flushes = check_after_every_flush(net)
 
     def submit(path, size, cap, arrival):
         yield sim.timeout(arrival * 0.25)

@@ -4,12 +4,13 @@ The vectorized arena solver is only admissible because every one of its
 floating-point operations reproduces the scalar water-filling kernel bit
 for bit — the repo's golden digests hash event timestamps, so a 1-ulp
 drift anywhere fails determinism checks.  These tests run identical
-randomised workloads under ``solver="scalar"``, ``"vector"`` and
-``"auto"`` (which switches modes mid-run around the ``_VEC_ON`` /
-``_VEC_OFF`` thresholds) and require *exact* float equality of every
-completion time.  Topologies include ``capacity_fn`` links, write-amplified
-paths (the same link repeated within one path), and pathless rate-capped
-flows.
+randomised workloads with the arena pinned out (``"never"``), pinned in
+(``"always"``) and left to the production hysteresis (``"auto"``, which
+switches representations mid-run around the ``_VEC_ON`` / ``_VEC_OFF``
+thresholds) — see ``conftest.pin_arena`` — and require *exact* float
+equality of every completion time.  Topologies include ``capacity_fn``
+links, write-amplified paths (the same link repeated within one path), and
+pathless rate-capped flows.
 """
 
 import math
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network.flow import FlowNetwork
 from repro.simulation import Simulator
+from tests.network.conftest import PIN_PER_EXAMPLE
 
 
 def _staircase(n_flows):
@@ -27,7 +29,7 @@ def _staircase(n_flows):
     return 120.0 / (1.0 + 0.25 * n_flows)
 
 
-def _run(seed, n_flows, solver):
+def _run(seed, n_flows):
     """Run a seeded random workload; return the list of completion times.
 
     The topology mixes plain links, a ``capacity_fn`` link, and paths with
@@ -37,7 +39,7 @@ def _run(seed, n_flows, solver):
     """
     rng = random.Random(seed)
     sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
+    net = FlowNetwork(sim)
     links = [net.add_link(f"l{i}", 40.0 + 15.0 * i) for i in range(8)]
     links.append(net.add_link("fn", 150.0, capacity_fn=_staircase))
     done = []
@@ -69,42 +71,27 @@ def _run(seed, n_flows, solver):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=15, deadline=None)
-def test_scalar_vector_auto_bitwise_identical(seed):
-    scalar, net_s = _run(seed, 140, solver="scalar")
-    vector, net_v = _run(seed, 140, solver="vector")
-    auto, net_a = _run(seed, 140, solver="auto")
+@settings(max_examples=15, deadline=None, suppress_health_check=PIN_PER_EXAMPLE)
+def test_scalar_vector_auto_bitwise_identical(seed, pin_arena):
+    pin_arena("never")
+    scalar, net_s = _run(seed, 140)
+    pin_arena("always")
+    vector, net_v = _run(seed, 140)
+    pin_arena("auto")
+    auto, net_a = _run(seed, 140)
     assert scalar == vector  # exact: no tolerance
     assert scalar == auto
     assert net_s.solver_runs == net_v.solver_runs == net_a.solver_runs
-    # The workload is big enough that the pinned-vector run actually used
-    # the arena, and the scalar run never did.
-    assert net_v.mode_switches >= 1
-    assert net_s.mode_switches == 0
+    # The workload is wide enough that the pinned-in run solved with the
+    # array kernel, and the pinned-out run never saw the arena.
+    assert net_v.mode_switches >= 1 and net_v.vector_solves > 0
+    assert net_s.mode_switches == 0 and net_s.vector_solves == 0
 
 
 def test_auto_crosses_threshold_both_ways():
     """The equivalence above exercises a genuine mid-run mode round-trip."""
-    _, net = _run(seed=7, n_flows=160, solver="auto")
+    _, net = _run(seed=7, n_flows=160)
     assert net.mode_switches >= 2  # entered and left the arena
-
-
-def test_env_hatch_forces_scalar(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_SOLVER", "1")
-    sim = Simulator()
-    net = FlowNetwork(sim, solver="vector")
-    assert net.solver == "scalar"
-    link = net.add_link("l", 100.0)
-    done = [net.transfer([link], 100.0) for _ in range(120)]
-    sim.run(until=sim.all_of(done))
-    assert net.mode_switches == 0  # never entered the arena
-
-
-def test_env_hatch_zero_is_off(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_SOLVER", "0")
-    sim = Simulator()
-    net = FlowNetwork(sim, solver="vector")
-    assert net.solver == "vector"
 
 
 def _expected_adjacency(net):
@@ -122,7 +109,7 @@ def _expected_adjacency(net):
     return pairs, adjb
 
 
-def _run_waves(solver, waves=4, per_wave=130):
+def _run_waves(waves=4, per_wave=130):
     """Population swings 0 -> 130 -> 0 per wave: several arena round trips.
 
     Paths are mostly distinct (so the arena's own kernels run, not just
@@ -133,7 +120,7 @@ def _run_waves(solver, waves=4, per_wave=130):
     """
     rng = random.Random(1234)
     sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
+    net = FlowNetwork(sim)
     links = [net.add_link(f"l{i}", 40.0 + 15.0 * i) for i in range(10)]
     links.append(net.add_link("fn", 150.0, capacity_fn=_staircase))
     ends = []
@@ -172,10 +159,13 @@ def _run_waves(solver, waves=4, per_wave=130):
     return ends, net, checked[0]
 
 
-def test_repeated_mode_round_trips_stay_identical_and_rebuild_adjacency():
-    scalar, net_s, _ = _run_waves("scalar")
-    vector, net_v, checked_v = _run_waves("vector")
-    auto, net_a, checked_a = _run_waves("auto")
+def test_repeated_mode_round_trips_stay_identical_and_rebuild_adjacency(pin_arena):
+    pin_arena("never")
+    scalar, net_s, _ = _run_waves()
+    pin_arena("always")
+    vector, net_v, checked_v = _run_waves()
+    pin_arena("auto")
+    auto, net_a, checked_a = _run_waves()
     assert scalar == vector == auto  # exact: no tolerance
     assert net_s.solver_runs == net_v.solver_runs == net_a.solver_runs
     assert net_s.mode_switches == 0 and not net_s._pairs
