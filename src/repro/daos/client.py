@@ -17,6 +17,19 @@ asynchronously through an :class:`~repro.daos.eq.EventQueue`
 path uses.  The default middleware chain adds no simulated events, keeping
 the blocking path bit-identical to the pre-pipeline client.
 
+**One body per op, two interpreters.**  Each metadata op's timeline is
+written once, as a ``_do_*`` generator in the *leg dialect*: ``yield
+<float>`` is a delay, ``yield <Event>`` is a wait.  :class:`_FastDriver`
+interprets a body directly (one pooled event per op, delays on a recycled
+lane event); :meth:`DaosClient._as_events` turns the same body into the
+plain simulation generator a ``Request.body`` must be, so the middleware
+chain, event queues and multi-ops run it too.  The client picks the driver
+exactly when nothing could observe the difference — the chain is the
+stateless ``[metrics, tracing]`` pair, health is off and no tracer is
+installed.  Data ops (``_do_array_write`` / ``_do_array_read`` and the
+shard helpers under them) are ordinary Event-yielding generators and always
+take the chain.
+
 Connection/handle caching follows the paper (§5.2: "Pool and container
 connections in a process are cached"): repeated ``container_open`` calls for
 the same container are free after the first.
@@ -25,7 +38,6 @@ the same container are free after the first.
 from __future__ import annotations
 
 import hashlib
-import os
 import uuid as uuid_module
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -53,6 +65,7 @@ from repro.daos.rpc import (
     RetryMiddleware,
     TracingMiddleware,
     compose_chain,
+    is_plain_chain,
 )
 from repro.daos.system import DaosSystem
 from repro.network.fabric import NodeSocket
@@ -96,23 +109,13 @@ def default_middleware(config) -> List[Middleware]:
     return chain
 
 
-def _is_plain(middleware: List[Middleware]) -> bool:
-    """Whether ``middleware`` is exactly ``[metrics, tracing]`` -- the chain
-    that keeps no per-client state and that the fast path may stand in for."""
-    return (
-        len(middleware) == 2
-        and type(middleware[0]) is MetricsMiddleware
-        and type(middleware[1]) is TracingMiddleware
-    )
-
-
 class _FastDriver(Event):
-    """Flat driver for one metadata op on the fast path.
+    """Flat interpreter of one metadata op's leg-dialect body.
 
     The driver *is* the event the calling process waits on: the public op
     method returns ``(yield driver)``, so the whole op costs the caller one
-    suspension instead of one per simulated wait.  The op body is a special
-    *fast body* generator that may yield
+    suspension instead of one per simulated wait.  The ``_do_*`` body may
+    yield
 
     * a ``float``/``int`` — a fused delay: the driver re-arms its recycled
       lane event (``Simulator.lane_acquire``) for that delay, replacing a
@@ -125,11 +128,11 @@ class _FastDriver(Event):
     (the exact :class:`~repro.daos.rpc.MetricsMiddleware` accounting) and
     finishes *synchronously* inside the final event's callback slot — no
     completion event travels through the queue, so the caller resumes at
-    the same ``(time, seq)`` boundary the generic ``yield from`` chain
-    resumes at.  Failures mirror the generic path too: the epilogue
-    observes ``ok=False`` and the exception is thrown into the caller at
-    its yield (or re-raised synchronously from ``_fast_submit`` when the
-    body fails before its first wait).
+    the same ``(time, seq)`` boundary the ``yield from`` chain resumes at.
+    Failures mirror the chain too: the epilogue observes ``ok=False`` and
+    the exception is thrown into the caller at its yield (or re-raised
+    synchronously from ``DaosClient._launch`` when the body fails before its
+    first wait).
 
     Drivers and their lane events are pooled (per system / per simulator),
     so a storm of metadata ops allocates O(concurrent ops) objects rather
@@ -220,7 +223,7 @@ class _FastDriver(Event):
         self.callbacks = None
         for callback in callbacks:
             callback(self)
-        # Recycle only after the caller resumed: a nested fast op started
+        # Recycle only after the caller resumed: a nested op launched
         # inside the callback must not grab this driver mid-finish.
         sim.lane_release(self._lane)
         self._lane = None
@@ -229,7 +232,7 @@ class _FastDriver(Event):
         self._pool.append(self)
         if error is not None and not callbacks and not self._defused:
             # Nobody was waiting: surface the failure like the dispatcher
-            # does for an unhandled failed event.  ``_fast_submit`` relies
+            # does for an unhandled failed event.  ``_launch`` relies
             # on this for exceptions raised before the body's first wait.
             raise error
 
@@ -290,50 +293,66 @@ class DaosClient:
         else:
             middleware = default_middleware(self.config)
             chain = compose_chain(middleware)
-            if _is_plain(middleware):
+            if is_plain_chain(middleware):
                 system.plain_chain = (tuple(middleware), chain)
         self.middleware = middleware
         self._chain = chain
-        #: Metadata fast path engages only when the chain is plain (exactly
-        #: metrics + tracing — no fault/retry/QoS/pool-map middleware to
-        #: honour) and health is off (no degraded routing / authoritative
-        #: target checks).  ``REPRO_RPC_FAST=0`` is the escape hatch; per
-        #: call the tracer must also be absent (mid-run installation falls
-        #: back to the generic chain).
-        self._fast_ok = (
-            os.environ.get("REPRO_RPC_FAST", "") != "0"
-            and not self._health
-            and _is_plain(middleware)
-        )
+        #: Metadata bodies run on a :class:`_FastDriver` only when the chain
+        #: is plain (exactly metrics + tracing — no fault/retry/QoS/pool-map
+        #: middleware to honour) and health is off (the driver has no
+        #: refresh-and-retry above it); per call the tracer must also be
+        #: absent (mid-run installation moves the client onto the chain).
+        self._use_driver = not self._health and is_plain_chain(middleware)
 
-    # -- RPC submission ----------------------------------------------------------
+    # -- the two interpreters of a leg-dialect body --------------------------------
     def _submit(self, request: Request):
         """Drive ``request`` through the middleware chain (blocking caller)."""
         result = yield from self._chain(self, request)
         return result
 
-    # -- metadata fast path -------------------------------------------------------
-    def _fast_submit(self, op: str, body, nbytes: int) -> _FastDriver:
-        """Launch ``body`` on a pooled :class:`_FastDriver`.
+    def _as_events(self, legs):
+        """Run a leg-dialect generator as a plain simulation generator.
 
-        Runs the exact :class:`~repro.daos.rpc.MetricsMiddleware` prologue,
-        then drives the body's first step synchronously — an exception
-        raised before the first wait propagates out of this call, just as
-        it would through the generic ``yield from`` chain.  The returned
-        driver is the event the public op method yields once.
+        The chain-side interpreter (:class:`_FastDriver` is the other one):
+        a numeric yield becomes a ``Timeout`` created in the very step that
+        yielded it — the allocation an Event-yielding body would have made
+        itself, so ``(time, seq)`` order is unchanged — an Event passes
+        through, and whatever the waiting process sends or throws reaches
+        ``legs`` untouched.
         """
-        stats = self.stats
-        stats[op] = stats.get(op, 0) + 1
-        entry = self.op_metrics.get(op)
-        if entry is None:
-            self.op_metrics[op] = entry = OpStats()
+        timeout = self.sim.timeout
+        try:
+            leg = next(legs)
+            while True:
+                cls = type(leg)
+                if cls is float or cls is int:
+                    leg = timeout(leg)
+                try:
+                    outcome = yield leg
+                except BaseException as exc:
+                    leg = legs.throw(exc)
+                else:
+                    leg = legs.send(outcome)
+        except StopIteration as stop:
+            return stop.value
+
+    def _launch(self, op: str, legs, nbytes: int) -> _FastDriver:
+        """Launch the body ``legs`` on a pooled :class:`_FastDriver`.
+
+        Runs the :class:`~repro.daos.rpc.MetricsMiddleware` prologue, then
+        drives the body's first step synchronously — an exception raised
+        before the first wait propagates out of this call, just as it would
+        through the ``yield from`` chain.  The returned driver is the event
+        the public op method yields once.
+        """
+        entry = self._account(op)
         pool = self.system.fast_drivers
         driver = pool.pop() if pool else _FastDriver(self.sim, pool)
         driver.callbacks = []
         driver._value = PENDING
         driver._ok = True
         driver._defused = False
-        driver._body = body
+        driver._body = legs
         driver._lane = self.sim.lane_acquire()
         driver._entry = entry
         driver._nbytes = nbytes
@@ -341,205 +360,14 @@ class DaosClient:
         driver._drive(None, False)
         return driver
 
-    def _service_slow(self, service, service_time: float):
-        """Contended-grant fallback of the fast bodies' service elision.
-
-        A fast-body sub-generator: the grant travels as a real event (so
-        FIFO ordering against every queued waiter is untouched) and the
-        service window as a fused lane delay.
-        """
-        request = service.request()
-        yield request
-        try:
-            yield service_time
-        finally:
-            service.release(request)
-
-    def _fast_kv_put(self, kv: KeyValueObject, key: bytes, value: bytes):
-        """Fused-delay body of :meth:`kv_put` (timeline of ``_do_kv_put``)."""
-        sim = self.sim
-        bulk = self._kv_bulk_size(value)
-        yield self._message_latency
-        lock = kv.lock
-        if not (sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
-        try:
-            service_time = self.config.kv_put_service_time
-            for target in self._kv_write_targets(kv, key):
-                service = self.system.target(target).service
-                if sim.settled() and service.try_acquire():
-                    try:
-                        yield service_time
-                    finally:
-                        service.release_direct()
-                else:
-                    yield from self._service_slow(service, service_time)
-                if bulk:
-                    yield from self._kv_bulk(target, bulk, write=True)
-            kv.put(key, value)
-        finally:
-            lock.release_write()
-        yield self._message_latency
-
-    def _fast_kv_get(self, kv: KeyValueObject, key: bytes):
-        """Fused-delay body of :meth:`kv_get_or_none`."""
-        sim = self.sim
-        yield self._message_latency
-        lock = kv.lock
-        if not (sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
-        try:
-            service = self.system.target(self._key_target(kv, key)).service
-            service_time = self.config.kv_get_service_time
-            if sim.settled() and service.try_acquire():
-                try:
-                    yield service_time
-                finally:
-                    service.release_direct()
-            else:
-                yield from self._service_slow(service, service_time)
-            value = kv.get_or_none(key)
-        finally:
-            lock.release_write()
-        bulk = self._kv_bulk_size(value)
-        if bulk:
-            yield from self._kv_bulk(self._key_target(kv, key), bulk, write=False)
-        yield self._message_latency
-        return value
-
-    def _fast_kv_remove(self, kv: KeyValueObject, key: bytes):
-        """Fused-delay body of :meth:`kv_remove`."""
-        sim = self.sim
-        yield self._message_latency
-        lock = kv.lock
-        if not (sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
-        try:
-            service_time = self.config.kv_put_service_time
-            for target in self._kv_write_targets(kv, key):
-                service = self.system.target(target).service
-                if sim.settled() and service.try_acquire():
-                    try:
-                        yield service_time
-                    finally:
-                        service.release_direct()
-                else:
-                    yield from self._service_slow(service, service_time)
-            kv.remove(key)
-        finally:
-            lock.release_write()
-        yield self._message_latency
-
-    def _fast_kv_open(self, kv: KeyValueObject):
-        """Fused-delay body of :meth:`kv_open`."""
-        sim = self.sim
-        yield self._message_latency
-        service = self.system.target(self._lead_target(kv)).service
-        service_time = self.config.rpc_service_time
-        if sim.settled() and service.try_acquire():
-            try:
-                yield service_time
-            finally:
-                service.release_direct()
-        else:
-            yield from self._service_slow(service, service_time)
-        yield self._message_latency
-        return kv
-
-    def _fast_container_exists(self, pool: Pool, ref: ContainerRef):
-        """Fused-delay body of :meth:`container_exists`."""
-        sim = self.sim
-        yield self._message_latency
-        service = self.system.pool_service
-        service_time = self.config.rpc_service_time
-        if sim.settled() and service.try_acquire():
-            try:
-                yield service_time
-            finally:
-                service.release_direct()
-        else:
-            yield from self._service_slow(service, service_time)
-        yield self._message_latency
-        return pool.has_container(ref)
-
-    def _fast_container_touch(self, container: Container):
-        """Fused-delay counterpart of :meth:`_container_touch`."""
-        if container.is_default:
-            return
-        sim = self.sim
-        service = self.system.pool_service
-        service_time = self.config.container_touch_service_time
-        if sim.settled() and service.try_acquire():
-            try:
-                yield service_time
-            finally:
-                service.release_direct()
-        else:
-            yield from self._service_slow(service, service_time)
-
-    def _fast_array_create(self, container: Container, array: ArrayObject):
-        """Fused-delay body of :meth:`array_create`."""
-        sim = self.sim
-        yield self._message_latency
-        yield from self._fast_container_touch(container)
-        service = self.system.target(self._lead_target(array)).service
-        service_time = self.config.array_create_service_time
-        if sim.settled() and service.try_acquire():
-            try:
-                yield service_time
-            finally:
-                service.release_direct()
-        else:
-            yield from self._service_slow(service, service_time)
-        yield self._message_latency
-        return array
-
-    def _fast_array_open(self, container: Container, array: ArrayObject):
-        """Fused-delay body of :meth:`array_open`."""
-        sim = self.sim
-        yield self._message_latency
-        yield from self._fast_container_touch(container)
-        service = self.system.target(self._lead_target(array)).service
-        service_time = self.config.array_open_service_time
-        if sim.settled() and service.try_acquire():
-            try:
-                yield service_time
-            finally:
-                service.release_direct()
-        else:
-            yield from self._service_slow(service, service_time)
-        yield self._message_latency
-        return array
-
-    def _fast_array_close(self, array: ArrayObject):
-        """Fused-delay body of :meth:`array_close` (no leading latency)."""
-        sim = self.sim
-        service = self.system.target(self._lead_target(array)).service
-        service_time = self.config.array_close_service_time
-        if sim.settled() and service.try_acquire():
-            try:
-                yield service_time
-            finally:
-                service.release_direct()
-        else:
-            yield from self._service_slow(service, service_time)
-        yield self._message_latency
-
-    def _fast_array_get_size(self, array: ArrayObject):
-        """Fused-delay body of :meth:`array_get_size`."""
-        sim = self.sim
-        yield self._message_latency
-        service = self.system.target(self._lead_target(array)).service
-        service_time = self.config.rpc_service_time
-        if sim.settled() and service.try_acquire():
-            try:
-                yield service_time
-            finally:
-                service.release_direct()
-        else:
-            yield from self._service_slow(service, service_time)
-        yield self._message_latency
-        return array.size
+    def _account(self, op: str) -> OpStats:
+        """Count one ``op``; returns its latency accumulator (made on first use)."""
+        stats = self.stats
+        stats[op] = stats.get(op, 0) + 1
+        entry = self.op_metrics.get(op)
+        if entry is None:
+            self.op_metrics[op] = entry = OpStats()
+        return entry
 
     def eq_create(self, name: str = "eq") -> EventQueue:
         """A fresh event queue for asynchronous submissions (``daos_eq_create``)."""
@@ -601,15 +429,9 @@ class DaosClient:
         """
         results = []
         append = results.append
-        stats = self.stats
-        op_metrics = self.op_metrics
         sim = self.sim
         for request in requests:
-            request_op = request.op
-            stats[request_op] = stats.get(request_op, 0) + 1
-            entry = op_metrics.get(request_op)
-            if entry is None:
-                op_metrics[request_op] = entry = OpStats()
+            entry = self._account(request.op)
             start = sim.now
             try:
                 result = yield from request.body()
@@ -625,22 +447,60 @@ class DaosClient:
         self.stats[op] = self.stats.get(op, 0) + 1
 
     def _latency(self):
-        """One-way small-message latency."""
+        """One-way small-message latency, as the event a data-op body yields."""
         return self.sim.timeout(self._message_latency)
 
-    def _target_service(self, target_index: int, service_time: float):
-        """Occupy a slot at a target for ``service_time``.
+    def _reject_if_down(self, target_index: int) -> None:
+        """The server-side check every target service starts with (callers
+        skip it while health is off: the authoritative map cannot change).
 
-        The *authoritative* pool map is consulted first: ops addressed to a
+        The *authoritative* pool map is consulted: ops addressed to a
         non-UP target are rejected before any functional state is touched
         (the server-side DER_TGT_DOWN a stale client observes), which is
         what makes the pool-map-refresh retry safe.
         """
-        if self._health and not self.system.pool_map.is_up(target_index):
+        if not self.system.pool_map.is_up(target_index):
             raise TargetDownError(
                 f"target {target_index} is "
                 f"{self.system.pool_map.state(target_index).value}"
             )
+
+    def _service_leg(self, service, service_time: float):
+        """Leg: hold one slot of ``service`` (a target, the pool service, the
+        MDS) for ``service_time``.
+
+        An uncontended grant is elided: when the slot is free *and* the
+        instant is settled (no other event pending at ``now``), nothing can
+        observe or be reordered against the intermediate grant event, so
+        claiming the slot inline is indistinguishable from dispatching the
+        grant through the queue.  Otherwise the grant travels as a real
+        event, keeping FIFO order against every queued waiter and exact
+        ``(time, seq)`` interleaving with same-instant events.
+        """
+        if self.sim.settled() and service.try_acquire():
+            try:
+                yield service_time
+            finally:
+                service.release_direct()
+        else:
+            request = service.request()
+            yield request
+            try:
+                yield service_time
+            finally:
+                service.release(request)
+
+    def _target_leg(self, target_index: int, service_time: float):
+        """Leg: the authoritative check, then a service slot at the target."""
+        if self._health:
+            self._reject_if_down(target_index)
+        return self._service_leg(self.system.target(target_index).service, service_time)
+
+    def _target_service(self, target_index: int, service_time: float):
+        """Event-yielding :meth:`_target_leg` of the data path (``_shard_io``
+        runs as a bare simulation process)."""
+        if self._health:
+            self._reject_if_down(target_index)
         target = self.system.target(target_index)
         request = target.service.request()
         yield request
@@ -652,26 +512,22 @@ class DaosClient:
     def _refresh_pool_map(self):
         """Refetch the pool map from the pool service (``pool_query``).
 
-        Returns ``True`` when the fetched map is newer than the cached view —
-        the signal the refresh middleware uses to decide whether retrying
-        can possibly help.
+        Called by the refresh middleware, so it yields events.  Returns
+        ``True`` when the fetched map is newer than the cached view — the
+        signal the middleware uses to decide whether retrying can possibly
+        help.
         """
         stale_version = self._map_view.version
         yield self._latency()
-        yield from self._pool_service(self.config.health.pool_query_service_time)
+        yield from self._as_events(
+            self._service_leg(
+                self.system.pool_service, self.config.health.pool_query_service_time
+            )
+        )
         yield self._latency()
         self._map_view = self.system.pool_map.snapshot()
         self.map_refreshes += 1
         return self._map_view.version > stale_version
-
-    def _pool_service(self, service_time: float):
-        """Occupy the (serial) pool service for ``service_time``."""
-        request = self.system.pool_service.request()
-        yield request
-        try:
-            yield self.sim.timeout(service_time)
-        finally:
-            self.system.pool_service.release(request)
 
     def _lead_target(self, obj) -> int:
         """The object's metadata-servicing target, degraded-aware.
@@ -730,7 +586,7 @@ class DaosClient:
     def request_pool_connect(self, pool: Pool) -> Request:
         return Request(
             op="pool_connect",
-            body=lambda: self._do_pool_connect(pool),
+            body=lambda: self._as_events(self._do_pool_connect(pool)),
             detail=pool.label,
         )
 
@@ -739,9 +595,11 @@ class DaosClient:
         return (yield from self._submit(self.request_pool_connect(pool)))
 
     def _do_pool_connect(self, pool: Pool):
-        yield self._latency()
-        yield from self._pool_service(self.config.container_open_service_time)
-        yield self._latency()
+        yield self._message_latency
+        yield from self._service_leg(
+            self.system.pool_service, self.config.container_open_service_time
+        )
+        yield self._message_latency
         return pool
 
     def request_container_create(
@@ -753,7 +611,9 @@ class DaosClient:
     ) -> Request:
         return Request(
             op="container_create",
-            body=lambda: self._do_container_create(pool, uuid, label, is_default),
+            body=lambda: self._as_events(
+                self._do_container_create(pool, uuid, label, is_default)
+            ),
             detail=label or str(uuid),
         )
 
@@ -783,15 +643,15 @@ class DaosClient:
         label: str,
         is_default: bool,
     ):
-        yield self._latency()
+        yield self._message_latency
         request = self.system.pool_service.request()
         yield request
         try:
-            yield self.sim.timeout(self.config.container_create_service_time)
+            yield self.config.container_create_service_time
             container = pool.create_container(uuid=uuid, label=label, is_default=is_default)
         finally:
             self.system.pool_service.release(request)
-        yield self._latency()
+        yield self._message_latency
         self._container_cache[(pool.label, str(container.uuid))] = container
         if label:
             self._container_cache[(pool.label, label)] = container
@@ -819,17 +679,21 @@ class DaosClient:
             yield from self._submit(
                 Request(
                     op="container_open",
-                    body=lambda: self._do_container_open(pool, ref, cache_key),
+                    body=lambda: self._as_events(
+                        self._do_container_open(pool, ref, cache_key)
+                    ),
                     detail=str(ref),
                 )
             )
         )
 
     def _do_container_open(self, pool: Pool, ref: ContainerRef, cache_key):
-        yield self._latency()
-        yield from self._pool_service(self.config.container_open_service_time)
+        yield self._message_latency
+        yield from self._service_leg(
+            self.system.pool_service, self.config.container_open_service_time
+        )
         container = pool.open_container(ref)
-        yield self._latency()
+        yield self._message_latency
         self._container_cache[cache_key] = container
         # A container may be addressable by both label and uuid.
         self._container_cache[(pool.label, str(container.uuid))] = container
@@ -837,26 +701,26 @@ class DaosClient:
 
     def container_exists(self, pool: Pool, ref: ContainerRef):
         """Probe existence (a pool-service lookup)."""
-        if self._fast_ok and self.sim.tracer is None:
+        if self._use_driver and self.sim.tracer is None:
             return (
-                yield self._fast_submit(
-                    "container_exists", self._fast_container_exists(pool, ref), 0
+                yield self._launch(
+                    "container_exists", self._do_container_exists(pool, ref), 0
                 )
             )
         return (
             yield from self._submit(
                 Request(
                     op="container_exists",
-                    body=lambda: self._do_container_exists(pool, ref),
+                    body=lambda: self._as_events(self._do_container_exists(pool, ref)),
                     detail=str(ref),
                 )
             )
         )
 
     def _do_container_exists(self, pool: Pool, ref: ContainerRef):
-        yield self._latency()
-        yield from self._pool_service(self.config.rpc_service_time)
-        yield self._latency()
+        yield self._message_latency
+        yield from self._service_leg(self.system.pool_service, self.config.rpc_service_time)
+        yield self._message_latency
         return pool.has_container(ref)
 
     def container_destroy(self, pool: Pool, ref: ContainerRef):
@@ -871,18 +735,18 @@ class DaosClient:
             yield from self._submit(
                 Request(
                     op="container_destroy",
-                    body=lambda: self._do_container_destroy(pool, ref),
+                    body=lambda: self._as_events(self._do_container_destroy(pool, ref)),
                     detail=str(ref),
                 )
             )
         )
 
     def _do_container_destroy(self, pool: Pool, ref: ContainerRef):
-        yield self._latency()
+        yield self._message_latency
         request = self.system.pool_service.request()
         yield request
         try:
-            yield self.sim.timeout(self.config.container_create_service_time)
+            yield self.config.container_create_service_time
             container = pool.destroy_container(ref)
             for obj in list(container.objects()):
                 if not isinstance(obj, ArrayObject) or obj.nbytes_stored == 0:
@@ -896,7 +760,7 @@ class DaosClient:
                         pool.refund(target, min(length, pool.target_used(target)))
         finally:
             self.system.pool_service.release(request)
-        yield self._latency()
+        yield self._message_latency
         self._container_cache.pop((pool.label, str(container.uuid)), None)
         if container.label:
             self._container_cache.pop((pool.label, container.label), None)
@@ -910,7 +774,9 @@ class DaosClient:
         """
         if container.is_default:
             return
-        yield from self._pool_service(self.config.container_touch_service_time)
+        yield from self._service_leg(
+            self.system.pool_service, self.config.container_touch_service_time
+        )
 
     # -- KV operations ----------------------------------------------------------------
     def kv_open(self, container: Container, oid: ObjectId, oclass: ObjectClass = OC_S1):
@@ -918,28 +784,28 @@ class DaosClient:
         kv = container.get_or_create_kv(oid, oclass)
         if kv.lock is None:
             self.system.register_object(kv, oclass, container_salt=container.uuid.int)
-        if self._fast_ok and self.sim.tracer is None:
-            return (yield self._fast_submit("kv_open", self._fast_kv_open(kv), 0))
+        if self._use_driver and self.sim.tracer is None:
+            return (yield self._launch("kv_open", self._do_kv_open(kv), 0))
         return (
             yield from self._submit(
                 Request(
                     op="kv_open",
-                    body=lambda: self._do_kv_open(kv),
+                    body=lambda: self._as_events(self._do_kv_open(kv)),
                     target=self._lead_target(kv),
                 )
             )
         )
 
     def _do_kv_open(self, kv: KeyValueObject):
-        yield self._latency()
-        yield from self._target_service(self._lead_target(kv), self.config.rpc_service_time)
-        yield self._latency()
+        yield self._message_latency
+        yield from self._target_leg(self._lead_target(kv), self.config.rpc_service_time)
+        yield self._message_latency
         return kv
 
     def request_kv_put(self, kv: KeyValueObject, key: bytes, value: bytes) -> Request:
         return Request(
             op="kv_put",
-            body=lambda: self._do_kv_put(kv, key, value),
+            body=lambda: self._as_events(self._do_kv_put(kv, key, value)),
             target=self._key_target(kv, key),
             nbytes=len(value),
             detail=key,
@@ -952,11 +818,9 @@ class DaosClient:
         time), which is the mechanism behind the paper's shared-index-KV
         contention (§5.2, Fig 4).
         """
-        if self._fast_ok and self.sim.tracer is None:
+        if self._use_driver and self.sim.tracer is None:
             return (
-                yield self._fast_submit(
-                    "kv_put", self._fast_kv_put(kv, key, value), len(value)
-                )
+                yield self._launch("kv_put", self._do_kv_put(kv, key, value), len(value))
             )
         return (yield from self._submit(self.request_kv_put(kv, key, value)))
 
@@ -998,21 +862,23 @@ class DaosClient:
 
     def _do_kv_put(self, kv: KeyValueObject, key: bytes, value: bytes):
         bulk = self._kv_bulk_size(value)
-        yield self._latency()
-        yield kv.lock.acquire_write()
+        yield self._message_latency
+        lock = kv.lock
+        # Uncontended write lock: elided like a service grant (_service_leg).
+        if not (self.sim.settled() and lock.try_acquire_write()):
+            yield lock.acquire_write()
         try:
+            service_time = self.config.kv_put_service_time
             for target in self._kv_write_targets(kv, key):
-                yield from self._target_service(
-                    target, self.config.kv_put_service_time
-                )
+                yield from self._target_leg(target, service_time)
                 if bulk:
                     # The bulk RDMA happens inside the update's serialisation
                     # window (the server pulls the value before it commits).
                     yield from self._kv_bulk(target, bulk, write=True)
             kv.put(key, value)
         finally:
-            kv.lock.release_write()
-        yield self._latency()
+            lock.release_write()
+        yield self._message_latency
 
     def kv_get(self, kv: KeyValueObject, key: bytes):
         """Look up a key; raises :class:`KeyNotFoundError` if absent."""
@@ -1024,7 +890,7 @@ class DaosClient:
     def request_kv_get(self, kv: KeyValueObject, key: bytes) -> Request:
         return Request(
             op="kv_get",
-            body=lambda: self._do_kv_get_or_none(kv, key),
+            body=lambda: self._as_events(self._do_kv_get_or_none(kv, key)),
             target=self._key_target(kv, key),
             detail=key,
         )
@@ -1036,26 +902,28 @@ class DaosClient:
         service time — VOS dkey-tree descent on a hot shared object is what
         bends the Fig 4 read curves.
         """
-        if self._fast_ok and self.sim.tracer is None:
-            return (yield self._fast_submit("kv_get", self._fast_kv_get(kv, key), 0))
+        if self._use_driver and self.sim.tracer is None:
+            return (yield self._launch("kv_get", self._do_kv_get_or_none(kv, key), 0))
         return (yield from self._submit(self.request_kv_get(kv, key)))
 
     def _do_kv_get_or_none(self, kv: KeyValueObject, key: bytes):
-        yield self._latency()
-        yield kv.lock.acquire_write()
+        yield self._message_latency
+        lock = kv.lock
+        if not (self.sim.settled() and lock.try_acquire_write()):
+            yield lock.acquire_write()
         try:
-            yield from self._target_service(
+            yield from self._target_leg(
                 self._key_target(kv, key), self.config.kv_get_service_time
             )
             value = kv.get_or_none(key)
         finally:
-            kv.lock.release_write()
+            lock.release_write()
         bulk = self._kv_bulk_size(value)
         if bulk:
             # Fetch bulk streams back after the dkey-tree descent released
             # the serialisation point — concurrent readers overlap here.
             yield from self._kv_bulk(self._key_target(kv, key), bulk, write=False)
-        yield self._latency()
+        yield self._message_latency
         return value
 
     def kv_list(self, kv: KeyValueObject):
@@ -1064,7 +932,7 @@ class DaosClient:
             yield from self._submit(
                 Request(
                     op="kv_list",
-                    body=lambda: self._do_kv_list(kv),
+                    body=lambda: self._as_events(self._do_kv_list(kv)),
                     target=self._lead_target(kv),
                 )
             )
@@ -1073,29 +941,27 @@ class DaosClient:
     def _do_kv_list(self, kv: KeyValueObject):
         page_size = self.config.kv_list_page_size
         keys = list(kv.keys())
-        yield self._latency()
+        yield self._message_latency
         yield kv.lock.acquire_write()
         try:
             pages = max(1, -(-len(keys) // page_size))
-            yield from self._target_service(
+            yield from self._target_leg(
                 self._lead_target(kv), self.config.kv_get_service_time * pages
             )
         finally:
             kv.lock.release_write()
-        yield self._latency()
+        yield self._message_latency
         return keys
 
     def kv_remove(self, kv: KeyValueObject, key: bytes):
         """Remove a key (same serialisation as a put)."""
-        if self._fast_ok and self.sim.tracer is None:
-            return (
-                yield self._fast_submit("kv_remove", self._fast_kv_remove(kv, key), 0)
-            )
+        if self._use_driver and self.sim.tracer is None:
+            return (yield self._launch("kv_remove", self._do_kv_remove(kv, key), 0))
         return (
             yield from self._submit(
                 Request(
                     op="kv_remove",
-                    body=lambda: self._do_kv_remove(kv, key),
+                    body=lambda: self._as_events(self._do_kv_remove(kv, key)),
                     target=self._key_target(kv, key),
                     detail=key,
                 )
@@ -1103,17 +969,18 @@ class DaosClient:
         )
 
     def _do_kv_remove(self, kv: KeyValueObject, key: bytes):
-        yield self._latency()
-        yield kv.lock.acquire_write()
+        yield self._message_latency
+        lock = kv.lock
+        if not (self.sim.settled() and lock.try_acquire_write()):
+            yield lock.acquire_write()
         try:
+            service_time = self.config.kv_put_service_time
             for target in self._kv_write_targets(kv, key):
-                yield from self._target_service(
-                    target, self.config.kv_put_service_time
-                )
+                yield from self._target_leg(target, service_time)
             kv.remove(key)
         finally:
-            kv.lock.release_write()
-        yield self._latency()
+            lock.release_write()
+        yield self._message_latency
 
     # -- Array operations ---------------------------------------------------------------
     def array_create(
@@ -1125,29 +992,29 @@ class DaosClient:
         array = container.get_or_create_array(oid, oclass)
         if array.lock is None:
             self.system.register_object(array, oclass, container_salt=container.uuid.int)
-        if self._fast_ok and self.sim.tracer is None:
+        if self._use_driver and self.sim.tracer is None:
             return (
-                yield self._fast_submit(
-                    "array_create", self._fast_array_create(container, array), 0
+                yield self._launch(
+                    "array_create", self._do_array_create(container, array), 0
                 )
             )
         return (
             yield from self._submit(
                 Request(
                     op="array_create",
-                    body=lambda: self._do_array_create(container, array),
+                    body=lambda: self._as_events(self._do_array_create(container, array)),
                     target=self._lead_target(array),
                 )
             )
         )
 
     def _do_array_create(self, container: Container, array: ArrayObject):
-        yield self._latency()
+        yield self._message_latency
         yield from self._container_touch(container)
-        yield from self._target_service(
+        yield from self._target_leg(
             self._lead_target(array), self.config.array_create_service_time
         )
-        yield self._latency()
+        yield self._message_latency
         return array
 
     def array_open(self, container: Container, oid: ObjectId):
@@ -1155,74 +1022,68 @@ class DaosClient:
         array = container.get_object(oid)
         if not isinstance(array, ArrayObject):
             raise InvalidArgumentError(f"object {oid} is not an Array")
-        if self._fast_ok and self.sim.tracer is None:
+        if self._use_driver and self.sim.tracer is None:
             return (
-                yield self._fast_submit(
-                    "array_open", self._fast_array_open(container, array), 0
-                )
+                yield self._launch("array_open", self._do_array_open(container, array), 0)
             )
         return (
             yield from self._submit(
                 Request(
                     op="array_open",
-                    body=lambda: self._do_array_open(container, array),
+                    body=lambda: self._as_events(self._do_array_open(container, array)),
                     target=self._lead_target(array),
                 )
             )
         )
 
     def _do_array_open(self, container: Container, array: ArrayObject):
-        yield self._latency()
+        yield self._message_latency
         yield from self._container_touch(container)
-        yield from self._target_service(
+        yield from self._target_leg(
             self._lead_target(array), self.config.array_open_service_time
         )
-        yield self._latency()
+        yield self._message_latency
         return array
 
     def request_array_close(self, array: ArrayObject) -> Request:
         return Request(
             op="array_close",
-            body=lambda: self._do_array_close(array),
+            body=lambda: self._as_events(self._do_array_close(array)),
             target=self._lead_target(array),
         )
 
     def array_close(self, array: ArrayObject):
         """Close an array handle (flush + release)."""
-        if self._fast_ok and self.sim.tracer is None:
-            return (
-                yield self._fast_submit("array_close", self._fast_array_close(array), 0)
-            )
+        if self._use_driver and self.sim.tracer is None:
+            return (yield self._launch("array_close", self._do_array_close(array), 0))
         return (yield from self._submit(self.request_array_close(array)))
 
     def _do_array_close(self, array: ArrayObject):
-        yield from self._target_service(
+        yield from self._target_leg(
             self._lead_target(array), self.config.array_close_service_time
         )
-        yield self._latency()
+        yield self._message_latency
 
     def array_get_size(self, array: ArrayObject):
         """Query the array size (a lead-target RPC)."""
-        if self._fast_ok and self.sim.tracer is None:
+        if self._use_driver and self.sim.tracer is None:
             return (
-                yield self._fast_submit(
-                    "array_get_size", self._fast_array_get_size(array), 0
-                )
+                yield self._launch("array_get_size", self._do_array_get_size(array), 0)
             )
         return (
             yield from self._submit(
                 Request(
                     op="array_get_size",
-                    body=lambda: self._do_array_get_size(array),
+                    body=lambda: self._as_events(self._do_array_get_size(array)),
                     target=self._lead_target(array),
                 )
             )
         )
 
     def _do_array_get_size(self, array: ArrayObject):
-        yield self._latency()
-        yield from self._target_service(self._lead_target(array), self.config.rpc_service_time)
-        yield self._latency()
+        yield self._message_latency
+        yield from self._target_leg(self._lead_target(array), self.config.rpc_service_time)
+        yield self._message_latency
         return array.size
 
     def array_punch(
@@ -1239,7 +1100,9 @@ class DaosClient:
             yield from self._submit(
                 Request(
                     op="array_punch",
-                    body=lambda: self._do_array_punch(container, array, pool),
+                    body=lambda: self._as_events(
+                        self._do_array_punch(container, array, pool)
+                    ),
                     target=self._lead_target(array),
                 )
             )
@@ -1248,10 +1111,10 @@ class DaosClient:
     def _do_array_punch(
         self, container: Container, array: ArrayObject, pool: Optional[Pool]
     ):
-        yield self._latency()
+        yield self._message_latency
         yield array.lock.acquire_write()
         try:
-            yield from self._target_service(
+            yield from self._target_leg(
                 self._lead_target(array), self.config.rpc_service_time
             )
             container.remove_object(array.oid)
@@ -1265,7 +1128,7 @@ class DaosClient:
                         pool.refund(target, min(length, pool.target_used(target)))
         finally:
             array.lock.release_write()
-        yield self._latency()
+        yield self._message_latency
 
     def array_set_size(self, array: ArrayObject, size: int, pool: Optional[Pool] = None):
         """Truncate/extend the array to ``size`` bytes (lead-target RPC).
@@ -1276,17 +1139,19 @@ class DaosClient:
             yield from self._submit(
                 Request(
                     op="array_set_size",
-                    body=lambda: self._do_array_set_size(array, size, pool),
+                    body=lambda: self._as_events(
+                        self._do_array_set_size(array, size, pool)
+                    ),
                     target=self._lead_target(array),
                 )
             )
         )
 
     def _do_array_set_size(self, array: ArrayObject, size: int, pool: Optional[Pool]):
-        yield self._latency()
+        yield self._message_latency
         yield array.lock.acquire_write()
         try:
-            yield from self._target_service(
+            yield from self._target_leg(
                 self._lead_target(array), self.config.rpc_service_time
             )
             before = array.nbytes_stored
@@ -1300,7 +1165,7 @@ class DaosClient:
                     pool.refund(self._lead_target(array), min(freed, pool.target_used(self._lead_target(array))))
         finally:
             array.lock.release_write()
-        yield self._latency()
+        yield self._message_latency
 
     def _shard_io(self, target_index: int, nbytes: int, write: bool):
         """One shard: target service overhead, then the bulk flow."""

@@ -86,7 +86,7 @@ class RWLock:
 
         Returns ``True`` (write lock held, release with
         :meth:`release_write`) exactly when :meth:`acquire_write` would have
-        granted immediately.  Fast-path counterpart of
+        granted immediately.  Lock counterpart of
         :meth:`~repro.simulation.resources.Resource.try_acquire`: only valid
         when the simulator instant is settled, so the elided grant cannot be
         reordered against a same-instant event.

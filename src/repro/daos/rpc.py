@@ -20,6 +20,13 @@ The middleware chain is where cross-cutting concerns live:
   request body (possible precisely because a Request carries a factory, not
   a generator instance).
 
+A ``Request.body`` is always a plain simulation generator (it yields
+Events).  The client writes each metadata op once, in its *leg dialect*
+(``yield <float>`` for a delay), and wraps that body in
+``DaosClient._as_events`` when it builds the Request — so every middleware
+configuration here runs the very body the client's pooled driver runs when
+the chain is the stateless pair :func:`is_plain_chain` recognises.
+
 The default chain (metrics + tracing with tracing disabled) adds no
 simulated events, so the blocking call path stays bit-identical to the
 pre-RPC-layer client — the golden digests in
@@ -58,6 +65,7 @@ __all__ = [
     "PoolMapRefreshMiddleware",
     "RetryMiddleware",
     "compose_chain",
+    "is_plain_chain",
     "merge_op_stats",
 ]
 
@@ -241,11 +249,7 @@ class MetricsMiddleware(Middleware):
     """
 
     def handle(self, client: "DaosClient", request: Request, call):
-        stats = client.stats
-        stats[request.op] = stats.get(request.op, 0) + 1
-        entry = client.op_metrics.get(request.op)
-        if entry is None:
-            client.op_metrics[request.op] = entry = OpStats()
+        entry = client._account(request.op)
         start = client.sim.now
         try:
             result = yield from call(client, request)
@@ -421,30 +425,15 @@ class RetryMiddleware(Middleware):
                 attempt += 1
 
 
-def _plain_metrics(client: "DaosClient", request: Request) -> Generator:
-    """Straight-line dispatch for the plain (metrics-only) chain.
-
-    The exact :class:`MetricsMiddleware` accounting inlined around the op
-    body — two generator frames total (this one plus the body) instead of
-    the composed chain's middleware frames and per-call ``bind`` closures.
-    Outcomes, metrics and timing are bit-identical to the generic chain;
-    ``tests/daos/test_fast_path.py`` enforces it across chain configurations.
-    """
-    stats = client.stats
-    op = request.op
-    stats[op] = stats.get(op, 0) + 1
-    entry = client.op_metrics.get(op)
-    if entry is None:
-        client.op_metrics[op] = entry = OpStats()
-    sim = client.sim
-    start = sim.now
-    try:
-        result = yield from request.body()
-    except BaseException:
-        entry.observe(sim.now - start, request.nbytes, ok=False)
-        raise
-    entry.observe(sim.now - start, request.nbytes, ok=True)
-    return result
+def is_plain_chain(middlewares: List[Middleware]) -> bool:
+    """Whether ``middlewares`` is exactly ``[metrics, tracing]`` -- the chain
+    that keeps no per-client state, and the one a client's pooled op driver
+    may stand in for (``DaosClient._use_driver``)."""
+    return (
+        len(middlewares) == 2
+        and type(middlewares[0]) is MetricsMiddleware
+        and type(middlewares[1]) is TracingMiddleware
+    )
 
 
 def compose_chain(
@@ -455,27 +444,24 @@ def compose_chain(
     The returned callable produces the generator that ``DaosClient._submit``
     drives; the innermost stage invokes ``request.body()``.
 
-    The *plain* chain — exactly ``[MetricsMiddleware, TracingMiddleware]``,
-    the default when fault injection and health are off — is specialised:
-    while no tracer is installed and the request carries no sub-requests,
-    dispatch goes through :func:`_plain_metrics` with zero middleware
-    generator frames.  Tracer installation mid-run (or a multi-op request)
-    falls back to the generically composed chain per call.
+    The *plain* chain (:func:`is_plain_chain`, the default when fault
+    injection and health are off) is specialised: while no tracer is
+    installed and the request carries no sub-requests, the metrics
+    middleware's ``handle`` is called on the terminal directly, skipping the
+    per-call ``bind`` closures.  Tracer installation mid-run (or a multi-op
+    request) falls back to the generically composed chain per call.
     """
 
     def terminal(client: "DaosClient", request: Request) -> Generator:
         return request.body()
 
-    if (
-        len(middlewares) == 2
-        and type(middlewares[0]) is MetricsMiddleware
-        and type(middlewares[1]) is TracingMiddleware
-    ):
+    if is_plain_chain(middlewares):
         generic = middlewares[0].bind(middlewares[1].bind(terminal))
+        metrics = middlewares[0].handle
 
         def plain_handler(client: "DaosClient", request: Request) -> Generator:
             if client.sim.tracer is None and request.subrequests is None:
-                return _plain_metrics(client, request)
+                return metrics(client, request, terminal)
             return generic(client, request)
 
         return plain_handler

@@ -17,10 +17,13 @@ through Lustre's architecture:
   the *same* striped OST/fabric path as DAOS (inherited ``_shard_io``), so
   bandwidth differences are attributable to locking and metadata alone.
 
-Implemented as an override of the DAOS client's ``_do_*`` op bodies: the
-inherited public methods and ``request_*`` builders close over ``self``,
-so the middleware pipeline, event-queue async path, and op bookkeeping are
-shared verbatim rather than forked.
+Implemented as an override of the DAOS client's ``_do_*`` op bodies and
+nothing else: each metadata body is written once, in the leg dialect
+(``yield <float>`` a delay, ``yield <Event>`` a wait; see
+:mod:`repro.daos.client`), and the inherited public methods and
+``request_*`` builders close over ``self``, so both interpreters of a body
+(pooled driver and middleware chain), the event-queue async path and the op
+bookkeeping are shared verbatim rather than forked.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ class PosixClient(DaosClient):
         self._owner = system.next_client_id()
 
     # -- MDS ---------------------------------------------------------------------
-    def _mds_service(self, service_time: float):
-        """Occupy an MDS service thread for ``service_time``.
+    def _mds_leg(self, service_time: float):
+        """Leg: occupy an MDS service thread for ``service_time``.
 
         Rejects the request up front when the MDS queue exceeds the
         configured overload depth — the retry middleware backs off and
@@ -72,167 +75,7 @@ class PosixClient(DaosClient):
             raise MetadataOverloadError(
                 f"MDS request queue at {self.mds.queue_length} (limit {limit})"
             )
-        request = self.mds.request()
-        yield request
-        try:
-            yield self.sim.timeout(service_time)
-        finally:
-            self.mds.release(request)
-
-    def _fast_mds_service(self, service_time: float):
-        """Fast-body MDS occupancy: ``_mds_service`` with grant elision.
-
-        Same overload rejection up front; the uncontended grant is elided
-        (settled-instant guarded) and the service window travels as a fused
-        lane delay, mirroring the DAOS fast bodies' target-service elision.
-        """
-        limit = self.posix.mds_overload_queue
-        mds = self.mds
-        if limit is not None and mds.queue_length >= limit:
-            raise MetadataOverloadError(
-                f"MDS request queue at {mds.queue_length} (limit {limit})"
-            )
-        sim = self.sim
-        if sim.settled() and mds.try_acquire():
-            try:
-                yield service_time
-            finally:
-                mds.release_direct()
-        else:
-            yield from self._service_slow(mds, service_time)
-
-    # -- metadata fast path ------------------------------------------------------
-    def _fast_kv_put(self, kv: KeyValueObject, key: bytes, value: bytes):
-        """Fused-delay body of ``kv_put`` (timeline of the posix ``_do_kv_put``)."""
-        sim = self.sim
-        bulk = self._kv_bulk_size(value)
-        yield self._message_latency
-        lock = self.locks.lock(kv.oid)
-        yield from lock.acquire_write(self._owner)
-        try:
-            yield from self._fast_mds_service(self.posix.mds_update_service)
-            target = self._key_target(kv, key)
-            service = self.system.target(target).service
-            service_time = self.config.kv_put_service_time
-            if sim.settled() and service.try_acquire():
-                try:
-                    yield service_time
-                finally:
-                    service.release_direct()
-            else:
-                yield from self._service_slow(service, service_time)
-            if bulk:
-                yield from self._kv_bulk(target, bulk, write=True)
-            kv.put(key, value)
-        finally:
-            lock.release_write()
-        yield self._message_latency
-
-    def _fast_kv_get(self, kv: KeyValueObject, key: bytes):
-        """Fused-delay body of ``kv_get_or_none`` (posix timeline)."""
-        sim = self.sim
-        yield self._message_latency
-        lock = self.locks.lock(kv.oid)
-        yield from lock.acquire_read(self._owner)
-        try:
-            yield from self._fast_mds_service(self.posix.mds_getattr_service)
-            service = self.system.target(self._key_target(kv, key)).service
-            service_time = self.config.kv_get_service_time
-            if sim.settled() and service.try_acquire():
-                try:
-                    yield service_time
-                finally:
-                    service.release_direct()
-            else:
-                yield from self._service_slow(service, service_time)
-            value = kv.get_or_none(key)
-        finally:
-            lock.release_read()
-        bulk = self._kv_bulk_size(value)
-        if bulk:
-            yield from self._kv_bulk(self._key_target(kv, key), bulk, write=False)
-        yield self._message_latency
-        return value
-
-    def _fast_kv_remove(self, kv: KeyValueObject, key: bytes):
-        """Fused-delay body of ``kv_remove`` (posix timeline)."""
-        sim = self.sim
-        yield self._message_latency
-        lock = self.locks.lock(kv.oid)
-        yield from lock.acquire_write(self._owner)
-        try:
-            yield from self._fast_mds_service(self.posix.mds_unlink_service)
-            service = self.system.target(self._key_target(kv, key)).service
-            service_time = self.config.kv_put_service_time
-            if sim.settled() and service.try_acquire():
-                try:
-                    yield service_time
-                finally:
-                    service.release_direct()
-            else:
-                yield from self._service_slow(service, service_time)
-            kv.remove(key)
-        finally:
-            lock.release_write()
-        yield self._message_latency
-
-    def _fast_kv_open(self, kv: KeyValueObject):
-        """Fused-delay body of ``kv_open`` (posix timeline: an MDS open)."""
-        yield self._message_latency
-        yield from self._fast_mds_service(self.posix.mds_open_service)
-        yield self._message_latency
-        return kv
-
-    def _fast_container_exists(self, pool: Pool, ref):
-        """Fused-delay body of ``container_exists`` (posix: an MDS getattr)."""
-        yield self._message_latency
-        yield from self._fast_mds_service(self.posix.mds_getattr_service)
-        yield self._message_latency
-        return pool.has_container(ref)
-
-    def _fast_container_touch(self, container: Container):
-        """Fused-delay counterpart of the posix ``_container_touch``."""
-        if container.is_default:
-            return
-        yield from self._fast_mds_service(self.posix.mds_getattr_service)
-
-    def _fast_array_create(self, container: Container, array: ArrayObject):
-        """Fused-delay body of ``array_create`` (posix: an MDS create)."""
-        yield self._message_latency
-        yield from self._fast_container_touch(container)
-        yield from self._fast_mds_service(self.posix.mds_create_service)
-        yield self._message_latency
-        return array
-
-    def _fast_array_open(self, container: Container, array: ArrayObject):
-        """Fused-delay body of ``array_open`` (posix: an MDS open)."""
-        yield self._message_latency
-        yield from self._fast_container_touch(container)
-        yield from self._fast_mds_service(self.posix.mds_open_service)
-        yield self._message_latency
-        return array
-
-    def _fast_array_close(self, array: ArrayObject):
-        """Fused-delay body of ``array_close`` (posix: an MDS close)."""
-        yield from self._fast_mds_service(self.posix.mds_close_service)
-        yield self._message_latency
-
-    def _fast_array_get_size(self, array: ArrayObject):
-        """Fused-delay body of ``array_get_size`` (posix: getattr + OST glimpse)."""
-        sim = self.sim
-        yield self._message_latency
-        yield from self._fast_mds_service(self.posix.mds_getattr_service)
-        service = self.system.target(self._lead_target(array)).service
-        service_time = self.config.rpc_service_time
-        if sim.settled() and service.try_acquire():
-            try:
-                yield service_time
-            finally:
-                service.release_direct()
-        else:
-            yield from self._service_slow(service, service_time)
-        yield self._message_latency
-        return array.size
+        return self._service_leg(self.mds, service_time)
 
     # -- extent locking ----------------------------------------------------------
     def _extent_locks(self, array: ArrayObject, size: int) -> List[ExtentLock]:
@@ -249,9 +92,9 @@ class PosixClient(DaosClient):
 
     # -- pool / container --------------------------------------------------------
     def _do_pool_connect(self, pool: Pool):
-        yield self._latency()
-        yield from self._mds_service(self.posix.mds_open_service)
-        yield self._latency()
+        yield self._message_latency
+        yield from self._mds_leg(self.posix.mds_open_service)
+        yield self._message_latency
         return pool
 
     def _do_container_create(
@@ -261,39 +104,39 @@ class PosixClient(DaosClient):
         label: str,
         is_default: bool,
     ):
-        yield self._latency()
-        yield from self._mds_service(self.posix.mds_create_service)
+        yield self._message_latency
+        yield from self._mds_leg(self.posix.mds_create_service)
         container = pool.create_container(uuid=uuid, label=label, is_default=is_default)
-        yield self._latency()
+        yield self._message_latency
         self._container_cache[(pool.label, str(container.uuid))] = container
         if label:
             self._container_cache[(pool.label, label)] = container
         return container
 
     def _do_container_open(self, pool: Pool, ref: ContainerRef, cache_key):
-        yield self._latency()
-        yield from self._mds_service(self.posix.mds_open_service)
+        yield self._message_latency
+        yield from self._mds_leg(self.posix.mds_open_service)
         container = pool.open_container(ref)
-        yield self._latency()
+        yield self._message_latency
         self._container_cache[cache_key] = container
         self._container_cache[(pool.label, str(container.uuid))] = container
         return container
 
     def _do_container_exists(self, pool: Pool, ref: ContainerRef):
-        yield self._latency()
-        yield from self._mds_service(self.posix.mds_getattr_service)
-        yield self._latency()
+        yield self._message_latency
+        yield from self._mds_leg(self.posix.mds_getattr_service)
+        yield self._message_latency
         return pool.has_container(ref)
 
     def _do_container_destroy(self, pool: Pool, ref: ContainerRef):
-        yield self._latency()
+        yield self._message_latency
         request = self.mds.request()
         yield request
         try:
             container = pool.destroy_container(ref)
             objects = list(container.objects())
             # Recursive unlink: the directory plus one entry per object.
-            yield self.sim.timeout(self.posix.mds_unlink_service * (1 + len(objects)))
+            yield self.posix.mds_unlink_service * (1 + len(objects))
             for obj in objects:
                 if not isinstance(obj, ArrayObject) or obj.nbytes_stored == 0:
                     continue
@@ -306,7 +149,7 @@ class PosixClient(DaosClient):
                     pool.refund(target, min(length, pool.target_used(target)))
         finally:
             self.mds.release(request)
-        yield self._latency()
+        yield self._message_latency
         self._container_cache.pop((pool.label, str(container.uuid)), None)
         if container.label:
             self._container_cache.pop((pool.label, container.label), None)
@@ -317,40 +160,40 @@ class PosixClient(DaosClient):
         # metadata traffic that separates "full" from "no containers".
         if container.is_default:
             return
-        yield from self._mds_service(self.posix.mds_getattr_service)
+        yield from self._mds_leg(self.posix.mds_getattr_service)
 
     # -- KV (directory of small files) -------------------------------------------
     def _do_kv_open(self, kv: KeyValueObject):
-        yield self._latency()
-        yield from self._mds_service(self.posix.mds_open_service)
-        yield self._latency()
+        yield self._message_latency
+        yield from self._mds_leg(self.posix.mds_open_service)
+        yield self._message_latency
         return kv
 
     def _do_kv_put(self, kv: KeyValueObject, key: bytes, value: bytes):
         bulk = self._kv_bulk_size(value)
-        yield self._latency()
+        yield self._message_latency
         lock = self.locks.lock(kv.oid)
         yield from lock.acquire_write(self._owner)
         try:
             # The flock is held across the MDS update: writers convoy behind
             # both the lock *and* the metadata server.
-            yield from self._mds_service(self.posix.mds_update_service)
+            yield from self._mds_leg(self.posix.mds_update_service)
             target = self._key_target(kv, key)
-            yield from self._target_service(target, self.config.kv_put_service_time)
+            yield from self._target_leg(target, self.config.kv_put_service_time)
             if bulk:
                 yield from self._kv_bulk(target, bulk, write=True)
             kv.put(key, value)
         finally:
             lock.release_write()
-        yield self._latency()
+        yield self._message_latency
 
     def _do_kv_get_or_none(self, kv: KeyValueObject, key: bytes):
-        yield self._latency()
+        yield self._message_latency
         lock = self.locks.lock(kv.oid)
         yield from lock.acquire_read(self._owner)
         try:
-            yield from self._mds_service(self.posix.mds_getattr_service)
-            yield from self._target_service(
+            yield from self._mds_leg(self.posix.mds_getattr_service)
+            yield from self._target_leg(
                 self._key_target(kv, key), self.config.kv_get_service_time
             )
             value = kv.get_or_none(key)
@@ -359,76 +202,76 @@ class PosixClient(DaosClient):
         bulk = self._kv_bulk_size(value)
         if bulk:
             yield from self._kv_bulk(self._key_target(kv, key), bulk, write=False)
-        yield self._latency()
+        yield self._message_latency
         return value
 
     def _do_kv_list(self, kv: KeyValueObject):
         page_size = self.config.kv_list_page_size
         keys = list(kv.keys())
-        yield self._latency()
+        yield self._message_latency
         lock = self.locks.lock(kv.oid)
         yield from lock.acquire_read(self._owner)
         try:
             # readdir: one MDS round per page of directory entries.
             pages = max(1, -(-len(keys) // page_size))
-            yield from self._mds_service(self.posix.mds_getattr_service * pages)
+            yield from self._mds_leg(self.posix.mds_getattr_service * pages)
         finally:
             lock.release_read()
-        yield self._latency()
+        yield self._message_latency
         return keys
 
     def _do_kv_remove(self, kv: KeyValueObject, key: bytes):
-        yield self._latency()
+        yield self._message_latency
         lock = self.locks.lock(kv.oid)
         yield from lock.acquire_write(self._owner)
         try:
-            yield from self._mds_service(self.posix.mds_unlink_service)
-            yield from self._target_service(
+            yield from self._mds_leg(self.posix.mds_unlink_service)
+            yield from self._target_leg(
                 self._key_target(kv, key), self.config.kv_put_service_time
             )
             kv.remove(key)
         finally:
             lock.release_write()
-        yield self._latency()
+        yield self._message_latency
 
     # -- arrays (striped files) --------------------------------------------------
     def _do_array_create(self, container: Container, array: ArrayObject):
-        yield self._latency()
+        yield self._message_latency
         yield from self._container_touch(container)
-        yield from self._mds_service(self.posix.mds_create_service)
-        yield self._latency()
+        yield from self._mds_leg(self.posix.mds_create_service)
+        yield self._message_latency
         return array
 
     def _do_array_open(self, container: Container, array: ArrayObject):
-        yield self._latency()
+        yield self._message_latency
         yield from self._container_touch(container)
-        yield from self._mds_service(self.posix.mds_open_service)
-        yield self._latency()
+        yield from self._mds_leg(self.posix.mds_open_service)
+        yield self._message_latency
         return array
 
     def _do_array_close(self, array: ArrayObject):
-        yield from self._mds_service(self.posix.mds_close_service)
-        yield self._latency()
+        yield from self._mds_leg(self.posix.mds_close_service)
+        yield self._message_latency
 
     def _do_array_get_size(self, array: ArrayObject):
         # stat: MDS getattr plus a size glimpse at the lead OST (Lustre asks
         # the OSTs for object sizes — the part of stat that scales badly).
-        yield self._latency()
-        yield from self._mds_service(self.posix.mds_getattr_service)
-        yield from self._target_service(
+        yield self._message_latency
+        yield from self._mds_leg(self.posix.mds_getattr_service)
+        yield from self._target_leg(
             self._lead_target(array), self.config.rpc_service_time
         )
-        yield self._latency()
+        yield self._message_latency
         return array.size
 
     def _do_array_punch(
         self, container: Container, array: ArrayObject, pool: Optional[Pool]
     ):
-        yield self._latency()
+        yield self._message_latency
         lock = self.locks.lock(array.oid)
         yield from lock.acquire_write(self._owner)
         try:
-            yield from self._mds_service(self.posix.mds_unlink_service)
+            yield from self._mds_leg(self.posix.mds_unlink_service)
             container.remove_object(array.oid)
             if pool is not None and array.nbytes_stored > 0:
                 stripes = array.oclass.resolve_stripes(self.system.n_targets)
@@ -440,14 +283,14 @@ class PosixClient(DaosClient):
                     pool.refund(target, min(length, pool.target_used(target)))
         finally:
             lock.release_write()
-        yield self._latency()
+        yield self._message_latency
 
     def _do_array_set_size(self, array: ArrayObject, size: int, pool: Optional[Pool]):
-        yield self._latency()
+        yield self._message_latency
         lock = self.locks.lock(array.oid)
         yield from lock.acquire_write(self._owner)
         try:
-            yield from self._mds_service(self.posix.mds_update_service)
+            yield from self._mds_leg(self.posix.mds_update_service)
             before = array.nbytes_stored
             array.truncate(size)
             if pool is not None:
@@ -457,7 +300,7 @@ class PosixClient(DaosClient):
                     pool.refund(lead, min(freed, pool.target_used(lead)))
         finally:
             lock.release_write()
-        yield self._latency()
+        yield self._message_latency
 
     def _do_array_write(
         self, array: ArrayObject, offset: int, payload, pool: Optional[Pool]

@@ -131,12 +131,12 @@ class Simulator:
     def settled(self) -> bool:
         """True when no pending event is scheduled for the current instant.
 
-        This is the guard the metadata fast path uses before eliding a
+        This is the guard the metadata op bodies use before eliding a
         resource/lock grant event: when the instant is settled, nothing else
         can observe (or be reordered against) the intermediate grant, so
         continuing inline is indistinguishable from dispatching the grant
-        through the queue.  With a foreign event pending at ``now`` the fast
-        path falls back to the event-based grant, preserving exact
+        through the queue.  With a foreign event pending at ``now`` they
+        fall back to the event-based grant, preserving exact
         ``(time, seq)`` interleaving.
 
         O(1): the instant is settled exactly when the live bucket is empty.
@@ -194,9 +194,9 @@ class Simulator:
         A lane event is a plain :class:`Event` whose owner re-arms it for
         successive delays by resetting ``_value`` to ``PENDING``, installing
         its own callback list, and calling :meth:`_schedule` directly — the
-        fused-delay mechanism of the metadata fast path
+        fused-delay mechanism of the metadata op driver
         (:class:`~repro.daos.client._FastDriver`).  Recycling through the
-        simulator-wide freelist means a storm of fast metadata ops allocates
+        simulator-wide freelist means a storm of metadata ops allocates
         O(concurrent ops) events instead of three fresh Timeouts per op.
 
         The caller owns the event until :meth:`lane_release`; lane events

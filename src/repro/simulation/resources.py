@@ -75,7 +75,8 @@ class Resource:
 
         Returns ``True`` (slot held, release with :meth:`release_direct`)
         exactly when :meth:`request` would have granted immediately.  Used
-        by the metadata fast path to elide uncontended grant events; callers
+        by the metadata service leg (``DaosClient._service_leg``) to elide
+        uncontended grant events; callers
         must only do so when the simulator instant is settled
         (:meth:`~repro.simulation.core.Simulator.settled`), otherwise grant
         ordering against same-instant events could differ from the event

@@ -238,6 +238,47 @@ def test_metadata_overload_error_past_mds_queue():
     assert "overload" in outcomes
 
 
+@pytest.mark.parametrize("interpreter", ["driver", "retry_chain"])
+def test_metadata_overload_error_from_the_one_mds_leg(interpreter):
+    """The hot metadata bodies reach the MDS through the same leg as the cold
+    ones, so the overload rejection holds whichever interpreter runs them."""
+    config_kwargs = {}
+    if interpreter == "retry_chain":
+        # [metrics, retry, tracing, fault] with no injected faults: the only
+        # failures the retry sees are the MDS's own rejections.
+        config_kwargs["daos"] = DaosServiceConfig(
+            fault_injection=FaultInjectionConfig(enabled=True, rate=0.0)
+        )
+    cluster, system, pool = _posix_env(
+        PosixServiceConfig(mds_service_threads=1, mds_overload_queue=1), **config_kwargs
+    )
+    clients = [system.make_client(a) for a in cluster.client_addresses(8)]
+    container = run_process(cluster, clients[0].container_create(pool, label="c"))
+    outcomes = []
+
+    def worker(client, rank):
+        try:
+            yield from client.kv_open(container, ObjectId.from_user(0, 0x80 + rank), OC_S1)
+        except MetadataOverloadError:
+            outcomes.append("overload")
+            return
+        outcomes.append("done")
+
+    processes = [
+        cluster.sim.process(worker(c, rank)) for rank, c in enumerate(clients)
+    ]
+    cluster.sim.run(until=cluster.sim.all_of(processes))
+    rejected = sum(c.op_metrics["kv_open"].errors for c in clients)
+    retried = sum(c.op_metrics["kv_open"].retries for c in clients)
+    if interpreter == "driver":
+        assert bool(system.fast_drivers)
+        assert outcomes.count("overload") == rejected > 0 == retried
+    else:
+        assert not system.fast_drivers
+        assert retried > 0, "the MDS rejected nothing for the retry to resend"
+        assert outcomes.count("done") + rejected == len(clients)
+
+
 def test_posix_errors_are_retryable_faults():
     """Both posixfs overload errors slot into the simulated-fault hierarchy,
     so the existing retry middleware handles them with no FieldIO changes."""

@@ -282,3 +282,25 @@ def test_concurrent_writers_to_one_engine_share_scm_bandwidth():
     # Bounded by the two engines' write path (~5.2 GiB/s aggregate).
     assert bandwidth < 5.5 * GiB
     assert bandwidth > 3.0 * GiB
+
+
+def test_as_events_adapter_is_transparent_to_sends_throws_and_returns():
+    """``_as_events`` turns float legs into timeouts and nothing else: event
+    values, event failures and the body's return value pass straight through."""
+    cluster, _system, _pool, client = make_env()
+    sim = cluster.sim
+    seen = []
+
+    def legs():
+        seen.append((yield 0.5))                          # delay leg
+        seen.append((yield sim.timeout(0.25, value="v")))  # event leg, value sent back
+        try:
+            yield sim.event().fail(KeyNotFoundError("boom"))
+        except KeyNotFoundError as error:                 # failure thrown into the body
+            seen.append(str(error))
+        yield 1                                           # int delays count too
+        return "done"
+
+    assert run_process(cluster, client._as_events(legs())) == "done"
+    assert seen == [None, "v", "boom"]
+    assert sim.now == 1.75

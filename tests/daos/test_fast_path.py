@@ -1,29 +1,52 @@
-"""Bitwise identity of the metadata-plane fast path vs the generic chain.
+"""One body per metadata op, two interpreters: identity rails.
 
-The fast path (``DaosClient._fast_submit`` + fused-delay bodies + the
-plain-chain specialisation in ``compose_chain``) is contractually invisible:
-with ``REPRO_RPC_FAST=0`` every op must produce the *same bits* — event
-timings, return values, per-op metrics, final clock — as with the fast path
-engaged.  These tests run one deterministic metadata storm twice (fast vs
-generic) and compare full fingerprints, across middleware-chain shapes,
-both storage backends, and a tracer installed mid-run.
+Every metadata op has a single leg-dialect body (``DaosClient._do_*``) that
+runs either on a pooled ``_FastDriver`` (plain chain, health off, no tracer)
+or through the middleware chain behind ``DaosClient._as_events``.  Which
+interpreter runs it, and whether an uncontended grant is elided or travels
+as a real event, must never show in the outcome: the same bits -- event
+timings, return values, per-op metrics, final clock, ``rpc`` spans.
+
+The reference timelines are frozen below as SHA-256 goldens.  They were
+recorded at the last commit that still carried the Event-dialect ``_do_*``
+twins (the de-facto timeline oracle), on both of its paths
+(``REPRO_RPC_FAST`` unset and ``=0``, equal digests); they pin those
+timelines now that the twins are gone.  Each scenario is checked on the
+driver and on the chain (a pass-through middleware in the default chain
+keeps it off the driver), and again with every grant forced through the
+event queue.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.bench.runner import build_deployment
 from repro.config import ClusterConfig, FaultInjectionConfig
-from repro.daos.client import DaosClient
 from repro.daos.errors import ServiceBusyError, SimulatedFaultError
+from repro.daos.locks import RWLock
 from repro.daos.objclass import OC_S1, OC_SX
 from repro.daos.oid import ObjectId
-from repro.daos.rpc import MetricsMiddleware, TracingMiddleware
+from repro.daos.rpc import Middleware, MetricsMiddleware, TracingMiddleware
 from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
+from repro.simulation.resources import Resource
+from repro.simulation.trace import Tracer
 
 N_CLIENTS = 4
 OPS = 12
+
+#: sha256 of each scenario's fingerprint (``_digest``), frozen at the parent
+#: of the commit that deleted the ``_do_*``/``_fast_*`` twins.
+GOLDEN = {
+    "plain-daos": "2450c9f3293abd2172939197346f3906bf3836fd912baf91a2dc14496471b69a",
+    "plain-posixfs": "3dc6f70385396466f5638873ec71c4726c1ff8119293feb429b4c8ce29a0de07",
+    "pool_map_refresh": "2450c9f3293abd2172939197346f3906bf3836fd912baf91a2dc14496471b69a",
+    "retry_fault": "6ae69be97189cf30810279973bd954e5414bc5afa86b47c4bf12830c4c77aa66",
+    "qos-daos": "2450c9f3293abd2172939197346f3906bf3836fd912baf91a2dc14496471b69a",
+    "qos-posixfs": "3dc6f70385396466f5638873ec71c4726c1ff8119293feb429b4c8ce29a0de07",
+    "mid_run_tracer": "5478cce516a8438c1b89d51798e6eae01b36e4a3820ad7c0ef33f81713549881",
+}
 
 
 def _fingerprint(sim, clients, trajectory, results, shared_kv):
@@ -31,13 +54,19 @@ def _fingerprint(sim, clients, trajectory, results, shared_kv):
         "now": float(sim.now).hex(),
         "trajectory": [(rank, op, t.hex()) for rank, op, t in trajectory],
         "results": results,
-        "stats": [dict(c.stats) for c in clients],
+        "stats": [sorted(c.stats.items()) for c in clients],
         "op_metrics": [
-            {op: entry.as_dict() for op, entry in sorted(c.op_metrics.items())}
+            [(op, sorted(entry.as_dict().items())) for op, entry in sorted(c.op_metrics.items())]
             for c in clients
         ],
         "shared_keys": sorted(shared_kv.keys()),
     }
+
+
+def _digest(fingerprint, spans) -> str:
+    """Canonical hash: every container above is ordered, floats are exact."""
+    canonical = repr(sorted(fingerprint.items())) + repr(spans)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _run_storm(backend="daos", config=None, chain_factory=None, mid_run_hook=None):
@@ -97,10 +126,10 @@ def _run_storm(backend="daos", config=None, chain_factory=None, mid_run_hook=Non
                 results.append((rank, op, value))
             except SimulatedFaultError:
                 # Retry budget exhausted under the fault chain; the failure
-                # itself must be bit-identical across paths.
+                # itself must be bit-identical across interpreters.
                 results.append((rank, op, "fault"))
-            # Shared-object put: genuine write-lock contention, so the
-            # fast path must fall back to real grant events here.
+            # Shared-object put: genuine write-lock contention, so the body
+            # must fall back to real grant events here.
             try:
                 yield from client.kv_put(shared_kv, f"s/{op}".encode(), b"w")
             except (ServiceBusyError, SimulatedFaultError):
@@ -131,100 +160,126 @@ def _run_storm(backend="daos", config=None, chain_factory=None, mid_run_hook=Non
         for rank, client in enumerate(clients)
     ]
     sim.run(until=sim.all_of(workers))
-    return _fingerprint(sim, clients, trajectory, results, shared_kv), clients
+    return _fingerprint(sim, clients, trajectory, results, shared_kv), system
 
 
-def _compare(monkeypatch, **kwargs):
-    fast, fast_clients = _run_storm(**kwargs)
-    monkeypatch.setenv("REPRO_RPC_FAST", "0")
-    generic, generic_clients = _run_storm(**kwargs)
-    monkeypatch.delenv("REPRO_RPC_FAST")
-    assert fast == generic
-    return fast_clients, generic_clients
+def _daos_config(n_server_nodes=1, **overrides) -> ClusterConfig:
+    base = ClusterConfig(n_server_nodes=n_server_nodes, n_client_nodes=1, seed=5)
+    return dataclasses.replace(base, daos=dataclasses.replace(base.daos, **overrides))
 
 
-@pytest.mark.parametrize("backend", ["daos", "posixfs"])
-def test_plain_chain_identity(monkeypatch, backend):
-    """Default chain: the fast path engages and is bit-invisible."""
-    fast_clients, generic_clients = _compare(monkeypatch, backend=backend)
-    # Not vacuous: the first run really took the fast path, the second not.
-    assert all(c._fast_ok for c in fast_clients)
-    assert not any(c._fast_ok for c in generic_clients)
+def _qos_chain(system):
+    return [
+        MetricsMiddleware(),
+        QosAdmissionMiddleware(
+            "tenant",
+            QosPolicy(rate=5000.0, burst=2.0, max_queue_depth=1),
+            ops=("kv_get",),
+        ),
+        TracingMiddleware(),
+    ]
 
 
-def test_pool_map_refresh_chain_identity(monkeypatch):
-    """Health-enabled chain ([metrics, refresh, tracing]): generic only."""
-    base = ClusterConfig(n_server_nodes=2, n_client_nodes=1, seed=5)
-    config = dataclasses.replace(
-        base, daos=dataclasses.replace(
-            base.daos, health=dataclasses.replace(base.daos.health, enabled=True)
-        )
-    )
-    fast_clients, _ = _compare(monkeypatch, config=config)
-    assert not any(c._fast_ok for c in fast_clients)
+def _pass_through_chain(system):
+    """The default chain plus a do-nothing middleware: same timeline, but no
+    longer exactly ``[metrics, tracing]``, so the ops run through the chain."""
+    return [MetricsMiddleware(), Middleware(), TracingMiddleware()]
 
 
-def test_retry_fault_chain_identity(monkeypatch):
-    """Faulty chain ([metrics, retry, tracing, fault]): generic only."""
-    base = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=5)
-    config = dataclasses.replace(
-        base, daos=dataclasses.replace(
-            base.daos,
-            fault_injection=FaultInjectionConfig(enabled=True, rate=0.2, seed=11),
-        )
-    )
-    fast_clients, _ = _compare(monkeypatch, config=config)
-    assert not any(c._fast_ok for c in fast_clients)
+def _scenario(name):
+    """``_run_storm`` keyword arguments of one frozen configuration."""
+    kind, _, backend = name.partition("-")
+    if kind == "plain":
+        return dict(backend=backend)
+    if kind == "qos":
+        return dict(backend=backend, chain_factory=_qos_chain)
+    if kind == "pool_map_refresh":
+        # Health-enabled chain: [metrics, refresh, tracing].
+        health = dataclasses.replace(ClusterConfig().daos.health, enabled=True)
+        return dict(config=_daos_config(n_server_nodes=2, health=health))
+    if kind == "retry_fault":
+        # Faulty chain: [metrics, retry, tracing, fault].
+        fault = FaultInjectionConfig(enabled=True, rate=0.2, seed=11)
+        return dict(config=_daos_config(fault_injection=fault))
+    assert kind == "mid_run_tracer"
+    return {}
 
 
-@pytest.mark.parametrize("backend", ["daos", "posixfs"])
-def test_qos_chain_identity(monkeypatch, backend):
-    """A QoS chain (serving tier) keeps the generic path; env var is inert."""
-
-    def chain(system):
-        return [
-            MetricsMiddleware(),
-            QosAdmissionMiddleware(
-                "tenant",
-                QosPolicy(rate=5000.0, burst=2.0, max_queue_depth=1),
-                ops=("kv_get",),
-            ),
-            TracingMiddleware(),
-        ]
-
-    fast_clients, _ = _compare(monkeypatch, backend=backend, chain_factory=chain)
-    assert not any(c._fast_ok for c in fast_clients)
-
-
-def test_mid_run_tracer_installation_falls_back(monkeypatch):
-    """Installing a tracer mid-run flips live fast-path clients to generic."""
-    from repro.simulation.trace import Tracer
-
+def _run(name, **overrides):
+    """Run scenario ``name``; returns ``(digest, system, rpc spans)``."""
     tracers = []
 
     def install(sim):
         sim.tracer = Tracer()
         tracers.append(sim.tracer)
 
-    fast, _ = _run_storm(mid_run_hook=install)
-    fast_spans = [(s.time, s.kind, s.fields) for s in tracers[-1].filter("rpc")]
-    assert fast_spans, "tracer must capture spans after mid-run installation"
+    kwargs = {**_scenario(name), **overrides}
+    if name == "mid_run_tracer":
+        kwargs["mid_run_hook"] = install
+    fingerprint, system = _run_storm(**kwargs)
+    spans = [
+        (s.time.hex(), s.kind, sorted(s.fields.items()))
+        for tracer in tracers
+        for s in tracer.filter("rpc")
+    ]
+    return _digest(fingerprint, spans), system, spans
 
-    monkeypatch.setenv("REPRO_RPC_FAST", "0")
-    generic, _ = _run_storm(mid_run_hook=install)
-    monkeypatch.delenv("REPRO_RPC_FAST")
-    generic_spans = [(s.time, s.kind, s.fields) for s in tracers[-1].filter("rpc")]
 
-    assert fast == generic
-    assert fast_spans == generic_spans
+def _ran_on_driver(system) -> bool:
+    """Finished drivers return to the system's free-list; the chain makes none."""
+    return bool(system.fast_drivers)
 
 
-def test_escape_hatch_env_var_disables_fast_path(monkeypatch):
-    """REPRO_RPC_FAST=0 at client construction disables the fast path."""
-    cluster, system, _pool = build_deployment(
-        ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=5)
-    )
-    address = cluster.client_addresses(1)[0]
-    assert DaosClient(system, address)._fast_ok
-    monkeypatch.setenv("REPRO_RPC_FAST", "0")
-    assert not DaosClient(system, address)._fast_ok
+@pytest.mark.parametrize("backend", ["daos", "posixfs"])
+def test_plain_chain_identity(backend):
+    """Driver vs chain: the default chain runs the bodies on ``_FastDriver``,
+    a pass-through middleware sends the same bodies through the chain."""
+    name = f"plain-{backend}"
+    on_driver, system, _ = _run(name)
+    assert _ran_on_driver(system)
+    on_chain, system, _ = _run(name, chain_factory=_pass_through_chain)
+    assert not _ran_on_driver(system)
+    assert on_driver == on_chain == GOLDEN[name]
+
+
+def _assert_on_chain(name):
+    digest, system, _ = _run(name)
+    assert not _ran_on_driver(system)
+    assert digest == GOLDEN[name]
+
+
+def test_pool_map_refresh_chain_identity():
+    """Health-enabled chain ([metrics, refresh, tracing]): never the driver."""
+    _assert_on_chain("pool_map_refresh")
+
+
+def test_retry_fault_chain_identity():
+    """Faulty chain ([metrics, retry, tracing, fault]): never the driver."""
+    _assert_on_chain("retry_fault")
+
+
+@pytest.mark.parametrize("backend", ["daos", "posixfs"])
+def test_qos_chain_identity(backend):
+    """A QoS chain (serving tier) keeps the bodies on the chain."""
+    _assert_on_chain(f"qos-{backend}")
+
+
+def test_mid_run_tracer_installation_falls_back():
+    """Installing a tracer mid-run moves live driver clients onto the chain."""
+    digest, system, spans = _run("mid_run_tracer")
+    assert _ran_on_driver(system), "ops before the tracer ride the driver"
+    assert spans, "tracer must capture spans after mid-run installation"
+    assert digest == GOLDEN["mid_run_tracer"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_elided_grants_match_real_grants(name, monkeypatch):
+    """Elision vs real grants: with every ``try_acquire`` refused, each
+    service slot and object lock is granted by a queued event instead."""
+    monkeypatch.setattr(Resource, "try_acquire", lambda self: False)
+    monkeypatch.setattr(RWLock, "try_acquire_write", lambda self: False)
+    digest, _, _ = _run(name)
+    assert digest == GOLDEN[name]
+    if name.startswith("plain"):
+        on_chain, _, _ = _run(name, chain_factory=_pass_through_chain)
+        assert on_chain == GOLDEN[name]

@@ -6,6 +6,7 @@ from repro.config import ClusterConfig, DaosServiceConfig, EngineFailureEvent, H
 from repro.daos.client import DaosClient
 from repro.daos.errors import TargetDownError
 from repro.daos.objclass import OC_RP_2G1, OC_S1
+from repro.daos.oid import ObjectId
 from repro.daos.payload import PatternPayload
 from repro.daos.system import DaosSystem
 from repro.hardware.topology import Cluster
@@ -139,3 +140,43 @@ def test_rebuild_without_affected_objects_still_excludes():
     (run,) = system.rebuild.runs
     assert run.shards_rebuilt == 0 and run.bytes_moved == 0
     assert run.completed is not None
+
+
+@pytest.mark.parametrize("op", ["kv_put", "kv_get", "array_open"])
+def test_metadata_op_on_down_target_is_rejected_before_any_state_change(op):
+    """The metadata bodies keep the authoritative check the data path has: an
+    op addressed to a DOWN non-replicated target raises, leaves functional
+    state untouched and holds no lock afterwards."""
+    cluster, system, pool, client = make_env()
+    lost_targets = engine_targets(system, 1)
+
+    def setup():
+        container = yield from client.container_create(pool, label="c", is_default=True)
+        # Placement cycles over engines: of four S1 objects some land on engine 1.
+        kvs, arrays = [], []
+        for index in range(4):
+            kv = yield from client.kv_open(container, ObjectId.from_user(0, 0x50 + index), OC_S1)
+            yield from client.kv_put(kv, b"old", b"kept")
+            kvs.append(kv)
+            arrays.append((yield from client.array_create(container, OC_S1)))
+        return container, kvs, arrays
+
+    container, kvs, arrays = run_process(cluster, setup())
+    kv = next(kv for kv in kvs if kv.layout[0] in lost_targets)
+    array = next(array for array in arrays if array.layout[0] in lost_targets)
+
+    system.arm_failure_schedule()
+    cluster.sim.run()
+
+    attempt = {
+        "kv_put": lambda: client.kv_put(kv, b"new", b"lost"),
+        "kv_get": lambda: client.kv_get(kv, b"old"),
+        "array_open": lambda: client.array_open(container, array.oid),
+    }[op]
+    with pytest.raises(TargetDownError):
+        run_process(cluster, attempt())
+    assert sorted(kv.keys()) == [b"old"]
+    assert not kv.lock.write_locked and kv.lock.queue_length == 0
+    # One refresh learned of the failure; the retry met the same dead target.
+    assert client.map_refreshes == 2
+    assert client.op_metrics[op].errors == 1

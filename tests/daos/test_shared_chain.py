@@ -95,7 +95,7 @@ def test_stateful_chains_stay_private():
         system, cluster, middleware=[MetricsMiddleware(), qos, TracingMiddleware()]
     )
     assert tenants[0]._chain is not tenants[1]._chain
-    assert not tenants[0]._fast_ok
+    assert not tenants[0]._use_driver
 
     # Fault injection and health: the default chain carries per-client state.
     for overrides in (
@@ -107,4 +107,4 @@ def test_stateful_chains_stay_private():
         assert system.plain_chain is None
         assert first._chain is not second._chain
         assert all(a is not b for a, b in zip(first.middleware, second.middleware))
-        assert not first._fast_ok
+        assert not first._use_driver
