@@ -16,7 +16,7 @@ reference (``benchmarks/bench_quick_baseline.json``):
    wall time, after scaling by a per-run calibration factor measured on the
    untimed scenarios so a slower CI runner does not trip the gate.
 
-Wall times are min-of-``--repeat`` (default 3): the minimum is the only
+Wall times are min-of-``--repeat`` (default 5): the minimum is the only
 repeat statistic that converges on a noisy shared runner.
 
 Recalibrate after an intentional kernel change::
@@ -71,7 +71,7 @@ GATED = (
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reference", type=Path, default=REFERENCE)
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument(
         "--slack", type=float, default=0.25,
         help="allowed fractional wall regression on gated scenarios",

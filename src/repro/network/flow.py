@@ -17,7 +17,8 @@ Performance notes (the kernel fast path, see ``repro bench``).  Two kernels
 compute the same allocation — :meth:`FlowNetwork._solve_scalar` over
 (path, cap) groups in pure Python, :meth:`FlowNetwork._solve_vector` over
 flows in numpy — and the network picks between them from what it can
-observe (the groups in a solve's scope), never from a setting:
+observe (the live groups and the flows in a solve's scope), never from a
+setting:
 
 * **Same-instant batching.**  All flow-set changes at one simulated
   timestamp — a synchronised wave of arrivals, a batch of completions, and
@@ -46,10 +47,12 @@ observe (the groups in a solve's scope), never from a setting:
   minimum, so a link's result depends only on its step *count* — and once
   a clamp fires the value is pinned at 0.0 for the rest of the round
   (0.0 - m clamps back to 0.0).
-* **The scalar kernel, link-driven.**  It serves every solve with fewer
-  than ``_VEC_SOLVE_MIN`` groups in scope — in the paper's Field I/O
-  regime (~6 flows in ~6 groups over ~29 links, 2–3 filling rounds) and in
-  every synchronised storm (100k flows on 20 paths) that is all of them.
+* **The scalar kernel, link-driven.**  It serves every solve outside the
+  arena, and every arena solve with fewer than ``_VEC_SOLVE_MIN`` live
+  groups or fewer than ``_VEC_SOLVE_MIN`` flows in scope.  In the paper's
+  Field I/O regime (~6 flows in ~6 groups over ~29 links, 2–3 filling
+  rounds) and in every synchronised storm (100k flows on 20 paths) that
+  is every solve.
   Two incrementally maintained aggregates make it cheap: ``Link.groups``
   (group -> multiplicity, touched only when a group appears or disappears)
   lets one traversal discover the perturbed component *and* initialise its
@@ -74,14 +77,15 @@ observe (the groups in a solve's scope), never from a setting:
   of a fixed-stride incidence matrix padded with a sentinel "link" whose
   fair share is pinned to +inf.  Progress debits, completion scans and
   component discovery are then a handful of whole-array operations each —
-  no per-flow Python.  A solve with ``_VEC_SOLVE_MIN`` or more groups in
-  scope (the wide Field I/O regime: hundreds of processes on *distinct*
-  client→engine paths) runs ``_solve_vector``, the textbook per-flow pass
-  as array operations; one with fewer stays on the scalar kernel, which
-  then writes a rate per group row (``_g_rate``) for ``_fan_out`` to
-  scatter over the flow columns.  The link-link co-traversal adjacency the
-  vector scoper walks is *lazy*: nothing reads it outside the arena, so it
-  is rebuilt from the live groups on entry and maintained only until exit.
+  no per-flow Python.  An arena solve with at least ``_VEC_SOLVE_MIN``
+  live groups *and* at least ``_VEC_SOLVE_MIN`` flows in scope (the wide
+  Field I/O regime: hundreds of processes on *distinct* client→engine
+  paths) runs ``_solve_vector``, the textbook per-flow pass as array
+  operations; any other stays on the scalar kernel, which then writes a
+  rate per group row (``_g_rate``) for ``_fan_out`` to scatter over the
+  flow columns.  The vector scoper keeps no topology of its own: it
+  expands the dirty seeds through the incidence matrix itself, so the
+  arena holds nothing the membership bookkeeping must keep in step.
   Every floating-point operation matches the scalar kernel bit for bit
   (``tests/network/test_flow_vector.py``); DESIGN.md §6 has the
   measurements behind the thresholds and behind one array kernel, not two.
@@ -121,8 +125,9 @@ _VEC_ON = 96
 _VEC_OFF = 24
 
 #: Minimum size for a vectorized pass to beat scalar Python: solves with
-#: fewer rows (groups in scope) stay on the scalar kernel even while the
-#: arena is active, and it folds debit chains this long in numpy.
+#: fewer rows (live groups, or flows in scope) stay on the scalar kernel
+#: even while the arena is active, and it folds debit chains this long in
+#: numpy.
 _VEC_SOLVE_MIN = 40
 
 
@@ -309,7 +314,7 @@ class Flow:
 
     While in flight, ``remaining``/``rate`` read through to wherever the
     owning network keeps its hot state (plain attributes in scalar mode, the
-    numpy arena in vector mode) and ``deadline`` is derived from them.
+    numpy arena in vector mode).
     """
 
     __slots__ = (
@@ -373,19 +378,6 @@ class Flow:
         return self._rate
 
     @property
-    def deadline(self) -> Optional[float]:
-        """Projected absolute completion time; None while unknown/finished.
-
-        Derived on demand (the owning network does not materialise
-        per-flow deadlines; only the earliest one matters for its wake-up
-        timer).
-        """
-        rate = self.rate
-        if self._net is None or rate <= 0.0:
-            return None
-        return self._net._last_advance + self.remaining / rate
-
-    @property
     def mean_rate(self) -> float:
         """Average transfer rate over the flow lifetime (bytes/second)."""
         if self.end_time is None:
@@ -411,9 +403,10 @@ class FlowNetwork:
     the last byte has moved.
 
     Nothing about the solver is settable: the flow population decides where
-    the hot state lives (``_VEC_ON`` / ``_VEC_OFF``) and the groups in a
-    solve's scope decide which of the two bit-identical kernels runs it
-    (``_VEC_SOLVE_MIN``); see the module docstring.
+    the hot state lives (``_VEC_ON`` / ``_VEC_OFF``), and the smaller of
+    the live groups and the flows in a solve's scope decides which of the
+    two bit-identical kernels runs it (``_VEC_SOLVE_MIN``); see the module
+    docstring.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -421,8 +414,8 @@ class FlowNetwork:
         #: Active aggregation groups keyed by exact (path indices, cap)
         #: signature (or flow id for singleton path-less groups).
         self._groups: Dict[object, FlowGroup] = {}
-        #: Live path-less (rate-cap-only) flows; lets the vector scoper
-        #: prove full coverage without gathering the whole arena.
+        #: Live path-less (rate-cap-only) flows; while zero, the vector
+        #: scoper may prove full coverage from the link count alone.
         self._pathless_active = 0
         #: Links crossed by at least one live group; with no path-less flow
         #: alive, a component covering this many links covers every flow.
@@ -482,18 +475,6 @@ class FlowNetwork:
         self._occ_t = np.zeros((4, 0), dtype=np.int64)
         self._stride = 4
         self._pad = 0
-        #: Link-link co-traversal adjacency: ``_adjb[a, b]`` is True when
-        #: some live group's path visits both links.  Every path forms a
-        #: clique here, so connected components of this tiny (#links x
-        #: #links) graph match the flow-side components exactly — the
-        #: vector scoping BFS runs on it instead of re-gathering every flow
-        #: column per round.  ``_pairs`` holds the per-pair group counts
-        #: (keyed by the sorted index pair) so the bool matrix is touched
-        #: only on 0 <-> 1 transitions.  Only the vector scoper reads
-        #: either, so both are valid only while ``_vector`` is true:
-        #: rebuilt from ``_groups`` on entry, maintained until exit.
-        self._adjb = np.zeros((0, 0), dtype=bool)
-        self._pairs: Dict[Tuple[int, int], int] = {}
         # -- group arena: one rate per group row, which is all the scalar
         # kernel needs of it (rows [0, _ng); freed rows are recycled) -------
         #: Per-flow group row (int64, parallel to the flow arena columns).
@@ -535,12 +516,6 @@ class FlowNetwork:
             grown[: self._cap_a.size] = self._cap_a
             self._cap_a = grown
         self._cap_a[idx] = link.capacity
-        if idx >= self._adjb.shape[0]:
-            grown = max(64, 2 * self._adjb.shape[0])
-            adj = np.zeros((grown, grown), dtype=bool)
-            old = self._adjb.shape[0]
-            adj[:old, :old] = self._adjb
-            self._adjb = adj
         if capacity_fn is not None:
             self._fn_links.append(link)
         if self._vector:
@@ -735,8 +710,6 @@ class FlowNetwork:
                     link.n_amplified += 1
             if not tpath:
                 self._pathless_active += 1
-            elif self._vector and len(tpath) > 1:
-                self._register_pairs(group, 1)
         for link, mult in group.occ_items:
             link.n_occ += mult
         group.members[flow] = None
@@ -782,8 +755,6 @@ class FlowNetwork:
                         link.n_amplified -= 1
                 if not group.path:
                     self._pathless_active -= 1
-                elif self._vector and len(group.path) > 1:
-                    self._register_pairs(group, -1)
                 if group.gid >= 0:
                     # Recycle the arena row; nothing reads it until reuse.
                     self._g_free.append(group.gid)
@@ -822,28 +793,6 @@ class FlowNetwork:
             # the whole wave as soon as the caller drops its events.
             flow.done = None
             done.succeed(flow)
-
-    def _register_pairs(self, group: FlowGroup, step: int) -> None:
-        """Add (``step`` 1) or drop (-1) the group's path clique.
-
-        ``_pairs`` counts live *groups* (not flows) per link pair, so the
-        bool matrix is touched only when a distinct path appears or
-        disappears — O(distinct paths) updates instead of O(flows).
-        """
-        pairs = self._pairs
-        adjb = self._adjb
-        idxs = [link.idx for link in group.path]
-        for i in range(len(idxs) - 1):
-            a = idxs[i]
-            for b in idxs[i + 1 :]:
-                key = (a, b) if a <= b else (b, a)
-                seen = pairs.get(key, 0) + step
-                if seen:
-                    pairs[key] = seen
-                else:
-                    del pairs[key]
-                if seen == (step > 0):  # the pair's 0 <-> 1 transition
-                    adjb[a, b] = adjb[b, a] = step > 0
 
     # -- arena bookkeeping ---------------------------------------------------
     def _ensure_capacity(self, n: int, pathlen: int) -> None:
@@ -1013,14 +962,8 @@ class FlowNetwork:
         self._pad = len(self._link_list)
         self._ng = 0
         self._g_free.clear()
-        # Nothing maintained the co-traversal adjacency while the scalar
-        # kernel (which never reads it) was in charge: rebuild it.
-        self._pairs.clear()
-        self._adjb.fill(False)
         for group in self._groups.values():
             group.gid = -1
-            if len(group.path) > 1:
-                self._register_pairs(group, 1)
         if len(self._active) >= 64:
             self._ingest_batch(list(self._active))
         else:
@@ -1072,11 +1015,11 @@ class FlowNetwork:
         if dirty or dirty_flows:
             self._dirty = {}
             self._dirty_flows = {}
-            # The one kernel rule: a solve with ``_VEC_SOLVE_MIN`` or more
-            # groups in scope runs the array kernel, every other solve the
-            # scalar one.  Only the arena can tell; an upper bound on the
-            # groups will do, and with few groups alive no scoping is needed
-            # to know the scalar kernel (which scopes for itself) gets it.
+            # The one kernel rule: an arena solve runs the array kernel when
+            # ``min(live groups, flows in scope)`` is ``_VEC_SOLVE_MIN`` or
+            # more, every other solve the scalar one.  With few groups alive
+            # no scoping is needed to know the scalar kernel (which scopes
+            # for itself) gets it.
             scope = None
             rows = 0
             if self._vector:
@@ -1132,13 +1075,12 @@ class FlowNetwork:
     ) -> Optional[np.ndarray]:
         """Arena rows of the dirty links' connected component(s).
 
-        BFS over the link-link co-traversal graph (``_adjb``): every flow's
-        path is a clique there, so the link-side components of the
-        bipartite flow/link graph coincide with the flow-side ones.  The
-        expansion therefore runs entirely on #links-sized arrays; the live
-        flows are gathered against the final link set exactly once.
-        Returns None when the component covers every live flow, so callers
-        can use whole-array views instead of fancy indexing.
+        A pure function of the arena: BFS over the bipartite flow/link graph
+        the incidence matrix ``_occ_t`` already is.  Each round gathers the
+        live flows touching a seen link (``hit``) and marks every link of
+        theirs seen; once a round adds no link, its ``hit`` is the flow
+        scope.  Returns None when the component covers every live flow, so
+        callers can use whole-array views instead of fancy indexing.
         """
         n = self._n_live
         if n == 0:
@@ -1173,27 +1115,22 @@ class FlowNetwork:
             else:
                 isolated.append(pos)
         link_seen[pad] = False
-        seen_l = link_seen[:pad]
-        adjb = self._adjb[:pad, :pad]
-        count = int(np.count_nonzero(seen_l))
-        while count:
-            # Expand from every seen link at once; re-including settled
-            # rows costs nothing at #links scale and keeps the iteration
-            # at four array ops.
-            reach = adjb[seen_l].any(axis=0)
-            seen_l |= reach
-            grown = int(np.count_nonzero(seen_l))
+        live = occ[:, :n]
+        count = int(np.count_nonzero(link_seen))
+        while True:
+            if count >= self._n_occupied and not self._pathless_active:
+                # Full-cover shortcut: every seen link is occupied (seeds
+                # are, and the BFS only reaches links some live group
+                # crosses), so with no path-less flows alive the scope is
+                # total iff the component holds *all* occupied links.
+                return None
+            hit = link_seen[live].any(axis=0)
+            link_seen[live[:, hit]] = True
+            link_seen[pad] = False  # path padding of the hit columns
+            grown = int(np.count_nonzero(link_seen))
             if grown == count:
                 break
             count = grown
-        if count >= self._n_occupied and not self._pathless_active:
-            # Full-cover shortcut: every seen link is occupied (seeds are,
-            # and the BFS only reaches links some live group crosses), so
-            # with no path-less flows alive the scope is total iff the
-            # component holds *all* occupied links — one int compare.
-            return None
-        # One flow gather against the settled link set.
-        hit = link_seen[occ[:, :n]].any(axis=0)
         if isolated:
             hit[isolated] = True
         if int(np.count_nonzero(hit)) >= n:

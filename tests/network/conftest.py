@@ -3,8 +3,9 @@
 ``FlowNetwork`` takes no solver options.  Where its hot state lives (flow
 attributes or the numpy arena) and which of its two kernels runs a solve
 follow from three thresholds in ``repro.network.flow`` — ``_VEC_ON`` /
-``_VEC_OFF`` on the flow population, ``_VEC_SOLVE_MIN`` on the groups in a
-solve's scope — read as module globals at call time.  Tests that must hold
+``_VEC_OFF`` on the flow population, ``_VEC_SOLVE_MIN`` on the smaller of
+the live groups and the flows in a solve's scope — read as module globals
+at call time.  Tests that must hold
 one representation still (or force the array kernel onto populations small
 enough for hypothesis) patch those, through the one fixture below, and
 compare against the independent water-filling in ``test_flow_reference.py``.

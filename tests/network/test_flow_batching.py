@@ -21,8 +21,23 @@ from tests.network.conftest import LOW_SOLVE_MIN, PIN_PER_EXAMPLE
 
 
 def _eager_recompute(self):
-    """Change-by-change reference: solve now instead of at end of instant."""
+    """Change-by-change reference: solve now instead of at end of instant.
+
+    A wake-up due at this very instant fires first, as it does before the
+    batched end-of-instant solve: its flows are done, and re-projecting
+    them from a same-instant arrival would push their completion one ulp
+    past the wake-up.
+    """
+    if self._wake_event is not None and self._wake_due == self.sim.now:
+        self._on_wake(self._wake_event)
     self._flush_recompute()
+
+
+def _arm_noting_due(self):
+    """Arm the wake-up as usual and note the instant it is due."""
+    FlowNetwork._refresh_deadlines_and_arm(self)
+    if self._wake_event is not None:
+        self._wake_due = self.sim.now + self._wake_event.delay
 
 
 def _run_schedule(schedule, eager):
@@ -36,6 +51,7 @@ def _run_schedule(schedule, eager):
     net = FlowNetwork(sim)
     if eager:
         net._schedule_recompute = types.MethodType(_eager_recompute, net)
+        net._refresh_deadlines_and_arm = types.MethodType(_arm_noting_due, net)
     links = [net.add_link(f"l{i}", 25.0 * (i + 1)) for i in range(4)]
     completions = {}
 

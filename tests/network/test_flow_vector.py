@@ -16,9 +16,9 @@ pathless rate-capped flows.
 import math
 import random
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.network import flow as flow_module
 from repro.network.flow import FlowNetwork
 from repro.simulation import Simulator
 from tests.network.conftest import PIN_PER_EXAMPLE
@@ -94,19 +94,57 @@ def test_auto_crosses_threshold_both_ways():
     assert net.mode_switches >= 2  # entered and left the arena
 
 
-def _expected_adjacency(net):
-    """Co-traversal pair counts and bool matrix rebuilt from ``_groups``."""
-    pairs = {}
-    for group in net._groups.values():
-        idxs = [link.idx for link in group.path]
-        for i, a in enumerate(idxs):
-            for b in idxs[i + 1:]:
-                key = (a, b) if a <= b else (b, a)
-                pairs[key] = pairs.get(key, 0) + 1
-    adjb = np.zeros_like(net._adjb)
-    for a, b in pairs:
-        adjb[a, b] = adjb[b, a] = True
-    return pairs, adjb
+def _component_rows(net, dirty, dirty_flows):
+    """Arena rows of the seeds' components, by union-find from scratch.
+
+    Built from nothing but the live flows' paths: a flow is joined to every
+    link it crosses, and the scope is every live flow sharing a root with a
+    dirty link or a live dirty flow (a path-less flow is its own root).
+    """
+    parent = {}
+
+    def find(node):
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    rows = {}
+    for flow in net._active:
+        assert flow.pos >= 0  # every live flow holds an arena column
+        rows[flow.pos] = flow
+        for link in flow.path:
+            parent[find(("flow", flow.pos))] = find(("link", link.idx))
+    roots = {find(("link", link.idx)) for link in dirty}
+    roots |= {find(("flow", flow.pos)) for flow in dirty_flows if flow.pos >= 0}
+    assert sorted(rows) == list(range(net._n_live))
+    return [pos for pos in sorted(rows) if find(("flow", pos)) in roots]
+
+
+def _check_scopes(net):
+    """Check every vector scope of ``net`` against :func:`_component_rows`.
+
+    ``None`` must mean every live flow, an array exactly the component's
+    rows (empty when no live flow is reachable).  Returns the live tally
+    of scope shapes seen.
+    """
+    shapes = {"full": 0, "partial": 0, "empty": 0}
+    scope_vector = net._scope_vector
+
+    def checked_scope(dirty, dirty_flows):
+        expected = _component_rows(net, dirty, dirty_flows)
+        scope = scope_vector(dirty, dirty_flows)
+        if scope is None:
+            assert expected == list(range(net._n_live))
+            shapes["full"] += 1
+        else:
+            assert scope.tolist() == expected
+            shapes["partial" if expected else "empty"] += 1
+        return scope
+
+    net._scope_vector = checked_scope
+    return shapes
 
 
 def _run_waves(waves=4, per_wave=130):
@@ -114,9 +152,8 @@ def _run_waves(waves=4, per_wave=130):
 
     Paths are mostly distinct (so the arena's own kernels run, not just
     the scalar one on group rows), with a ``capacity_fn`` link, repeated
-    links and path-less flows mixed in.  While the arena is live, the
-    lazily-maintained adjacency is compared with a from-scratch rebuild
-    after every flush — the first of which is the entry rebuild itself.
+    links and path-less flows mixed in.  Every vector scope is checked
+    against a from-scratch component (:func:`_check_scopes`).
     """
     rng = random.Random(1234)
     sim = Simulator()
@@ -124,18 +161,7 @@ def _run_waves(waves=4, per_wave=130):
     links = [net.add_link(f"l{i}", 40.0 + 15.0 * i) for i in range(10)]
     links.append(net.add_link("fn", 150.0, capacity_fn=_staircase))
     ends = []
-    checked = [0]
-    flush = net._flush_recompute
-
-    def checked_flush():
-        flush()
-        if net._vector:
-            pairs, adjb = _expected_adjacency(net)
-            assert net._pairs == pairs
-            assert np.array_equal(net._adjb, adjb)
-            checked[0] += 1
-
-    net._flush_recompute = checked_flush
+    shapes = _check_scopes(net)
 
     def driver():
         for _ in range(waves):
@@ -156,19 +182,79 @@ def _run_waves(waves=4, per_wave=130):
 
     sim.run(until=sim.process(driver()))
     assert net.active_flows == 0
-    return ends, net, checked[0]
+    return ends, net, shapes
 
 
-def test_repeated_mode_round_trips_stay_identical_and_rebuild_adjacency(pin_arena):
+def test_repeated_mode_round_trips_stay_identical_and_scope_components(pin_arena):
     pin_arena("never")
-    scalar, net_s, _ = _run_waves()
+    scalar, net_s, shapes_s = _run_waves()
     pin_arena("always")
-    vector, net_v, checked_v = _run_waves()
+    vector, net_v, shapes_v = _run_waves()
     pin_arena("auto")
-    auto, net_a, checked_a = _run_waves()
+    auto, net_a, shapes_a = _run_waves()
     assert scalar == vector == auto  # exact: no tolerance
     assert net_s.solver_runs == net_v.solver_runs == net_a.solver_runs
-    assert net_s.mode_switches == 0 and not net_s._pairs
+    assert net_s.mode_switches == 0 and not any(shapes_s.values())
     assert net_a.mode_switches >= 8  # in and out of the arena every wave
     assert net_a.vector_solves > 0
-    assert checked_a > 0 and checked_v > checked_a
+    # Both arenas scoped full and partial components (empty ones are
+    # pinned by test_drained_component_scopes_to_no_flow).
+    for shapes in (shapes_v, shapes_a):
+        assert shapes["full"] and shapes["partial"], shapes
+
+
+def _two_components(lone_bytes=None):
+    """50 live groups over two disjoint links, past ``_VEC_ON`` flows.
+
+    ``busy`` carries 30 groups of 3 flows, ``quiet`` 20 groups of one;
+    distinct caps (all far above the fair share) make distinct groups.
+    ``lone_bytes`` adds one short flow on a third, private link.
+    """
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    busy = net.add_link("busy", 100.0)
+    quiet = net.add_link("quiet", 100.0)
+    specs = [((busy,), 1e6, 1e3 + g) for g in range(30) for _ in range(3)]
+    specs += [((quiet,), 1e6, 1e3 + g) for g in range(20)]
+    if lone_bytes is not None:
+        specs.append(((net.add_link("lone", 100.0),), lone_bytes))
+    return sim, net, busy, specs
+
+
+def test_small_group_scope_with_many_flows_runs_array_kernel():
+    """The kernel rule is ``min(live groups, flows in scope)``.
+
+    Perturbing only ``busy`` scopes its 30 groups — fewer than
+    ``_VEC_SOLVE_MIN`` — but 91 flows, more than it, out of 50 live groups;
+    that partial scope is solved by the array kernel.
+    """
+    sim, net, busy, specs = _two_components()
+    shapes = _check_scopes(net)
+
+    def driver():
+        net.admit_flows(specs)
+        yield sim.timeout(1.0)
+        before = net.vector_solves
+        net.transfer((busy,), 1e6, rate_cap=1e3)
+        yield sim.timeout(1.0)
+        assert net.vector_solves == before + 1
+
+    sim.run(until=sim.process(driver()))
+    assert net._vector and net.active_groups == 50 >= flow_module._VEC_SOLVE_MIN
+    assert net.active_flows == 111
+    assert shapes == {"full": 1, "partial": 1, "empty": 0}
+    assert len(busy.groups) == 30 < flow_module._VEC_SOLVE_MIN < busy.n_flows
+
+
+def test_drained_component_scopes_to_no_flow():
+    """A completion that empties its whole component scopes no live flow."""
+    sim, net, _, specs = _two_components(lone_bytes=1.0)
+    shapes = _check_scopes(net)
+
+    def driver():
+        yield net.admit_flows(specs)[-1]
+        yield sim.timeout(1.0)
+
+    sim.run(until=sim.process(driver()))
+    assert net._vector and net.active_flows == 110
+    assert shapes == {"full": 1, "partial": 0, "empty": 1}
