@@ -52,8 +52,8 @@ REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick
 #: no second scheduler stands behind it.
 #: ``flow_storm_100k_bulk`` is the same storm admitted wave-at-a-time
 #: through ``admit_flows`` (its digest must equal ``flow_storm_100k``'s).
-#: ``rpc_storm`` gates the metadata-plane fast path (fused delay bodies +
-#: the plain-chain RPC specialisation) on both storage backends.
+#: ``rpc_storm`` gates the metadata plane on the op driver (fused delay
+#: legs + bare launches that build no Request) on both storage backends.
 #: ``serving_storm`` gates the request path: interned requests, memoised
 #: expansion and per-key schema split under the serving gateway.
 GATED = (

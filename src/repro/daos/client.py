@@ -6,29 +6,27 @@ driven with ``yield from`` inside a simulation process; they charge provider
 RPC latency, per-target service time, object serialisation, and bulk data
 flows, then apply the functional state change and return the result.
 
-Since the RPC-pipeline refactor, every operation is materialised as a
-:class:`~repro.daos.rpc.Request` (op kind, target, payload size, re-invocable
-body) and submitted through the client's middleware chain — metrics and
-tracing always, fault injection and retry when
-:class:`~repro.config.FaultInjectionConfig` enables them.  ``request_*``
-builders expose the Request objects directly so callers can submit them
-asynchronously through an :class:`~repro.daos.eq.EventQueue`
-(``client.eq_create()``), the ``daos_eq_*`` idiom the pipelined Field I/O
-path uses.  The default middleware chain adds no simulated events, keeping
-the blocking path bit-identical to the pre-pipeline client.
+Every operation can be materialised as a :class:`~repro.daos.rpc.Request`
+(op kind, target, payload size, re-invocable body) and run through the
+client's middleware stages — tracing always, pool-map refresh when health
+is on, fault injection and retry when
+:class:`~repro.config.FaultInjectionConfig` enables them, QoS admission
+when a serving tenant installs it.  ``request_*`` builders expose the
+Request objects directly so callers can submit them asynchronously through
+an :class:`~repro.daos.eq.EventQueue` (``client.eq_create()``), the
+``daos_eq_*`` idiom the pipelined Field I/O path uses.  The default stages
+add no simulated events.
 
-**One body per op, two interpreters.**  Each metadata op's timeline is
-written once, as a ``_do_*`` generator in the *leg dialect*: ``yield
-<float>`` is a delay, ``yield <Event>`` is a wait.  :class:`_FastDriver`
-interprets a body directly (one pooled event per op, delays on a recycled
-lane event); :meth:`DaosClient._as_events` turns the same body into the
-plain simulation generator a ``Request.body`` must be, so the middleware
-chain, event queues and multi-ops run it too.  The client picks the driver
-exactly when nothing could observe the difference — the chain is the
-stateless ``[metrics, tracing]`` pair, health is off and no tracer is
-installed.  Data ops (``_do_array_write`` / ``_do_array_read`` and the
-shard helpers under them) are ordinary Event-yielding generators and always
-take the chain.
+**One body per op, one interpreter.**  Each op's timeline is written once,
+as a ``_do_*`` generator in the *leg dialect*: ``yield <float>`` is a
+delay, ``yield <Event>`` is a wait.  Every public op ends in ``yield
+<driver>``: a pooled :class:`_FastDriver` runs the body — or the stage
+chain wrapped around it, whose stages speak the same dialect — counts the
+op at launch and observes it at finish.  A *bare* client (no stage but
+tracing, no tracer installed) launches its hot metadata bodies without
+building a Request at all.  Only the per-shard helpers ``_shard_io`` and
+``_target_service`` stay Event-yielding generators: they run as spawned
+simulation processes.
 
 Connection/handle caching follows the paper (§5.2: "Pool and container
 connections in a process are cached"): repeated ``container_open`` calls for
@@ -57,7 +55,6 @@ from repro.daos.placement import shard_layout
 from repro.daos.pool import Pool
 from repro.daos.rpc import (
     FaultInjectionMiddleware,
-    MetricsMiddleware,
     Middleware,
     OpStats,
     PoolMapRefreshMiddleware,
@@ -65,7 +62,6 @@ from repro.daos.rpc import (
     RetryMiddleware,
     TracingMiddleware,
     compose_chain,
-    is_plain_chain,
 )
 from repro.daos.system import DaosSystem
 from repro.network.fabric import NodeSocket
@@ -87,19 +83,21 @@ _DKEY_HASH_CACHE_BOUND = 1 << 16
 
 
 def default_middleware(config) -> List[Middleware]:
-    """The standard chain for a :class:`DaosServiceConfig`, outermost first.
+    """The standard stages for a :class:`DaosServiceConfig`, outermost first.
 
-    Metrics wraps everything (an op counts once, its latency covers
-    retries); retry wraps tracing (each attempt gets its own span); fault
-    injection sits innermost, directly in front of the op body.
+    Metrics is not a stage: the driver counts an op when it launches and
+    observes it when it finishes, outside every stage, so an op counts once
+    and its latency covers retries.  Retry wraps tracing (each attempt gets
+    its own span); fault injection sits innermost, directly in front of the
+    op body.
     """
-    chain: List[Middleware] = [MetricsMiddleware()]
+    chain: List[Middleware] = []
     fault = config.fault_injection
     if config.health.enabled:
         # Health-aware retry: a TargetDownError means the client's cached
         # pool map is (possibly) stale — refetch it and re-route the op.
-        # Sits inside metrics (the refresh round trips count toward the
-        # op's observed latency) and outside plain retry/fault injection.
+        # Sits outermost (the refresh round trips count toward the op's
+        # observed latency) and outside plain retry/fault injection.
         chain.append(PoolMapRefreshMiddleware())
     if fault.enabled and config.retry.max_attempts > 1:
         chain.append(RetryMiddleware(config.retry))
@@ -109,13 +107,20 @@ def default_middleware(config) -> List[Middleware]:
     return chain
 
 
+#: The composed chain of every default client whose config enables neither
+#: fault injection nor health, i.e. whose stages are tracing alone.  Tracing
+#: keeps no per-client state, so those clients share this one chain: an IOR
+#: wave builds one client per rank and composes nothing per client.
+_BARE_CHAIN = compose_chain([TracingMiddleware()])
+
+
 class _FastDriver(Event):
-    """Flat interpreter of one metadata op's leg-dialect body.
+    """The interpreter of every op: runs one leg-dialect generator flat.
 
     The driver *is* the event the calling process waits on: the public op
     method returns ``(yield driver)``, so the whole op costs the caller one
-    suspension instead of one per simulated wait.  The ``_do_*`` body may
-    yield
+    suspension instead of one per simulated wait.  The generator — an op
+    body, or the client's stage chain around one — may yield
 
     * a ``float``/``int`` — a fused delay: the driver re-arms its recycled
       lane event (``Simulator.lane_acquire``) for that delay, replacing a
@@ -124,20 +129,19 @@ class _FastDriver(Event):
       resource grant, or a bulk transfer: the driver waits on it exactly
       like ``Process._step`` would.
 
-    When the body returns, the driver records the op's metrics epilogue
-    (the exact :class:`~repro.daos.rpc.MetricsMiddleware` accounting) and
-    finishes *synchronously* inside the final event's callback slot — no
-    completion event travels through the queue, so the caller resumes at
-    the same ``(time, seq)`` boundary the ``yield from`` chain resumes at.
-    Failures mirror the chain too: the epilogue observes ``ok=False`` and
-    the exception is thrown into the caller at its yield (or re-raised
-    synchronously from ``DaosClient._launch`` when the body fails before its
-    first wait).
+    When the generator returns, the driver observes the op's latency and
+    bytes on the accumulator ``_launch`` counted it in, and finishes
+    *synchronously* inside the final event's callback slot — no completion
+    event travels through the queue, so the caller resumes at the same
+    ``(time, seq)`` boundary a ``yield from`` of the body would resume at.
+    Failures are observed with ``ok=False`` and thrown into the caller at
+    its yield (or re-raised synchronously from ``DaosClient._launch`` when
+    the generator fails before its first wait).
 
     Drivers and their lane events are pooled (per system / per simulator),
-    so a storm of metadata ops allocates O(concurrent ops) objects rather
-    than several events, closures and middleware frames per op -- also when
-    each op comes from a short-lived client of its own, as in an IOR wave.
+    so a storm of ops allocates O(concurrent ops) objects rather than
+    several events per op -- also when each op comes from a short-lived
+    client of its own, as in an IOR wave.
     """
 
     __slots__ = ("_pool", "_body", "_lane", "_cbs", "_entry", "_nbytes", "_start")
@@ -210,7 +214,7 @@ class _FastDriver(Event):
             return
 
     def _finish(self, value, error: Optional[BaseException]) -> None:
-        """Metrics epilogue + synchronous completion (no queue round trip)."""
+        """Observe the op, then complete synchronously (no queue round trip)."""
         sim = self.sim
         self._entry.observe(sim._now - self._start, self._nbytes, ok=error is None)
         if error is None:
@@ -248,7 +252,7 @@ class DaosClient:
         The client node/socket this process is pinned to; determines which
         fabric links its traffic traverses.
     middleware:
-        Override the RPC middleware chain (outermost first).  Defaults to
+        Override the RPC middleware stages (outermost first).  Defaults to
         :func:`default_middleware` over the system's service config.
     """
 
@@ -264,13 +268,13 @@ class DaosClient:
         self.net = system.cluster.net
         self.fabric = system.cluster.fabric
         self.provider = system.cluster.provider
-        #: Hoisted out of :meth:`_latency` (two RPCs' worth per op).
+        #: One-way small-message latency, hoisted: two legs of nearly every op.
         self._message_latency = self.provider.message_latency
         self.config = system.config
         self._container_cache: Dict[Tuple[str, str], Container] = {}
         #: Op counters, useful to assert on op mixes in tests.
         self.stats: Dict[str, int] = {}
-        #: Per-op latency/bytes accumulators (maintained by metrics middleware).
+        #: Per-op latency/bytes accumulators (maintained by the op driver).
         self.op_metrics: Dict[str, OpStats] = {}
         #: Total faults injected into this client (fault middleware).
         self.faults_injected = 0
@@ -282,68 +286,25 @@ class DaosClient:
         #: The client's cached pool-map view (possibly stale; refreshed via
         #: the PoolMapRefreshMiddleware when a target rejects an op).
         self._map_view = system.pool_map.snapshot()
-        if middleware is not None:
-            chain = compose_chain(middleware)
-        elif system.plain_chain is not None:
-            # Both plain middlewares are stateless (they account on the
-            # client they are handed), so every default client of a system
-            # shares the one composed chain; the list stays the client's own.
-            shared, chain = system.plain_chain
-            middleware = list(shared)
-        else:
+        shared = middleware is None
+        if shared:
             middleware = default_middleware(self.config)
-            chain = compose_chain(middleware)
-            if is_plain_chain(middleware):
-                system.plain_chain = (tuple(middleware), chain)
         self.middleware = middleware
-        self._chain = chain
-        #: Metadata bodies run on a :class:`_FastDriver` only when the chain
-        #: is plain (exactly metrics + tracing — no fault/retry/QoS/pool-map
-        #: middleware to honour) and health is off (the driver has no
-        #: refresh-and-retry above it); per call the tracer must also be
-        #: absent (mid-run installation moves the client onto the chain).
-        self._use_driver = not self._health and is_plain_chain(middleware)
+        #: No stage but tracing.  While no tracer is installed (checked per
+        #: call: installing one mid-run takes effect at the next op) the
+        #: chain would add nothing, so the hot metadata ops launch their
+        #: body directly instead of building a Request for it.
+        self._bare = len(middleware) == 1 and type(middleware[0]) is TracingMiddleware
+        self._chain = _BARE_CHAIN if shared and self._bare else compose_chain(middleware)
 
-    # -- the two interpreters of a leg-dialect body --------------------------------
-    def _submit(self, request: Request):
-        """Drive ``request`` through the middleware chain (blocking caller)."""
-        result = yield from self._chain(self, request)
-        return result
-
-    def _as_events(self, legs):
-        """Run a leg-dialect generator as a plain simulation generator.
-
-        The chain-side interpreter (:class:`_FastDriver` is the other one):
-        a numeric yield becomes a ``Timeout`` created in the very step that
-        yielded it — the allocation an Event-yielding body would have made
-        itself, so ``(time, seq)`` order is unchanged — an Event passes
-        through, and whatever the waiting process sends or throws reaches
-        ``legs`` untouched.
-        """
-        timeout = self.sim.timeout
-        try:
-            leg = next(legs)
-            while True:
-                cls = type(leg)
-                if cls is float or cls is int:
-                    leg = timeout(leg)
-                try:
-                    outcome = yield leg
-                except BaseException as exc:
-                    leg = legs.throw(exc)
-                else:
-                    leg = legs.send(outcome)
-        except StopIteration as stop:
-            return stop.value
-
+    # -- the interpreter ---------------------------------------------------------------
     def _launch(self, op: str, legs, nbytes: int) -> _FastDriver:
-        """Launch the body ``legs`` on a pooled :class:`_FastDriver`.
+        """Launch the leg-dialect generator ``legs`` on a pooled :class:`_FastDriver`.
 
-        Runs the :class:`~repro.daos.rpc.MetricsMiddleware` prologue, then
-        drives the body's first step synchronously — an exception raised
-        before the first wait propagates out of this call, just as it would
-        through the ``yield from`` chain.  The returned driver is the event
-        the public op method yields once.
+        Counts ``op``, then drives the generator's first step synchronously
+        — an exception raised before the first wait propagates out of this
+        call, as it would out of a ``yield from`` of the body.  The returned
+        driver is the event the public op method yields once.
         """
         entry = self._account(op)
         pool = self.system.fast_drivers
@@ -360,6 +321,10 @@ class DaosClient:
         driver._drive(None, False)
         return driver
 
+    def _launch_request(self, request: Request) -> _FastDriver:
+        """Launch ``request`` through the client's stages on a pooled driver."""
+        return self._launch(request.op, self._chain(self, request), request.nbytes)
+
     def _account(self, op: str) -> OpStats:
         """Count one ``op``; returns its latency accumulator (made on first use)."""
         stats = self.stats
@@ -375,18 +340,18 @@ class DaosClient:
 
     # -- vectorized multi-op submission -------------------------------------------
     def request_multi(self, requests: List[Request], op: str = "multi") -> Request:
-        """One Request carrying ``requests`` through the middleware chain.
+        """One Request carrying ``requests`` through the middleware stages.
 
-        The sub-request bodies run sequentially inside the wrapper body, so
-        on the default chain the simulated timeline is identical to
-        submitting them one by one — what the batch saves is the per-op
-        chain traversal and submit bookkeeping, which dominates small-op
-        cost in index-update storms.  Per-sub-op stats are preserved: each
-        sub-op's counter and :class:`OpStats` entry are updated exactly as
-        the metrics middleware would (the wrapper op is additionally
-        counted once under ``op``).  Non-default middleware applies to the
-        wrapper as a unit: one fault-injection/retry/QoS decision covers
-        the whole batch (QoS meters one token per covered sub-op, see
+        The sub-request bodies run sequentially inside the wrapper body, on
+        the wrapper's one driver, so on the default stages the simulated
+        timeline is identical to submitting them one by one — what the batch
+        saves is the per-op launch and stage traversal, which dominates
+        small-op cost in index-update storms.  Per-sub-op stats are
+        preserved: each sub-op's counter and :class:`OpStats` entry are
+        updated exactly as its own launch would (the wrapper op is
+        additionally counted once under ``op``).  Non-default stages apply
+        to the wrapper as a unit: one fault-injection/retry/QoS decision
+        covers the whole batch (QoS meters one token per covered sub-op, see
         :class:`~repro.serving.qos.QosAdmissionMiddleware`).
         """
         subs = tuple(requests)
@@ -401,7 +366,7 @@ class DaosClient:
 
     def submit_multi(self, requests: List[Request], op: str = "multi"):
         """Submit ``requests`` as one multi-op; returns their results in order."""
-        return (yield from self._submit(self.request_multi(requests, op=op)))
+        return (yield self._launch_request(self.request_multi(requests, op=op)))
 
     def kv_put_many(self, kv: KeyValueObject, items):
         """Insert/overwrite many keys of one KV in a single multi-op submit.
@@ -409,7 +374,7 @@ class DaosClient:
         ``items`` is an iterable of ``(key, value)`` pairs.
         """
         requests = [self.request_kv_put(kv, key, value) for key, value in items]
-        return (yield from self._submit(self.request_multi(requests, op="kv_put_multi")))
+        return (yield self._launch_request(self.request_multi(requests, op="kv_put_multi")))
 
     def kv_get_many(self, kv: KeyValueObject, keys):
         """Look up many keys of one KV in a single multi-op submit.
@@ -418,14 +383,14 @@ class DaosClient:
         ``kv_get_or_none`` contract, per key).
         """
         requests = [self.request_kv_get(kv, key) for key in keys]
-        return (yield from self._submit(self.request_multi(requests, op="kv_get_multi")))
+        return (yield self._launch_request(self.request_multi(requests, op="kv_get_multi")))
 
     def _do_multi(self, requests: Tuple[Request, ...]):
-        """Drive each sub-request body, replaying per-op metrics accounting.
+        """Run each sub-request body in turn, replaying per-op accounting.
 
-        The accounting block is the exact :class:`MetricsMiddleware` body,
-        applied per sub-op — counts, latency and byte totals land in the
-        same per-op slots whether ops were submitted singly or batched.
+        Each sub-op is counted and observed exactly as the driver does for
+        an op of its own — counts, latency and byte totals land in the same
+        per-op slots whether ops were submitted singly or batched.
         """
         results = []
         append = results.append
@@ -445,10 +410,6 @@ class DaosClient:
     # -- small helpers -----------------------------------------------------------
     def _count(self, op: str) -> None:
         self.stats[op] = self.stats.get(op, 0) + 1
-
-    def _latency(self):
-        """One-way small-message latency, as the event a data-op body yields."""
-        return self.sim.timeout(self._message_latency)
 
     def _reject_if_down(self, target_index: int) -> None:
         """The server-side check every target service starts with (callers
@@ -497,8 +458,8 @@ class DaosClient:
         return self._service_leg(self.system.target(target_index).service, service_time)
 
     def _target_service(self, target_index: int, service_time: float):
-        """Event-yielding :meth:`_target_leg` of the data path (``_shard_io``
-        runs as a bare simulation process)."""
+        """Event-yielding :meth:`_target_leg` of the shard path (``_shard_io``
+        runs as a spawned simulation process)."""
         if self._health:
             self._reject_if_down(target_index)
         target = self.system.target(target_index)
@@ -512,19 +473,16 @@ class DaosClient:
     def _refresh_pool_map(self):
         """Refetch the pool map from the pool service (``pool_query``).
 
-        Called by the refresh middleware, so it yields events.  Returns
-        ``True`` when the fetched map is newer than the cached view — the
-        signal the middleware uses to decide whether retrying can possibly
-        help.
+        Legs of the refresh middleware.  Returns ``True`` when the fetched
+        map is newer than the cached view — the signal the middleware uses
+        to decide whether retrying can possibly help.
         """
         stale_version = self._map_view.version
-        yield self._latency()
-        yield from self._as_events(
-            self._service_leg(
-                self.system.pool_service, self.config.health.pool_query_service_time
-            )
+        yield self._message_latency
+        yield from self._service_leg(
+            self.system.pool_service, self.config.health.pool_query_service_time
         )
-        yield self._latency()
+        yield self._message_latency
         self._map_view = self.system.pool_map.snapshot()
         self.map_refreshes += 1
         return self._map_view.version > stale_version
@@ -586,13 +544,13 @@ class DaosClient:
     def request_pool_connect(self, pool: Pool) -> Request:
         return Request(
             op="pool_connect",
-            body=lambda: self._as_events(self._do_pool_connect(pool)),
+            body=lambda: self._do_pool_connect(pool),
             detail=pool.label,
         )
 
     def pool_connect(self, pool: Pool):
         """Connect to a pool (handshake with the pool service)."""
-        return (yield from self._submit(self.request_pool_connect(pool)))
+        return (yield self._launch_request(self.request_pool_connect(pool)))
 
     def _do_pool_connect(self, pool: Pool):
         yield self._message_latency
@@ -611,9 +569,7 @@ class DaosClient:
     ) -> Request:
         return Request(
             op="container_create",
-            body=lambda: self._as_events(
-                self._do_container_create(pool, uuid, label, is_default)
-            ),
+            body=lambda: self._do_container_create(pool, uuid, label, is_default),
             detail=label or str(uuid),
         )
 
@@ -631,7 +587,7 @@ class DaosClient:
         the real collective: one creator wins, the rest see EXIST.
         """
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 self.request_container_create(pool, uuid, label, is_default)
             )
         )
@@ -667,8 +623,7 @@ class DaosClient:
         """Open a container by UUID or label, cached per client (§5.2).
 
         The cache hit is a pure local lookup — no RPC is built and nothing
-        passes through the middleware chain, exactly like a cached handle in
-        libdaos.
+        is launched, exactly like a cached handle in libdaos.
         """
         cache_key = (pool.label, self._cache_key(ref))
         cached = self._container_cache.get(cache_key)
@@ -676,12 +631,10 @@ class DaosClient:
             self._count("container_open_cached")
             return cached
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="container_open",
-                    body=lambda: self._as_events(
-                        self._do_container_open(pool, ref, cache_key)
-                    ),
+                    body=lambda: self._do_container_open(pool, ref, cache_key),
                     detail=str(ref),
                 )
             )
@@ -701,17 +654,17 @@ class DaosClient:
 
     def container_exists(self, pool: Pool, ref: ContainerRef):
         """Probe existence (a pool-service lookup)."""
-        if self._use_driver and self.sim.tracer is None:
+        if self._bare and self.sim.tracer is None:
             return (
                 yield self._launch(
                     "container_exists", self._do_container_exists(pool, ref), 0
                 )
             )
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="container_exists",
-                    body=lambda: self._as_events(self._do_container_exists(pool, ref)),
+                    body=lambda: self._do_container_exists(pool, ref),
                     detail=str(ref),
                 )
             )
@@ -732,10 +685,10 @@ class DaosClient:
         alias (label and UUID).
         """
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="container_destroy",
-                    body=lambda: self._as_events(self._do_container_destroy(pool, ref)),
+                    body=lambda: self._do_container_destroy(pool, ref),
                     detail=str(ref),
                 )
             )
@@ -749,15 +702,8 @@ class DaosClient:
             yield self.config.container_create_service_time
             container = pool.destroy_container(ref)
             for obj in list(container.objects()):
-                if not isinstance(obj, ArrayObject) or obj.nbytes_stored == 0:
-                    continue
-                stripes = obj.oclass.resolve_stripes(self.system.n_targets)
-                shards = shard_layout(
-                    obj.nbytes_stored, stripes, self.config.stripe_cell_size
-                )
-                for shard_index, _offset, length in shards:
-                    for target in self._replica_targets(obj, shard_index, write=True):
-                        pool.refund(target, min(length, pool.target_used(target)))
+                if isinstance(obj, ArrayObject):
+                    self._refund_stored(pool, obj)
         finally:
             self.system.pool_service.release(request)
         yield self._message_latency
@@ -784,13 +730,13 @@ class DaosClient:
         kv = container.get_or_create_kv(oid, oclass)
         if kv.lock is None:
             self.system.register_object(kv, oclass, container_salt=container.uuid.int)
-        if self._use_driver and self.sim.tracer is None:
+        if self._bare and self.sim.tracer is None:
             return (yield self._launch("kv_open", self._do_kv_open(kv), 0))
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="kv_open",
-                    body=lambda: self._as_events(self._do_kv_open(kv)),
+                    body=lambda: self._do_kv_open(kv),
                     target=self._lead_target(kv),
                 )
             )
@@ -805,7 +751,7 @@ class DaosClient:
     def request_kv_put(self, kv: KeyValueObject, key: bytes, value: bytes) -> Request:
         return Request(
             op="kv_put",
-            body=lambda: self._as_events(self._do_kv_put(kv, key, value)),
+            body=lambda: self._do_kv_put(kv, key, value),
             target=self._key_target(kv, key),
             nbytes=len(value),
             detail=key,
@@ -818,11 +764,11 @@ class DaosClient:
         time), which is the mechanism behind the paper's shared-index-KV
         contention (§5.2, Fig 4).
         """
-        if self._use_driver and self.sim.tracer is None:
+        if self._bare and self.sim.tracer is None:
             return (
                 yield self._launch("kv_put", self._do_kv_put(kv, key, value), len(value))
             )
-        return (yield from self._submit(self.request_kv_put(kv, key, value)))
+        return (yield self._launch_request(self.request_kv_put(kv, key, value)))
 
     def _kv_write_targets(self, kv: KeyValueObject, key: bytes) -> List[int]:
         """Targets a dkey update must service: every live replica.
@@ -890,7 +836,7 @@ class DaosClient:
     def request_kv_get(self, kv: KeyValueObject, key: bytes) -> Request:
         return Request(
             op="kv_get",
-            body=lambda: self._as_events(self._do_kv_get_or_none(kv, key)),
+            body=lambda: self._do_kv_get_or_none(kv, key),
             target=self._key_target(kv, key),
             detail=key,
         )
@@ -902,9 +848,9 @@ class DaosClient:
         service time — VOS dkey-tree descent on a hot shared object is what
         bends the Fig 4 read curves.
         """
-        if self._use_driver and self.sim.tracer is None:
+        if self._bare and self.sim.tracer is None:
             return (yield self._launch("kv_get", self._do_kv_get_or_none(kv, key), 0))
-        return (yield from self._submit(self.request_kv_get(kv, key)))
+        return (yield self._launch_request(self.request_kv_get(kv, key)))
 
     def _do_kv_get_or_none(self, kv: KeyValueObject, key: bytes):
         yield self._message_latency
@@ -929,10 +875,10 @@ class DaosClient:
     def kv_list(self, kv: KeyValueObject):
         """Enumerate all keys (paged enumeration, one service charge per page)."""
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="kv_list",
-                    body=lambda: self._as_events(self._do_kv_list(kv)),
+                    body=lambda: self._do_kv_list(kv),
                     target=self._lead_target(kv),
                 )
             )
@@ -955,13 +901,13 @@ class DaosClient:
 
     def kv_remove(self, kv: KeyValueObject, key: bytes):
         """Remove a key (same serialisation as a put)."""
-        if self._use_driver and self.sim.tracer is None:
+        if self._bare and self.sim.tracer is None:
             return (yield self._launch("kv_remove", self._do_kv_remove(kv, key), 0))
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="kv_remove",
-                    body=lambda: self._as_events(self._do_kv_remove(kv, key)),
+                    body=lambda: self._do_kv_remove(kv, key),
                     target=self._key_target(kv, key),
                     detail=key,
                 )
@@ -992,17 +938,17 @@ class DaosClient:
         array = container.get_or_create_array(oid, oclass)
         if array.lock is None:
             self.system.register_object(array, oclass, container_salt=container.uuid.int)
-        if self._use_driver and self.sim.tracer is None:
+        if self._bare and self.sim.tracer is None:
             return (
                 yield self._launch(
                     "array_create", self._do_array_create(container, array), 0
                 )
             )
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="array_create",
-                    body=lambda: self._as_events(self._do_array_create(container, array)),
+                    body=lambda: self._do_array_create(container, array),
                     target=self._lead_target(array),
                 )
             )
@@ -1022,15 +968,15 @@ class DaosClient:
         array = container.get_object(oid)
         if not isinstance(array, ArrayObject):
             raise InvalidArgumentError(f"object {oid} is not an Array")
-        if self._use_driver and self.sim.tracer is None:
+        if self._bare and self.sim.tracer is None:
             return (
                 yield self._launch("array_open", self._do_array_open(container, array), 0)
             )
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="array_open",
-                    body=lambda: self._as_events(self._do_array_open(container, array)),
+                    body=lambda: self._do_array_open(container, array),
                     target=self._lead_target(array),
                 )
             )
@@ -1048,15 +994,15 @@ class DaosClient:
     def request_array_close(self, array: ArrayObject) -> Request:
         return Request(
             op="array_close",
-            body=lambda: self._as_events(self._do_array_close(array)),
+            body=lambda: self._do_array_close(array),
             target=self._lead_target(array),
         )
 
     def array_close(self, array: ArrayObject):
         """Close an array handle (flush + release)."""
-        if self._use_driver and self.sim.tracer is None:
+        if self._bare and self.sim.tracer is None:
             return (yield self._launch("array_close", self._do_array_close(array), 0))
-        return (yield from self._submit(self.request_array_close(array)))
+        return (yield self._launch_request(self.request_array_close(array)))
 
     def _do_array_close(self, array: ArrayObject):
         yield from self._target_leg(
@@ -1066,15 +1012,15 @@ class DaosClient:
 
     def array_get_size(self, array: ArrayObject):
         """Query the array size (a lead-target RPC)."""
-        if self._use_driver and self.sim.tracer is None:
+        if self._bare and self.sim.tracer is None:
             return (
                 yield self._launch("array_get_size", self._do_array_get_size(array), 0)
             )
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="array_get_size",
-                    body=lambda: self._as_events(self._do_array_get_size(array)),
+                    body=lambda: self._do_array_get_size(array),
                     target=self._lead_target(array),
                 )
             )
@@ -1097,12 +1043,10 @@ class DaosClient:
         several versions.
         """
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="array_punch",
-                    body=lambda: self._as_events(
-                        self._do_array_punch(container, array, pool)
-                    ),
+                    body=lambda: self._do_array_punch(container, array, pool),
                     target=self._lead_target(array),
                 )
             )
@@ -1118,14 +1062,8 @@ class DaosClient:
                 self._lead_target(array), self.config.rpc_service_time
             )
             container.remove_object(array.oid)
-            if pool is not None and array.nbytes_stored > 0:
-                stripes = array.oclass.resolve_stripes(self.system.n_targets)
-                shards = shard_layout(
-                    array.nbytes_stored, stripes, self.config.stripe_cell_size
-                )
-                for shard_index, _offset, length in shards:
-                    for target in self._replica_targets(array, shard_index, write=True):
-                        pool.refund(target, min(length, pool.target_used(target)))
+            if pool is not None:
+                self._refund_stored(pool, array)
         finally:
             array.lock.release_write()
         yield self._message_latency
@@ -1136,12 +1074,10 @@ class DaosClient:
         Truncation refunds the discarded bytes to the pool when one is given.
         """
         return (
-            yield from self._submit(
+            yield self._launch_request(
                 Request(
                     op="array_set_size",
-                    body=lambda: self._as_events(
-                        self._do_array_set_size(array, size, pool)
-                    ),
+                    body=lambda: self._do_array_set_size(array, size, pool),
                     target=self._lead_target(array),
                 )
             )
@@ -1162,7 +1098,8 @@ class DaosClient:
                     # Refund against the lead target: byte-accurate per-target
                     # refunds would need extent placement history; the lead
                     # target approximation keeps pool totals correct.
-                    pool.refund(self._lead_target(array), min(freed, pool.target_used(self._lead_target(array))))
+                    lead = self._lead_target(array)
+                    pool.refund(lead, min(freed, pool.target_used(lead)))
         finally:
             array.lock.release_write()
         yield self._message_latency
@@ -1216,13 +1153,27 @@ class DaosClient:
         chosen = (self.address.node + self.address.socket) % len(candidates)
         return [candidates[chosen]]
 
+    def _refund_stored(self, pool: Pool, array: ArrayObject) -> None:
+        """Refund every byte ``array`` stores to ``pool``, shard by shard.
+
+        Each shard's bytes go back to every replica target a write would
+        charge, clamped to what the target holds, so pool accounting can
+        never go negative even for arrays written through several versions.
+        """
+        stripes = array.oclass.resolve_stripes(self.system.n_targets)
+        shards = shard_layout(array.nbytes_stored, stripes, self.config.stripe_cell_size)
+        for shard_index, _offset, length in shards:
+            for target in self._replica_targets(array, shard_index, write=True):
+                pool.refund(target, min(length, pool.target_used(target)))
+
     def _array_transfer(self, array: ArrayObject, offset: int, size: int, pool: Optional[Pool], write: bool):
         """Move ``size`` bytes of an array: split into shards, run them in parallel.
 
         The per-shard issue cost is serial at the client (libdaos builds and
         posts one RPC per shard); the shard I/Os themselves proceed
-        concurrently.  Writes go to every replica of each shard; reads are
-        served by one replica.
+        concurrently, as spawned :meth:`_shard_io` processes (a lone
+        unreplicated shard runs inline).  Writes go to every replica of each
+        shard; reads are served by one replica.
         """
         stripes = array.oclass.resolve_stripes(self.system.n_targets)
         shards = shard_layout(size, stripes, self.config.stripe_cell_size)
@@ -1235,7 +1186,7 @@ class DaosClient:
                         charged.append((target, length))
             simple = len(shards) == 1 and array.oclass.replicas == 1
             if simple:
-                yield self.sim.timeout(
+                yield (
                     self.config.shard_issue_write_time
                     if write
                     else self.config.shard_issue_read_time
@@ -1247,13 +1198,13 @@ class DaosClient:
                 # Reads prepare one fetch descriptor per shard before any data
                 # moves (then reassemble); this up-front per-shard cost is what
                 # penalises wide striping for reads (Fig 6: S2 beats SX).
-                yield self.sim.timeout(len(shards) * self.config.shard_issue_read_time)
+                yield len(shards) * self.config.shard_issue_read_time
             events = []
             for shard_index, _shard_offset, length in shards:
                 if write:
                     # Writes scatter eagerly: issue cost pipelines with the
                     # transfers already in flight.
-                    yield self.sim.timeout(self.config.shard_issue_write_time)
+                    yield self.config.shard_issue_write_time
                 for target in self._replica_targets(array, shard_index, write):
                     proc = self.sim.process(
                         self._shard_io(target, length, write),
@@ -1301,20 +1252,20 @@ class DaosClient:
         under access pattern B (§5.3).
         """
         return (
-            yield from self._submit(self.request_array_write(array, offset, payload, pool))
+            yield self._launch_request(self.request_array_write(array, offset, payload, pool))
         )
 
     def _do_array_write(
         self, array: ArrayObject, offset: int, payload: Payload, pool: Optional[Pool]
     ):
-        yield self._latency()
+        yield self._message_latency
         yield array.lock.acquire_write()
         try:
             yield from self._array_transfer(array, offset, payload.size, pool, write=True)
             array.write(offset, payload)
         finally:
             array.lock.release_write()
-        yield self._latency()
+        yield self._message_latency
 
     def request_array_read(self, array: ArrayObject, offset: int, length: int) -> Request:
         return Request(
@@ -1326,15 +1277,15 @@ class DaosClient:
 
     def array_read(self, array: ArrayObject, offset: int, length: int):
         """Read ``[offset, offset+length)``; concurrent reads share the lock."""
-        return (yield from self._submit(self.request_array_read(array, offset, length)))
+        return (yield self._launch_request(self.request_array_read(array, offset, length)))
 
     def _do_array_read(self, array: ArrayObject, offset: int, length: int):
-        yield self._latency()
+        yield self._message_latency
         yield array.lock.acquire_read()
         try:
             payload = array.read(offset, length)  # validate range before moving data
             yield from self._array_transfer(array, offset, length, None, write=False)
         finally:
             array.lock.release_read()
-        yield self._latency()
+        yield self._message_latency
         return payload

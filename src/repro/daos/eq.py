@@ -10,10 +10,14 @@ for NWP write throughput.
 :class:`EventQueue` provides that API shape over the discrete-event
 simulator: ``launch``/``submit`` start an operation as a simulation process,
 ``poll`` suspends the caller until completions are available, ``test`` reaps
-without blocking.  Completions carry the op's value *or* its error (like
-``daos_event_t.ev_error``); failures parked in the queue are defused so the
-simulator does not crash before the caller reaps them — but callers must
-reap and check, exactly as with the real API.
+without blocking.  A submitted :class:`~repro.daos.rpc.Request` runs on the
+client's op driver like a blocking call; the process only waits on it, so
+the op starts at the process's first step — one dispatch after the submit,
+behind whatever the submitter's instant already queued.  Completions carry
+the op's value *or* its error (like ``daos_event_t.ev_error``); failures
+parked in the queue are defused so the simulator does not crash before the
+caller reaps them — but callers must reap and check, exactly as with the
+real API.
 """
 
 from __future__ import annotations
@@ -102,8 +106,8 @@ class EventQueue:
         return process
 
     def submit(self, client: "DaosClient", request: Request) -> "Process":
-        """Submit a built :class:`Request` through ``client``'s middleware chain."""
-        return self.launch(client._submit(request), op=request.op, request=request)
+        """Submit a built :class:`Request` through ``client``'s middleware stages."""
+        return self.launch(_run(client, request), op=request.op, request=request)
 
     # -- reaping -------------------------------------------------------------
     def test(self) -> List[Completion]:
@@ -147,3 +151,14 @@ class EventQueue:
             f"<EventQueue {self.name!r} {len(self._inflight)} inflight, "
             f"{len(self._completed)} ready>"
         )
+
+
+def _run(client: "DaosClient", request: Request):
+    """Process body of one submission: launch ``request``, wait for its driver.
+
+    Launching inside the process, not in :meth:`EventQueue.submit`, is what
+    defers the op's first step to the process's bootstrap event: launched in
+    ``submit``, it would run synchronously inside the submitter's step, ahead
+    of every event already queued at this instant.
+    """
+    return (yield client._launch_request(request))

@@ -1,36 +1,38 @@
 """The explicit RPC layer of the DAOS client: requests, completions, middleware.
 
-Every :class:`~repro.daos.client.DaosClient` operation is materialised as a
+A :class:`~repro.daos.client.DaosClient` operation is materialised as a
 :class:`Request` — op kind, target, payload size, and a *re-invocable* body
-generator — and submitted through a chain of :class:`Middleware` objects
-before the body runs.  This mirrors the request pipeline of the real DAOS
-client library (``daos_rpc``/CaRT), where every API call builds an RPC
-descriptor that passes through registered callbacks on its way to the wire.
+generator — and run through a chain of :class:`Middleware` stages around
+the body.  This mirrors the request pipeline of the real DAOS client
+library (``daos_rpc``/CaRT), where every API call builds an RPC descriptor
+that passes through registered callbacks on its way to the wire.
 
 The middleware chain is where cross-cutting concerns live:
 
-* :class:`MetricsMiddleware` — op counters and per-op latency accounting
-  (always installed; powers the RPC breakdown in experiment reports);
 * :class:`TracingMiddleware` — structured spans into the simulator's
   :class:`~repro.simulation.trace.Tracer` (no-op unless tracing is enabled);
 * :class:`FaultInjectionMiddleware` — deterministic, seeded fault schedule
   raising :class:`~repro.daos.errors.SimulatedFaultError` *before* the body
   executes, so injected failures never leave partial state behind;
+* :class:`PoolMapRefreshMiddleware` — refetch the pool map and re-route
+  after a :class:`~repro.daos.errors.TargetDownError` (health enabled);
 * :class:`RetryMiddleware` — retry with exponential backoff, re-invoking the
   request body (possible precisely because a Request carries a factory, not
   a generator instance).
 
-A ``Request.body`` is always a plain simulation generator (it yields
-Events).  The client writes each metadata op once, in its *leg dialect*
-(``yield <float>`` for a delay), and wraps that body in
-``DaosClient._as_events`` when it builds the Request — so every middleware
-configuration here runs the very body the client's pooled driver runs when
-the chain is the stateless pair :func:`is_plain_chain` recognises.
+Op counts and latencies are not a stage: the client's op driver keeps them
+(``DaosClient._launch``), outside every stage, so an op counts once and its
+latency covers every retry.
 
-The default chain (metrics + tracing with tracing disabled) adds no
-simulated events, so the blocking call path stays bit-identical to the
-pre-RPC-layer client — the golden digests in
-``tests/bench/test_determinism.py`` are the contract.
+A ``Request.body`` and every stage's ``handle`` speak the client's *leg
+dialect*: ``yield <float>`` is a delay, ``yield <Event>`` a wait.  The
+composed chain is one generator the client's pooled driver runs
+(``DaosClient._launch_request``), the same interpreter that runs a bare
+client's bodies without any Request.
+
+The default stages (tracing, disabled) add no simulated events, so the
+blocking call path stays bit-identical to the pre-RPC-layer client — the
+golden digests in ``tests/bench/test_determinism.py`` are the contract.
 """
 
 from __future__ import annotations
@@ -59,13 +61,11 @@ __all__ = [
     "Completion",
     "OpStats",
     "Middleware",
-    "MetricsMiddleware",
     "TracingMiddleware",
     "FaultInjectionMiddleware",
     "PoolMapRefreshMiddleware",
     "RetryMiddleware",
     "compose_chain",
-    "is_plain_chain",
     "merge_op_stats",
 ]
 
@@ -218,9 +218,9 @@ def merge_op_stats(stats_dicts: Iterable[Dict[str, OpStats]]) -> Dict[str, OpSta
 class Middleware:
     """Base middleware: pass the request down the chain unchanged.
 
-    ``handle`` is a generator driven inside a simulation process; ``call``
-    invokes the rest of the chain (terminating at ``request.body()``) and
-    may be invoked more than once (retries).
+    ``handle`` is a leg-dialect generator the client's op driver runs;
+    ``call`` invokes the rest of the chain (terminating at
+    ``request.body()``) and may be invoked more than once (retries).
 
     ``bind`` is the composition hook: it folds this middleware over the
     next handler and returns the callable the chain invokes per request.
@@ -238,26 +238,6 @@ class Middleware:
             return self.handle(client, request, nxt)
 
         return handler
-
-
-class MetricsMiddleware(Middleware):
-    """Counts ops and accumulates per-op latency on the owning client.
-
-    Installed outermost, so a retried op counts once and its recorded
-    latency covers every attempt plus the backoff — the latency the caller
-    actually experienced.
-    """
-
-    def handle(self, client: "DaosClient", request: Request, call):
-        entry = client._account(request.op)
-        start = client.sim.now
-        try:
-            result = yield from call(client, request)
-        except BaseException:
-            entry.observe(client.sim.now - start, request.nbytes, ok=False)
-            raise
-        entry.observe(client.sim.now - start, request.nbytes, ok=True)
-        return result
 
 
 class TracingMiddleware(Middleware):
@@ -280,9 +260,6 @@ class TracingMiddleware(Middleware):
 
     def handle(self, client: "DaosClient", request: Request, call):
         sim = client.sim
-        if sim.tracer is None:
-            result = yield from call(client, request)
-            return result
         start = sim.now
         try:
             result = yield from call(client, request)
@@ -346,13 +323,11 @@ class FaultInjectionMiddleware(Middleware):
         under_cap = config.max_faults is None or client.faults_injected < config.max_faults
         if under_cap and self._faults(client, request, sequence):
             client.faults_injected += 1
-            entry = client.op_metrics.get(request.op)
-            if entry is not None:
-                entry.faults_injected += 1
+            client.op_metrics[request.op].faults_injected += 1
             client.sim.record(
                 "rpc_fault", op=request.op, target=request.target, sequence=sequence
             )
-            yield client._latency()  # the round trip that never completed
+            yield client._message_latency  # the round trip that never completed
             raise SimulatedFaultError(
                 f"injected fault on {request.op} (sequence {sequence})"
             )
@@ -384,9 +359,7 @@ class PoolMapRefreshMiddleware(Middleware):
                 refreshed = yield from client._refresh_pool_map()
                 if not refreshed:
                     raise
-                entry = client.op_metrics.get(request.op)
-                if entry is not None:
-                    entry.retries += 1
+                client.op_metrics[request.op].retries += 1
                 client.sim.record(
                     "rpc_map_refresh",
                     op=request.op,
@@ -416,24 +389,11 @@ class RetryMiddleware(Middleware):
             except SimulatedFaultError:
                 if attempt >= policy.max_attempts:
                     raise
-                entry = client.op_metrics.get(request.op)
-                if entry is not None:
-                    entry.retries += 1
+                client.op_metrics[request.op].retries += 1
                 client.sim.record("rpc_retry", op=request.op, attempt=attempt)
                 backoff = policy.backoff_base * policy.backoff_factor ** (attempt - 1)
-                yield client.sim.timeout(backoff)
+                yield backoff
                 attempt += 1
-
-
-def is_plain_chain(middlewares: List[Middleware]) -> bool:
-    """Whether ``middlewares`` is exactly ``[metrics, tracing]`` -- the chain
-    that keeps no per-client state, and the one a client's pooled op driver
-    may stand in for (``DaosClient._use_driver``)."""
-    return (
-        len(middlewares) == 2
-        and type(middlewares[0]) is MetricsMiddleware
-        and type(middlewares[1]) is TracingMiddleware
-    )
 
 
 def compose_chain(
@@ -441,30 +401,13 @@ def compose_chain(
 ) -> Callable[["DaosClient", Request], Generator]:
     """Fold a middleware list (outermost first) into one callable.
 
-    The returned callable produces the generator that ``DaosClient._submit``
-    drives; the innermost stage invokes ``request.body()``.
-
-    The *plain* chain (:func:`is_plain_chain`, the default when fault
-    injection and health are off) is specialised: while no tracer is
-    installed and the request carries no sub-requests, the metrics
-    middleware's ``handle`` is called on the terminal directly, skipping the
-    per-call ``bind`` closures.  Tracer installation mid-run (or a multi-op
-    request) falls back to the generically composed chain per call.
+    The returned callable produces the generator that
+    ``DaosClient._launch_request`` runs on a driver; the innermost stage
+    invokes ``request.body()``.
     """
 
     def terminal(client: "DaosClient", request: Request) -> Generator:
         return request.body()
-
-    if is_plain_chain(middlewares):
-        generic = middlewares[0].bind(middlewares[1].bind(terminal))
-        metrics = middlewares[0].handle
-
-        def plain_handler(client: "DaosClient", request: Request) -> Generator:
-            if client.sim.tracer is None and request.subrequests is None:
-                return metrics(client, request, terminal)
-            return generic(client, request)
-
-        return plain_handler
 
     handler = terminal
     for middleware in reversed(middlewares):

@@ -51,13 +51,8 @@ class DaosSystem:
         self.pool_service = Resource(sim, capacity=1, name="pool_service")
         self.pools: Dict[str, Pool] = {}
         self._uuid_counter = 0
-        #: ``(middlewares, composed chain)`` shared by every default client
-        #: when the default chain is the stateless ``[metrics, tracing]``
-        #: pair; set by the first such client, ``None`` until then and for
-        #: systems whose default chain carries fault/health middleware.
-        self.plain_chain: Optional[tuple] = None
-        #: Free-list of recycled fast-op drivers, shared by all clients
-        #: (see :class:`repro.daos.client._FastDriver`).
+        #: Free-list of recycled op drivers, shared by all clients (see
+        #: :class:`repro.daos.client._FastDriver`).
         self.fast_drivers: list = []
 
         #: Authoritative target-health map.  Always present (version 1, all

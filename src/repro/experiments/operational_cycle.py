@@ -37,7 +37,7 @@ from repro.config import ClusterConfig, DaosServiceConfig, HealthConfig
 from repro.daos.errors import ServiceBusyError
 from repro.daos.health import seeded_failure_schedule
 from repro.daos.objclass import object_class_by_name
-from repro.daos.rpc import MetricsMiddleware, TracingMiddleware
+from repro.daos.rpc import TracingMiddleware
 from repro.experiments.common import (
     ExperimentResult,
     GridSpec,
@@ -212,7 +212,7 @@ def cycle_point(
 
     reader_chain = (
         None if qos is None
-        else lambda: [MetricsMiddleware(), qos, TracingMiddleware()]
+        else lambda: [qos, TracingMiddleware()]
     )
     writer_ios = [make_fieldio(i) for i in range(n_writers)]
     reader_ios = [

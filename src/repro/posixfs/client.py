@@ -18,12 +18,12 @@ through Lustre's architecture:
   bandwidth differences are attributable to locking and metadata alone.
 
 Implemented as an override of the DAOS client's ``_do_*`` op bodies and
-nothing else: each metadata body is written once, in the leg dialect
-(``yield <float>`` a delay, ``yield <Event>`` a wait; see
-:mod:`repro.daos.client`), and the inherited public methods and
-``request_*`` builders close over ``self``, so both interpreters of a body
-(pooled driver and middleware chain), the event-queue async path and the op
-bookkeeping are shared verbatim rather than forked.
+nothing else: each body is written once, in the leg dialect (``yield
+<float>`` a delay, ``yield <Event>`` a wait; see :mod:`repro.daos.client`),
+and the inherited public methods and ``request_*`` builders close over
+``self``, so the op driver that runs every body (bare or inside the
+middleware stages), the event-queue async path and the op bookkeeping are
+shared verbatim rather than forked.
 """
 
 from __future__ import annotations
@@ -138,15 +138,8 @@ class PosixClient(DaosClient):
             # Recursive unlink: the directory plus one entry per object.
             yield self.posix.mds_unlink_service * (1 + len(objects))
             for obj in objects:
-                if not isinstance(obj, ArrayObject) or obj.nbytes_stored == 0:
-                    continue
-                stripes = obj.oclass.resolve_stripes(self.system.n_targets)
-                shards = shard_layout(
-                    obj.nbytes_stored, stripes, self.config.stripe_cell_size
-                )
-                for shard_index, _offset, length in shards:
-                    target = obj.layout[shard_index]
-                    pool.refund(target, min(length, pool.target_used(target)))
+                if isinstance(obj, ArrayObject):
+                    self._refund_stored(pool, obj)
         finally:
             self.mds.release(request)
         yield self._message_latency
@@ -273,14 +266,8 @@ class PosixClient(DaosClient):
         try:
             yield from self._mds_leg(self.posix.mds_unlink_service)
             container.remove_object(array.oid)
-            if pool is not None and array.nbytes_stored > 0:
-                stripes = array.oclass.resolve_stripes(self.system.n_targets)
-                shards = shard_layout(
-                    array.nbytes_stored, stripes, self.config.stripe_cell_size
-                )
-                for shard_index, _offset, length in shards:
-                    target = array.layout[shard_index]
-                    pool.refund(target, min(length, pool.target_used(target)))
+            if pool is not None:
+                self._refund_stored(pool, array)
         finally:
             lock.release_write()
         yield self._message_latency
@@ -305,7 +292,7 @@ class PosixClient(DaosClient):
     def _do_array_write(
         self, array: ArrayObject, offset: int, payload, pool: Optional[Pool]
     ):
-        yield self._latency()
+        yield self._message_latency
         held: List[ExtentLock] = []
         try:
             for lock in self._extent_locks(array, payload.size):
@@ -319,10 +306,10 @@ class PosixClient(DaosClient):
         finally:
             for lock in reversed(held):
                 lock.release_write()
-        yield self._latency()
+        yield self._message_latency
 
     def _do_array_read(self, array: ArrayObject, offset: int, length: int):
-        yield self._latency()
+        yield self._message_latency
         held: List[ExtentLock] = []
         try:
             for lock in self._extent_locks(array, length):
@@ -333,5 +320,5 @@ class PosixClient(DaosClient):
         finally:
             for lock in reversed(held):
                 lock.release_read()
-        yield self._latency()
+        yield self._message_latency
         return payload

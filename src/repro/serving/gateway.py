@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.daos.errors import InvalidArgumentError, ServiceBusyError
 from repro.daos.objclass import OC_RP_2G1, OC_RP_3G1, ObjectClass
 from repro.daos.payload import Payload
-from repro.daos.rpc import MetricsMiddleware, TracingMiddleware
+from repro.daos.rpc import TracingMiddleware
 from repro.fdb.fieldio import FieldIO
 from repro.fdb.key import FieldKey
 from repro.fdb.request import Request
@@ -220,7 +220,7 @@ class Gateway:
         for address in addresses:
             middleware = None
             if qos is not None:
-                middleware = [MetricsMiddleware(), qos, TracingMiddleware()]
+                middleware = [qos, TracingMiddleware()]
             client = self.system.make_client(address, middleware=middleware)
             workers.append(FieldIO(client, self.pool, schema=self.schema))
         self._tenants[name] = _Tenant(workers=workers, qos=qos)

@@ -1,20 +1,20 @@
 """Per-tenant QoS admission for the serving tier's RPC chains.
 
-A :class:`QosAdmissionMiddleware` slots into the standard
-:mod:`repro.daos.rpc` middleware chain of every storage client working for
-one tenant.  Admission is a deterministic token bucket over *simulated*
-time: each covered op reserves one token; when the bucket is empty the op
-waits exactly until its reserved token accrues (a virtual-clock
-reservation, so concurrent waiters are spaced ``1/rate`` apart with no
-randomness), and when the wait queue is already at the configured depth
-the op is shed with a retryable
-:class:`~repro.daos.errors.ServiceBusyError` instead — bounded queues, the
-gateway answer to overload.
+A :class:`QosAdmissionMiddleware` slots into the :mod:`repro.daos.rpc`
+middleware stages of every storage client working for one tenant.
+Admission is a deterministic token bucket over *simulated* time: each
+covered op reserves one token; when the bucket is empty the op waits
+exactly until its reserved token accrues (a virtual-clock reservation, so
+concurrent waiters are spaced ``1/rate`` apart with no randomness), and
+when the wait queue is already at the configured depth the op is shed with
+a retryable :class:`~repro.daos.errors.ServiceBusyError` instead — bounded
+queues, the gateway answer to overload.  Like every stage, the wait is a
+leg (``yield <float>``) of the op's driver.
 
-The middleware holds no reference to a simulator; like the rest of the
-chain it reads time from the client it is handling, so one instance can be
-shared by all of a tenant's worker clients — which is precisely what makes
-the limit *per tenant* rather than per connection.
+The middleware holds no reference to a simulator; like the other stages it
+reads time from the client it is handling, so one instance can be shared
+by all of a tenant's worker clients — which is precisely what makes the
+limit *per tenant* rather than per connection.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class TokenBucket:
 class QosAdmissionMiddleware(Middleware):
     """Token-bucket admission + queue-depth shedding for one tenant.
 
-    Installed between metrics and tracing in each worker client's chain;
+    Installed in front of tracing in each worker client's stages;
     ops outside ``ops`` (when given) pass through untouched, so the
     gateway meters one token per *field read* by covering only the index
     lookup (``kv_get``) — shedding happens before any bulk array work.
@@ -173,7 +173,7 @@ class QosAdmissionMiddleware(Middleware):
             if self.waiting > self.max_waiting:
                 self.max_waiting = self.waiting
             try:
-                yield client.sim.timeout(wait)
+                yield wait
             finally:
                 self.waiting -= 1
         self.admitted += tokens

@@ -194,10 +194,10 @@ class Simulator:
         A lane event is a plain :class:`Event` whose owner re-arms it for
         successive delays by resetting ``_value`` to ``PENDING``, installing
         its own callback list, and calling :meth:`_schedule` directly — the
-        fused-delay mechanism of the metadata op driver
+        fused-delay mechanism of the storage-client op driver
         (:class:`~repro.daos.client._FastDriver`).  Recycling through the
-        simulator-wide freelist means a storm of metadata ops allocates
-        O(concurrent ops) events instead of three fresh Timeouts per op.
+        simulator-wide freelist means a storm of ops allocates
+        O(concurrent ops) events instead of a fresh Timeout per delay.
 
         The caller owns the event until :meth:`lane_release`; lane events
         must never be exposed to other waiters.

@@ -238,14 +238,15 @@ def test_metadata_overload_error_past_mds_queue():
     assert "overload" in outcomes
 
 
-@pytest.mark.parametrize("interpreter", ["driver", "retry_chain"])
-def test_metadata_overload_error_from_the_one_mds_leg(interpreter):
+@pytest.mark.parametrize("launch", ["driver", "retry_chain"])
+def test_metadata_overload_error_from_the_one_mds_leg(launch):
     """The hot metadata bodies reach the MDS through the same leg as the cold
-    ones, so the overload rejection holds whichever interpreter runs them."""
+    ones, so the overload rejection holds whether a body is launched bare
+    ("driver") or as a Request through the retry stages."""
     config_kwargs = {}
-    if interpreter == "retry_chain":
-        # [metrics, retry, tracing, fault] with no injected faults: the only
-        # failures the retry sees are the MDS's own rejections.
+    if launch == "retry_chain":
+        # [retry, tracing, fault] with no injected faults: the only failures
+        # the retry sees are the MDS's own rejections.
         config_kwargs["daos"] = DaosServiceConfig(
             fault_injection=FaultInjectionConfig(enabled=True, rate=0.0)
         )
@@ -270,11 +271,13 @@ def test_metadata_overload_error_from_the_one_mds_leg(interpreter):
     cluster.sim.run(until=cluster.sim.all_of(processes))
     rejected = sum(c.op_metrics["kv_open"].errors for c in clients)
     retried = sum(c.op_metrics["kv_open"].retries for c in clients)
-    if interpreter == "driver":
-        assert bool(system.fast_drivers)
+    # Either way every op ran on a pooled driver and handed it back.
+    assert system.fast_drivers
+    assert len(cluster.sim._lane_free) == len(system.fast_drivers)
+    assert all(client._bare == (launch == "driver") for client in clients)
+    if launch == "driver":
         assert outcomes.count("overload") == rejected > 0 == retried
     else:
-        assert not system.fast_drivers
         assert retried > 0, "the MDS rejected nothing for the retry to resend"
         assert outcomes.count("done") + rejected == len(clients)
 

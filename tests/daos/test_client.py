@@ -284,9 +284,10 @@ def test_concurrent_writers_to_one_engine_share_scm_bandwidth():
     assert bandwidth > 3.0 * GiB
 
 
-def test_as_events_adapter_is_transparent_to_sends_throws_and_returns():
-    """``_as_events`` turns float legs into timeouts and nothing else: event
-    values, event failures and the body's return value pass straight through."""
+def test_driver_is_transparent_to_sends_throws_and_returns():
+    """The op driver turns float legs into delays and nothing else: event
+    values, event failures and the body's return value pass straight
+    through, and the op is counted and observed once."""
     cluster, _system, _pool, client = make_env()
     sim = cluster.sim
     seen = []
@@ -301,6 +302,12 @@ def test_as_events_adapter_is_transparent_to_sends_throws_and_returns():
         yield 1                                           # int delays count too
         return "done"
 
-    assert run_process(cluster, client._as_events(legs())) == "done"
+    def caller():
+        return (yield client._launch("legs", legs(), 3))
+
+    assert run_process(cluster, caller()) == "done"
     assert seen == [None, "v", "boom"]
     assert sim.now == 1.75
+    entry = client.op_metrics["legs"]
+    assert client.stats["legs"] == entry.count == 1
+    assert (entry.total_time, entry.total_bytes, entry.errors) == (1.75, 3, 0)

@@ -1,7 +1,8 @@
 """Vectorized multi-op submission: stats, timeline and QoS metering.
 
-``submit_multi`` batches N sub-requests into one middleware traversal.  On
-the default chain the simulated timeline is contractually identical to
+``submit_multi`` batches N sub-requests into one launch and one traversal
+of the middleware stages.  On the default stages the simulated timeline is
+contractually identical to
 submitting the ops one by one, per-op stats land in the same slots, and a
 QoS middleware covering the sub-ops meters the same token count — batching
 saves bookkeeping, never accounting.
@@ -14,7 +15,7 @@ from repro.config import ClusterConfig
 from repro.daos.errors import ServiceBusyError
 from repro.daos.objclass import OC_SX
 from repro.daos.oid import ObjectId
-from repro.daos.rpc import MetricsMiddleware, TracingMiddleware
+from repro.daos.rpc import TracingMiddleware
 from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
 from tests.conftest import run_process
 
@@ -119,7 +120,7 @@ def _qos_client(rate=4.0, burst=2.0, max_queue_depth=0):
     )
     client = system.make_client(
         cluster.client_addresses(1)[0],
-        middleware=[MetricsMiddleware(), qos, TracingMiddleware()],
+        middleware=[qos, TracingMiddleware()],
     )
     return cluster, pool, client, qos
 

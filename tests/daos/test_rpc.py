@@ -211,11 +211,10 @@ def test_retry_recovers_a_fieldio_write():
 def test_default_chain_skips_fault_machinery(deployment):
     _cluster, system, _pool = deployment
     names = [type(m).__name__ for m in default_middleware(system.config)]
-    assert names == ["MetricsMiddleware", "TracingMiddleware"]
+    assert names == ["TracingMiddleware"]
     faulty = _faulty_config()
     names = [type(m).__name__ for m in default_middleware(faulty.daos)]
     assert names == [
-        "MetricsMiddleware",
         "RetryMiddleware",
         "TracingMiddleware",
         "FaultInjectionMiddleware",

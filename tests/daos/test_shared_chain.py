@@ -1,10 +1,11 @@
-"""The default plain RPC chain is composed once per system and shared.
+"""Default clients share one composed stage chain; stateful ones stay private.
 
-``[MetricsMiddleware, TracingMiddleware]`` keeps no per-client state, so
-every default client of a deployment rides one composed chain (and one
-fast-op driver free-list); anything with state -- explicit ``middleware=``,
-fault injection, health, QoS -- still gets a chain of its own.  The
-fast-vs-generic identity rails live in ``test_fast_path.py``.
+Tracing, the only default stage while fault injection and health are off,
+keeps no per-client state, so every such default client shares one
+composed chain (and one op-driver free-list); anything else -- explicit
+``middleware=``, fault injection, health, QoS -- composes a chain of its
+own.  Either way every op runs on a pooled driver.  The bare-vs-request
+identity rails live in ``test_fast_path.py``.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ from repro.bench.runner import build_deployment
 from repro.config import ClusterConfig, FaultInjectionConfig
 from repro.daos.objclass import OC_S1
 from repro.daos.oid import ObjectId
-from repro.daos.rpc import MetricsMiddleware, TracingMiddleware
+from repro.daos.rpc import TracingMiddleware
 from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
 from repro.simulation.trace import Tracer
 from tests.conftest import run_process
@@ -37,16 +38,24 @@ def _clients(system, cluster, n=2, **kwargs):
     ]
 
 
+def _ran_on_drivers(cluster, system, client, pool, label):
+    """Run one op on ``client``; it leaves its driver and lane pooled."""
+    run_process(cluster, client.container_create(pool, label=label))
+    assert system.fast_drivers
+    assert len(cluster.sim._lane_free) == len(system.fast_drivers)
+
+
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
 def test_default_clients_share_the_chain_but_not_their_accounting(backend):
     cluster, system, pool = build_deployment(_config(), backend=backend)
     first, second = _clients(system, cluster)
     assert first._chain is second._chain
+    assert first._bare and second._bare
     # The list is per client: editing one client's view is not global.
-    assert first.middleware == second.middleware
+    assert [type(stage) for stage in first.middleware] == [TracingMiddleware]
     assert first.middleware is not second.middleware
     first.middleware.append("scribble")
-    assert len(system.make_client(first.address).middleware) == 2
+    assert len(system.make_client(first.address).middleware) == 1
 
     def work(client, n_puts):
         container = yield from client.container_open(pool, "shared-chain")
@@ -80,31 +89,31 @@ def test_mid_run_tracer_still_falls_back_on_the_shared_chain():
 
 
 def test_stateful_chains_stay_private():
-    # Explicit middleware: never shared, never published as the default.
-    cluster, system, _pool = build_deployment(_config())
-    explicit = _clients(
-        system, cluster, middleware=[MetricsMiddleware(), TracingMiddleware()]
-    )
-    assert system.plain_chain is None
+    # Explicit middleware: never the shared chain, even when it is tracing
+    # alone (bare, so the hot ops still launch without a Request).
+    cluster, system, pool = build_deployment(_config())
+    explicit = _clients(system, cluster, middleware=[TracingMiddleware()])
     default = system.make_client(explicit[0].address)
     assert len({id(c._chain) for c in (*explicit, default)}) == 3
+    assert explicit[0]._bare
+    _ran_on_drivers(cluster, system, explicit[0], pool, "explicit")
 
     # QoS tenants: one admission object, a private chain per worker.
     qos = QosAdmissionMiddleware("t0", QosPolicy(rate=100.0, burst=1.0))
-    tenants = _clients(
-        system, cluster, middleware=[MetricsMiddleware(), qos, TracingMiddleware()]
-    )
+    tenants = _clients(system, cluster, middleware=[qos, TracingMiddleware()])
     assert tenants[0]._chain is not tenants[1]._chain
-    assert not tenants[0]._use_driver
+    assert not tenants[0]._bare
+    _ran_on_drivers(cluster, system, tenants[0], pool, "tenant")
+    assert qos.admitted == 1
 
-    # Fault injection and health: the default chain carries per-client state.
+    # Fault injection and health: the default stages carry per-client state.
     for overrides in (
         dict(fault_injection=FaultInjectionConfig(enabled=True, rate=0.2, seed=11)),
         dict(health=dataclasses.replace(_config().daos.health, enabled=True)),
     ):
-        cluster, system, _pool = build_deployment(_config(**overrides))
+        cluster, system, pool = build_deployment(_config(**overrides))
         first, second = _clients(system, cluster)
-        assert system.plain_chain is None
         assert first._chain is not second._chain
         assert all(a is not b for a, b in zip(first.middleware, second.middleware))
-        assert not first._use_driver
+        assert not first._bare
+        _ran_on_drivers(cluster, system, first, pool, "stateful")
