@@ -76,8 +76,7 @@ ContainerRef = Union[uuid_module.UUID, str]
 #: the sha256 is by far the dominant cost of placement; the raw 32-bit
 #: prefix is cached (not the target index) so it stays valid across objects
 #: with different layouts.  Cleared when it grows past the bound rather than
-#: LRU-tracked, like ``payload._DIGEST_MEMO`` (re-hashing after a clear is
-#: correct, just slower once).
+#: LRU-tracked (re-hashing after a clear is correct, just slower once).
 _DKEY_HASH_CACHE: Dict[bytes, int] = {}
 _DKEY_HASH_CACHE_BOUND = 1 << 16
 
@@ -1210,6 +1209,12 @@ class DaosClient:
                         self._shard_io(target, length, write),
                         name=f"shard{shard_index}@{target}",
                     )
+                    # A shard may fail (stale map, lost engine) while later
+                    # shards are still being issued, before anything waits
+                    # on it.  The ``all_of`` below still fails on it (a
+                    # condition fails on an already-failed event), and a
+                    # transfer abandoned before then is already failing.
+                    proc.defuse()
                     events.append(proc)
             if events:
                 yield self.sim.all_of(events)

@@ -13,9 +13,10 @@ needs bytes.
 Payload equality is *content* equality: a ``BytesPayload`` equals a
 ``PatternPayload`` that would materialise the same bytes, so verification
 code does not care which representation a benchmark used.  Equality and
-hashing go through a lazily-computed, cached SHA-256 content digest, which
-is streamed chunk-by-chunk — comparing or hashing a 20 MiB lazy payload
-never allocates 20 MiB.
+hashing go through a lazily-computed SHA-256 content digest, kept on the
+instance and streamed chunk-by-chunk — comparing or hashing a 20 MiB lazy
+payload never allocates 20 MiB.  Nothing on a simulated path compares or
+hashes payloads, so the digest is computed only where content is verified.
 """
 
 from __future__ import annotations
@@ -23,21 +24,11 @@ from __future__ import annotations
 import functools
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
 __all__ = ["Payload", "BytesPayload", "PatternPayload", "ConcatPayload"]
-
-#: Content digests memoised across payload *instances*.  Serving paths build
-#: a fresh payload object per request for the same underlying content, so the
-#: per-instance digest slot alone never hits; keying by content identity
-#: (see ``Payload._memo_key``) makes re-digesting a field O(1) after its
-#: first computation.  Values are 32-byte digests; the table is cleared when
-#: it grows past the bound rather than LRU-tracked (re-digesting after a
-#: clear is correct, just slower once).
-_DIGEST_MEMO: Dict[Tuple, bytes] = {}
-_DIGEST_MEMO_BOUND = 1 << 16
 
 
 class Payload(ABC):
@@ -69,16 +60,6 @@ class Payload(ABC):
         """
         yield self.to_bytes()
 
-    def _memo_key(self) -> Optional[Tuple]:
-        """Hashable content identity for the cross-instance digest memo.
-
-        ``None`` opts out of memoisation (the default, and the choice for
-        payloads whose key would cost as much memory as the content).
-        Distinct keys may map to equal content — the memo then just stores
-        the digest twice — but equal keys MUST imply equal content.
-        """
-        return None
-
     def content_digest(self) -> bytes:
         """SHA-256 of the materialised content, computed lazily and cached.
 
@@ -88,18 +69,10 @@ class Payload(ABC):
         """
         digest = getattr(self, "_digest", None)
         if digest is None:
-            key = self._memo_key()
-            if key is not None:
-                digest = _DIGEST_MEMO.get(key)
-            if digest is None:
-                h = hashlib.sha256()
-                for chunk in self._chunks():
-                    h.update(chunk)
-                digest = h.digest()
-                if key is not None:
-                    if len(_DIGEST_MEMO) >= _DIGEST_MEMO_BOUND:
-                        _DIGEST_MEMO.clear()
-                    _DIGEST_MEMO[key] = digest
+            h = hashlib.sha256()
+            for chunk in self._chunks():
+                h.update(chunk)
+            digest = h.digest()
             self._digest = digest
         return digest
 
@@ -135,13 +108,6 @@ class BytesPayload(Payload):
     @property
     def size(self) -> int:
         return len(self._data)
-
-    def _memo_key(self) -> Optional[Tuple]:
-        # Small literal payloads (KV values, test fixtures) key by their
-        # bytes; beyond that the key would rival the content in size.
-        if len(self._data) <= 4096:
-            return ("B", self._data)
-        return None
 
     def slice(self, offset: int, length: int) -> "BytesPayload":
         self._check_bounds(offset, length)
@@ -181,9 +147,6 @@ class PatternPayload(Payload):
     def size(self) -> int:
         return self._size
 
-    def _memo_key(self) -> Optional[Tuple]:
-        return ("P", self.seed, self.origin, self._size)
-
     def slice(self, offset: int, length: int) -> "PatternPayload":
         self._check_bounds(offset, length)
         return PatternPayload(length, self.seed, origin=self.origin + offset)
@@ -213,9 +176,11 @@ class PatternPayload(Payload):
 def _pattern_block(seed: int, block: int) -> np.ndarray:
     """One 64 KiB pattern block, LRU-cached across payload instances.
 
-    Pattern bytes are a pure function of ``(seed, block)``; serving
-    workloads re-read the same hot fields, so regenerating a PCG64 stream
-    per read is the single largest avoidable cost at paper scale.  The
+    Pattern bytes are a pure function of ``(seed, block)``, and the
+    callers that materialise them re-read the same content: the rebuild
+    experiment's read-back compares each field with the payload it wrote
+    (``to_bytes()`` on both), and payload equality digests both sides.
+    Regenerating a PCG64 stream per read would repeat that work.  The
     cached array is frozen — callers only slice and ``tobytes`` it.
     """
     rng = np.random.Generator(
@@ -260,15 +225,6 @@ class ConcatPayload(Payload):
     def pieces(self) -> Sequence[Payload]:
         """The flattened, non-empty constituent payloads."""
         return self._pieces
-
-    def _memo_key(self) -> Optional[Tuple]:
-        keys = []
-        for piece in self._pieces:
-            key = piece._memo_key()
-            if key is None:
-                return None
-            keys.append(key)
-        return ("C", tuple(keys))
 
     def slice(self, offset: int, length: int) -> "Payload":
         self._check_bounds(offset, length)

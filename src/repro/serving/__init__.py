@@ -6,8 +6,8 @@ users address freshly archived fields through MARS-style
 expands and fans out to field reads.  Three mechanisms keep tail latency
 bounded under zipf-skewed read traffic:
 
-* a gateway-side :class:`FieldCache` keyed by the payload content digest
-  (LRU in bytes, per-entry TTL for cycle rollover);
+* a gateway-side :class:`FieldCache` keyed by field key (LRU in bytes,
+  per-entry TTL for cycle rollover);
 * per-tenant QoS admission (:class:`QosAdmissionMiddleware`) in the
   standard RPC middleware chain — token-bucket rate limits with
   queue-depth shedding via

@@ -1,13 +1,10 @@
-"""Gateway-side field cache: LRU over bytes, content-addressed storage.
+"""Gateway-side field cache: LRU over bytes, keyed by field key.
 
-The cache maps field keys to payloads, but the *bytes* live in a separate
-content-addressed store keyed by
-:meth:`~repro.daos.payload.Payload.content_digest` — the streamed SHA-256
-the payload layer computes (and caches) anyway.  Two field keys holding
-byte-identical payloads therefore account their bytes **once**, the way a
-real dissemination cache dedups identical GRIB messages, and an overwrite
-that re-points a key at new content releases the old digest's bytes only
-when its last referencing key is gone.
+The cache maps field keys to payloads and accounts each entry's
+``payload.size`` against a byte budget.  Entries are addressed by key
+alone: two keys holding byte-identical payloads each count their bytes
+(no workload ever caches one content under two keys), and a ``put`` on a
+cached key replaces its payload and refreshes its recency and TTL.
 
 Eviction is LRU over keys with a byte capacity; an optional per-entry TTL
 models cycle rollover (yesterday's products age out without explicit
@@ -19,7 +16,7 @@ cache-hit curve.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional
+from typing import Hashable, Optional
 
 from repro.daos.payload import Payload
 
@@ -27,22 +24,21 @@ __all__ = ["FieldCache"]
 
 
 class _Entry:
-    __slots__ = ("digest", "size", "expires_at")
+    __slots__ = ("payload", "expires_at")
 
-    def __init__(self, digest: bytes, size: int, expires_at: Optional[float]) -> None:
-        self.digest = digest
-        self.size = size
+    def __init__(self, payload: Payload, expires_at: Optional[float]) -> None:
+        self.payload = payload
         self.expires_at = expires_at
 
 
 class FieldCache:
-    """Byte-bounded LRU of field payloads keyed by content digest.
+    """Byte-bounded LRU of field payloads keyed by field key.
 
     Parameters
     ----------
     capacity:
-        Byte budget for cached payload content (distinct digests count
-        once).  Payloads larger than the whole budget are never cached.
+        Byte budget for cached payload content.  Payloads larger than the
+        whole budget are never cached.
     ttl:
         Seconds an entry stays valid, or ``None`` for no expiry.  Time is
         passed *in* by the caller (``now=sim.now``) so the cache is a pure
@@ -57,8 +53,6 @@ class FieldCache:
         self.capacity = capacity
         self.ttl = ttl
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
-        self._payloads: Dict[bytes, Payload] = {}
-        self._refcounts: Dict[bytes, int] = {}
         self._bytes = 0
         self.hits = 0
         self.misses = 0
@@ -67,25 +61,8 @@ class FieldCache:
         self.insertions = 0
         self.oversize_rejects = 0
 
-    # -- content-addressed byte accounting -------------------------------------
-    def _incref(self, digest: bytes, payload: Payload) -> None:
-        count = self._refcounts.get(digest, 0)
-        if count == 0:
-            self._payloads[digest] = payload
-            self._bytes += payload.size
-        self._refcounts[digest] = count + 1
-
-    def _decref(self, digest: bytes) -> None:
-        count = self._refcounts[digest] - 1
-        if count == 0:
-            del self._refcounts[digest]
-            self._bytes -= self._payloads.pop(digest).size
-        else:
-            self._refcounts[digest] = count
-
     def _drop(self, key: Hashable) -> None:
-        entry = self._entries.pop(key)
-        self._decref(entry.digest)
+        self._bytes -= self._entries.pop(key).payload.size
 
     # -- public API -------------------------------------------------------------
     def get(self, key: Hashable, now: float = 0.0) -> Optional[Payload]:
@@ -101,15 +78,14 @@ class FieldCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return self._payloads[entry.digest]
+        return entry.payload
 
     def put(self, key: Hashable, payload: Payload, now: float = 0.0) -> bool:
         """Insert/refresh ``key`` -> ``payload``; returns whether it was cached.
 
-        An overwrite with different content releases the old digest (unless
-        another key still references it); refreshing with identical content
-        just renews the TTL and recency.  Inserting evicts LRU entries
-        until the byte budget holds.
+        A ``put`` on a cached key replaces the payload and renews its TTL
+        and recency (not counted as an insertion).  Growing the cache
+        evicts LRU entries until the byte budget holds.
         """
         size = payload.size
         if size > self.capacity:
@@ -117,21 +93,19 @@ class FieldCache:
                 self._drop(key)
             self.oversize_rejects += 1
             return False
-        digest = payload.content_digest()
-        old = self._entries.get(key)
-        if old is not None:
-            if old.digest == digest:
-                old.expires_at = now + self.ttl if self.ttl is not None else None
-                self._entries.move_to_end(key)
-                return True
-            self._drop(key)
         expires_at = now + self.ttl if self.ttl is not None else None
-        self._incref(digest, payload)
-        self._entries[key] = _Entry(digest, size, expires_at)
-        self.insertions += 1
-        while self._bytes > self.capacity and self._entries:
-            lru_key = next(iter(self._entries))
-            self._drop(lru_key)
+        entry = self._entries.get(key)
+        if entry is None:
+            self._entries[key] = _Entry(payload, expires_at)
+            self.insertions += 1
+        else:
+            self._bytes -= entry.payload.size
+            entry.payload = payload
+            entry.expires_at = expires_at
+            self._entries.move_to_end(key)
+        self._bytes += size
+        while self._bytes > self.capacity:
+            self._drop(next(iter(self._entries)))
             self.evictions += 1
         return True
 
@@ -145,14 +119,12 @@ class FieldCache:
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
         self._entries.clear()
-        self._payloads.clear()
-        self._refcounts.clear()
         self._bytes = 0
 
     # -- introspection -----------------------------------------------------------
     @property
     def used_bytes(self) -> int:
-        """Bytes of cached content (distinct digests counted once)."""
+        """Bytes of cached content."""
         return self._bytes
 
     @property

@@ -7,37 +7,26 @@ engines) sharing one :class:`~repro.serving.qos.QosAdmissionMiddleware`;
 all tenants share one :class:`~repro.serving.cache.FieldCache`.
 
 Serving a :class:`~repro.fdb.request.Request` expands it once and walks the
-field keys in expansion order: a cache hit costs only the configured
-gateway service time, a miss goes to storage through the tenant's QoS'd
-client and populates the cache.  A request keeps its expansion and each key
-its schema split, so a product requested again (the same ``Request``
-object, as the workload generators hand out) costs the gateway no key work.  Concurrent misses of the same field are
-*coalesced* by default: the first misser becomes the leader and issues the
-single storage read, every other misser parks on an in-flight event and is
-handed the payload when the leader's read lands — the thundering herd of a
-cycle rollover costs one ``kv_get`` instead of one per herd member.  If
-the leader is shed (or fails), followers retry from the cache check, so a
+field keys in expansion order: a cache hit costs only the gateway service
+time (:data:`HIT_SERVICE_TIME`), a miss goes to storage through the
+tenant's QoS'd client and populates the cache.  A request keeps its
+expansion and each key its schema split, so a product requested again (the
+same ``Request`` object, as the workload generators hand out) costs the
+gateway no key work.  Concurrent misses of the same field are *coalesced*
+by default: the first misser becomes the leader and issues the single
+storage read, every other misser parks on an in-flight event and is handed
+the payload when the leader's read lands — the thundering herd of a cycle
+rollover costs one ``kv_get`` instead of one per herd member.  If the
+leader is shed (or fails), followers retry from the cache check, so a
 failure never wedges the herd.  ``coalesce=False`` restores the
 herd-per-field behaviour for experiments that want to expose it.
-
-With ``fanout_batch > 1`` a multi-field request additionally *batches* its
-misses: up to that many index lookups travel as one vectorized
-``kv_get_multi`` through the tenant's chain
-(:meth:`~repro.fdb.fieldio.FieldIO.read_many`), which QoS still meters at
-one token per field.
 
 Hot-object replication: the gateway counts accesses per field; at the
 promotion threshold a field is queued for a background promoter process
 that re-archives it under a replicated object class (``OC_RP_2G1`` /
 ``OC_RP_3G1``).  The overwrite allocates a fresh replicated array and
 re-points the index (§4 semantics), after which storage reads of that
-field spread over the replica targets by worker address.  Promotion is
-reversible: with ``demote_threshold > 0`` the gateway closes an
-access-count window every ``demote_interval`` simulated seconds of serving
-activity, and any promoted field that drew fewer accesses than the
-threshold in the closed window is re-archived back at the base object
-class by a background demoter — cooled-off fields stop paying the
-replicated write amplification on their next overwrite.
+field spread over the replica targets by worker address.
 """
 
 from __future__ import annotations
@@ -63,6 +52,13 @@ __all__ = ["GatewayConfig", "Gateway", "REPLICATED_CLASSES"]
 #: Replication factor -> the object class hot fields are promoted to.
 REPLICATED_CLASSES: Dict[int, ObjectClass] = {2: OC_RP_2G1, 3: OC_RP_3G1}
 
+#: Gateway-side service time charged for a cache hit, seconds.
+HIT_SERVICE_TIME = 20e-6
+
+#: Ops the per-tenant QoS admission covers: the index lookup, so one token
+#: per storage field read and none for a cache hit.
+QOS_OPS: Tuple[str, ...] = ("kv_get",)
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -72,26 +68,14 @@ class GatewayConfig:
     cache_capacity: int = 64 * MiB
     #: Field-cache entry TTL (cycle rollover), ``None`` = no expiry.
     cache_ttl: Optional[float] = None
-    #: Gateway-side service time charged for a cache hit.
-    hit_service_time: float = 20e-6
     #: Replication factor hot fields are promoted to (1 disables promotion).
     replication: int = 1
     #: Accesses after which a field is promoted.
     promote_threshold: int = 8
-    #: Per-window accesses below which a promoted field is demoted back to
-    #: the base object class (0 disables demotion).
-    demote_threshold: int = 0
-    #: Length of a demotion access-count window, simulated seconds.
-    demote_interval: float = 1.0
     #: Worker storage clients per tenant.
     workers_per_tenant: int = 4
     #: Coalesce concurrent misses of one field into a single storage read.
     coalesce: bool = True
-    #: Misses of one request batched into a vectorized index lookup
-    #: (1 = per-field reads, the classic path).
-    fanout_batch: int = 1
-    #: Ops the per-tenant QoS admission covers (one token per field read).
-    qos_ops: Tuple[str, ...] = ("kv_get",)
 
     def __post_init__(self) -> None:
         if self.replication not in (1, *REPLICATED_CLASSES):
@@ -103,21 +87,9 @@ class GatewayConfig:
             raise InvalidArgumentError(
                 f"promote_threshold must be >= 1, got {self.promote_threshold}"
             )
-        if self.demote_threshold < 0:
-            raise InvalidArgumentError(
-                f"demote_threshold must be >= 0, got {self.demote_threshold}"
-            )
-        if self.demote_interval <= 0:
-            raise InvalidArgumentError(
-                f"demote_interval must be positive, got {self.demote_interval}"
-            )
         if self.workers_per_tenant < 1:
             raise InvalidArgumentError(
                 f"workers_per_tenant must be >= 1, got {self.workers_per_tenant}"
-            )
-        if self.fanout_batch < 1:
-            raise InvalidArgumentError(
-                f"fanout_batch must be >= 1, got {self.fanout_batch}"
             )
 
 
@@ -164,20 +136,13 @@ class Gateway:
         self._access_counts: Dict[FieldKey, int] = {}
         #: Insertion-ordered set of fields queued for promotion.
         self._promoted: Dict[FieldKey, None] = {}
-        #: Fields whose replicated re-archive has completed -> last payload.
-        self._promoted_live: Dict[FieldKey, Payload] = {}
         #: Per-field read currently in flight -> event followers park on.
         self._inflight: Dict[FieldKey, object] = {}
         self.promotions = 0
-        self.demotions = 0
         #: Misses absorbed by an already-in-flight read.
         self.coalesced = 0
         self._promote_queue: Optional[Store] = None
         self._promote_fieldio: Optional[FieldIO] = None
-        self._demote_queue: Optional[Store] = None
-        self._demote_fieldio: Optional[FieldIO] = None
-        self._window_start = self.sim.now
-        self._window_counts: Dict[FieldKey, int] = {}
         if self.config.replication > 1:
             oclass = REPLICATED_CLASSES[self.config.replication]
             address = cluster.client_addresses(1)[0]
@@ -186,10 +151,6 @@ class Gateway:
             )
             self._promote_queue = Store(self.sim, name="gateway:promote")
             self.sim.process(self._promoter(), name="gateway:promoter")
-            if self.config.demote_threshold > 0:
-                self._demote_fieldio = FieldIO(system.make_client(address), pool)
-                self._demote_queue = Store(self.sim, name="gateway:demote")
-                self.sim.process(self._demoter(), name="gateway:demoter")
 
     # -- tenants ----------------------------------------------------------------
     def _worker_addresses(self) -> Sequence:
@@ -210,7 +171,7 @@ class Gateway:
         if name in self._tenants:
             raise InvalidArgumentError(f"tenant {name!r} already registered")
         qos = (
-            QosAdmissionMiddleware(name, policy, ops=self.config.qos_ops)
+            QosAdmissionMiddleware(name, policy, ops=QOS_OPS)
             if policy is not None
             else None
         )
@@ -255,17 +216,6 @@ class Gateway:
         keys = request.expand(self.schema)
         stats = state.stats
         stats["requests"] += 1
-        if self.config.fanout_batch > 1 and len(keys) > 1:
-            hits, misses, shed = yield from self._serve_batched(state, fieldio, keys)
-        else:
-            hits, misses, shed = yield from self._serve_walk(state, fieldio, keys)
-        stats["fields"] += hits + misses
-        stats["hits"] += hits
-        stats["misses"] += misses
-        return {"fields": hits + misses, "hits": hits, "misses": misses, "shed": shed}
-
-    def _serve_walk(self, state: _Tenant, fieldio: FieldIO, keys):
-        """Field-at-a-time serving: the classic (unbatched) fan-out."""
         hits = misses = 0
         shed = False
         coalesce = self.config.coalesce
@@ -274,7 +224,7 @@ class Gateway:
                 payload = self.cache.get(key, now=self.sim.now)
                 if payload is not None:
                     hits += 1
-                    yield self.sim.timeout(self.config.hit_service_time)
+                    yield self.sim.timeout(HIT_SERVICE_TIME)
                     break
                 if coalesce:
                     pending = self._inflight.get(key)
@@ -294,11 +244,10 @@ class Gateway:
                     payload = yield from fieldio.read(key)
                 except ServiceBusyError:
                     shed = True
-                    state.stats["shed"] += 1
+                    stats["shed"] += 1
                     if coalesce:
                         del self._inflight[key]
                         event.succeed(None)
-                    payload = None
                     break
                 except BaseException:
                     if coalesce:
@@ -314,115 +263,15 @@ class Gateway:
             if shed:
                 break
             self._note_access(key, payload)
-        return hits, misses, shed
+        stats["fields"] += hits + misses
+        stats["hits"] += hits
+        stats["misses"] += misses
+        return {"fields": hits + misses, "hits": hits, "misses": misses, "shed": shed}
 
-    def _serve_batched(self, state: _Tenant, fieldio: FieldIO, keys):
-        """Batched serving: misses travel as vectorized index lookups.
-
-        Buffered misses are flushed through
-        :meth:`~repro.fdb.fieldio.FieldIO.read_many` whenever the buffer
-        reaches ``fanout_batch`` — and always *before* parking on another
-        request's in-flight read, so two requests each leading fields the
-        other wants can never wait on each other (the batched-coalescing
-        deadlock).
-        """
-        hits = misses = 0
-        shed = False
-        coalesce = self.config.coalesce
-        batch_max = self.config.fanout_batch
-        pending_keys: List[FieldKey] = []
-        pending_events: Dict[FieldKey, object] = {}
-        buffered = set()
-
-        def _flush():
-            nonlocal misses, shed
-            if not pending_keys:
-                return
-            batch = list(pending_keys)
-            pending_keys.clear()
-            buffered.clear()
-            try:
-                payloads = yield from fieldio.read_many(batch)
-            except ServiceBusyError:
-                shed = True
-                state.stats["shed"] += 1
-                for bkey in batch:
-                    event = pending_events.pop(bkey, None)
-                    if event is not None:
-                        del self._inflight[bkey]
-                        event.succeed(None)
-                return
-            except BaseException:
-                for bkey in batch:
-                    event = pending_events.pop(bkey, None)
-                    if event is not None:
-                        del self._inflight[bkey]
-                        event.succeed(None)
-                raise
-            for bkey, payload in zip(batch, payloads):
-                misses += 1
-                self.cache.put(bkey, payload, now=self.sim.now)
-                event = pending_events.pop(bkey, None)
-                if event is not None:
-                    del self._inflight[bkey]
-                    event.succeed(payload)
-                self._note_access(bkey, payload)
-
-        for key in keys:
-            while True:
-                payload = self.cache.get(key, now=self.sim.now)
-                if payload is not None:
-                    hits += 1
-                    yield self.sim.timeout(self.config.hit_service_time)
-                    self._note_access(key, payload)
-                    break
-                if key in buffered:
-                    # Duplicate of a buffered miss: flush, then re-check
-                    # the cache (it will hit).
-                    yield from _flush()
-                    if shed:
-                        break
-                    continue
-                if coalesce:
-                    pending = self._inflight.get(key)
-                    if pending is not None:
-                        yield from _flush()
-                        if shed:
-                            break
-                        self.coalesced += 1
-                        payload = yield pending
-                        if payload is None:
-                            continue
-                        misses += 1
-                        self._note_access(key, payload)
-                        break
-                    event = self.sim.event(name="gateway:inflight")
-                    self._inflight[key] = event
-                    pending_events[key] = event
-                buffered.add(key)
-                pending_keys.append(key)
-                if len(pending_keys) >= batch_max:
-                    yield from _flush()
-                break
-            if shed:
-                break
-        if not shed:
-            yield from _flush()
-        return hits, misses, shed
-
-    # -- hot-object promotion / demotion ------------------------------------------
+    # -- hot-object promotion ----------------------------------------------------
     def _note_access(self, key: FieldKey, payload: Payload) -> None:
         count = self._access_counts.get(key, 0) + 1
         self._access_counts[key] = count
-        if self._demote_queue is not None:
-            now = self.sim.now
-            if now - self._window_start >= self.config.demote_interval:
-                # Windows roll on serving activity, not on a timer — a
-                # periodic wakeup would keep the drained simulation alive.
-                self._close_window()
-                self._window_start = now
-            if key in self._promoted_live:
-                self._window_counts[key] = self._window_counts.get(key, 0) + 1
         if (
             self._promote_queue is not None
             and count == self.config.promote_threshold
@@ -431,39 +280,17 @@ class Gateway:
             self._promoted[key] = None
             self._promote_queue.put((key, payload))
 
-    def _close_window(self) -> None:
-        """End a demotion window: queue promoted fields that ran cold."""
-        threshold = self.config.demote_threshold
-        for key in list(self._promoted_live):
-            if self._window_counts.get(key, 0) < threshold:
-                payload = self._promoted_live.pop(key)
-                self._promoted.pop(key, None)
-                # Reset so the field must re-earn promotion from scratch.
-                self._access_counts[key] = 0
-                self._demote_queue.put((key, payload))
-        self._window_counts.clear()
-
     def _promoter(self):
         """Background process: re-archive queued hot fields replicated."""
         while True:
             key, payload = yield self._promote_queue.get()
             yield from self._promote_fieldio.write(key, payload)
             self.promotions += 1
-            if self._demote_queue is not None and key in self._promoted:
-                self._promoted_live[key] = payload
             self.sim.record(
                 "hot_promotion",
                 key=key,
                 replicas=self.config.replication,
             )
-
-    def _demoter(self):
-        """Background process: re-archive cooled fields at the base class."""
-        while True:
-            key, payload = yield self._demote_queue.get()
-            yield from self._demote_fieldio.write(key, payload)
-            self.demotions += 1
-            self.sim.record("hot_demotion", key=key)
 
     @property
     def promoted_fields(self) -> Tuple[FieldKey, ...]:
@@ -480,6 +307,5 @@ class Gateway:
         total["cache_evictions"] = self.cache.evictions
         total["cache_expirations"] = self.cache.expirations
         total["promotions"] = self.promotions
-        total["demotions"] = self.demotions
         total["coalesced"] = self.coalesced
         return total

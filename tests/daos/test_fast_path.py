@@ -359,9 +359,10 @@ def _scenario(name):
             kwargs["config"] = _config(fault_injection=fault, **cell)
         elif kind == "health_failure":
             kwargs["config"] = _config(health=_health(0.004), **cell)
-            # No SX here: a multi-shard write whose stale view still routes
-            # two shards to the lost engine fails a shard process before the
-            # write waits on it, and that failure stops the simulator.
+            # No SX in the golden: it was recorded when a multi-shard write
+            # whose stale view routed two shards to the lost engine stopped
+            # the simulator.  test_stale_multi_shard_write_completes runs
+            # this scenario with SX.
             kwargs["classes"] = (OC_S1, OC_RP_2G1)
         else:
             assert kind == "qos_shared"
@@ -395,6 +396,12 @@ def _scenario(name):
     return {}
 
 
+def _assert_pooled(system):
+    drivers = system.fast_drivers
+    assert drivers and all(driver._body is None for driver in drivers)
+    assert len(system.cluster.sim._lane_free) == len(drivers)
+
+
 def _run(name, **overrides):
     """Run scenario ``name``; returns ``(digest, system, clients, rpc spans)``.
 
@@ -415,9 +422,7 @@ def _run(name, **overrides):
     if name.endswith("traced_retry_fault"):
         kwargs["start_hook"] = install
     fingerprint, system, clients = storm(**kwargs)
-    drivers = system.fast_drivers
-    assert drivers and all(driver._body is None for driver in drivers)
-    assert len(system.cluster.sim._lane_free) == len(drivers)
+    _assert_pooled(system)
     spans = [
         (s.time.hex(), s.kind, sorted(s.fields.items()))
         for tracer in tracers
@@ -476,6 +481,33 @@ def test_engine_failure_makes_the_refresh_act(name):
     digest, _, clients, _ = _run(name)
     assert any(client.map_refreshes > 0 for client in clients)
     assert digest == GOLDEN[name]
+
+
+def test_stale_multi_shard_write_completes():
+    """An SX write whose stale pool-map view sends shards to the lost
+    engine: a shard process fails while later shards are still being
+    issued.  The write fails over to the refresh instead of stopping the
+    simulator: every SX read returns what was written, and once the engine
+    is gone an SX op surfaces the loss (SX keeps no replica)."""
+    kwargs = {**_scenario("data-health_failure"), "classes": (OC_S1, OC_SX, OC_RP_2G1)}
+    storm = kwargs.pop("storm")
+    fingerprint, system, clients = storm(**kwargs)
+    _assert_pooled(system)
+    assert any(client.map_refreshes > 0 for client in clients)
+    sx_reads = [
+        (rank, step, result)
+        for rank, step, index, result in fingerprint["results"]
+        if index == 1
+    ]
+    assert len(sx_reads) == N_CLIENTS * DATA_ROUNDS
+    read_back = 0
+    for rank, step, result in sx_reads:
+        if result == "TargetDownError":
+            continue
+        written = PatternPayload(DATA_SIZES[1] + 1000 * step, seed=100 * rank + 10 + step)
+        assert result == written.content_digest().hex()
+        read_back += 1
+    assert 0 < read_back < len(sx_reads)
 
 
 @pytest.mark.parametrize("name", ["qos_shared", "data-qos_shared"])

@@ -1,4 +1,4 @@
-"""FieldCache semantics: LRU order, TTL, byte accounting, digest keys."""
+"""FieldCache semantics: LRU order, TTL, byte accounting per key."""
 
 import pytest
 
@@ -53,31 +53,35 @@ def test_byte_capacity_accounting():
     assert len(cache) == 2
 
 
-def test_identical_content_accounted_once():
+def test_identical_payloads_under_two_keys_each_count():
     cache = FieldCache(capacity=100)
     cache.put("a", payload(b"same" * 10))
     cache.put("b", payload(b"same" * 10))
     assert len(cache) == 2
-    assert cache.used_bytes == 40  # one digest, two keys
-    # Dropping one key keeps the shared bytes alive for the other.
-    cache.put("a", payload(b"diff" * 10))
-    assert cache.get("b").to_bytes() == b"same" * 10
+    assert cache.used_bytes == 80
+    # A third copy no longer fits: the LRU key goes, not the shared content.
+    cache.put("c", payload(b"same" * 10))
+    assert not cache.contains("a") and cache.evictions == 1
     assert cache.used_bytes == 80
 
 
 def test_overwrite_repoints_digest():
+    """A put on a cached key replaces its payload and re-accounts its size."""
     cache = FieldCache(capacity=100)
     cache.put("k", payload(b"old-contents"))
-    old_digest = payload(b"old-contents").content_digest()
-    new_digest = payload(b"new-contents").content_digest()
-    assert old_digest != new_digest
-    cache.put("k", payload(b"new-contents"))
-    assert cache.get("k").to_bytes() == b"new-contents"
-    assert len(cache) == 1
-    assert cache.used_bytes == len(b"new-contents")
+    cache.put("other", payload(b"x" * 10))
+    cache.put("k", payload(b"new-contents!"))
+    assert cache.get("k").to_bytes() == b"new-contents!"
+    assert len(cache) == 2 and cache.insertions == 2
+    assert cache.used_bytes == len(b"new-contents!") + 10
+    # The overwrite made "k" most recent, so growing past the budget evicts
+    # "other" first.
+    cache.put("big", payload(b"y" * 80))
+    assert cache.contains("k") and not cache.contains("other")
 
 
 def test_same_digest_refresh_renews_ttl_without_reaccounting():
+    """A put on a cached key renews its TTL; its bytes count once."""
     cache = FieldCache(capacity=100, ttl=10.0)
     cache.put("k", payload(b"stable"), now=0.0)
     cache.put("k", payload(b"stable"), now=8.0)  # refresh

@@ -1,8 +1,7 @@
-"""Gateway fast paths: miss coalescing, batched fan-out, hot-field demotion."""
+"""Gateway miss coalescing."""
 
-import pytest
+import dataclasses
 
-from repro.daos.errors import InvalidArgumentError
 from repro.serving import GatewayConfig
 from repro.units import MiB
 from repro.workloads.generator import serving_request
@@ -11,12 +10,17 @@ from tests.serving.test_gateway import N_FIELDS, deploy, serve
 
 
 def test_new_knob_validation():
-    with pytest.raises(InvalidArgumentError):
-        GatewayConfig(demote_threshold=-1)
-    with pytest.raises(InvalidArgumentError):
-        GatewayConfig(demote_interval=0.0)
-    with pytest.raises(InvalidArgumentError):
-        GatewayConfig(fanout_batch=0)
+    """Six settable fields; coalescing is the only serve-path switch, on
+    by default (the other fields are validated in ``test_gateway``)."""
+    assert [f.name for f in dataclasses.fields(GatewayConfig)] == [
+        "cache_capacity",
+        "cache_ttl",
+        "replication",
+        "promote_threshold",
+        "workers_per_tenant",
+        "coalesce",
+    ]
+    assert GatewayConfig().coalesce and not GatewayConfig(coalesce=False).coalesce
 
 
 def _concurrent_same_field(coalesce):
@@ -58,98 +62,3 @@ def test_coalescing_off_reads_storage_per_request():
     assert gateway.coalesced == 0
     worker = gateway._tenants["ops"].workers[0]
     assert worker.client.stats["kv_get"] > 3
-
-
-def test_batched_fanout_uses_vectorized_index_lookup():
-    _, gateway = deploy(GatewayConfig(cache_capacity=1 * MiB, fanout_batch=4))
-    gateway.add_tenant("ops")
-    outcome = serve(gateway, "ops", serving_request(0, N_FIELDS, span=4))
-    assert outcome == {"fields": 4, "hits": 0, "misses": 4, "shed": False}
-    worker = gateway._tenants["ops"].workers[0]
-    assert worker.client.stats["kv_get_multi"] >= 1
-    repeat = serve(gateway, "ops", serving_request(0, N_FIELDS, span=4))
-    assert repeat["hits"] == 4
-
-
-def test_batched_fanout_matches_classic_outcome():
-    for batch in (1, 4):
-        _, gateway = deploy(
-            GatewayConfig(cache_capacity=1 * MiB, fanout_batch=batch)
-        )
-        gateway.add_tenant("ops")
-        outcome = serve(gateway, "ops", serving_request(0, N_FIELDS, span=3))
-        assert outcome == {"fields": 3, "hits": 0, "misses": 3, "shed": False}
-
-
-def test_batched_fanout_coalesces_against_in_flight_batch():
-    cluster, gateway = deploy(
-        GatewayConfig(cache_capacity=1 * MiB, fanout_batch=8)
-    )
-    gateway.add_tenant("ops")
-    sim = cluster.sim
-    outcomes = []
-
-    def _user():
-        outcome = yield from gateway.serve(
-            "ops", serving_request(0, N_FIELDS, span=3)
-        )
-        outcomes.append(outcome)
-
-    sim.process(_user())
-    sim.process(_user())
-    sim.run()
-    # The second request parks on the leader's in-flight first field; the
-    # leader's one flush also caches the other two, so they are pure hits —
-    # no second storage batch is ever issued.
-    assert [o["misses"] for o in outcomes] == [3, 1]
-    assert [o["hits"] for o in outcomes] == [0, 2]
-    assert gateway.coalesced == 1
-
-
-def test_cold_promoted_field_is_demoted_and_can_repromote():
-    cluster, gateway = deploy(
-        GatewayConfig(
-            cache_capacity=0,
-            replication=2,
-            promote_threshold=2,
-            demote_threshold=1,
-            demote_interval=1e-9,
-        )
-    )
-    gateway.add_tenant("ops")
-    for _ in range(2):
-        serve(gateway, "ops", serving_request(5, N_FIELDS))
-    cluster.sim.run()  # drain the promoter: the replicated copy is live
-    assert gateway.promotions == 1
-    assert len(gateway.promoted_fields) == 1
-
-    # Serving *other* fields rolls demotion windows in which the promoted
-    # field runs cold; it is demoted back to the base object class.
-    for step in (0, 1):
-        serve(gateway, "ops", serving_request(step, N_FIELDS))
-    cluster.sim.run()  # drain the demoter
-    assert gateway.demotions == 1
-    assert gateway.promoted_fields == ()
-    assert gateway.stats()["demotions"] == 1
-
-    # The field must re-earn promotion from scratch.
-    for _ in range(2):
-        serve(gateway, "ops", serving_request(5, N_FIELDS))
-    cluster.sim.run()
-    assert gateway.promotions == 2
-
-
-def test_demotion_disabled_by_default():
-    cluster, gateway = deploy(
-        GatewayConfig(cache_capacity=0, replication=2, promote_threshold=2)
-    )
-    gateway.add_tenant("ops")
-    for _ in range(2):
-        serve(gateway, "ops", serving_request(5, N_FIELDS))
-    cluster.sim.run()
-    for step in (0, 1, 2):
-        serve(gateway, "ops", serving_request(step, N_FIELDS))
-    cluster.sim.run()
-    assert gateway.promotions == 1
-    assert gateway.demotions == 0
-    assert len(gateway.promoted_fields) == 1
