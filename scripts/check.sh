@@ -33,7 +33,7 @@ PYTHONPATH=src python scripts/check_backend_identity.py --jobs 2
 echo "== serving smoke: cache-hit, qos shedding, replication tail cuts =="
 PYTHONPATH=src python scripts/ci_serving_smoke.py --jobs 2
 
-echo "== operational cycle: bulk-admission contention figure smoke =="
+echo "== operational cycle: writer-vs-reader contention figure smoke =="
 PYTHONPATH=src python - <<'EOF'
 from repro.experiments import run_experiment
 

@@ -9,9 +9,8 @@ reference (``benchmarks/bench_quick_baseline.json``):
    solver optimisation must keep;
 2. the timed gate scenarios (``GATED`` below — the ones that exercise the
    batched max-min solver's scalar and array kernels, flow grouping, the
-   time-bucket event queue in both its regimes, the bulk-admission fast
-   path, the metadata-plane RPC fast path and the memoised request -> key
-   -> index-entry path) have not
+   time-bucket event queue in both its regimes, the metadata-plane RPC
+   fast path and the memoised request -> key -> index-entry path) have not
    regressed by more than ``--slack`` (default 25%) against the reference
    wall time, after scaling by a per-run calibration factor measured on the
    untimed scenarios so a slower CI runner does not trip the gate.
@@ -50,8 +49,6 @@ REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick
 #: opposite regime (every completion its own instant, a lone event each).
 #: Together they are what notices the queue regress at either end, now that
 #: no second scheduler stands behind it.
-#: ``flow_storm_100k_bulk`` is the same storm admitted wave-at-a-time
-#: through ``admit_flows`` (its digest must equal ``flow_storm_100k``'s).
 #: ``rpc_storm`` gates the metadata plane on the op driver (fused delay
 #: legs + bare launches that build no Request) on both storage backends.
 #: ``serving_storm`` gates the request path: interned requests, memoised
@@ -62,7 +59,6 @@ GATED = (
     "barrier_burst",
     "flow_storm_5k",
     "flow_storm_100k",
-    "flow_storm_100k_bulk",
     "rpc_storm",
     "serving_storm",
 )

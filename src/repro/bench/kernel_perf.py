@@ -406,83 +406,6 @@ def _flow_storm_100k(quick: bool) -> ScenarioResult:
     )
 
 
-def _flow_storm_100k_bulk(quick: bool) -> ScenarioResult:
-    """``flow_storm_100k`` admitted through the bulk fast path.
-
-    The identical workload, topology and seed, but each wave enters the
-    network as one :meth:`~repro.network.flow.FlowNetwork.admit_flows`
-    call instead of ~100k individual ``transfer`` calls.  Bulk admission
-    is contractually bit-identical to sequential admission, so this
-    scenario's digest must equal ``flow_storm_100k``'s — the wall-time
-    gap between the two is purely the per-flow admission overhead
-    (name interning, advance/recompute checks, group lookups) that the
-    batch path hoists out of the loop.
-    """
-    waves, per_wave, tail = (2, 20_000, 120) if quick else (3, 100_000, 300)
-    sim = Simulator(seed=23)
-    net = FlowNetwork(sim)
-    clients = [net.add_link(f"client{i}.tx", 9.5 * GiB) for i in range(20)]
-    rails = [net.add_link(f"rail{i}", 37.5 * GiB) for i in range(4)]
-    engines = [net.add_link(f"engine{i}.rx", 2.6 * GiB) for i in range(10)]
-    media = [net.add_link(f"scm{i}", 5.5 * GiB) for i in range(10)]
-    end_times: List[float] = []
-    peak = [0, 0]
-
-    paths = [
-        (clients[i % 20], rails[i % 4], engines[i % 10], media[i % 10], media[i % 10])
-        for i in range(20)
-    ]
-
-    def driver():
-        cap = 3.1 * GiB
-        for wave in range(waves):
-            specs = []
-            append = specs.append
-            for i in range(per_wave):
-                if i < per_wave - tail:
-                    size = 32 * MiB if i % 2 == 0 else 48 * MiB
-                else:
-                    size = 64 * MiB + i * (MiB // 32)
-                append((paths[i % 20], size, cap))
-            done = net.admit_flows(specs, name=f"s{wave}")
-            if net.active_flows > peak[0]:
-                peak[0] = net.active_flows
-            if net.active_groups > peak[1]:
-                peak[1] = net.active_groups
-            result = yield sim.all_of(done)
-            for event in result.events:
-                end_times.append(event.value.end_time)
-
-    process = sim.process(driver(), name="storm-driver")
-    start = time.perf_counter()
-    sim.run(until=process)
-    wall = time.perf_counter() - start
-
-    digest = _hexdigest(
-        [t.hex() for t in end_times]
-        + [float(net.completed_bytes).hex(), float(sim.now).hex()]
-    )
-    return ScenarioResult(
-        name="flow_storm_100k_bulk",
-        wall_s=wall,
-        sim_time=sim.now,
-        digest=digest,
-        extra={
-            "waves": waves,
-            "flows_per_wave": per_wave,
-            "peak_concurrent_flows": peak[0],
-            "groups": peak[1],
-            "solves": net.solver_runs,
-            "vector_solves": net.vector_solves,
-            "changes": net.flow_changes,
-            "events_per_instant": round(sim.events_processed / sim.instants, 2),
-        },
-    )
-
-
-# -- scenario: KV storm -------------------------------------------------------------
-
-
 def _kv_storm(quick: bool) -> ScenarioResult:
     """Many processes hammering one shared index KV through the full client."""
     from repro.bench.runner import build_deployment
@@ -775,7 +698,6 @@ SCENARIOS: Dict[str, Callable[[bool], ScenarioResult]] = {
     "barrier_burst": _barrier_burst,
     "flow_storm_5k": _flow_storm_5k,
     "flow_storm_100k": _flow_storm_100k,
-    "flow_storm_100k_bulk": _flow_storm_100k_bulk,
     "kv_storm": _kv_storm,
     "rpc_storm": _rpc_storm,
     "serving_storm": _serving_storm,

@@ -359,7 +359,6 @@ class DaosClient:
             body=lambda: self._do_multi(subs),
             target=subs[0].target if subs else None,
             nbytes=sum(request.nbytes for request in subs),
-            detail=len(subs),
             subrequests=subs,
         )
 
@@ -544,7 +543,6 @@ class DaosClient:
         return Request(
             op="pool_connect",
             body=lambda: self._do_pool_connect(pool),
-            detail=pool.label,
         )
 
     def pool_connect(self, pool: Pool):
@@ -569,7 +567,6 @@ class DaosClient:
         return Request(
             op="container_create",
             body=lambda: self._do_container_create(pool, uuid, label, is_default),
-            detail=label or str(uuid),
         )
 
     def container_create(
@@ -634,7 +631,6 @@ class DaosClient:
                 Request(
                     op="container_open",
                     body=lambda: self._do_container_open(pool, ref, cache_key),
-                    detail=str(ref),
                 )
             )
         )
@@ -664,7 +660,6 @@ class DaosClient:
                 Request(
                     op="container_exists",
                     body=lambda: self._do_container_exists(pool, ref),
-                    detail=str(ref),
                 )
             )
         )
@@ -688,7 +683,6 @@ class DaosClient:
                 Request(
                     op="container_destroy",
                     body=lambda: self._do_container_destroy(pool, ref),
-                    detail=str(ref),
                 )
             )
         )
@@ -753,7 +747,6 @@ class DaosClient:
             body=lambda: self._do_kv_put(kv, key, value),
             target=self._key_target(kv, key),
             nbytes=len(value),
-            detail=key,
         )
 
     def kv_put(self, kv: KeyValueObject, key: bytes, value: bytes):
@@ -837,7 +830,6 @@ class DaosClient:
             op="kv_get",
             body=lambda: self._do_kv_get_or_none(kv, key),
             target=self._key_target(kv, key),
-            detail=key,
         )
 
     def kv_get_or_none(self, kv: KeyValueObject, key: bytes):
@@ -908,7 +900,6 @@ class DaosClient:
                     op="kv_remove",
                     body=lambda: self._do_kv_remove(kv, key),
                     target=self._key_target(kv, key),
-                    detail=key,
                 )
             )
         )

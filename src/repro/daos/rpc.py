@@ -90,10 +90,6 @@ class Request:
     target: Optional[int] = None
     #: Payload bytes moved by the op (0 for pure metadata RPCs).
     nbytes: int = 0
-    #: Free-form detail for traces (e.g. a dkey or container label).  Any
-    #: object is accepted and stringified only when rendered — hot paths
-    #: pass the raw key instead of paying for a repr per request.
-    detail: object = ""
     #: For a vectorized multi-op submit (``DaosClient.request_multi``):
     #: the sub-requests this request carries, in execution order.  ``None``
     #: for ordinary single-op requests.  Middleware may introspect the

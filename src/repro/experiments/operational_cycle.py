@@ -9,7 +9,7 @@ the reader population and reports the **writer bandwidth vs reader load**
 contention curve, the number the operations team actually watches: how much
 does serving yesterday's products slow down landing today's forecast?
 
-The workload is also the proof point for the bulk-admission fast path:
+The workload also drives the simulator's wave-scale paths:
 
 * each cycle's writer and reader waves enter the simulation through
   :meth:`~repro.simulation.core.Simulator.spawn_batch` (one shared

@@ -409,6 +409,11 @@ class FlowNetwork:
     docstring.
     """
 
+    #: Flows cancelled mid-flight.  Nothing cancels a flow, so this is the
+    #: constant 0; the name stays readable because the end-to-end ledger
+    #: reports it.
+    evicted_flows = 0
+
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         #: Active aggregation groups keyed by exact (path indices, cap)
@@ -447,9 +452,6 @@ class FlowNetwork:
         #: Statistics: total completed flows and bytes moved.
         self.completed_flows = 0
         self.completed_bytes = 0.0
-        #: Flows cancelled via :meth:`evict_flows` (not counted as
-        #: completed; their moved bytes are not in ``completed_bytes``).
-        self.evicted_flows = 0
         #: Instrumentation: water-filling solver invocations and flow-set
         #: changes (arrivals + departures).  ``solver_runs`` well below
         #: ``flow_changes`` is the same-instant batching at work.
@@ -541,29 +543,6 @@ class FlowNetwork:
         transfer completes.  Zero-byte transfers complete on the next
         simulator step without touching the links.
         """
-        # Interned: flows overwhelmingly reuse a handful of role names, so
-        # a 100k-flow wave allocates a handful of strings instead of 100k.
-        flow, done = self._new_flow(
-            path, nbytes, rate_cap, name, _sintern("flow:" + name) if name else "flow:"
-        )
-        if flow.end_time is None:
-            if self.sim._now > self._last_advance:
-                self._advance_to_now()
-            self.flow_changes += 1
-            self._admit(flow)
-            self._schedule_recompute()
-        return done
-
-    def _new_flow(
-        self, path: Sequence[Link], nbytes: float, rate_cap: float, name: str, ename: str
-    ) -> Tuple[Flow, Event]:
-        """Validate one transfer and build its flow and completion event.
-
-        The one admission body behind :meth:`transfer` and
-        :meth:`admit_flows`.  A zero-byte flow completes right here
-        (``end_time`` set, event triggered); any other is left for the
-        caller to :meth:`_admit`.
-        """
         # Negated comparisons so NaN (for which every ordering test is
         # false) is rejected instead of poisoning its component's rates.
         if not nbytes >= 0:
@@ -571,7 +550,9 @@ class FlowNetwork:
         if not rate_cap > 0:
             raise ValueError(f"rate cap must be positive, got {rate_cap}")
         sim = self.sim
-        done = Event(sim, name=ename)
+        # Interned: flows overwhelmingly reuse a handful of role names, so
+        # a 100k-flow wave allocates a handful of strings instead of 100k.
+        done = Event(sim, name=_sintern("flow:" + name) if name else "flow:")
         tpath = tuple(path)
         flow = Flow(next(self._fid), tpath, nbytes, rate_cap, done, name=name)
         flow.start_time = now = sim._now
@@ -579,107 +560,20 @@ class FlowNetwork:
             flow.end_time = now
             flow.done = None  # break the flow<->event cycle (see _retire)
             done.succeed(flow)
-        elif not tpath and not math.isfinite(rate_cap):
+            return done
+        if not tpath and not math.isfinite(rate_cap):
             raise ValueError("a flow needs a non-empty path or a finite rate cap")
-        return flow, done
-
-    def admit_flows(
-        self,
-        specs: Sequence[Tuple],
-        name: str = "",
-    ) -> List[Event]:
-        """Admit a whole wave of transfers in one batched call.
-
-        ``specs`` is a sequence of ``(path, nbytes)``,
-        ``(path, nbytes, rate_cap)`` or ``(path, nbytes, rate_cap, name)``
-        tuples; ``name`` is the default flow name for specs that do not
-        carry their own.  Returns the per-flow completion events in spec
-        order.
-
-        Bit-identical to calling :meth:`transfer` once per spec in the
-        same order: fid assignment, ``_active``/link insertion orders,
-        group creation order and the single end-of-instant solve all match
-        the sequential loop (same-instant batching already coalesces the
-        solves — what this call strips is the per-flow progress check,
-        change accounting, flush arming and name interning).  That holds
-        for a batch cut short too: a spec that raises leaves the flows
-        admitted before it in flight with their solve queued.
-        """
-        default_ename = _sintern("flow:" + name) if name else "flow:"
-        new_flow = self._new_flow
-        admit = self._admit
-        events: List[Event] = []
-        append = events.append
-        # transfer() only advances progress when admitting a nonzero-size
-        # flow; a batch must replicate that laziness — advancing for a
-        # zero-byte-only batch would split later rate debits into two
-        # steps, which is not bitwise the same as the one-step debit.
-        advanced = self.sim._now <= self._last_advance
-        changes = 0
-        try:
-            for spec in specs:
-                if len(spec) == 2:
-                    path, nbytes = spec
-                    rate_cap = _INF
-                    fname = name
-                elif len(spec) == 3:
-                    path, nbytes, rate_cap = spec
-                    fname = name
-                else:
-                    path, nbytes, rate_cap, fname = spec
-                if fname is name:
-                    ename = default_ename
-                else:
-                    ename = _sintern("flow:" + fname) if fname else "flow:"
-                flow, done = new_flow(path, nbytes, rate_cap, fname, ename)
-                append(done)
-                if flow.end_time is None:
-                    if not advanced:
-                        self._advance_to_now()
-                        advanced = True
-                    changes += 1
-                    admit(flow)
-        finally:
-            if changes:
-                self.flow_changes += changes
-                self._schedule_recompute()
-        return events
-
-    def evict_flows(self, flows: Sequence[Flow]) -> int:
-        """Cancel a batch of in-flight flows in one group/arena operation.
-
-        Mirrors a completion wave (:meth:`_on_wake`): each evicted flow
-        leaves its links and aggregation group, its ``end_time`` is
-        stamped with the current instant, and its done event succeeds
-        with the (partially transferred) flow — callers distinguish an
-        eviction from a completion by ``flow.remaining > 0``.  Flows not
-        currently active are skipped.  One end-of-instant solve serves the
-        whole batch; large batches compact the vector arena in a single
-        keep-mask pass.  Returns the number of flows evicted.
-        """
-        if self.sim._now > self._last_advance:
+        if now > self._last_advance:
             self._advance_to_now()
-        active = self._active
-        # De-duplicated, order-preserving filter: double-listing a flow
-        # must not double-decrement its group.
-        victims = list(dict.fromkeys(f for f in flows if f in active))
-        if victims:
-            self.evicted_flows += len(victims)
-            self._retire(victims, finished=False)
-        return len(victims)
+        self.flow_changes += 1
+        self._admit(flow)
+        self._schedule_recompute()
+        return done
 
     @property
     def active_flows(self) -> int:
         """Number of flows currently in flight."""
         return len(self._active)
-
-    def flows(self) -> List["Flow"]:
-        """The flows currently in flight, in admission order.
-
-        The handles :meth:`evict_flows` takes; the list is a snapshot, so
-        callers may evict while iterating it.
-        """
-        return list(self._active)
 
     @property
     def active_groups(self) -> int:
@@ -716,13 +610,13 @@ class FlowNetwork:
         group.n += 1
         flow.group = group
 
-    def _retire(self, flows: List[Flow], finished: bool) -> None:
-        """Take ``flows`` (all active) out of the network at this instant.
+    def _retire(self, flows: List[Flow]) -> None:
+        """Take ``flows`` (all active, all finished) out of the network.
 
-        The one departure path: completions (``finished``, remaining bytes
-        zeroed) and evictions (the cancelled-at byte count preserved) both
-        leave their links, groups and arena columns here, then succeed
-        their done events after this instant's solve has been queued.
+        The one departure path: completed flows leave their links, groups
+        and arena columns here with their remaining bytes zeroed, then
+        succeed their done events after this instant's solve has been
+        queued.
         """
         now = self.sim.now
         active = self._active
@@ -737,7 +631,6 @@ class FlowNetwork:
         for group in {flow.group: None for flow in flows}:
             for link, _ in group.occ_items:
                 dirty[link] = None
-        rem_v = self._rem_v
         for flow in flows:
             del active[flow]
             group = flow.group
@@ -762,17 +655,12 @@ class FlowNetwork:
             flow.group = None
             pos = flow.pos
             if pos >= 0:
-                if not finished:
-                    # An evicted flow keeps the byte count it was cancelled
-                    # at — the arena column is about to be recycled.
-                    flow._rem = float(rem_v[pos])
                 if batch:
                     done_pos.append(pos)
                     flow.pos = -1
                 else:
                     self._evict(flow)
-            if finished:
-                flow._rem = 0.0
+            flow._rem = 0.0
             flow._net = None
             flow._rate = 0.0
             flow.end_time = now
@@ -1212,7 +1100,7 @@ class FlowNetwork:
             completed_bytes += flow.size
         self.completed_bytes = completed_bytes
         self.completed_flows += len(finished)
-        self._retire(finished, finished=True)
+        self._retire(finished)
 
     # -- water-filling -------------------------------------------------------
     def _solve_scalar(

@@ -3,8 +3,8 @@
 This subpackage provides the substrate the rest of :mod:`repro` runs on: a
 time-bucket-queue event loop (:class:`~repro.simulation.core.Simulator`),
 generator-based simulated processes (:class:`~repro.simulation.process.Process`),
-waitable events and composite conditions, and shared-resource primitives
-(mutexes, capacity-limited resources, FIFO stores).
+waitable events and their ``AllOf`` join, and shared-resource primitives
+(capacity-limited resources, FIFO stores).
 
 The kernel is intentionally SimPy-flavoured so the higher layers read like
 ordinary process-interaction simulation code, but it is implemented from
@@ -13,16 +13,9 @@ ties in time are broken by scheduling order.
 """
 
 from repro.simulation.core import Simulator, StopSimulation
-from repro.simulation.events import (
-    AllOf,
-    AnyOf,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Timeout,
-)
+from repro.simulation.events import AllOf, ConditionValue, Event, Timeout
 from repro.simulation.process import Process
-from repro.simulation.resources import Mutex, Resource, Store
+from repro.simulation.resources import Resource, Store
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import TraceRecord, Tracer
 
@@ -32,12 +25,9 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "ConditionValue",
-    "Interrupt",
     "Process",
     "Resource",
-    "Mutex",
     "Store",
     "RngRegistry",
     "Tracer",

@@ -32,7 +32,7 @@ from heapq import heappop, heappush
 from math import inf as _INF
 from typing import Any, Deque, Dict, Generator, Iterable, List, Optional, Union
 
-from repro.simulation.events import PENDING, AllOf, AnyOf, Event, Timeout
+from repro.simulation.events import PENDING, AllOf, Event, Timeout
 from repro.simulation.process import Process
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import Tracer, global_tracer
@@ -214,10 +214,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have succeeded."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` has succeeded."""
-        return AnyOf(self, events)
 
     # -- scheduling (internal API used by events) ---------------------------
     def _schedule(self, delay: float, event: Event) -> None:

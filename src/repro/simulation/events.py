@@ -2,9 +2,9 @@
 
 An :class:`Event` is the unit of synchronisation: processes ``yield`` events
 and are resumed when the event is *triggered*.  :class:`Timeout` is an event
-pre-scheduled to trigger after a delay.  :class:`AllOf`/:class:`AnyOf`
-combine events; :class:`Interrupt` is the exception thrown into a process
-that another process interrupts.
+pre-scheduled to trigger after a delay.  :class:`AllOf` joins a set of
+events (a fork/join barrier), collecting their values in a
+:class:`ConditionValue`.
 """
 
 from __future__ import annotations
@@ -18,11 +18,8 @@ __all__ = [
     "PENDING",
     "Event",
     "Timeout",
-    "Condition",
     "AllOf",
-    "AnyOf",
     "ConditionValue",
-    "Interrupt",
 ]
 
 
@@ -36,17 +33,6 @@ class _PendingType:
 
 
 PENDING = _PendingType()
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -171,7 +157,7 @@ class Timeout(Event):
 
 
 class ConditionValue:
-    """Ordered mapping of the events a condition collected, with their values.
+    """Ordered mapping of the events an :class:`AllOf` joined, with values.
 
     Behaves like a read-only dict keyed by the original :class:`Event`
     objects, preserving the order events were given to the condition.
@@ -219,32 +205,27 @@ class ConditionValue:
         return f"<ConditionValue {self.todict()!r}>"
 
 
-class Condition(Event):
-    """Composite event over a list of events with a pluggable evaluator.
+class AllOf(Event):
+    """Event triggered when *all* constituent events have succeeded.
 
-    ``evaluate(events, n_done)`` returns True when the condition is
-    satisfied.  A failing constituent event fails the whole condition.
+    A failing constituent event fails the whole condition with its
+    exception; constituents failing after that are defused, since the
+    condition has already reported a failure.
     """
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self._events = list(events)
         self._count = 0
-        self._evaluate = evaluate
 
         for event in self._events:
             if event.sim is not sim:
                 raise ValueError("all events of a condition must share a simulator")
 
-        if not self._events or self._evaluate(self._events, 0):
-            self.succeed(ConditionValue(self._collect()))
+        if not self._events:
+            self.succeed(ConditionValue([]))
             return
         # Inlined add_callback: conditions over 100k events are built in
         # one go at storm scale, so the per-event method call matters.
@@ -256,9 +237,6 @@ class Condition(Event):
             else:
                 callbacks.append(check)
 
-    def _collect(self) -> List[Event]:
-        return [e for e in self._events if e.triggered]
-
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             if not event._ok:
@@ -268,31 +246,6 @@ class Condition(Event):
         if not event._ok:
             event.defuse()
             self.fail(event.value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue(self._collect()))
-
-
-def _all_events(events: List[Event], count: int) -> bool:
-    return count >= len(events)
-
-
-def _any_events(events: List[Event], count: int) -> bool:
-    return count > 0
-
-
-class AllOf(Condition):
-    """Event triggered when *all* constituent events have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, _all_events, events)
-
-
-class AnyOf(Condition):
-    """Event triggered when *any* constituent event has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, _any_events, events)
+        elif self._count >= len(self._events):
+            # Every constituent has been processed, so each has its value.
+            self.succeed(ConditionValue(self._events))

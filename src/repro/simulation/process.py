@@ -5,14 +5,14 @@ A process is an ordinary Python generator that ``yield``\\ s
 process until the event triggers; the event's value is sent back into the
 generator (or its exception raised there).  A :class:`Process` is itself an
 Event that triggers when the generator returns, so processes can wait on
-each other and be composed with ``AllOf``/``AnyOf``.
+each other and be joined with ``AllOf``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.simulation.events import PENDING, Event, Interrupt
+from repro.simulation.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.core import Simulator
@@ -28,7 +28,7 @@ class Process(Event):
     the generator raises, the process event fails with that exception.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(
         self,
@@ -43,7 +43,6 @@ class Process(Event):
             )
         super().__init__(sim, name=name or getattr(generator, "__name__", ""))
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         if bootstrap is not None:
             # Batch spawn (see Simulator.spawn_batch): ride a shared
             # bootstrap event the caller enqueues once for the whole wave.
@@ -61,41 +60,10 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a finished process is an error.  The event the process
-        was waiting on remains pending/triggered; the process simply stops
-        waiting for it.
-        """
-        if self.triggered:
-            raise RuntimeError(f"cannot interrupt finished process {self!r}")
-        target = self._waiting_on
-        if target is not None and not target.processed:
-            # Detach: the event may still trigger later; ignore it then.
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-        self._waiting_on = None
-        # Deliver the interrupt via an immediate event so ordering stays
-        # consistent with normal resumptions.
-        kicker = Event(self.sim, name=f"{self.name}:interrupt")
-        kicker.callbacks.append(
-            lambda _evt: self._step(Interrupt(cause), as_exception=True)
-        )
-        kicker._ok = True
-        kicker._value = None
-        self.sim._enqueue_triggered(kicker)
-
     # -- internal stepping ---------------------------------------------------
     def _resume(self, event: Event) -> None:
         # Slot access throughout: _resume fires once per yield of every
         # process, i.e. once per simulated I/O step.
-        if self._value is not PENDING:
-            # Process already ended (e.g. interrupted); swallow stale wakeups.
-            if not event._ok:
-                event.defuse()
-            return
-        self._waiting_on = None
         if event._ok:
             self._step(event._value, as_exception=False)
         else:
@@ -127,7 +95,6 @@ class Process(Event):
             self._generator.close()
             self.fail(ValueError("yielded event belongs to a different simulator"))
             return
-        self._waiting_on = target
         callbacks = target.callbacks
         if callbacks is None:
             # Already processed: resume immediately (add_callback inlined).

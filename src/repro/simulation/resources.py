@@ -1,4 +1,4 @@
-"""Shared-resource primitives: capacity-limited resources, mutexes, stores.
+"""Shared-resource primitives: capacity-limited resources and FIFO stores.
 
 These follow the usual process-interaction idiom::
 
@@ -23,7 +23,7 @@ from repro.simulation.events import Event
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.core import Simulator
 
-__all__ = ["Resource", "Mutex", "Store"]
+__all__ = ["Resource", "Store"]
 
 
 class Resource:
@@ -127,21 +127,6 @@ class Resource:
             f"<Resource {self.name!r} {self._in_use}/{self.capacity} busy, "
             f"{len(self._waiters)} queued>"
         )
-
-
-class Mutex(Resource):
-    """A single-slot resource; convenience alias with lock/unlock naming."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        super().__init__(sim, capacity=1, name=name)
-
-    def acquire(self) -> Event:
-        return self.request()
-
-    def locked(self) -> bool:
-        return self._in_use > 0
 
 
 class Store:

@@ -29,7 +29,6 @@ def test_quick_scenarios_run_and_digest_deterministically():
         "barrier_burst",
         "flow_storm_5k",
         "flow_storm_100k",
-        "flow_storm_100k_bulk",
         "kv_storm",
         "rpc_storm",
         "serving_storm",

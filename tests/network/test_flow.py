@@ -120,23 +120,31 @@ def test_negative_size_rejected():
 
 def test_nan_size_rejected():
     """NaN fails every ordering test, so ``nbytes < 0`` alone admitted it."""
-    _, net = make_net()
+    sim, net = make_net()
     link = net.add_link("l", 1.0)
     with pytest.raises(ValueError, match="non-negative"):
         net.transfer([link], float("nan"))
-    with pytest.raises(ValueError, match="non-negative"):
-        net.admit_flows([((link,), float("nan"))])
     assert net.active_flows == 0
+    # Rejected beside a flow in flight, it leaves that flow untouched.
+    done = net.transfer((link,), 2.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        net.transfer((link,), float("nan"))
+    assert net.active_flows == 1 and net.flow_changes == 1
+    assert sim.run(until=done).end_time == 2.0
 
 
 def test_nan_rate_cap_rejected():
-    _, net = make_net()
+    sim, net = make_net()
     link = net.add_link("l", 1.0)
     with pytest.raises(ValueError, match="rate cap"):
         net.transfer([link], 10.0, rate_cap=float("nan"))
-    with pytest.raises(ValueError, match="rate cap"):
-        net.admit_flows([((link,), 10.0, float("nan"))])
     assert net.active_flows == 0
+    # Rejected beside a flow in flight, it leaves that flow untouched.
+    done = net.transfer((link,), 2.0)
+    with pytest.raises(ValueError, match="rate cap"):
+        net.transfer((link,), 10.0, rate_cap=float("nan"))
+    assert net.active_flows == 1 and net.flow_changes == 1
+    assert sim.run(until=done).end_time == 2.0
 
 
 def test_empty_path_without_cap_rejected():

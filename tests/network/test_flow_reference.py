@@ -370,7 +370,7 @@ def _degrading(n_flows):
 
 @st.composite
 def schedules(draw):
-    """Arrivals and evictions over plain and ``capacity_fn`` links."""
+    """Arrivals over plain and ``capacity_fn`` links."""
     n_links = draw(st.integers(min_value=2, max_value=6))
     links = [
         (draw(st.integers(min_value=1, max_value=50)), draw(st.booleans()))
@@ -408,16 +408,7 @@ def schedules(draw):
         size = draw(st.integers(min_value=1, max_value=200))
         arrival = draw(st.integers(min_value=0, max_value=8))
         flows.append((path, size, cap, arrival))
-    evictions = draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=30),  # when (x 0.1 s)
-                st.integers(min_value=2, max_value=4),  # every k-th live flow
-            ),
-            max_size=3,
-        )
-    )
-    return links, flows, evictions
+    return links, flows
 
 
 def check_after_every_flush(net):
@@ -452,7 +443,7 @@ _PINS = [("never", None), ("always", None), ("always", LOW_SOLVE_MIN)]
 @settings(max_examples=80, deadline=None, suppress_health_check=PIN_PER_EXAMPLE)
 def test_kernel_and_bookkeeping_match_reference_after_every_flush(schedule, pin, pin_arena):
     """Every kernel, on flow state and on arena state, == reference."""
-    link_specs, flow_specs, evictions = schedule
+    link_specs, flow_specs = schedule
     pin_arena(*pin)
     sim = Simulator()
     net = FlowNetwork(sim)
@@ -470,21 +461,59 @@ def test_kernel_and_bookkeeping_match_reference_after_every_flush(schedule, pin,
             rate_cap=_INF if cap is None else float(cap),
         )
 
-    def evict(at, stride):
-        yield sim.timeout(at * 0.1)
-        net.evict_flows(net.flows()[::stride])
-
     processes = [sim.process(submit(*spec)) for spec in flow_specs]
-    for at, stride in evictions:
-        sim.process(evict(at, stride))
     sim.run(until=sim.all_of(processes))
-    # ``until=`` stops mid-instant: a flow evicted in the instant it was
-    # admitted ends the run with that instant's flush still pending.
+    # ``until=`` stops mid-instant, ahead of the last completion's flush.
     sim.run()
 
     assert flushes
     assert net.active_flows == 0
-    assert net.completed_flows + net.evicted_flows == len(flow_specs)
+    assert net.completed_flows == len(flow_specs)
     assert_bookkeeping(net)
     for link in links:
         assert not link.flows and not link.groups and link.n_occ == 0
+
+
+def test_batched_completion_wave_matches_reference(pin_arena):
+    """A completion wave of >= 64 flows leaves the arena by ``_evict_batch``.
+
+    Three interleaved groups of 80 flows finish a group at a time, so each
+    wave's keep-mask compaction must move every survivor's column (bytes
+    left, rate, cap, group row, path) to its new place.  Held to the
+    reference after every flush, on both kernels, and to the run without
+    an arena bit for bit.
+    """
+
+    def run(arena, solve_min=None):
+        pin_arena(arena, solve_min)
+        sim = Simulator()
+        net = FlowNetwork(sim)
+        a = net.add_link("a", 90.0)
+        b = net.add_link("b", 70.0)
+        c = net.add_link("c", 50.0, capacity_fn=_degrading)
+        paths = [(a,), (a, b), (b, c, c)]
+        caps = [_INF, 0.5, 0.75]
+        flushes = check_after_every_flush(net)
+        batches = []
+        evict_batch = net._evict_batch
+
+        def counted(done_pos):
+            batches.append(len(done_pos))
+            evict_batch(done_pos)
+
+        net._evict_batch = counted
+        done = [
+            net.transfer(paths[i % 3], 10.0 + 20.0 * (i % 3), rate_cap=caps[i % 3])
+            for i in range(240)
+        ]
+        sim.run()
+        assert flushes and net.completed_flows == 240
+        assert_bookkeeping(net)
+        return [event.value.end_time.hex() for event in done], batches
+
+    ends, batches = run("never")
+    assert not batches
+    for solve_min in (None, LOW_SOLVE_MIN):
+        arena_ends, batches = run("always", solve_min)
+        assert batches and min(batches) >= 64
+        assert arena_ends == ends

@@ -232,7 +232,8 @@ def test_small_group_scope_with_many_flows_runs_array_kernel():
     shapes = _check_scopes(net)
 
     def driver():
-        net.admit_flows(specs)
+        for spec in specs:
+            net.transfer(*spec)
         yield sim.timeout(1.0)
         before = net.vector_solves
         net.transfer((busy,), 1e6, rate_cap=1e3)
@@ -252,7 +253,7 @@ def test_drained_component_scopes_to_no_flow():
     shapes = _check_scopes(net)
 
     def driver():
-        yield net.admit_flows(specs)[-1]
+        yield [net.transfer(*spec) for spec in specs][-1]
         yield sim.timeout(1.0)
 
     sim.run(until=sim.process(driver()))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation import AllOf, AnyOf, ConditionValue
+from repro.simulation import AllOf, ConditionValue
 
 
 def test_event_lifecycle(sim):
@@ -60,17 +60,6 @@ def test_all_of_waits_for_every_event(sim):
     assert value.values() == ["a", "b"]
 
 
-def test_any_of_triggers_on_first(sim):
-    t1, t2 = sim.timeout(5.0), sim.timeout(1.0, value="fast")
-    combo = AnyOf(sim, [t1, t2])
-    done_at = []
-    combo.add_callback(lambda e: done_at.append(sim.now))
-    sim.run()
-    assert done_at == [1.0]
-    assert t2 in combo.value
-    assert t1 not in combo.value
-
-
 def test_empty_all_of_triggers_immediately(sim):
     combo = AllOf(sim, [])
     assert combo.triggered
@@ -109,11 +98,3 @@ def test_condition_value_mapping_protocol(sim):
     assert value == {t1: 10}
     with pytest.raises(KeyError):
         value[sim.event()]
-
-
-def test_interrupt_carries_cause():
-    from repro.simulation import Interrupt
-
-    exc = Interrupt("reason")
-    assert exc.cause == "reason"
-    assert Interrupt().cause is None

@@ -1,8 +1,6 @@
-"""Generator-based processes: values, exceptions, interrupts, misuse."""
+"""Generator-based processes: values, exceptions, misuse."""
 
 import pytest
-
-from repro.simulation import Interrupt
 
 
 def test_process_returns_value(sim):
@@ -82,34 +80,6 @@ def test_processes_wait_on_each_other(sim):
 
     assert sim.run(until=sim.process(parent(sim))) == "got child-result"
     assert sim.now == 2.0
-
-
-def test_interrupt_delivered_at_yield(sim):
-    def victim(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            return f"interrupted: {interrupt.cause}"
-        return "not interrupted"
-
-    def interrupter(sim, target):
-        yield sim.timeout(1.0)
-        target.interrupt("enough")
-
-    target = sim.process(victim(sim))
-    sim.process(interrupter(sim, target))
-    assert sim.run(until=target) == "interrupted: enough"
-    assert sim.now == 1.0
-
-
-def test_interrupt_finished_process_rejected(sim):
-    def body(sim):
-        yield sim.timeout(0.1)
-
-    process = sim.process(body(sim))
-    sim.run()
-    with pytest.raises(RuntimeError, match="finished"):
-        process.interrupt()
 
 
 def test_is_alive(sim):

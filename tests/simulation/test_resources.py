@@ -1,8 +1,8 @@
-"""Resource, Mutex and Store semantics."""
+"""Resource and Store semantics."""
 
 import pytest
 
-from repro.simulation import Mutex, Resource, Store
+from repro.simulation import Resource, Store
 
 
 def holder(sim, resource, name, hold, log):
@@ -80,15 +80,6 @@ def test_cancel_foreign_request_rejected(sim):
     foreign = sim.event()
     with pytest.raises(RuntimeError, match="not issued here"):
         resource.release(foreign)
-
-
-def test_mutex_is_single_slot(sim):
-    mutex = Mutex(sim)
-    grant = mutex.acquire()
-    assert grant.triggered
-    assert mutex.locked()
-    mutex.release(grant)
-    assert not mutex.locked()
 
 
 def test_store_put_then_get(sim):
