@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo check: lint + the tier-1 test suite.
+# Repo check: lint, the tier-1 test suite, then every rail (scripts/rails.py).
 #
 # Usage: scripts/check.sh [extra pytest args...]
 #
@@ -27,24 +27,5 @@ fi
 echo "== tier-1: pytest =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-echo "== backend identity: daos path byte-identical to golden results =="
-PYTHONPATH=src python scripts/check_backend_identity.py --jobs 2
-
-echo "== serving smoke: cache-hit, qos shedding, replication tail cuts =="
-PYTHONPATH=src python scripts/ci_serving_smoke.py --jobs 2
-
-echo "== operational cycle: writer-vs-reader contention figure smoke =="
-PYTHONPATH=src python - <<'EOF'
-from repro.experiments import run_experiment
-
-for backend in ("daos", "posixfs"):
-    result = run_experiment("operational_cycle", scale="ci", backend=backend)
-    rows = [row for row in result.rows if row[1] == "off"]
-    assert len(rows) >= 3, rows
-    bandwidths = [float(row[2]) for row in rows]
-    assert bandwidths[0] >= bandwidths[-1], bandwidths  # readers contend writers
-    assert all(row[5] > 0 for row in rows), rows        # vectorized puts used
-    assert all(row[6] > 0 for row in rows[1:]), rows    # vectorized gets used
-    print(f"  {backend}: write bw {bandwidths[0]} -> {bandwidths[-1]} GiB/s "
-          f"under {rows[-1][0]} readers: ok")
-EOF
+echo "== rails: golden and -j4 identity, result cache, backend, serving, cycle =="
+PYTHONPATH=src python scripts/rails.py

@@ -101,11 +101,6 @@ def exec_options(options: ExecOptions):
         _current = previous
 
 
-def _invoke(fn: Callable[..., Any], kwargs: Dict[str, Any]) -> Any:
-    """Worker entry point (module-level so it pickles by reference)."""
-    return fn(**kwargs)
-
-
 #: Target number of chunks handed to each pool worker.  A few chunks per
 #: worker keeps work-stealing effective when unit durations vary, while
 #: amortising the per-future submit/result overhead that made tiny grids

@@ -126,12 +126,6 @@ class Fabric:
         """All client ports, ordered by (node, socket)."""
         return sorted(self._client_ports)
 
-    def client_port(self, addr: NodeSocket) -> FabricPort:
-        return self._client_ports[addr]
-
-    def scm_media_link(self, engine: NodeSocket) -> Link:
-        return self._scm_media[engine]
-
     # -- path construction ----------------------------------------------------
     def _rail_hop(
         self, from_socket: int, to_socket: int, direction: str
