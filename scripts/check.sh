@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo check: lint, the tier-1 test suite, then every rail (scripts/rails.py).
+# Repo check: lint, the tier-1 test suite, the slow-marked tests, then every
+# rail (scripts/rails.py).
 #
 # Usage: scripts/check.sh [extra pytest args...]
 #
@@ -24,8 +25,12 @@ else
     echo "== ruff not installed; skipping lint (pip install ruff to enable) =="
 fi
 
-echo "== tier-1: pytest =="
-PYTHONPATH=src python -m pytest -x -q "$@"
+echo "== tier-1: pytest, slow-marked tests deselected =="
+PYTHONPATH=src python -m pytest -x -q -m "not slow" "$@"
+
+echo "== slow: pytest -m slow =="
+# Exit 5 is "nothing collected": the extra args selected no slow test.
+PYTHONPATH=src python -m pytest -x -q -m slow "$@" || [[ $? -eq 5 ]]
 
 echo "== rails: golden and -j4 identity, result cache, backend, serving, cycle =="
 PYTHONPATH=src python scripts/rails.py

@@ -32,7 +32,7 @@ class IoEvent(Enum):
     EXECUTION_END = "execution_end"
 
 
-@dataclass
+@dataclass(slots=True)
 class IoRecord:
     """Timestamps of one I/O operation by one process.
 
@@ -150,19 +150,18 @@ class TimestampLog:
         def fmt(value: Optional[float]) -> str:
             return "-" if value is None else float(value).hex()
 
+        # One rendered line and one ``update`` per record.  Joining the whole
+        # log into one buffer first hashes no faster and, at the end of an
+        # IOR wave, holds a second copy of the log at the pass's peak memory.
         hasher = hashlib.sha256()
-        hasher.update(f"{fmt(self.execution_start)}|{fmt(self.execution_end)}\n".encode())
+        update = hasher.update
+        update(f"{fmt(self.execution_start)}|{fmt(self.execution_end)}\n".encode())
         for r in self.records:
-            hasher.update(
-                "|".join(
-                    (
-                        str(r.node), str(r.rank), str(r.iteration), r.op, str(r.size),
-                        fmt(r.io_start), fmt(r.io_end),
-                        fmt(r.open_start), fmt(r.open_end),
-                        fmt(r.transfer_start), fmt(r.transfer_end),
-                        fmt(r.close_start), fmt(r.close_end),
-                    )
-                ).encode()
+            update(
+                f"{r.node}|{r.rank}|{r.iteration}|{r.op}|{r.size}|"
+                f"{fmt(r.io_start)}|{fmt(r.io_end)}|"
+                f"{fmt(r.open_start)}|{fmt(r.open_end)}|"
+                f"{fmt(r.transfer_start)}|{fmt(r.transfer_end)}|"
+                f"{fmt(r.close_start)}|{fmt(r.close_end)}\n".encode()
             )
-            hasher.update(b"\n")
         return hasher.hexdigest()

@@ -20,7 +20,7 @@ from repro.daos.payload import BytesPayload, ConcatPayload, Payload
 __all__ = ["Extent", "ArrayObject"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Extent:
     """A written range ``[offset, offset + payload.size)``."""
 
@@ -34,6 +34,8 @@ class Extent:
 
 class ArrayObject:
     """Sparse byte array built from non-overlapping extents."""
+
+    __slots__ = ("oid", "oclass", "_extents", "lock", "layout", "version")
 
     def __init__(self, oid: ObjectId, oclass: ObjectClass) -> None:
         self.oid = oid

@@ -255,6 +255,14 @@ class DaosClient:
         :func:`default_middleware` over the system's service config.
     """
 
+    # An IOR wave keeps thousands of finished clients alive until its
+    # deployment is collected: no per-instance ``__dict__``.
+    __slots__ = (
+        "system", "address", "sim", "net", "fabric", "provider", "_message_latency",
+        "config", "_container_cache", "stats", "op_metrics", "faults_injected",
+        "map_refreshes", "_health", "_map_view", "_middleware", "_bare", "_chain",
+    )
+
     def __init__(
         self,
         system: DaosSystem,
@@ -270,7 +278,9 @@ class DaosClient:
         #: One-way small-message latency, hoisted: two legs of nearly every op.
         self._message_latency = self.provider.message_latency
         self.config = system.config
-        self._container_cache: Dict[Tuple[str, str], Container] = {}
+        #: Open container handles by ``(pool label, uuid or label)``; made on
+        #: the first open or create (most IOR ranks never cache one).
+        self._container_cache: Optional[Dict[Tuple[str, str], Container]] = None
         #: Op counters, useful to assert on op mixes in tests.
         self.stats: Dict[str, int] = {}
         #: Per-op latency/bytes accumulators (maintained by the op driver).
@@ -288,13 +298,26 @@ class DaosClient:
         shared = middleware is None
         if shared:
             middleware = default_middleware(self.config)
-        self.middleware = middleware
         #: No stage but tracing.  While no tracer is installed (checked per
         #: call: installing one mid-run takes effect at the next op) the
         #: chain would add nothing, so the hot metadata ops launch their
         #: body directly instead of building a Request for it.
         self._bare = len(middleware) == 1 and type(middleware[0]) is TracingMiddleware
-        self._chain = _BARE_CHAIN if shared and self._bare else compose_chain(middleware)
+        if shared and self._bare:
+            #: The stage list; ``None`` on a shared-chain client until
+            #: :attr:`middleware` is read (an IOR wave never reads it).
+            self._middleware = None
+            self._chain = _BARE_CHAIN
+        else:
+            self._middleware = middleware
+            self._chain = compose_chain(middleware)
+
+    @property
+    def middleware(self) -> List[Middleware]:
+        """This client's stages, outermost first (a list of its own)."""
+        if self._middleware is None:
+            self._middleware = default_middleware(self.config)
+        return self._middleware
 
     # -- the interpreter ---------------------------------------------------------------
     def _launch(self, op: str, legs, nbytes: int) -> _FastDriver:
@@ -604,9 +627,7 @@ class DaosClient:
         finally:
             self.system.pool_service.release(request)
         yield self._message_latency
-        self._container_cache[(pool.label, str(container.uuid))] = container
-        if label:
-            self._container_cache[(pool.label, label)] = container
+        self._remember_container(pool, container, label)
         return container
 
     @staticmethod
@@ -615,14 +636,33 @@ class DaosClient:
             return str(ref_or_container.uuid)
         return str(ref_or_container)
 
+    def _remember_container(self, pool: Pool, container: Container, alias: str) -> None:
+        """Cache ``container``'s handle under its UUID and ``alias`` (a label
+        or the ref it was opened by; empty for none)."""
+        cache = self._container_cache
+        if cache is None:
+            cache = self._container_cache = {}
+        if alias:
+            cache[(pool.label, alias)] = container
+        cache[(pool.label, str(container.uuid))] = container
+
+    def _forget_container(self, pool: Pool, container: Container) -> None:
+        """Evict ``container``'s cached handle on every alias (label and UUID)."""
+        cache = self._container_cache
+        if cache:
+            cache.pop((pool.label, str(container.uuid)), None)
+            if container.label:
+                cache.pop((pool.label, container.label), None)
+
     def container_open(self, pool: Pool, ref: ContainerRef):
         """Open a container by UUID or label, cached per client (§5.2).
 
         The cache hit is a pure local lookup — no RPC is built and nothing
         is launched, exactly like a cached handle in libdaos.
         """
-        cache_key = (pool.label, self._cache_key(ref))
-        cached = self._container_cache.get(cache_key)
+        alias = self._cache_key(ref)
+        cache = self._container_cache
+        cached = cache.get((pool.label, alias)) if cache else None
         if cached is not None:
             self._count("container_open_cached")
             return cached
@@ -630,21 +670,20 @@ class DaosClient:
             yield self._launch_request(
                 Request(
                     op="container_open",
-                    body=lambda: self._do_container_open(pool, ref, cache_key),
+                    body=lambda: self._do_container_open(pool, ref, alias),
                 )
             )
         )
 
-    def _do_container_open(self, pool: Pool, ref: ContainerRef, cache_key):
+    def _do_container_open(self, pool: Pool, ref: ContainerRef, alias: str):
         yield self._message_latency
         yield from self._service_leg(
             self.system.pool_service, self.config.container_open_service_time
         )
         container = pool.open_container(ref)
         yield self._message_latency
-        self._container_cache[cache_key] = container
         # A container may be addressable by both label and uuid.
-        self._container_cache[(pool.label, str(container.uuid))] = container
+        self._remember_container(pool, container, alias)
         return container
 
     def container_exists(self, pool: Pool, ref: ContainerRef):
@@ -700,9 +739,7 @@ class DaosClient:
         finally:
             self.system.pool_service.release(request)
         yield self._message_latency
-        self._container_cache.pop((pool.label, str(container.uuid)), None)
-        if container.label:
-            self._container_cache.pop((pool.label, container.label), None)
+        self._forget_container(pool, container)
 
     def _container_touch(self, container: Container):
         """Pool-service touch charged for array ops in non-default containers.
@@ -879,14 +916,16 @@ class DaosClient:
         page_size = self.config.kv_list_page_size
         keys = list(kv.keys())
         yield self._message_latency
-        yield kv.lock.acquire_write()
+        lock = kv.lock
+        if not (self.sim.settled() and lock.try_acquire_write()):
+            yield lock.acquire_write()
         try:
             pages = max(1, -(-len(keys) // page_size))
             yield from self._target_leg(
                 self._lead_target(kv), self.config.kv_get_service_time * pages
             )
         finally:
-            kv.lock.release_write()
+            lock.release_write()
         yield self._message_latency
         return keys
 
@@ -1046,7 +1085,9 @@ class DaosClient:
         self, container: Container, array: ArrayObject, pool: Optional[Pool]
     ):
         yield self._message_latency
-        yield array.lock.acquire_write()
+        lock = array.lock
+        if not (self.sim.settled() and lock.try_acquire_write()):
+            yield lock.acquire_write()
         try:
             yield from self._target_leg(
                 self._lead_target(array), self.config.rpc_service_time
@@ -1055,7 +1096,7 @@ class DaosClient:
             if pool is not None:
                 self._refund_stored(pool, array)
         finally:
-            array.lock.release_write()
+            lock.release_write()
         yield self._message_latency
 
     def array_set_size(self, array: ArrayObject, size: int, pool: Optional[Pool] = None):
@@ -1075,7 +1116,9 @@ class DaosClient:
 
     def _do_array_set_size(self, array: ArrayObject, size: int, pool: Optional[Pool]):
         yield self._message_latency
-        yield array.lock.acquire_write()
+        lock = array.lock
+        if not (self.sim.settled() and lock.try_acquire_write()):
+            yield lock.acquire_write()
         try:
             yield from self._target_leg(
                 self._lead_target(array), self.config.rpc_service_time
@@ -1091,7 +1134,7 @@ class DaosClient:
                     lead = self._lead_target(array)
                     pool.refund(lead, min(freed, pool.target_used(lead)))
         finally:
-            array.lock.release_write()
+            lock.release_write()
         yield self._message_latency
 
     def _shard_io(self, target_index: int, nbytes: int, write: bool):
@@ -1255,12 +1298,14 @@ class DaosClient:
         self, array: ArrayObject, offset: int, payload: Payload, pool: Optional[Pool]
     ):
         yield self._message_latency
-        yield array.lock.acquire_write()
+        lock = array.lock
+        if not (self.sim.settled() and lock.try_acquire_write()):
+            yield lock.acquire_write()
         try:
             yield from self._array_transfer(array, offset, payload.size, pool, write=True)
             array.write(offset, payload)
         finally:
-            array.lock.release_write()
+            lock.release_write()
         yield self._message_latency
 
     def request_array_read(self, array: ArrayObject, offset: int, length: int) -> Request:
@@ -1277,11 +1322,13 @@ class DaosClient:
 
     def _do_array_read(self, array: ArrayObject, offset: int, length: int):
         yield self._message_latency
-        yield array.lock.acquire_read()
+        lock = array.lock
+        if not (self.sim.settled() and lock.try_acquire_read()):
+            yield lock.acquire_read()
         try:
             payload = array.read(offset, length)  # validate range before moving data
             yield from self._array_transfer(array, offset, length, None, write=False)
         finally:
-            array.lock.release_read()
+            lock.release_read()
         yield self._message_latency
         return payload

@@ -21,6 +21,8 @@ __all__ = ["KeyValueObject"]
 class KeyValueObject:
     """An open-addressed mapping of byte keys to byte values."""
 
+    __slots__ = ("oid", "oclass", "_data", "lock", "layout", "version")
+
     def __init__(self, oid: ObjectId, oclass: ObjectClass) -> None:
         self.oid = oid
         self.oclass = oclass

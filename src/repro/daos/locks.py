@@ -12,7 +12,7 @@ the fair-queueing behaviour a real service gives.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Tuple
+from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from repro.simulation.events import Event
 
@@ -36,18 +36,22 @@ class RWLock:
         lock.release_write()
     """
 
-    __slots__ = ("sim", "name", "_readers", "_writer", "_queue", "_rname", "_wname")
+    __slots__ = ("sim", "_name", "_readers", "_writer", "_queue")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Simulator", name: object = "") -> None:
         self.sim = sim
-        self.name = name
+        #: Any object naming the lock (an object lock keeps its oid); it is
+        #: rendered with ``str`` only when read, by ``repr`` and errors.
+        self._name = name
         self._readers = 0
         self._writer = False
-        #: Queue of (is_writer, event) in arrival order.
-        self._queue: Deque[Tuple[bool, Event]] = deque()
-        # Acquires run per KV/array op; the event names are built once.
-        self._rname = f"{name}:rlock"
-        self._wname = f"{name}:wlock"
+        #: Queue of (is_writer, event) in arrival order, made on the first
+        #: enqueue: most object locks are never contended.
+        self._queue: Optional[Deque[Tuple[bool, Event]]] = None
+
+    @property
+    def name(self) -> str:
+        return str(self._name)
 
     @property
     def readers(self) -> int:
@@ -59,27 +63,39 @@ class RWLock:
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self._queue) if self._queue else 0
 
     def acquire_read(self) -> Event:
         """Event that triggers once shared (read) access is granted."""
-        event = Event(self.sim, name=self._rname)
+        event = Event(self.sim, name="rlock")
         if not self._writer and not self._queue:
             self._readers += 1
             event.succeed(self)
         else:
-            self._queue.append((False, event))
+            self._enqueue(False, event)
         return event
 
     def acquire_write(self) -> Event:
         """Event that triggers once exclusive (write) access is granted."""
-        event = Event(self.sim, name=self._wname)
+        event = Event(self.sim, name="wlock")
         if not self._writer and self._readers == 0 and not self._queue:
             self._writer = True
             event.succeed(self)
         else:
-            self._queue.append((True, event))
+            self._enqueue(True, event)
         return event
+
+    def try_acquire_read(self) -> bool:
+        """Claim shared access without allocating a grant event.
+
+        Returns ``True`` (read lock held, release with :meth:`release_read`)
+        exactly when :meth:`acquire_read` would have granted immediately;
+        same settled-instant rule as :meth:`try_acquire_write`.
+        """
+        if not self._writer and not self._queue:
+            self._readers += 1
+            return True
+        return False
 
     def try_acquire_write(self) -> bool:
         """Claim exclusive access without allocating a grant event.
@@ -109,20 +125,27 @@ class RWLock:
         self._grant()
 
     def _grant(self) -> None:
-        if self._writer:
+        queue = self._queue
+        if self._writer or not queue:
             return
         # Admit a leading writer if the lock is idle, else a batch of readers.
-        if self._queue and self._queue[0][0]:
+        if queue[0][0]:
             if self._readers == 0:
-                _, event = self._queue.popleft()
+                _, event = queue.popleft()
                 self._writer = True
                 event.succeed(self)
             return
-        while self._queue and not self._queue[0][0]:
-            _, event = self._queue.popleft()
+        while queue and not queue[0][0]:
+            _, event = queue.popleft()
             self._readers += 1
             event.succeed(self)
 
+    def _enqueue(self, is_writer: bool, event: Event) -> None:
+        queue = self._queue
+        if queue is None:
+            queue = self._queue = deque()
+        queue.append((is_writer, event))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "W" if self._writer else f"R{self._readers}"
-        return f"<RWLock {self.name!r} {state} queue={len(self._queue)}>"
+        return f"<RWLock {self.name!r} {state} queue={self.queue_length}>"

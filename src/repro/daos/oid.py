@@ -23,7 +23,7 @@ _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ObjectId:
     """An immutable 128-bit object id: ``hi`` and ``lo`` 64-bit words.
 

@@ -165,7 +165,7 @@ class DaosSystem:
                         avoid=unavailable | set(obj.layout),
                         n_targets=len(self.targets),
                     )
-        obj.lock = RWLock(self.cluster.sim, name=f"obj:{obj.oid}")
+        obj.lock = RWLock(self.cluster.sim, name=obj.oid)
 
     def target(self, global_index: int) -> Target:
         return self.targets[global_index]

@@ -49,6 +49,8 @@ __all__ = ["PosixClient"]
 class PosixClient(DaosClient):
     """A Lustre-style client process bound to one client socket."""
 
+    __slots__ = ("posix", "mds", "locks", "_owner")
+
     def __init__(
         self,
         system: DaosSystem,
@@ -108,18 +110,15 @@ class PosixClient(DaosClient):
         yield from self._mds_leg(self.posix.mds_create_service)
         container = pool.create_container(uuid=uuid, label=label, is_default=is_default)
         yield self._message_latency
-        self._container_cache[(pool.label, str(container.uuid))] = container
-        if label:
-            self._container_cache[(pool.label, label)] = container
+        self._remember_container(pool, container, label)
         return container
 
-    def _do_container_open(self, pool: Pool, ref: ContainerRef, cache_key):
+    def _do_container_open(self, pool: Pool, ref: ContainerRef, alias: str):
         yield self._message_latency
         yield from self._mds_leg(self.posix.mds_open_service)
         container = pool.open_container(ref)
         yield self._message_latency
-        self._container_cache[cache_key] = container
-        self._container_cache[(pool.label, str(container.uuid))] = container
+        self._remember_container(pool, container, alias)
         return container
 
     def _do_container_exists(self, pool: Pool, ref: ContainerRef):
@@ -143,9 +142,7 @@ class PosixClient(DaosClient):
         finally:
             self.mds.release(request)
         yield self._message_latency
-        self._container_cache.pop((pool.label, str(container.uuid)), None)
-        if container.label:
-            self._container_cache.pop((pool.label, container.label), None)
+        self._forget_container(pool, container)
 
     def _container_touch(self, container: Container):
         # Path-component lookup at the MDS for objects outside the root

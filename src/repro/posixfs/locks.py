@@ -35,12 +35,17 @@ __all__ = ["ExtentLock", "LockManager"]
 class ExtentLock:
     """One lockable extent (a stripe cell or a whole file).
 
-    Usage inside a simulated process (note ``yield from``, unlike the bare
-    event a :class:`RWLock` returns — protocol costs are charged inline)::
+    The acquires are legs in the op bodies' leg dialect (``yield <float>``
+    a delay, ``yield <Event>`` a wait; see :mod:`repro.daos.client`), so
+    protocol costs are charged inline, and only a client op body, run by
+    the op driver, takes them::
 
         yield from lock.acquire_write(owner)
         ...
         lock.release_write()
+
+    An uncontended grant of the underlying :class:`RWLock` is elided on a
+    settled instant, as the DAOS client does for its object locks.
     """
 
     __slots__ = ("sim", "config", "rtt", "rwlock", "last_writer", "cached_readers")
@@ -72,25 +77,25 @@ class ExtentLock:
         cache_hit = self.last_writer == owner and not (self.cached_readers - {owner})
         if not cache_hit:
             # Enqueue at the lock server...
-            yield self.sim.timeout(self.rtt + self.config.ldlm_enqueue_service)
+            yield self.rtt + self.config.ldlm_enqueue_service
             # ...then revoke every other client's cached lock (one blocking
             # callback round trip covers the batch, service accrues per lock).
             n_revoked = len(self.cached_readers - {owner})
             if self.last_writer not in (None, owner):
                 n_revoked += 1
             if n_revoked:
-                yield self.sim.timeout(
-                    self.rtt + self.config.lock_callback_service * n_revoked
-                )
+                yield self.rtt + self.config.lock_callback_service * n_revoked
             self.cached_readers.clear()
             self.last_writer = None
-        yield self.rwlock.acquire_write()
+        rwlock = self.rwlock
+        if not (self.sim.settled() and rwlock.try_acquire_write()):
+            yield rwlock.acquire_write()
         # Granting under contention re-arms every queued conflicting request
         # against the new holder — the per-op cost that grows with the queue
         # and bends aggregate shared-file bandwidth *down* past the knee.
-        waiters = self.rwlock.queue_length
+        waiters = rwlock.queue_length
         if waiters:
-            yield self.sim.timeout(self.config.lock_contention_service * waiters)
+            yield self.config.lock_contention_service * waiters
         self.last_writer = owner
         self.cached_readers.clear()
 
@@ -99,12 +104,14 @@ class ExtentLock:
         self._check_queue_limit()
         cache_hit = owner in self.cached_readers or self.last_writer == owner
         if not cache_hit:
-            yield self.sim.timeout(self.rtt + self.config.ldlm_enqueue_service)
+            yield self.rtt + self.config.ldlm_enqueue_service
             if self.last_writer not in (None, owner):
                 # Downgrade the cached write lock: one revocation callback.
-                yield self.sim.timeout(self.rtt + self.config.lock_callback_service)
+                yield self.rtt + self.config.lock_callback_service
                 self.last_writer = None
-        yield self.rwlock.acquire_read()
+        rwlock = self.rwlock
+        if not (self.sim.settled() and rwlock.try_acquire_read()):
+            yield rwlock.acquire_read()
         self.cached_readers.add(owner)
 
     def release_write(self) -> None:

@@ -569,6 +569,7 @@ def test_elided_grants_match_real_grants(name, monkeypatch):
     service slot and object lock is granted by a queued event instead."""
     monkeypatch.setattr(Resource, "try_acquire", lambda self: False)
     monkeypatch.setattr(RWLock, "try_acquire_write", lambda self: False)
+    monkeypatch.setattr(RWLock, "try_acquire_read", lambda self: False)
     digest, _, _, _ = _run(name)
     assert digest == GOLDEN[name]
     if "plain" in name:

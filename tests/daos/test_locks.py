@@ -114,3 +114,89 @@ def test_state_inspection(sim):
     lock.release_write()
     assert not lock.write_locked
     assert lock.readers == 1
+
+
+def _idle(sim):
+    return RWLock(sim)
+
+
+def _read_held(sim):
+    lock = RWLock(sim)
+    lock.acquire_read()
+    return lock
+
+
+def _write_held(sim):
+    lock = RWLock(sim)
+    lock.acquire_write()
+    return lock
+
+
+def _read_held_writer_queued(sim):
+    lock = _read_held(sim)
+    lock.acquire_write()
+    return lock
+
+
+def _write_held_reader_queued(sim):
+    lock = _write_held(sim)
+    lock.acquire_read()
+    return lock
+
+
+def _drained(sim):
+    """Idle again after a waiter queued and was granted: the queue exists."""
+    lock = _write_held_reader_queued(sim)
+    lock.release_write()
+    lock.release_read()
+    return lock
+
+
+LOCK_STATES = [_idle, _read_held, _write_held, _read_held_writer_queued,
+               _write_held_reader_queued, _drained]
+
+
+def _state(lock):
+    return lock.readers, lock.write_locked, lock.queue_length
+
+
+@pytest.mark.parametrize("make", LOCK_STATES, ids=lambda make: make.__name__.strip("_"))
+def test_try_acquire_read_grants_exactly_when_acquire_read_does(sim, make):
+    tried, acquired = make(sim), make(sim)
+    before = _state(tried)
+    granted = tried.try_acquire_read()
+    grant = acquired.acquire_read()
+    assert granted == grant.triggered
+    if granted:
+        assert _state(tried) == _state(acquired) == (before[0] + 1, False, before[2])
+        tried.release_read()
+        assert _state(tried) == before
+    else:
+        # A refused try leaves the lock untouched; acquire_read queued.
+        assert _state(tried) == before
+        assert _state(acquired) == (before[0], before[1], before[2] + 1)
+
+
+def test_never_contended_lock_holds_no_queue(sim):
+    lock = RWLock(sim)
+    for _ in range(3):
+        lock.acquire_write()
+        lock.release_write()
+        assert lock.try_acquire_read() and lock.try_acquire_write() is False
+        lock.acquire_read()
+        lock.release_read()
+        lock.release_read()
+    assert lock._queue is None and lock.queue_length == 0
+    lock.acquire_write()
+    lock.acquire_read()  # the first waiter makes the queue
+    assert lock._queue is not None and lock.queue_length == 1
+
+
+def test_name_is_rendered_only_when_read(sim):
+    from repro.daos.oid import ObjectId
+
+    oid = ObjectId(1, 2)
+    lock = RWLock(sim, name=oid)
+    assert lock.name == str(oid)
+    with pytest.raises(RuntimeError, match=str(oid)):
+        lock.release_write()

@@ -130,6 +130,7 @@ class TestFig4Shapes:
 class TestFig5Shapes:
     """§6.3.1, Fig 5: low contention."""
 
+    @pytest.mark.slow
     def test_low_contention_beats_high_contention_at_scale(self):
         # Enough ops to amortise the per-process container-creation setup
         # that LOW contention pays (the paper runs 2000 ops for the same
