@@ -50,7 +50,8 @@ REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick
 #: Together they are what notices the queue regress at either end, now that
 #: no second scheduler stands behind it.
 #: ``rpc_storm`` gates the metadata plane on the op driver (fused delay
-#: legs + bare launches that build no Request) on both storage backends.
+#: legs; ``DaosClient._call`` launches a bare client's ops without a
+#: Request) on both storage backends.
 #: ``serving_storm`` gates the request path: interned requests, memoised
 #: expansion and per-key schema split under the serving gateway.
 GATED = (

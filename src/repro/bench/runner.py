@@ -2,10 +2,10 @@
 
 Every paper experiment is a sweep over deployment shapes and benchmark
 parameters, repeated a few times, with either the best or the mean
-configuration reported.  :func:`run_repetitions` and :func:`best_over`
-encode that reporting convention (§6.2: "the maximum ... among the
-repetitions is reported"; §6.2/Fig 3: "the mean ... across all repetitions
-for the best performing number of client processes").
+configuration reported.  :func:`build_deployment` assembles one fresh
+deployment per grid point and :func:`mean` reduces repetitions (§6.2/Fig
+3: "the mean ... across all repetitions for the best performing number of
+client processes").
 
 This module also hosts the entry point of the *kernel perf harness*
 (``repro bench``): :func:`run_kernel_benchmarks` drives the scenarios of
@@ -16,10 +16,8 @@ payload that tracks the simulator's own speed across PRs.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import ClusterConfig
 from repro.daos.system import DaosSystem
@@ -27,14 +25,10 @@ from repro.hardware.topology import Cluster
 
 __all__ = [
     "build_deployment",
-    "run_repetitions",
-    "best_over",
     "mean",
     "run_kernel_benchmarks",
     "write_kernel_bench",
 ]
-
-T = TypeVar("T")
 
 
 def build_deployment(
@@ -50,48 +44,12 @@ def build_deployment(
     return _build(config, backend=backend)
 
 
-def run_repetitions(
-    config: ClusterConfig,
-    run_once: Callable[[Cluster, DaosSystem, object], T],
-    repetitions: int = 3,
-    backend: str = "daos",
-) -> List[T]:
-    """Run a benchmark ``repetitions`` times on fresh deployments.
-
-    Each repetition re-seeds the cluster (seed + repetition index), exactly
-    like re-running a job on the real machine: placement, start-up skew and
-    tie-breaking all vary.
-    """
-    if repetitions < 1:
-        raise ValueError("need at least one repetition")
-    results: List[T] = []
-    for repetition in range(repetitions):
-        rep_config = replace(config, seed=config.seed + repetition)
-        cluster, system, pool = build_deployment(rep_config, backend=backend)
-        results.append(run_once(cluster, system, pool))
-    return results
-
-
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean; raises on empty input (silent 0.0 hides bugs)."""
     values = list(values)
     if not values:
         raise ValueError("mean of no values")
     return sum(values) / len(values)
-
-
-def best_over(
-    candidates: Sequence[T],
-    score: Callable[[T], float],
-) -> Tuple[T, float]:
-    """The candidate with the highest score, e.g. best processes-per-node."""
-    if not candidates:
-        raise ValueError("no candidates")
-    best = max(candidates, key=score)
-    value = score(best)
-    if math.isnan(value):
-        raise ValueError("score function returned NaN")
-    return best, value
 
 
 # -- kernel perf harness ------------------------------------------------------------

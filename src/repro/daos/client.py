@@ -22,9 +22,11 @@ as a ``_do_*`` generator in the *leg dialect*: ``yield <float>`` is a
 delay, ``yield <Event>`` is a wait.  Every public op ends in ``yield
 <driver>``: a pooled :class:`_FastDriver` runs the body — or the stage
 chain wrapped around it, whose stages speak the same dialect — counts the
-op at launch and observes it at finish.  A *bare* client (no stage but
-tracing, no tracer installed) launches its hot metadata bodies without
-building a Request at all.  Only the per-shard helpers ``_shard_io`` and
+op at launch and observes it at finish.  One method, ``_call``, decides
+how every op launches: a *bare* client (no stage but tracing, no tracer
+installed) launches the body without building a Request at all, any other
+client wraps it in one for its stages.  A multi-op runs each sub-op on a
+driver of its own.  Only the per-shard helpers ``_shard_io`` and
 ``_target_service`` stay Event-yielding generators: they run as spawned
 simulation processes.
 
@@ -300,8 +302,8 @@ class DaosClient:
             middleware = default_middleware(self.config)
         #: No stage but tracing.  While no tracer is installed (checked per
         #: call: installing one mid-run takes effect at the next op) the
-        #: chain would add nothing, so the hot metadata ops launch their
-        #: body directly instead of building a Request for it.
+        #: chain would add nothing, so :meth:`_call` launches every op body
+        #: directly instead of building a Request for it.
         self._bare = len(middleware) == 1 and type(middleware[0]) is TracingMiddleware
         if shared and self._bare:
             #: The stage list; ``None`` on a shared-chain client until
@@ -323,12 +325,17 @@ class DaosClient:
     def _launch(self, op: str, legs, nbytes: int) -> _FastDriver:
         """Launch the leg-dialect generator ``legs`` on a pooled :class:`_FastDriver`.
 
-        Counts ``op``, then drives the generator's first step synchronously
-        — an exception raised before the first wait propagates out of this
-        call, as it would out of a ``yield from`` of the body.  The returned
-        driver is the event the public op method yields once.
+        Counts ``op`` (making its latency accumulator on first use), then
+        drives the generator's first step synchronously — an exception
+        raised before the first wait propagates out of this call, as it
+        would out of a ``yield from`` of the body.  The returned driver is
+        the event the public op method yields once.
         """
-        entry = self._account(op)
+        stats = self.stats
+        stats[op] = stats.get(op, 0) + 1
+        entry = self.op_metrics.get(op)
+        if entry is None:
+            self.op_metrics[op] = entry = OpStats()
         pool = self.system.fast_drivers
         driver = pool.pop() if pool else _FastDriver(self.sim, pool)
         driver.callbacks = []
@@ -347,14 +354,19 @@ class DaosClient:
         """Launch ``request`` through the client's stages on a pooled driver."""
         return self._launch(request.op, self._chain(self, request), request.nbytes)
 
-    def _account(self, op: str) -> OpStats:
-        """Count one ``op``; returns its latency accumulator (made on first use)."""
-        stats = self.stats
-        stats[op] = stats.get(op, 0) + 1
-        entry = self.op_metrics.get(op)
-        if entry is None:
-            self.op_metrics[op] = entry = OpStats()
-        return entry
+    def _call(self, op: str, body, args: tuple, nbytes: int = 0, target=None) -> _FastDriver:
+        """Launch the op body ``body(*args)``: the one bare-or-staged decision.
+
+        A bare client with no tracer installed launches the body directly;
+        any other client wraps it in a :class:`Request` and runs it through
+        its stages.  ``target`` is a zero-argument callable returning the
+        op's routing target, called only when the Request is built.
+        """
+        if self._bare and self.sim.tracer is None:
+            return self._launch(op, body(*args), nbytes)
+        return self._launch_request(
+            Request(op, lambda: body(*args), target() if target else None, nbytes)
+        )
 
     def eq_create(self, name: str = "eq") -> EventQueue:
         """A fresh event queue for asynchronous submissions (``daos_eq_create``)."""
@@ -364,16 +376,16 @@ class DaosClient:
     def request_multi(self, requests: List[Request], op: str = "multi") -> Request:
         """One Request carrying ``requests`` through the middleware stages.
 
-        The sub-request bodies run sequentially inside the wrapper body, on
-        the wrapper's one driver, so on the default stages the simulated
+        The sub-request bodies run sequentially inside the wrapper body,
+        each on a driver of its own, so on the default stages the simulated
         timeline is identical to submitting them one by one — what the batch
-        saves is the per-op launch and stage traversal, which dominates
-        small-op cost in index-update storms.  Per-sub-op stats are
-        preserved: each sub-op's counter and :class:`OpStats` entry are
-        updated exactly as its own launch would (the wrapper op is
-        additionally counted once under ``op``).  Non-default stages apply
-        to the wrapper as a unit: one fault-injection/retry/QoS decision
-        covers the whole batch (QoS meters one token per covered sub-op, see
+        saves is the per-op stage traversal, which dominates small-op cost
+        in index-update storms.  Per-sub-op stats are preserved: each
+        sub-op's driver counts and observes it exactly as a single launch
+        would (the wrapper op is additionally counted once under ``op``).
+        Non-default stages apply to the wrapper as a unit: one
+        fault-injection/retry/QoS decision covers the whole batch (QoS
+        meters one token per covered sub-op, see
         :class:`~repro.serving.qos.QosAdmissionMiddleware`).
         """
         subs = tuple(requests)
@@ -407,31 +419,18 @@ class DaosClient:
         return (yield self._launch_request(self.request_multi(requests, op="kv_get_multi")))
 
     def _do_multi(self, requests: Tuple[Request, ...]):
-        """Run each sub-request body in turn, replaying per-op accounting.
+        """Run each sub-request body in turn, each on a driver of its own.
 
-        Each sub-op is counted and observed exactly as the driver does for
-        an op of its own — counts, latency and byte totals land in the same
-        per-op slots whether ops were submitted singly or batched.
+        The sub-op's driver counts and observes it, so counts, latency and
+        byte totals land in the same per-op slots whether ops were submitted
+        singly or batched.
         """
         results = []
-        append = results.append
-        sim = self.sim
         for request in requests:
-            entry = self._account(request.op)
-            start = sim.now
-            try:
-                result = yield from request.body()
-            except BaseException:
-                entry.observe(sim.now - start, request.nbytes, ok=False)
-                raise
-            entry.observe(sim.now - start, request.nbytes, ok=True)
-            append(result)
+            results.append((yield self._launch(request.op, request.body(), request.nbytes)))
         return results
 
     # -- small helpers -----------------------------------------------------------
-    def _count(self, op: str) -> None:
-        self.stats[op] = self.stats.get(op, 0) + 1
-
     def _reject_if_down(self, target_index: int) -> None:
         """The server-side check every target service starts with (callers
         skip it while health is off: the authoritative map cannot change).
@@ -562,15 +561,9 @@ class DaosClient:
         return candidates[0]
 
     # -- pool / container operations -----------------------------------------------
-    def request_pool_connect(self, pool: Pool) -> Request:
-        return Request(
-            op="pool_connect",
-            body=lambda: self._do_pool_connect(pool),
-        )
-
     def pool_connect(self, pool: Pool):
         """Connect to a pool (handshake with the pool service)."""
-        return (yield self._launch_request(self.request_pool_connect(pool)))
+        return (yield self._call("pool_connect", self._do_pool_connect, (pool,)))
 
     def _do_pool_connect(self, pool: Pool):
         yield self._message_latency
@@ -579,18 +572,6 @@ class DaosClient:
         )
         yield self._message_latency
         return pool
-
-    def request_container_create(
-        self,
-        pool: Pool,
-        uuid: Optional[uuid_module.UUID] = None,
-        label: str = "",
-        is_default: bool = False,
-    ) -> Request:
-        return Request(
-            op="container_create",
-            body=lambda: self._do_container_create(pool, uuid, label, is_default),
-        )
 
     def container_create(
         self,
@@ -606,8 +587,8 @@ class DaosClient:
         the real collective: one creator wins, the rest see EXIST.
         """
         return (
-            yield self._launch_request(
-                self.request_container_create(pool, uuid, label, is_default)
+            yield self._call(
+                "container_create", self._do_container_create, (pool, uuid, label, is_default)
             )
         )
 
@@ -664,16 +645,9 @@ class DaosClient:
         cache = self._container_cache
         cached = cache.get((pool.label, alias)) if cache else None
         if cached is not None:
-            self._count("container_open_cached")
+            self.stats["container_open_cached"] = self.stats.get("container_open_cached", 0) + 1
             return cached
-        return (
-            yield self._launch_request(
-                Request(
-                    op="container_open",
-                    body=lambda: self._do_container_open(pool, ref, alias),
-                )
-            )
-        )
+        return (yield self._call("container_open", self._do_container_open, (pool, ref, alias)))
 
     def _do_container_open(self, pool: Pool, ref: ContainerRef, alias: str):
         yield self._message_latency
@@ -688,20 +662,7 @@ class DaosClient:
 
     def container_exists(self, pool: Pool, ref: ContainerRef):
         """Probe existence (a pool-service lookup)."""
-        if self._bare and self.sim.tracer is None:
-            return (
-                yield self._launch(
-                    "container_exists", self._do_container_exists(pool, ref), 0
-                )
-            )
-        return (
-            yield self._launch_request(
-                Request(
-                    op="container_exists",
-                    body=lambda: self._do_container_exists(pool, ref),
-                )
-            )
-        )
+        return (yield self._call("container_exists", self._do_container_exists, (pool, ref)))
 
     def _do_container_exists(self, pool: Pool, ref: ContainerRef):
         yield self._message_latency
@@ -717,14 +678,7 @@ class DaosClient:
         Cached handles for the container are evicted on every client-visible
         alias (label and UUID).
         """
-        return (
-            yield self._launch_request(
-                Request(
-                    op="container_destroy",
-                    body=lambda: self._do_container_destroy(pool, ref),
-                )
-            )
-        )
+        return (yield self._call("container_destroy", self._do_container_destroy, (pool, ref)))
 
     def _do_container_destroy(self, pool: Pool, ref: ContainerRef):
         yield self._message_latency
@@ -760,16 +714,8 @@ class DaosClient:
         kv = container.get_or_create_kv(oid, oclass)
         if kv.lock is None:
             self.system.register_object(kv, oclass, container_salt=container.uuid.int)
-        if self._bare and self.sim.tracer is None:
-            return (yield self._launch("kv_open", self._do_kv_open(kv), 0))
         return (
-            yield self._launch_request(
-                Request(
-                    op="kv_open",
-                    body=lambda: self._do_kv_open(kv),
-                    target=self._lead_target(kv),
-                )
-            )
+            yield self._call("kv_open", self._do_kv_open, (kv,), 0, lambda: self._lead_target(kv))
         )
 
     def _do_kv_open(self, kv: KeyValueObject):
@@ -793,11 +739,12 @@ class DaosClient:
         time), which is the mechanism behind the paper's shared-index-KV
         contention (§5.2, Fig 4).
         """
-        if self._bare and self.sim.tracer is None:
-            return (
-                yield self._launch("kv_put", self._do_kv_put(kv, key, value), len(value))
+        return (
+            yield self._call(
+                "kv_put", self._do_kv_put, (kv, key, value), len(value),
+                lambda: self._key_target(kv, key),
             )
-        return (yield self._launch_request(self.request_kv_put(kv, key, value)))
+        )
 
     def _kv_write_targets(self, kv: KeyValueObject, key: bytes) -> List[int]:
         """Targets a dkey update must service: every live replica.
@@ -876,9 +823,12 @@ class DaosClient:
         service time — VOS dkey-tree descent on a hot shared object is what
         bends the Fig 4 read curves.
         """
-        if self._bare and self.sim.tracer is None:
-            return (yield self._launch("kv_get", self._do_kv_get_or_none(kv, key), 0))
-        return (yield self._launch_request(self.request_kv_get(kv, key)))
+        return (
+            yield self._call(
+                "kv_get", self._do_kv_get_or_none, (kv, key), 0,
+                lambda: self._key_target(kv, key),
+            )
+        )
 
     def _do_kv_get_or_none(self, kv: KeyValueObject, key: bytes):
         yield self._message_latency
@@ -903,13 +853,7 @@ class DaosClient:
     def kv_list(self, kv: KeyValueObject):
         """Enumerate all keys (paged enumeration, one service charge per page)."""
         return (
-            yield self._launch_request(
-                Request(
-                    op="kv_list",
-                    body=lambda: self._do_kv_list(kv),
-                    target=self._lead_target(kv),
-                )
-            )
+            yield self._call("kv_list", self._do_kv_list, (kv,), 0, lambda: self._lead_target(kv))
         )
 
     def _do_kv_list(self, kv: KeyValueObject):
@@ -931,15 +875,10 @@ class DaosClient:
 
     def kv_remove(self, kv: KeyValueObject, key: bytes):
         """Remove a key (same serialisation as a put)."""
-        if self._bare and self.sim.tracer is None:
-            return (yield self._launch("kv_remove", self._do_kv_remove(kv, key), 0))
         return (
-            yield self._launch_request(
-                Request(
-                    op="kv_remove",
-                    body=lambda: self._do_kv_remove(kv, key),
-                    target=self._key_target(kv, key),
-                )
+            yield self._call(
+                "kv_remove", self._do_kv_remove, (kv, key), 0,
+                lambda: self._key_target(kv, key),
             )
         )
 
@@ -967,19 +906,10 @@ class DaosClient:
         array = container.get_or_create_array(oid, oclass)
         if array.lock is None:
             self.system.register_object(array, oclass, container_salt=container.uuid.int)
-        if self._bare and self.sim.tracer is None:
-            return (
-                yield self._launch(
-                    "array_create", self._do_array_create(container, array), 0
-                )
-            )
         return (
-            yield self._launch_request(
-                Request(
-                    op="array_create",
-                    body=lambda: self._do_array_create(container, array),
-                    target=self._lead_target(array),
-                )
+            yield self._call(
+                "array_create", self._do_array_create, (container, array), 0,
+                lambda: self._lead_target(array),
             )
         )
 
@@ -997,17 +927,10 @@ class DaosClient:
         array = container.get_object(oid)
         if not isinstance(array, ArrayObject):
             raise InvalidArgumentError(f"object {oid} is not an Array")
-        if self._bare and self.sim.tracer is None:
-            return (
-                yield self._launch("array_open", self._do_array_open(container, array), 0)
-            )
         return (
-            yield self._launch_request(
-                Request(
-                    op="array_open",
-                    body=lambda: self._do_array_open(container, array),
-                    target=self._lead_target(array),
-                )
+            yield self._call(
+                "array_open", self._do_array_open, (container, array), 0,
+                lambda: self._lead_target(array),
             )
         )
 
@@ -1029,9 +952,12 @@ class DaosClient:
 
     def array_close(self, array: ArrayObject):
         """Close an array handle (flush + release)."""
-        if self._bare and self.sim.tracer is None:
-            return (yield self._launch("array_close", self._do_array_close(array), 0))
-        return (yield self._launch_request(self.request_array_close(array)))
+        return (
+            yield self._call(
+                "array_close", self._do_array_close, (array,), 0,
+                lambda: self._lead_target(array),
+            )
+        )
 
     def _do_array_close(self, array: ArrayObject):
         yield from self._target_leg(
@@ -1041,17 +967,10 @@ class DaosClient:
 
     def array_get_size(self, array: ArrayObject):
         """Query the array size (a lead-target RPC)."""
-        if self._bare and self.sim.tracer is None:
-            return (
-                yield self._launch("array_get_size", self._do_array_get_size(array), 0)
-            )
         return (
-            yield self._launch_request(
-                Request(
-                    op="array_get_size",
-                    body=lambda: self._do_array_get_size(array),
-                    target=self._lead_target(array),
-                )
+            yield self._call(
+                "array_get_size", self._do_array_get_size, (array,), 0,
+                lambda: self._lead_target(array),
             )
         )
 
@@ -1072,12 +991,9 @@ class DaosClient:
         several versions.
         """
         return (
-            yield self._launch_request(
-                Request(
-                    op="array_punch",
-                    body=lambda: self._do_array_punch(container, array, pool),
-                    target=self._lead_target(array),
-                )
+            yield self._call(
+                "array_punch", self._do_array_punch, (container, array, pool), 0,
+                lambda: self._lead_target(array),
             )
         )
 
@@ -1105,12 +1021,9 @@ class DaosClient:
         Truncation refunds the discarded bytes to the pool when one is given.
         """
         return (
-            yield self._launch_request(
-                Request(
-                    op="array_set_size",
-                    body=lambda: self._do_array_set_size(array, size, pool),
-                    target=self._lead_target(array),
-                )
+            yield self._call(
+                "array_set_size", self._do_array_set_size, (array, size, pool), 0,
+                lambda: self._lead_target(array),
             )
         )
 
@@ -1290,8 +1203,13 @@ class DaosClient:
         array-level contention the paper describes for the *no index* mode
         under access pattern B (§5.3).
         """
+        if not isinstance(payload, Payload):
+            payload = BytesPayload(bytes(payload))
         return (
-            yield self._launch_request(self.request_array_write(array, offset, payload, pool))
+            yield self._call(
+                "array_write", self._do_array_write, (array, offset, payload, pool),
+                payload.size, lambda: self._lead_target(array),
+            )
         )
 
     def _do_array_write(
@@ -1318,7 +1236,12 @@ class DaosClient:
 
     def array_read(self, array: ArrayObject, offset: int, length: int):
         """Read ``[offset, offset+length)``; concurrent reads share the lock."""
-        return (yield self._launch_request(self.request_array_read(array, offset, length)))
+        return (
+            yield self._call(
+                "array_read", self._do_array_read, (array, offset, length), length,
+                lambda: self._lead_target(array),
+            )
+        )
 
     def _do_array_read(self, array: ArrayObject, offset: int, length: int):
         yield self._message_latency

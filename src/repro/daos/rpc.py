@@ -22,13 +22,16 @@ The middleware chain is where cross-cutting concerns live:
 
 Op counts and latencies are not a stage: the client's op driver keeps them
 (``DaosClient._launch``), outside every stage, so an op counts once and its
-latency covers every retry.
+latency covers every retry.  A multi-op's sub-ops each run on a driver of
+their own, so they are counted the same way.
 
 A ``Request.body`` and every stage's ``handle`` speak the client's *leg
 dialect*: ``yield <float>`` is a delay, ``yield <Event>`` a wait.  The
 composed chain is one generator the client's pooled driver runs
-(``DaosClient._launch_request``), the same interpreter that runs a bare
-client's bodies without any Request.
+(``DaosClient._launch_request``).  Whether an op becomes a Request at all
+is decided in one place, ``DaosClient._call``: a bare client (tracing
+alone, no tracer installed) runs every op body on the same interpreter
+without one.
 
 The default stages (tracing, disabled) add no simulated events, so the
 blocking call path stays bit-identical to the pre-RPC-layer client — the

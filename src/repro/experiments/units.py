@@ -3,10 +3,11 @@
 Each function computes exactly **one grid point** — one deployment, one
 benchmark run, one repetition — and returns a small JSON-safe dict, so it
 can cross a process-pool boundary and live in the persistent result cache.
-The repetition seed is folded in by the caller (``seed = base + rep``,
-matching :func:`repro.bench.runner.run_repetitions`); rich parameters
-(providers, object classes, enum modes) are passed *by name* and resolved
-here, keeping the kwargs trivially fingerprintable.
+The repetition seed is folded in by the caller (``seed = base + rep``, so
+each repetition re-seeds placement, start-up skew and tie-breaking like a
+re-run job on the real machine); rich parameters (providers, object
+classes, enum modes) are passed *by name* and resolved here, keeping the
+kwargs trivially fingerprintable.
 
 The returned floats are the exact values the drivers' previous hand-rolled
 loops consumed (``summary.write_sync``, ``summary.write_global or 0.0``,

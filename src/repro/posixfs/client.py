@@ -21,9 +21,10 @@ Implemented as an override of the DAOS client's ``_do_*`` op bodies and
 nothing else: each body is written once, in the leg dialect (``yield
 <float>`` a delay, ``yield <Event>`` a wait; see :mod:`repro.daos.client`),
 and the inherited public methods and ``request_*`` builders close over
-``self``, so the op driver that runs every body (bare or inside the
-middleware stages), the event-queue async path and the op bookkeeping are
-shared verbatim rather than forked.
+``self``, so the one launch decision (``DaosClient._call``: bare, or a
+Request inside the middleware stages), the op driver that runs every body,
+the event-queue async path and the op bookkeeping are shared verbatim
+rather than forked.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.bench.runner import best_over, build_deployment, mean, run_repetitions
-from repro.config import ClusterConfig
+from repro.bench.runner import build_deployment, mean
 
 
 def test_build_deployment_wires_everything(small_config):
@@ -12,33 +11,8 @@ def test_build_deployment_wires_everything(small_config):
     assert pool.label in system.pools
 
 
-def test_run_repetitions_reseeds():
-    seeds = []
-
-    def once(cluster, system, pool):
-        seeds.append(cluster.config.seed)
-        return cluster.config.seed
-
-    config = ClusterConfig(seed=10)
-    results = run_repetitions(config, once, repetitions=3)
-    assert seeds == [10, 11, 12]
-    assert results == [10, 11, 12]
-
-
-def test_run_repetitions_validation(small_config):
-    with pytest.raises(ValueError):
-        run_repetitions(small_config, lambda *a: None, repetitions=0)
-
-
 def test_mean():
     assert mean([1.0, 2.0, 3.0]) == 2.0
     with pytest.raises(ValueError):
         mean([])
 
-
-def test_best_over():
-    best, score = best_over([3, 1, 4, 1, 5], score=lambda x: -abs(x - 4))
-    assert best == 4
-    assert score == 0
-    with pytest.raises(ValueError):
-        best_over([], score=lambda x: 0.0)

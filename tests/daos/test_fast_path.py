@@ -1,9 +1,9 @@
 """One body per op, one interpreter: identity rails.
 
 Every op has a single leg-dialect body (``DaosClient._do_*``) that runs on
-a pooled ``_FastDriver``: launched bare (no stage but tracing, no tracer
-installed; the hot metadata ops build no Request) or as a Request inside
-the client's middleware stages (``DaosClient._launch_request``).  Which
+a pooled ``_FastDriver``, and ``DaosClient._call`` picks how it launches:
+bare (no stage but tracing, no tracer installed; no op builds a Request)
+or as a Request inside the client's middleware stages.  Which
 launch runs it, and whether an uncontended grant is elided or travels as a
 real event, must never show in the outcome: the same bits -- event
 timings, return values, per-op metrics, final clock, ``rpc`` spans.
@@ -31,6 +31,7 @@ import hashlib
 
 import pytest
 
+import repro.daos.client as client_module
 from repro.bench.runner import build_deployment
 from repro.config import ClusterConfig, EngineFailureEvent, FaultInjectionConfig
 from repro.daos.errors import ServiceBusyError, SimulatedFaultError, TargetDownError
@@ -38,10 +39,11 @@ from repro.daos.locks import RWLock
 from repro.daos.objclass import OC_RP_2G1, OC_S1, OC_SX
 from repro.daos.oid import ObjectId
 from repro.daos.payload import PatternPayload
-from repro.daos.rpc import Middleware, TracingMiddleware
+from repro.daos.rpc import Middleware, Request, TracingMiddleware
 from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
 from repro.simulation.resources import Resource
 from repro.simulation.trace import Tracer
+from tests.conftest import run_process
 
 N_CLIENTS = 4
 OPS = 12
@@ -433,8 +435,8 @@ def _run(name, **overrides):
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
 def test_plain_chain_identity(backend):
-    """Bare launch vs request path: default clients launch the hot bodies
-    bare, a pass-through middleware sends the same bodies through
+    """Bare launch vs request path: default clients launch every body bare,
+    a pass-through middleware sends the same bodies through
     ``_launch_request``."""
     name = f"plain-{backend}"
     bare, _, clients, _ = _run(name)
@@ -473,6 +475,69 @@ def test_mid_run_tracer_installation_falls_back():
     assert all(client._bare for client in clients)
     assert spans, "tracer must capture spans after mid-run installation"
     assert digest == GOLDEN["mid_run_tracer"]
+
+
+def _every_op(client, pool, other):
+    """Run every public op of ``client`` once; multi-op submits are left out
+    (they build their Request by contract).  ``other`` is a container the
+    client has no handle for, so its first open is a real one."""
+    container = yield from client.container_create(pool, label="every-op")
+    yield from client.pool_connect(pool)
+    yield from client.container_open(pool, other.uuid)
+    yield from client.container_open(pool, other.uuid)  # cached: no launch
+    yield from client.container_exists(pool, "every-op")
+    kv = yield from client.kv_open(container, ObjectId(1, 3), OC_SX)
+    yield from client.kv_put(kv, b"key", b"value")
+    yield from client.kv_get(kv, b"key")
+    yield from client.kv_get_or_none(kv, b"absent")
+    yield from client.kv_list(kv)
+    yield from client.kv_remove(kv, b"key")
+    array = yield from client.array_create(container, OC_SX)
+    yield from client.array_write(array, 0, b"x" * 4096, pool)  # bytes: coerced
+    yield from client.array_read(array, 0, 4096)
+    yield from client.array_get_size(array)
+    yield from client.array_set_size(array, 2048, pool)
+    yield from client.array_close(array)
+    yield from client.array_open(container, array.oid)
+    yield from client.array_punch(container, array, pool)
+    yield from client.container_destroy(pool, "every-op")
+
+
+@pytest.mark.parametrize("backend", ["daos", "posixfs"])
+def test_one_launch_decision_for_every_op(backend, monkeypatch):
+    """A bare client builds no Request for any op; with a tracer installed
+    a bare client builds exactly one per launched op."""
+    config = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=5)
+    cluster, system, pool = build_deployment(config, backend=backend)
+    owner, address = cluster.client_addresses(2)
+    other = run_process(
+        cluster, system.make_client(owner).container_create(pool, label="other")
+    )
+
+    def launched():
+        client = system.make_client(address)
+        assert client._bare
+        run_process(cluster, _every_op(client, pool, other))
+        assert client.stats.pop("container_open_cached") == 1
+        return client.stats
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bare client built a Request")
+
+    monkeypatch.setattr(client_module, "Request", refuse)
+    untraced = launched()
+    assert len(untraced) == 18
+
+    built = {}
+
+    def counting(op, *args, **kwargs):
+        built[op] = built.get(op, 0) + 1
+        return Request(op, *args, **kwargs)
+
+    monkeypatch.setattr(client_module, "Request", counting)
+    cluster.sim.tracer = Tracer()
+    assert built == launched() == untraced
+    _assert_pooled(system)
 
 
 @pytest.mark.parametrize("name", ["health_failure", "data-health_failure"])

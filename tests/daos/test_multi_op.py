@@ -15,9 +15,10 @@ from repro.config import ClusterConfig
 from repro.daos.errors import ServiceBusyError
 from repro.daos.objclass import OC_SX
 from repro.daos.oid import ObjectId
-from repro.daos.rpc import TracingMiddleware
+from repro.daos.rpc import Request, TracingMiddleware
 from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
 from tests.conftest import run_process
+from tests.daos.test_fast_path import _assert_pooled
 
 KV_OID = ObjectId.from_user(0, 0x51)
 N_KEYS = 12
@@ -107,6 +108,48 @@ def test_empty_multi_submit():
 
     assert run_process(cluster, flow()) == []
     assert client.stats["noop_multi"] == 1
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def _boom_after_first_leg():
+    yield 1e-6
+    raise Boom("after the first leg")
+
+
+def _boom_before_first_wait():
+    raise Boom("before the first wait")
+    yield  # pragma: no cover - makes this a generator
+
+
+@pytest.mark.parametrize("body", [_boom_after_first_leg, _boom_before_first_wait])
+def test_failed_sub_op_accounting(body):
+    """A sub-op failing mid-batch: what ran is counted, what did not is not,
+    and every driver the batch launched is handed back."""
+    cluster, system, pool, client = make_env()
+
+    def flow():
+        container = yield from client.container_create(pool, label="c")
+        kv = yield from client.kv_open(container, KV_OID, OC_SX)
+        batch = [
+            client.request_kv_put(kv, b"first", b"1"),
+            Request(op="boom", body=body),
+            client.request_kv_put(kv, b"third", b"3"),
+        ]
+        with pytest.raises(Boom):
+            yield from client.submit_multi(batch)
+        return kv
+
+    kv = run_process(cluster, flow())
+    assert list(kv.keys()) == [b"first"]
+    metrics = client.op_metrics
+    assert client.stats["kv_put"] == metrics["kv_put"].count == 1
+    assert metrics["kv_put"].errors == 0
+    assert metrics["boom"].count == metrics["boom"].errors == 1
+    assert metrics["multi"].count == metrics["multi"].errors == 1
+    _assert_pooled(system)
 
 
 def _qos_client(rate=4.0, burst=2.0, max_queue_depth=0):
