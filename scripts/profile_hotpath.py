@@ -13,9 +13,19 @@ Usage::
     PYTHONPATH=src python scripts/profile_hotpath.py
         [--scenario kv_storm rpc_storm] [--quick] [--top 20]
         [--sort cumulative|tottime]
+    PYTHONPATH=src python scripts/profile_hotpath.py
+        --workload <ledger workload> [--seed N] [--top 0]
 
 The scenario digest is printed alongside, so a profiling session doubles
 as an identity check: optimising must not move it.
+
+``--workload <name> [--seed N]`` profiles one pass of an end-to-end ledger
+workload instead (``benchmarks.e2e.workloads.run_pass``, after one
+unprofiled warm pass) and prints cProfile ``total_calls`` with the pass
+digest.  The call count is deterministic where wall time is not, so an A/B
+of two trees at equal seed reads a per-op cost change exactly::
+
+    PYTHONPATH=src python scripts/profile_hotpath.py --workload ior_scaling
 
 Scenarios that move data (``--scenario fieldio_small``, the flow storms)
 additionally get a per-function table of ``network/flow.py`` self time —
@@ -30,8 +40,14 @@ import argparse
 import cProfile
 import pstats
 import sys
+from pathlib import Path
 
-from repro.bench.kernel_perf import SCENARIOS, run_scenario
+_ROOT = Path(__file__).resolve().parents[1]
+if str(_ROOT) not in sys.path:
+    sys.path.insert(0, str(_ROOT))
+
+from benchmarks.e2e import workloads  # noqa: E402
+from repro.bench.kernel_perf import SCENARIOS, run_scenario  # noqa: E402
 
 
 def profile_scenario(name: str, quick: bool, top: int, sort: str) -> None:
@@ -68,6 +84,25 @@ def profile_scenario(name: str, quick: bool, top: int, sort: str) -> None:
         print()
 
 
+def profile_workload(name: str, seed: int, top: int, sort: str) -> None:
+    """Profile one ledger pass of ``name``; print its call count and digest."""
+    warm = workloads.digest_of(workloads.run_pass(name, seed))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    outcomes = workloads.run_pass(name, seed)
+    profiler.disable()
+    digest = workloads.digest_of(outcomes)
+    stats = pstats.Stats(profiler, stream=sys.stdout)
+    print(f"== {name} (seed {seed}) ==")
+    if top:
+        stats.strip_dirs().sort_stats(sort).print_stats(top)
+    print(f"total_calls {stats.total_calls}")
+    print(f"digest {digest}")
+    if digest != warm:
+        print(f"warm pass digest {warm} differs", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -76,6 +111,15 @@ def main(argv=None) -> int:
         default=["kv_storm", "rpc_storm"],
         choices=sorted(SCENARIOS),
         help="kernel scenarios to profile (default: the metadata-plane pair)",
+    )
+    parser.add_argument(
+        "--workload",
+        nargs="+",
+        choices=workloads.WORKLOADS,
+        help="profile one pass of these end-to-end ledger workloads instead",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="ledger pass seed (with --workload)"
     )
     parser.add_argument(
         "--quick", action="store_true", help="use the trimmed quick shapes"
@@ -91,6 +135,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.workload:
+        for name in args.workload:
+            profile_workload(name, args.seed, args.top, args.sort)
+        return 0
     for name in args.scenario:
         profile_scenario(name, args.quick, args.top, args.sort)
     return 0

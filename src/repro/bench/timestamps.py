@@ -146,22 +146,31 @@ class TimestampLog:
         digest if and only if they are bit-identical (record order included).
         Used by the determinism regression tests to guard kernel changes.
         """
-
-        def fmt(value: Optional[float]) -> str:
-            return "-" if value is None else float(value).hex()
-
         # One rendered line and one ``update`` per record.  Joining the whole
         # log into one buffer first hashes no faster and, at the end of an
         # IOR wave, holds a second copy of the log at the pass's peak memory.
+        # Each timestamp is rendered inline ("-" for None): a helper call per
+        # timestamp, eight a record, was a visible share of an IOR pass.
         hasher = hashlib.sha256()
         update = hasher.update
-        update(f"{fmt(self.execution_start)}|{fmt(self.execution_end)}\n".encode())
+        hex_ = float.hex
+        start, end = self.execution_start, self.execution_end
+        update(
+            f"{'-' if start is None else hex_(float(start))}|"
+            f"{'-' if end is None else hex_(float(end))}\n".encode()
+        )
         for r in self.records:
+            t0, t1, t2, t3 = r.io_start, r.io_end, r.open_start, r.open_end
+            t4, t5, t6, t7 = r.transfer_start, r.transfer_end, r.close_start, r.close_end
             update(
                 f"{r.node}|{r.rank}|{r.iteration}|{r.op}|{r.size}|"
-                f"{fmt(r.io_start)}|{fmt(r.io_end)}|"
-                f"{fmt(r.open_start)}|{fmt(r.open_end)}|"
-                f"{fmt(r.transfer_start)}|{fmt(r.transfer_end)}|"
-                f"{fmt(r.close_start)}|{fmt(r.close_end)}\n".encode()
+                f"{'-' if t0 is None else hex_(float(t0))}|"
+                f"{'-' if t1 is None else hex_(float(t1))}|"
+                f"{'-' if t2 is None else hex_(float(t2))}|"
+                f"{'-' if t3 is None else hex_(float(t3))}|"
+                f"{'-' if t4 is None else hex_(float(t4))}|"
+                f"{'-' if t5 is None else hex_(float(t5))}|"
+                f"{'-' if t6 is None else hex_(float(t6))}|"
+                f"{'-' if t7 is None else hex_(float(t7))}\n".encode()
             )
         return hasher.hexdigest()

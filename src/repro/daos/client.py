@@ -67,7 +67,7 @@ from repro.daos.rpc import (
 )
 from repro.daos.system import DaosSystem
 from repro.network.fabric import NodeSocket
-from repro.simulation.events import PENDING, Event
+from repro.simulation.events import PENDING, Event, Wake
 
 __all__ = ["DaosClient", "default_middleware"]
 
@@ -123,15 +123,17 @@ class _FastDriver(Event):
     suspension instead of one per simulated wait.  The generator — an op
     body, or the client's stage chain around one — may yield
 
-    * a ``float``/``int`` — a fused delay: the driver re-arms its recycled
-      lane event (``Simulator.lane_acquire``) for that delay, replacing a
-      fresh ``Timeout`` allocation per wait;
+    * a ``float``/``int`` — a fused delay: the driver schedules its own
+      :class:`~repro.simulation.events.Wake` for that delay, a bare queue
+      entry in place of a fresh ``Timeout`` per wait;
     * an :class:`~repro.simulation.events.Event` — e.g. a contended lock or
       resource grant, or a bulk transfer: the driver waits on it exactly
-      like ``Process._step`` would.
+      like ``Process._resume`` would.
 
-    When the generator returns, the driver observes the op's latency and
-    bytes on the accumulator ``_launch`` counted it in, and finishes
+    One method, :meth:`_resume`, takes the first step (``_launch`` passes
+    the driver's own wake), every wake-up and every awaited event.  When
+    the generator returns, the driver observes the op's latency and bytes
+    on the accumulator ``_launch`` found for it, and finishes
     *synchronously* inside the final event's callback slot — no completion
     event travels through the queue, so the caller resumes at the same
     ``(time, seq)`` boundary a ``yield from`` of the body would resume at.
@@ -139,13 +141,13 @@ class _FastDriver(Event):
     its yield (or re-raised synchronously from ``DaosClient._launch`` when
     the generator fails before its first wait).
 
-    Drivers and their lane events are pooled (per system / per simulator),
-    so a storm of ops allocates O(concurrent ops) objects rather than
-    several events per op -- also when each op comes from a short-lived
-    client of its own, as in an IOR wave.
+    Drivers, each with its wake, are pooled per system, so a storm of ops
+    allocates O(concurrent ops) objects rather than several events per op
+    -- also when each op comes from a short-lived client of its own, as in
+    an IOR wave.
     """
 
-    __slots__ = ("_pool", "_body", "_lane", "_cbs", "_entry", "_nbytes", "_start")
+    __slots__ = ("_pool", "_body", "_wake", "_entry", "_nbytes", "_start")
 
     def __init__(self, sim, pool: List["_FastDriver"]) -> None:
         self.sim = sim
@@ -156,34 +158,23 @@ class _FastDriver(Event):
         self._defused = False
         #: The system-wide free-list this driver returns to when it finishes.
         self._pool = pool
-        #: Persistent one-element callback list installed on the lane event
-        #: each time it is re-armed (the dispatcher nulls ``event.callbacks``
-        #: but never mutates the list itself).
-        self._cbs = [self._advance]
+        #: The queue entry every fused delay of this driver schedules.
+        self._wake = Wake(self._resume)
         self._body = None
-        self._lane = None
         self._entry = None
         self._nbytes = 0
         self._start = 0.0
 
-    def _advance(self, event: Event) -> None:
-        """Resume the body with ``event``'s outcome (Process._resume's job)."""
-        if event._ok:
-            self._drive(event._value, False)
-        else:
-            event.defuse()
-            self._drive(event._value, True)
-
-    def _drive(self, payload, as_exception: bool) -> None:
-        """Advance the body until it suspends on a wait or finishes."""
+    def _resume(self, event: Event | Wake) -> None:
+        """Advance the body with ``event``'s outcome until it waits or finishes."""
         body = self._body
-        sim = self.sim
         while True:
             try:
-                if as_exception:
-                    target = body.throw(payload)
+                if event._ok:
+                    target = body.send(event._value)
                 else:
-                    target = body.send(payload)
+                    event.defuse()
+                    target = body.throw(event._value)
             except StopIteration as stop:
                 self._finish(stop.value, None)
                 return
@@ -193,26 +184,16 @@ class _FastDriver(Event):
 
             cls = type(target)
             if cls is float or cls is int:
-                # Fused delay: re-arm the recycled lane event.
-                lane = self._lane
-                lane._value = PENDING
-                lane.callbacks = self._cbs
-                sim._schedule(target, lane)
+                # Fused delay: one bare queue entry, no event.
+                self.sim._schedule(target, self._wake)
                 return
             # An Event (contended grant, bulk transfer, ...): wait like a
             # process would — or continue inline if it is already processed.
             callbacks = target.callbacks
-            if callbacks is None:
-                if target._ok:
-                    payload = target._value
-                    as_exception = False
-                else:
-                    target.defuse()
-                    payload = target._value
-                    as_exception = True
-                continue
-            callbacks.append(self._advance)
-            return
+            if callbacks is not None:
+                callbacks.append(self._resume)
+                return
+            event = target
 
     def _finish(self, value, error: Optional[BaseException]) -> None:
         """Observe the op, then complete synchronously (no queue round trip)."""
@@ -230,8 +211,6 @@ class _FastDriver(Event):
             callback(self)
         # Recycle only after the caller resumed: a nested op launched
         # inside the callback must not grab this driver mid-finish.
-        sim.lane_release(self._lane)
-        self._lane = None
         self._body = None
         self._entry = None
         self._pool.append(self)
@@ -261,7 +240,7 @@ class DaosClient:
     # deployment is collected: no per-instance ``__dict__``.
     __slots__ = (
         "system", "address", "sim", "net", "fabric", "provider", "_message_latency",
-        "config", "_container_cache", "stats", "op_metrics", "faults_injected",
+        "config", "_container_cache", "op_metrics", "container_open_cached", "faults_injected",
         "map_refreshes", "_health", "_map_view", "_middleware", "_bare", "_chain",
     )
 
@@ -283,10 +262,10 @@ class DaosClient:
         #: Open container handles by ``(pool label, uuid or label)``; made on
         #: the first open or create (most IOR ranks never cache one).
         self._container_cache: Optional[Dict[Tuple[str, str], Container]] = None
-        #: Op counters, useful to assert on op mixes in tests.
-        self.stats: Dict[str, int] = {}
         #: Per-op latency/bytes accumulators (maintained by the op driver).
         self.op_metrics: Dict[str, OpStats] = {}
+        #: ``container_open`` calls answered from the handle cache.
+        self.container_open_cached = 0
         #: Total faults injected into this client (fault middleware).
         self.faults_injected = 0
         #: Pool-map refetches performed after TargetDownError rejections.
@@ -315,6 +294,15 @@ class DaosClient:
             self._chain = compose_chain(middleware)
 
     @property
+    def stats(self) -> Dict[str, int]:
+        """Op counts (a fresh dict): the :attr:`op_metrics` counts, which the
+        driver takes as each op finishes, plus ``container_open_cached``."""
+        stats = {op: entry.count for op, entry in self.op_metrics.items()}
+        if self.container_open_cached:
+            stats["container_open_cached"] = self.container_open_cached
+        return stats
+
+    @property
     def middleware(self) -> List[Middleware]:
         """This client's stages, outermost first (a list of its own)."""
         if self._middleware is None:
@@ -325,14 +313,13 @@ class DaosClient:
     def _launch(self, op: str, legs, nbytes: int) -> _FastDriver:
         """Launch the leg-dialect generator ``legs`` on a pooled :class:`_FastDriver`.
 
-        Counts ``op`` (making its latency accumulator on first use), then
-        drives the generator's first step synchronously — an exception
-        raised before the first wait propagates out of this call, as it
-        would out of a ``yield from`` of the body.  The returned driver is
-        the event the public op method yields once.
+        Finds ``op``'s accumulator (making it on first use; the driver
+        counts the op when it observes it), then drives the generator's
+        first step synchronously — an exception raised before the first
+        wait propagates out of this call, as it would out of a ``yield
+        from`` of the body.  The returned driver is the event the public op
+        method yields once.
         """
-        stats = self.stats
-        stats[op] = stats.get(op, 0) + 1
         entry = self.op_metrics.get(op)
         if entry is None:
             self.op_metrics[op] = entry = OpStats()
@@ -343,11 +330,10 @@ class DaosClient:
         driver._ok = True
         driver._defused = False
         driver._body = legs
-        driver._lane = self.sim.lane_acquire()
         driver._entry = entry
         driver._nbytes = nbytes
         driver._start = self.sim._now
-        driver._drive(None, False)
+        driver._resume(driver._wake)
         return driver
 
     def _launch_request(self, request: Request) -> _FastDriver:
@@ -645,7 +631,7 @@ class DaosClient:
         cache = self._container_cache
         cached = cache.get((pool.label, alias)) if cache else None
         if cached is not None:
-            self.stats["container_open_cached"] = self.stats.get("container_open_cached", 0) + 1
+            self.container_open_cached += 1
             return cached
         return (yield self._call("container_open", self._do_container_open, (pool, ref, alias)))
 

@@ -157,7 +157,7 @@ def _run(client: "DaosClient", request: Request):
     """Process body of one submission: launch ``request``, wait for its driver.
 
     Launching inside the process, not in :meth:`EventQueue.submit`, is what
-    defers the op's first step to the process's bootstrap event: launched in
+    defers the op's first step to the process's queued bootstrap: launched in
     ``submit``, it would run synchronously inside the submitter's step, ahead
     of every event already queued at this instant.
     """

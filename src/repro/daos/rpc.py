@@ -150,10 +150,15 @@ class OpStats:
     total_bytes: int = 0
 
     def observe(self, elapsed: float, nbytes: int, ok: bool) -> None:
-        self.count += 1
+        count = self.count
+        self.count = count + 1
         if not ok:
             self.errors += 1
-        self.total_time += elapsed
+        if count:
+            self.total_time += elapsed
+        else:
+            # Bit for bit ``0.0 + elapsed``, one float fewer to keep.
+            self.total_time = elapsed
         if elapsed < self.min_time:
             self.min_time = elapsed
         if elapsed > self.max_time:

@@ -13,7 +13,7 @@ The workload also drives the simulator's wave-scale paths:
 
 * each cycle's writer and reader waves enter the simulation through
   :meth:`~repro.simulation.core.Simulator.spawn_batch` (one shared
-  bootstrap event per wave, not one bootstrap event per client);
+  bootstrap event per wave, not one bootstrap wake per client);
 * writers archive through :meth:`~repro.fdb.fieldio.FieldIO.write_many`
   and readers fetch through
   :meth:`~repro.fdb.fieldio.FieldIO.read_many`, so the per-field index

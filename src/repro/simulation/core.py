@@ -3,7 +3,9 @@
 :class:`Simulator` owns simulated time and the queue of pending events.
 Events are processed in ``(time, sequence)`` order, making runs fully
 deterministic: two events due at the same instant are processed in the
-order they were scheduled.
+order they were scheduled.  A queue entry is an :class:`Event` (its
+callbacks run) or a bare :class:`~repro.simulation.events.Wake` (its
+``fire`` runs); both take the same place in that order.
 
 The queue is a **time-bucket queue**: a dict ``timestamp -> events in
 arrival order`` plus a binary heap of the *distinct* pending timestamps
@@ -32,7 +34,7 @@ from heapq import heappop, heappush
 from math import inf as _INF
 from typing import Any, Deque, Dict, Generator, Iterable, List, Optional, Union
 
-from repro.simulation.events import PENDING, AllOf, Event, Timeout
+from repro.simulation.events import PENDING, AllOf, Event, Timeout, Wake
 from repro.simulation.process import Process
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import Tracer, global_tracer
@@ -56,6 +58,9 @@ def _raise_stop(event: Event) -> None:
 
 class Simulator:
     """Deterministic discrete-event simulator.
+
+    It pools nothing for its users: a waiter resumed after delay upon delay
+    (the storage client's op driver) schedules its own ``Wake`` each time.
 
     Parameters
     ----------
@@ -92,8 +97,6 @@ class Simulator:
         self._enqueue_triggered = self._live.append
         self._flush: List[Any] = []
         self._running = False
-        #: Freelist of recycled fast-lane events (see :meth:`lane_acquire`).
-        self._lane_free: List[Event] = []
         #: Time advances so far, i.e. distinct timestamps taken off the
         #: queue (the instant a simulator is created at has no timestamp to
         #: take and is not counted).  Updated when ``run``/``step`` returns.
@@ -167,10 +170,7 @@ class Simulator:
         exactly what one shared bootstrap's callback list replays, in the
         same order, before any event the resumed processes themselves
         scheduled (those arrive later in the queue either way).  What the
-        batch saves is the per-process bootstrap :class:`Event` and its
-        ``f"{name}:start"`` string build (the queue insertion itself is a
-        bare append), which at 100k-process waves is a measurable slice of
-        spawn cost.
+        batch saves is the per-process bootstrap wake and its queue entry.
 
         All processes share ``name`` (or fall back to their generator's
         ``__name__``), so per-process name formatting is the caller's
@@ -188,36 +188,13 @@ class Simulator:
         self._enqueue_triggered(bootstrap)
         return processes
 
-    def lane_acquire(self) -> Event:
-        """Take a recycled *fast-lane* event from the freelist.
-
-        A lane event is a plain :class:`Event` whose owner re-arms it for
-        successive delays by resetting ``_value`` to ``PENDING``, installing
-        its own callback list, and calling :meth:`_schedule` directly — the
-        fused-delay mechanism of the storage-client op driver
-        (:class:`~repro.daos.client._FastDriver`).  Recycling through the
-        simulator-wide freelist means a storm of ops allocates
-        O(concurrent ops) events instead of a fresh Timeout per delay.
-
-        The caller owns the event until :meth:`lane_release`; lane events
-        must never be exposed to other waiters.
-        """
-        free = self._lane_free
-        if free:
-            return free.pop()
-        return Event(self, name="fastlane")
-
-    def lane_release(self, event: Event) -> None:
-        """Return a lane event taken with :meth:`lane_acquire` to the freelist."""
-        self._lane_free.append(event)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have succeeded."""
         return AllOf(self, events)
 
     # -- scheduling (internal API used by events) ---------------------------
-    def _schedule(self, delay: float, event: Event) -> None:
-        """Enqueue ``event`` to be processed at ``now + delay``."""
+    def _schedule(self, delay: float, event: Union[Event, Wake]) -> None:
+        """Enqueue ``event`` (or a :class:`Wake`) to be processed at ``now + delay``."""
         now = self._now
         when = now + delay
         if when == now:
@@ -330,10 +307,11 @@ class Simulator:
         one bound-method call per event adds up over the tens of millions of
         events a paper-scale run processes.  The live bucket is popped from
         the left, so a processed event is released at once rather than at
-        the end of its instant, and an exception leaving a callback
-        (``run(until=event)`` stops this way) leaves the rest of the bucket
-        queued, in order, for the next call.
+        the end of its instant, and an exception leaving a callback or a
+        wake (``run(until=event)`` stops this way) leaves the rest of the
+        bucket queued, in order, for the next call.
         """
+        wake_type = Wake
         live = self._live
         popleft = live.popleft
         flush = self._flush
@@ -366,21 +344,25 @@ class Simulator:
                     event = popleft()
                 events += 1
 
-                if event._value is PENDING:
-                    # A time-scheduled event (Timeout) firing now: assume
-                    # its value.
-                    event._value = event._delayed_value
+                if type(event) is wake_type:
+                    # A bare wake entry: resume its owner, nothing else.
+                    event.fire(event)
+                else:
+                    if event._value is PENDING:
+                        # A time-scheduled event (Timeout) firing now:
+                        # assume its value.
+                        event._value = event._delayed_value
 
-                callbacks = event.callbacks
-                event.callbacks = None
-                assert callbacks is not None, "event processed twice"
-                for callback in callbacks:
-                    callback(event)
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    assert callbacks is not None, "event processed twice"
+                    for callback in callbacks:
+                        callback(event)
 
-                if not event._ok and not event._defused:
-                    # Nobody handled the failure: surface it rather than
-                    # dropping it.
-                    raise event._value
+                    if not event._ok and not event._defused:
+                        # Nobody handled the failure: surface it rather
+                        # than dropping it.
+                        raise event._value
 
                 if single:
                     while flush and not live:

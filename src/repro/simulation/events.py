@@ -4,7 +4,8 @@ An :class:`Event` is the unit of synchronisation: processes ``yield`` events
 and are resumed when the event is *triggered*.  :class:`Timeout` is an event
 pre-scheduled to trigger after a delay.  :class:`AllOf` joins a set of
 events (a fork/join barrier), collecting their values in a
-:class:`ConditionValue`.
+:class:`ConditionValue`.  A :class:`Wake` is not an event at all: a bare
+queue entry that resumes one owner, with nothing to wait on.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "Timeout",
     "AllOf",
     "ConditionValue",
+    "Wake",
 ]
 
 
@@ -154,6 +156,24 @@ class Timeout(Event):
         self.delay = delay
         self._delayed_value = value
         sim._schedule(delay, self)
+
+
+class Wake:
+    """A bare queue entry: the simulator runs ``wake.fire(wake)`` when due.
+
+    No callback list, PENDING swap or failure check -- only "resume this
+    owner".  The owner schedules it with ``sim._schedule(delay, wake)``
+    (at most once at a time); ``fire`` reads it like a processed event
+    that succeeded with ``None``.
+    """
+
+    __slots__ = ("fire",)
+
+    _ok = True
+    _value = None
+
+    def __init__(self, fire: Callable[["Wake"], None]) -> None:
+        self.fire = fire
 
 
 class ConditionValue:

@@ -10,9 +10,9 @@ each other and be joined with ``AllOf``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.simulation.events import Event
+from repro.simulation.events import Event, Wake
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.core import Simulator
@@ -48,12 +48,8 @@ class Process(Event):
             # bootstrap event the caller enqueues once for the whole wave.
             bootstrap.callbacks.append(self._resume)
             return
-        # Kick off the process via an immediately-triggered bootstrap event.
-        bootstrap = Event(sim, name=f"{self.name}:start")
-        bootstrap.callbacks.append(self._resume)
-        bootstrap._ok = True
-        bootstrap._value = None
-        sim._enqueue_triggered(bootstrap)
+        # Kick off the process on the next step: a wake queued for now.
+        sim._enqueue_triggered(Wake(self._resume))
 
     @property
     def is_alive(self) -> bool:
@@ -61,43 +57,38 @@ class Process(Event):
         return not self.triggered
 
     # -- internal stepping ---------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        # Slot access throughout: _resume fires once per yield of every
-        # process, i.e. once per simulated I/O step.
-        if event._ok:
-            self._step(event._value, as_exception=False)
-        else:
-            event.defuse()
-            self._step(event.value, as_exception=True)
+    def _resume(self, event: Event | Wake) -> None:
+        """Advance the generator with ``event``'s outcome until it waits
+        (slot access throughout: this runs once per simulated I/O step)."""
+        generator = self._generator
+        while True:
+            try:
+                if event._ok:
+                    target = generator.send(event._value)
+                else:
+                    event.defuse()
+                    target = generator.throw(event._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
 
-    def _step(self, payload: Any, *, as_exception: bool) -> None:
-        try:
-            if as_exception:
-                target = self._generator.throw(payload)
-            else:
-                target = self._generator.send(payload)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-
-        if not isinstance(target, Event):
-            exc = TypeError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances"
-            )
-            self._generator.close()
-            self.fail(exc)
-            return
-        if target.sim is not self.sim:
-            self._generator.close()
-            self.fail(ValueError("yielded event belongs to a different simulator"))
-            return
-        callbacks = target.callbacks
-        if callbacks is None:
-            # Already processed: resume immediately (add_callback inlined).
-            self._resume(target)
-        else:
-            callbacks.append(self._resume)
+            if not isinstance(target, Event):
+                exc = TypeError(
+                    f"process {self.name!r} yielded {target!r}; processes must "
+                    "yield Event instances"
+                )
+                generator.close()
+                self.fail(exc)
+                return
+            if target.sim is not self.sim:
+                generator.close()
+                self.fail(ValueError("yielded event belongs to a different simulator"))
+                return
+            callbacks = target.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
+                return
+            event = target

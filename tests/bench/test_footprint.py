@@ -21,10 +21,11 @@ from repro.daos.client import DaosClient
 from repro.daos.kv import KeyValueObject
 from repro.daos.oid import ObjectId
 from repro.posixfs.client import PosixClient
+from repro.simulation import Simulator
 from repro.units import KiB
 
 #: Retained bytes allowed per finished IOR rank (see the test below).
-RANK_BYTES_BOUND = 4_500
+RANK_BYTES_BOUND = 3_400
 
 
 def _ior_deployment(ppn: int, backend: str = "daos"):
@@ -65,11 +66,15 @@ def _retained_bytes(ppn: int):
 
 def test_retained_bytes_per_finished_rank():
     """A finished rank is one writer and one reader process: two clients,
-    one array with its lock and extent, two timestamp records.  On CPython
-    3.11 it kept 5,562 B before clients, objects and locks dropped the
-    state they never use (empty lock queues, per-lock name strings,
-    instance dicts, per-client stage lists and container caches), and
-    keeps 3,779 B after."""
+    one array with its lock and extent, two timestamp records, and the
+    pooled op driver its synchronised wave needed.  On CPython 3.11 it kept
+    5,562 B before clients, objects and locks dropped the state they never
+    use (empty lock queues, per-lock name strings, instance dicts,
+    per-client stage lists and container caches), 3,779 B after, and
+    3,146 B once the op counts became a view of the per-op accumulators
+    (no ``stats`` dict per client) and each driver woke on a bare
+    :class:`~repro.simulation.events.Wake` instead of a lane event with
+    its callback list."""
     _retained_bytes(4)  # warm module-level memos out of the measurement
     small, small_ranks = _retained_bytes(8)
     large, large_ranks = _retained_bytes(40)
@@ -95,6 +100,14 @@ def test_ranks_keep_no_instance_dicts(backend):
         assert not hasattr(instance, "__dict__"), type(instance).__name__
     for cls in (DaosClient, PosixClient, ArrayObject, Extent, KeyValueObject, ObjectId, IoRecord):
         assert "__dict__" not in dir(cls), cls.__name__
+
+
+def test_clients_keep_no_op_count_dict_and_simulators_no_lane_pool():
+    assert "stats" not in DaosClient.__slots__
+    assert isinstance(DaosClient.stats, property)
+    sim = Simulator()
+    assert not any("lane" in name for name in vars(sim))
+    assert not any("lane" in name for name in dir(Simulator))
 
 
 def test_default_clients_build_no_stage_list_until_read():

@@ -1,5 +1,7 @@
 """IoRecord / TimestampLog invariants."""
 
+import hashlib
+
 import pytest
 
 from repro.bench.timestamps import IoEvent, IoRecord, TimestampLog
@@ -77,3 +79,43 @@ def test_extend_and_iter():
     records = [record(rank=r) for r in range(3)]
     log.extend(records)
     assert list(log) == records
+
+
+def _reference_digest(log):
+    """The renderer ``TimestampLog.digest`` replaced, kept as its oracle."""
+
+    def fmt(value):
+        return "-" if value is None else float(value).hex()
+
+    hasher = hashlib.sha256()
+    hasher.update(f"{fmt(log.execution_start)}|{fmt(log.execution_end)}\n".encode())
+    for r in log.records:
+        hasher.update(
+            f"{r.node}|{r.rank}|{r.iteration}|{r.op}|{r.size}|"
+            f"{fmt(r.io_start)}|{fmt(r.io_end)}|"
+            f"{fmt(r.open_start)}|{fmt(r.open_end)}|"
+            f"{fmt(r.transfer_start)}|{fmt(r.transfer_end)}|"
+            f"{fmt(r.close_start)}|{fmt(r.close_end)}\n".encode()
+        )
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("bounds", [(None, None), (0.0, 7), (0.25, None)])
+def test_digest_bytes_are_pinned(bounds):
+    """Inline rendering keeps every byte: ``None`` renders "-", an ``int``
+    timestamp renders as its float."""
+    full = IoRecord(
+        node=1, rank=3, iteration=2, op="read", size=4096,
+        io_start=0.5, io_end=2.75, open_start=0.5, open_end=0.625,
+        transfer_start=0.625, transfer_end=2.5, close_start=2.5, close_end=2.75,
+    )
+    partial = IoRecord(
+        node=0, rank=7, iteration=0, op="write", size=10,
+        io_start=1, io_end=1.0000000000000002, transfer_start=1.0,
+    )
+    log = TimestampLog(
+        records=[full, partial, record(start=-0.0, end=1e-300)],
+        execution_start=bounds[0], execution_end=bounds[1],
+    )
+    assert log.digest() == _reference_digest(log)
+    assert TimestampLog().digest() == _reference_digest(TimestampLog())

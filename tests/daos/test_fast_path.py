@@ -22,8 +22,8 @@ event-queue submissions) under each middleware configuration.  Each
 scenario is checked as configured, on the request path where a plain one
 launches bare (a pass-through middleware forces the Request), and again
 with every grant forced through the event queue.  At the end of every
-scenario no op is in flight, so every driver and lane event is back on its
-free-list.
+scenario no op is in flight, so every driver is back on its free-list and
+nothing is left queued.
 """
 
 import dataclasses
@@ -41,6 +41,7 @@ from repro.daos.oid import ObjectId
 from repro.daos.payload import PatternPayload
 from repro.daos.rpc import Middleware, Request, TracingMiddleware
 from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
+from repro.simulation.events import Event, Timeout
 from repro.simulation.resources import Resource
 from repro.simulation.trace import Tracer
 from tests.conftest import run_process
@@ -401,15 +402,15 @@ def _scenario(name):
 def _assert_pooled(system):
     drivers = system.fast_drivers
     assert drivers and all(driver._body is None for driver in drivers)
-    assert len(system.cluster.sim._lane_free) == len(drivers)
+    assert system.cluster.sim.pending == 0
 
 
 def _run(name, **overrides):
     """Run scenario ``name``; returns ``(digest, system, clients, rpc spans)``.
 
-    Also the leak rail: every op has completed, so each launch's driver and
-    lane event are back on their free-lists, in equal numbers -- and every
-    scenario launched some.
+    Also the leak rail: every op has completed, so each launch's driver is
+    back on the free-list with no body and no wake is left queued -- and
+    every scenario launched some.
     """
     tracers = []
 
@@ -518,8 +519,9 @@ def test_one_launch_decision_for_every_op(backend, monkeypatch):
         client = system.make_client(address)
         assert client._bare
         run_process(cluster, _every_op(client, pool, other))
-        assert client.stats.pop("container_open_cached") == 1
-        return client.stats
+        stats = client.stats
+        assert stats.pop("container_open_cached") == 1
+        return stats
 
     def refuse(*args, **kwargs):
         raise AssertionError("a bare client built a Request")
@@ -538,6 +540,59 @@ def test_one_launch_decision_for_every_op(backend, monkeypatch):
     cluster.sim.tracer = Tracer()
     assert built == launched() == untraced
     _assert_pooled(system)
+
+
+@pytest.mark.parametrize("backend", ["daos", "posixfs"])
+def test_settled_metadata_ops_construct_no_event(backend, monkeypatch):
+    """After one warm-up op has pooled its driver, a bare client's
+    uncontended metadata ops on a settled instant build no Event or
+    Timeout: each delay is the driver's own wake, each grant is elided."""
+    config = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=5)
+    cluster, system, pool = build_deployment(config, backend=backend)
+    (address,) = cluster.client_addresses(1)
+    client = system.make_client(address)
+    built = []
+    counting = [False]
+
+    def counted(init):
+        def wrapper(self, *args, **kwargs):
+            if counting[0]:
+                built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Event, "__init__", counted(Event.__init__))
+    monkeypatch.setattr(Timeout, "__init__", counted(Timeout.__init__))
+
+    def ops():
+        container = yield from client.container_create(pool, label="settled")
+        counting[0] = True
+        assert cluster.sim.settled()
+        yield from client.container_exists(pool, "settled")
+        kv = yield from client.kv_open(container, ObjectId(1, 3), OC_S1)
+        yield from client.kv_put(kv, b"key", b"value")
+        assert (yield from client.kv_get(kv, b"key")) == b"value"
+        yield from client.kv_get_or_none(kv, b"absent")
+        yield from client.kv_list(kv)
+        yield from client.kv_remove(kv, b"key")
+        counting[0] = False
+
+    run_process(cluster, ops())
+    assert client.stats["kv_put"] == 1
+    assert built == []
+
+
+@pytest.mark.parametrize("backend", ["daos", "posixfs"])
+def test_stats_is_the_op_metrics_count_after_a_storm(backend):
+    """``stats`` is derived: once a storm has drained, it is exactly the
+    count each op's accumulator observed."""
+    for storm in (_run_storm, _run_data_storm):
+        _, system, clients = storm(backend=backend, config=_config(stripe_cell_size=CELL))
+        _assert_pooled(system)
+        for client in clients:
+            assert client.op_metrics
+            assert client.stats == {op: e.count for op, e in client.op_metrics.items()}
 
 
 @pytest.mark.parametrize("name", ["health_failure", "data-health_failure"])

@@ -39,10 +39,11 @@ def _clients(system, cluster, n=2, **kwargs):
 
 
 def _ran_on_drivers(cluster, system, client, pool, label):
-    """Run one op on ``client``; it leaves its driver and lane pooled."""
+    """Run one op on ``client``; it leaves its driver pooled, nothing queued."""
     run_process(cluster, client.container_create(pool, label=label))
     assert system.fast_drivers
-    assert len(cluster.sim._lane_free) == len(system.fast_drivers)
+    assert all(driver._body is None for driver in system.fast_drivers)
+    assert cluster.sim.pending == 0
 
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
