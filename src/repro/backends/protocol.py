@@ -139,10 +139,6 @@ class StorageClient(Protocol):
 
     def request_array_write(self, array, offset, payload, pool=None): ...
 
-    def request_array_read(self, array, offset, length): ...
-
-    def request_array_close(self, array): ...
-
     # -- vectorized multi-op submission -------------------------------------------
     def request_multi(self, requests, op: str = "multi"): ...
 

@@ -168,7 +168,7 @@ def _field_stream_process(
     """One benchmark process: a delay, then a sequence of field ops."""
     sim = fieldio.client.sim
     if delay > 0.0:
-        yield sim.timeout(delay)
+        yield float(delay)
     for iteration, key in enumerate(keys):
         io_start = sim.now
         if op == "write":

@@ -186,7 +186,7 @@ def _stream(sim, adapter, op: str, rank: int, node: int, delay: float,
             params: InterfaceBenchParams, log: TimestampLog):
     """One benchmark process: a delay, then a sequence of field ops."""
     if delay > 0.0:
-        yield sim.timeout(delay)
+        yield float(delay)
     for index in range(params.n_ops):
         start = sim.now
         if op == "write":

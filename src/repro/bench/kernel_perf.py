@@ -92,7 +92,7 @@ def _many_flow_contention(quick: bool) -> ScenarioResult:
     peak = [0]
 
     def submit(i: int):
-        yield sim.timeout(float(delays[i]))
+        yield float(delays[i])
         path = [
             clients[i % 32],
             rails[i % 2],

@@ -65,7 +65,7 @@ def _sender(cluster: Cluster, src: NodeSocket, dst: NodeSocket, params: MpiP2pPa
     for _ in range(params.messages):
         # Each message pays the provider's small-message latency (rendezvous
         # handshake) before the bulk moves.
-        yield cluster.sim.timeout(provider.message_latency)
+        yield provider.message_latency
         yield cluster.net.transfer(
             path, params.transfer_size, rate_cap=provider.per_flow_cap, name="mpi"
         )

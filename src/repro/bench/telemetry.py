@@ -78,7 +78,7 @@ class LinkSampler:
                 if stat is None:
                     stat = self.stats[name] = LinkUtilisation(name)
                 stat.record(link.utilisation, link.n_flows)
-            yield self.sim.timeout(self.interval)
+            yield self.interval
 
     # -- reporting --------------------------------------------------------------
     def report(self, top: int = 10, prefix: Optional[str] = None) -> List[LinkUtilisation]:

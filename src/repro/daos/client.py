@@ -18,17 +18,18 @@ an :class:`~repro.daos.eq.EventQueue` (``client.eq_create()``), the
 add no simulated events.
 
 **One body per op, one interpreter.**  Each op's timeline is written once,
-as a ``_do_*`` generator in the *leg dialect*: ``yield <float>`` is a
-delay, ``yield <Event>`` is a wait.  Every public op ends in ``yield
-<driver>``: a pooled :class:`_FastDriver` runs the body — or the stage
-chain wrapped around it, whose stages speak the same dialect — counts the
-op at launch and observes it at finish.  One method, ``_call``, decides
-how every op launches: a *bare* client (no stage but tracing, no tracer
-installed) launches the body without building a Request at all, any other
-client wraps it in one for its stages.  A multi-op runs each sub-op on a
-driver of its own.  Only the per-shard helpers ``_shard_io`` and
-``_target_service`` stay Event-yielding generators: they run as spawned
-simulation processes.
+as a ``_do_*`` generator in the *leg dialect* every simulated process
+speaks: ``yield <float>`` is a delay, ``yield <Event>`` is a wait.  Every
+public op ends in ``yield <driver>``: a pooled :class:`_FastDriver` (a
+:class:`~repro.simulation.process.Process` that finishes synchronously)
+runs the body — or the stage chain wrapped around it, whose stages speak
+the same dialect — counts the op at launch and observes it at finish.  One
+method, ``_call``, decides how every op launches: a *bare* client (no
+stage but tracing, no tracer installed) launches the body without building
+a Request at all, any other client wraps it in one for its stages.  A
+multi-op runs each sub-op on a driver of its own.  The per-shard legs
+(``_shard_io``) run inline or as spawned processes; either way they take
+their target slot through ``_target_leg``, like every other op.
 
 Connection/handle caching follows the paper (§5.2: "Pool and container
 connections in a process are cached"): repeated ``container_open`` calls for
@@ -67,7 +68,8 @@ from repro.daos.rpc import (
 )
 from repro.daos.system import DaosSystem
 from repro.network.fabric import NodeSocket
-from repro.simulation.events import PENDING, Event, Wake
+from repro.simulation.events import PENDING, Wake
+from repro.simulation.process import Process
 
 __all__ = ["DaosClient", "default_middleware"]
 
@@ -115,25 +117,21 @@ def default_middleware(config) -> List[Middleware]:
 _BARE_CHAIN = compose_chain([TracingMiddleware()])
 
 
-class _FastDriver(Event):
-    """The interpreter of every op: runs one leg-dialect generator flat.
+class _FastDriver(Process):
+    """The process every op runs on: a pooled :class:`Process` that
+    finishes synchronously.
 
     The driver *is* the event the calling process waits on: the public op
     method returns ``(yield driver)``, so the whole op costs the caller one
     suspension instead of one per simulated wait.  The generator — an op
-    body, or the client's stage chain around one — may yield
+    body, or the client's stage chain around one — speaks the leg dialect
+    every process speaks (a ``float`` delay resumes it on its own
+    :class:`~repro.simulation.events.Wake`, an event is waited on), and
+    ``Process._resume`` interprets it; ``_launch`` takes the first step by
+    passing the driver its own wake.
 
-    * a ``float``/``int`` — a fused delay: the driver schedules its own
-      :class:`~repro.simulation.events.Wake` for that delay, a bare queue
-      entry in place of a fresh ``Timeout`` per wait;
-    * an :class:`~repro.simulation.events.Event` — e.g. a contended lock or
-      resource grant, or a bulk transfer: the driver waits on it exactly
-      like ``Process._resume`` would.
-
-    One method, :meth:`_resume`, takes the first step (``_launch`` passes
-    the driver's own wake), every wake-up and every awaited event.  When
-    the generator returns, the driver observes the op's latency and bytes
-    on the accumulator ``_launch`` found for it, and finishes
+    Only :meth:`_finish` differs: the driver observes the op's latency and
+    bytes on the accumulator ``_launch`` found for it, and finishes
     *synchronously* inside the final event's callback slot — no completion
     event travels through the queue, so the caller resumes at the same
     ``(time, seq)`` boundary a ``yield from`` of the body would resume at.
@@ -147,7 +145,7 @@ class _FastDriver(Event):
     an IOR wave.
     """
 
-    __slots__ = ("_pool", "_body", "_wake", "_entry", "_nbytes", "_start")
+    __slots__ = ("_pool", "_entry", "_nbytes", "_start")
 
     def __init__(self, sim, pool: List["_FastDriver"]) -> None:
         self.sim = sim
@@ -158,42 +156,13 @@ class _FastDriver(Event):
         self._defused = False
         #: The system-wide free-list this driver returns to when it finishes.
         self._pool = pool
-        #: The queue entry every fused delay of this driver schedules.
+        #: The queue entry every delay of this driver schedules, kept
+        #: across reuses.
         self._wake = Wake(self._resume)
-        self._body = None
+        self._generator = None
         self._entry = None
         self._nbytes = 0
         self._start = 0.0
-
-    def _resume(self, event: Event | Wake) -> None:
-        """Advance the body with ``event``'s outcome until it waits or finishes."""
-        body = self._body
-        while True:
-            try:
-                if event._ok:
-                    target = body.send(event._value)
-                else:
-                    event.defuse()
-                    target = body.throw(event._value)
-            except StopIteration as stop:
-                self._finish(stop.value, None)
-                return
-            except BaseException as exc:
-                self._finish(None, exc)
-                return
-
-            cls = type(target)
-            if cls is float or cls is int:
-                # Fused delay: one bare queue entry, no event.
-                self.sim._schedule(target, self._wake)
-                return
-            # An Event (contended grant, bulk transfer, ...): wait like a
-            # process would — or continue inline if it is already processed.
-            callbacks = target.callbacks
-            if callbacks is not None:
-                callbacks.append(self._resume)
-                return
-            event = target
 
     def _finish(self, value, error: Optional[BaseException]) -> None:
         """Observe the op, then complete synchronously (no queue round trip)."""
@@ -211,7 +180,7 @@ class _FastDriver(Event):
             callback(self)
         # Recycle only after the caller resumed: a nested op launched
         # inside the callback must not grab this driver mid-finish.
-        self._body = None
+        self._generator = None
         self._entry = None
         self._pool.append(self)
         if error is not None and not callbacks and not self._defused:
@@ -329,7 +298,7 @@ class DaosClient:
         driver._value = PENDING
         driver._ok = True
         driver._defused = False
-        driver._body = legs
+        driver._generator = legs
         driver._entry = entry
         driver._nbytes = nbytes
         driver._start = self.sim._now
@@ -463,19 +432,6 @@ class DaosClient:
             self._reject_if_down(target_index)
         return self._service_leg(self.system.target(target_index).service, service_time)
 
-    def _target_service(self, target_index: int, service_time: float):
-        """Event-yielding :meth:`_target_leg` of the shard path (``_shard_io``
-        runs as a spawned simulation process)."""
-        if self._health:
-            self._reject_if_down(target_index)
-        target = self.system.target(target_index)
-        request = target.service.request()
-        yield request
-        try:
-            yield self.sim.timeout(service_time)
-        finally:
-            target.service.release(request)
-
     def _refresh_pool_map(self):
         """Refetch the pool map from the pool service (``pool_query``).
 
@@ -568,9 +524,10 @@ class DaosClient:
     ):
         """Create a container; raises :class:`ContainerExistsError` on a race loss.
 
-        The existence check happens inside the pool-service critical
-        section, so md5-derived concurrent creates (§4) behave exactly like
-        the real collective: one creator wins, the rest see EXIST.
+        The existence check ends the pool-service window, in the step that
+        releases the slot (no other waiter runs in between), so md5-derived
+        concurrent creates (§4) behave exactly like the real collective: one
+        creator wins, the rest see EXIST.
         """
         return (
             yield self._call(
@@ -586,13 +543,10 @@ class DaosClient:
         is_default: bool,
     ):
         yield self._message_latency
-        request = self.system.pool_service.request()
-        yield request
-        try:
-            yield self.config.container_create_service_time
-            container = pool.create_container(uuid=uuid, label=label, is_default=is_default)
-        finally:
-            self.system.pool_service.release(request)
+        yield from self._service_leg(
+            self.system.pool_service, self.config.container_create_service_time
+        )
+        container = pool.create_container(uuid=uuid, label=label, is_default=is_default)
         yield self._message_latency
         self._remember_container(pool, container, label)
         return container
@@ -668,16 +622,13 @@ class DaosClient:
 
     def _do_container_destroy(self, pool: Pool, ref: ContainerRef):
         yield self._message_latency
-        request = self.system.pool_service.request()
-        yield request
-        try:
-            yield self.config.container_create_service_time
-            container = pool.destroy_container(ref)
-            for obj in list(container.objects()):
-                if isinstance(obj, ArrayObject):
-                    self._refund_stored(pool, obj)
-        finally:
-            self.system.pool_service.release(request)
+        yield from self._service_leg(
+            self.system.pool_service, self.config.container_create_service_time
+        )
+        container = pool.destroy_container(ref)
+        for obj in list(container.objects()):
+            if isinstance(obj, ArrayObject):
+                self._refund_stored(pool, obj)
         yield self._message_latency
         self._forget_container(pool, container)
 
@@ -929,13 +880,6 @@ class DaosClient:
         yield self._message_latency
         return array
 
-    def request_array_close(self, array: ArrayObject) -> Request:
-        return Request(
-            op="array_close",
-            body=lambda: self._do_array_close(array),
-            target=self._lead_target(array),
-        )
-
     def array_close(self, array: ArrayObject):
         """Close an array handle (flush + release)."""
         return (
@@ -1041,7 +985,7 @@ class DaosClient:
         service = (
             self.config.shard_write_overhead if write else self.config.shard_read_overhead
         )
-        yield from self._target_service(target_index, service)
+        yield from self._target_leg(target_index, service)
         engine = self.system.engine_of_target(target_index)
         if write:
             path = self.fabric.write_path(self.address, engine)
@@ -1065,7 +1009,7 @@ class DaosClient:
         are served by a surviving one.  A shard with no live replica raises
         :class:`TargetDownError` — for non-replicated classes the layout
         target is returned untouched and the authoritative check in
-        :meth:`_target_service` rejects the op instead (honest data loss).
+        :meth:`_target_leg` rejects the op instead (honest data loss).
         """
         stripes = array.oclass.resolve_stripes(self.system.n_targets)
         replicas = array.oclass.replicas
@@ -1211,14 +1155,6 @@ class DaosClient:
         finally:
             lock.release_write()
         yield self._message_latency
-
-    def request_array_read(self, array: ArrayObject, offset: int, length: int) -> Request:
-        return Request(
-            op="array_read",
-            body=lambda: self._do_array_read(array, offset, length),
-            target=self._lead_target(array),
-            nbytes=length,
-        )
 
     def array_read(self, array: ArrayObject, offset: int, length: int):
         """Read ``[offset, offset+length)``; concurrent reads share the lock."""

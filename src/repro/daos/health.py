@@ -190,7 +190,7 @@ def health_monitor(system: "DaosSystem"):
     for event in sorted(system.config.health.events, key=lambda e: (e.at, e.engine)):
         due = armed_at + event.at
         if due > sim.now:
-            yield sim.timeout(due - sim.now)
+            yield due - sim.now
         if event.engine >= len(system.engines):
             raise ValueError(
                 f"failure schedule names engine {event.engine}, but the "

@@ -25,9 +25,10 @@ Op counts and latencies are not a stage: the client's op driver keeps them
 latency covers every retry.  A multi-op's sub-ops each run on a driver of
 their own, so they are counted the same way.
 
-A ``Request.body`` and every stage's ``handle`` speak the client's *leg
-dialect*: ``yield <float>`` is a delay, ``yield <Event>`` a wait.  The
-composed chain is one generator the client's pooled driver runs
+A ``Request.body`` and every stage's ``handle`` speak the *leg dialect*
+of every simulation process: ``yield <float>`` is a delay, ``yield
+<Event>`` a wait.  The composed chain is one generator the client's
+pooled driver, a :class:`~repro.simulation.process.Process`, runs
 (``DaosClient._launch_request``).  Whether an op becomes a Request at all
 is decided in one place, ``DaosClient._call``: a bare client (tracing
 alone, no tracer installed) runs every op body on the same interpreter

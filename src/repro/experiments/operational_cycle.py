@@ -109,7 +109,7 @@ def _throttled_reader(fieldio: FieldIO, keys, field_size: int, span: int, backof
                 break
             except ServiceBusyError:
                 attempt += 1
-                yield sim.timeout(backoff * min(attempt, 8))
+                yield backoff * min(attempt, 8)
         for key, payload in zip(chunk, payloads):
             if payload.size != field_size:
                 raise AssertionError(

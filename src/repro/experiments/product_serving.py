@@ -141,7 +141,7 @@ def serving_point(
         for index, (offset, tenant, field_id) in enumerate(schedule):
             arrival = start + offset
             if arrival > sim.now:
-                yield sim.timeout(arrival - sim.now)
+                yield arrival - sim.now
             request = serving_request(field_id, n_fields, span=span)
             sim.process(
                 _user(sim.now, tenant, request, index), name=f"serving:user{index}"

@@ -224,7 +224,7 @@ class Gateway:
                 payload = self.cache.get(key, now=self.sim.now)
                 if payload is not None:
                     hits += 1
-                    yield self.sim.timeout(HIT_SERVICE_TIME)
+                    yield HIT_SERVICE_TIME
                     break
                 if coalesce:
                     pending = self._inflight.get(key)

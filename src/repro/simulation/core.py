@@ -59,8 +59,9 @@ def _raise_stop(event: Event) -> None:
 class Simulator:
     """Deterministic discrete-event simulator.
 
-    It pools nothing for its users: a waiter resumed after delay upon delay
-    (the storage client's op driver) schedules its own ``Wake`` each time.
+    It pools nothing for its users: a process resumed after delay upon
+    delay (the storage client's op driver is one) schedules its own
+    ``Wake`` each time.
 
     Parameters
     ----------
@@ -170,7 +171,11 @@ class Simulator:
         exactly what one shared bootstrap's callback list replays, in the
         same order, before any event the resumed processes themselves
         scheduled (those arrive later in the queue either way).  What the
-        batch saves is the per-process bootstrap wake and its queue entry.
+        batch saves is a queue entry and a dispatch per process (one
+        bootstrap event for the wave), and the wake of every process that
+        never yields a delay: a batch-spawned process makes its
+        :class:`~repro.simulation.events.Wake` on its first float yield,
+        where a process spawned alone makes it up front to start on.
 
         All processes share ``name`` (or fall back to their generator's
         ``__name__``), so per-process name formatting is the caller's

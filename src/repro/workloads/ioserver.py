@@ -89,7 +89,7 @@ def _model_rank(cluster: Cluster, rank: int, my_addr, server_addrs, keys, params
     provider = cluster.provider
     for index, key in enumerate(keys):
         if params.produce_interval > 0.0:
-            yield sim.timeout(params.produce_interval)
+            yield params.produce_interval
         server_index = (rank + index) % len(server_addrs)
         path = cluster.fabric.p2p_path(my_addr, server_addrs[server_index])
         yield cluster.net.transfer(
@@ -113,7 +113,7 @@ def _io_server(
     for count in range(n_expected):
         key = yield inbox.get()
         if params.encode_time > 0.0:
-            yield sim.timeout(params.encode_time)
+            yield params.encode_time
         start = sim.now
         yield from fieldio.write(key, field_payload(key, params.field_size))
         write_log.add(

@@ -273,7 +273,7 @@ def test_metadata_overload_error_from_the_one_mds_leg(launch):
     retried = sum(c.op_metrics["kv_open"].retries for c in clients)
     # Either way every op ran on a pooled driver and handed it back.
     assert system.fast_drivers
-    assert all(driver._body is None for driver in system.fast_drivers)
+    assert all(driver._generator is None for driver in system.fast_drivers)
     assert cluster.sim.pending == 0
     assert all(client._bare == (launch == "driver") for client in clients)
     if launch == "driver":

@@ -110,6 +110,19 @@ def test_clients_keep_no_op_count_dict_and_simulators_no_lane_pool():
     assert not any("lane" in name for name in dir(Simulator))
 
 
+def test_finished_processes_hold_no_wake():
+    """A finished process drops its wake: the Process <-> Wake cycle would
+    otherwise outlive a pass whose collector is paused."""
+    sim = Simulator()
+
+    def body():
+        yield 1.0
+
+    processes = [sim.process(body()), *sim.spawn_batch([body(), body()])]
+    sim.run()
+    assert all(process.processed and process._wake is None for process in processes)
+
+
 def test_default_clients_build_no_stage_list_until_read():
     (_, system, _, clients, _), _ = _ior_deployment(2)
     assert all(client._middleware is None for client in clients)

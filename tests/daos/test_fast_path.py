@@ -401,7 +401,7 @@ def _scenario(name):
 
 def _assert_pooled(system):
     drivers = system.fast_drivers
-    assert drivers and all(driver._body is None for driver in drivers)
+    assert drivers and all(driver._generator is None for driver in drivers)
     assert system.cluster.sim.pending == 0
 
 

@@ -42,7 +42,7 @@ def _ran_on_drivers(cluster, system, client, pool, label):
     """Run one op on ``client``; it leaves its driver pooled, nothing queued."""
     run_process(cluster, client.container_create(pool, label=label))
     assert system.fast_drivers
-    assert all(driver._body is None for driver in system.fast_drivers)
+    assert all(driver._generator is None for driver in system.fast_drivers)
     assert cluster.sim.pending == 0
 
 

@@ -1,6 +1,9 @@
 """Generator-based processes: values, exceptions, misuse."""
 
+import numpy as np
 import pytest
+
+from repro.simulation import Simulator
 
 
 def test_process_returns_value(sim):
@@ -50,16 +53,82 @@ def test_failed_event_raises_inside_waiter(sim):
 
 
 def test_yielding_non_event_fails_process(sim):
-    def body(sim):
-        yield 42
+    def body(value):
+        yield value
 
-    with pytest.raises(TypeError, match="must.*yield Event"):
+    # Nothing but an exact float or int is a delay.
+    for value in ("42", None, np.float64(1.0), True):
+        with pytest.raises(TypeError, match="must.*yield Event"):
+            sim.run(until=sim.process(body(value)))
+
+
+def test_yielding_a_float_is_a_delay(sim):
+    def body(sim):
+        yield 2.5
+        return sim.now
+
+    assert sim.run(until=sim.process(body(sim))) == 2.5
+
+
+def _zero_delay_order(as_timeout: bool):
+    """A process yields a zero delay while two events are queued at ``now``."""
+    sim = Simulator()
+    order = []
+
+    def body():
+        sim.event().succeed().add_callback(lambda _: order.append("queued-1"))
+        sim.event().succeed().add_callback(lambda _: order.append("queued-2"))
+        yield sim.timeout(0) if as_timeout else 0
+        order.append("resumed")
+
+    sim.process(body())
+    sim.run()
+    return order
+
+
+def test_zero_delay_runs_after_events_already_queued_at_now():
+    assert _zero_delay_order(False) == ["queued-1", "queued-2", "resumed"]
+    assert _zero_delay_order(False) == _zero_delay_order(True)
+
+
+def test_negative_delay_fails_process(sim):
+    def body(sim):
+        yield -1.0
+
+    with pytest.raises(ValueError, match="non-negative"):
         sim.run(until=sim.process(body(sim)))
 
 
-def test_yielding_foreign_event_fails_process(sim):
-    from repro.simulation import Simulator
+def _interleaved_trace(as_timeout: bool):
+    """A delay-yielding process among Timeout-yielding ones, ``(now, order)``
+    at every resumption; ``as_timeout`` makes the first one a Timeout twin."""
+    sim = Simulator()
+    trace = []
 
+    def subject():
+        for delay in (0.0, 0.5, 0.25, 0.25, 0, 1):
+            yield sim.timeout(delay) if as_timeout else delay
+            trace.append((sim.now, "subject"))
+
+    def other(name, delays):
+        for delay in delays:
+            yield sim.timeout(delay)
+            trace.append((sim.now, name))
+
+    sim.process(other("a", (0.5, 0.0, 0.5)))
+    sim.process(subject())
+    sim.process(other("b", (0.0, 0.75, 0.25, 0.0)))
+    sim.run()
+    return trace
+
+
+def test_delay_and_timeout_twins_produce_identical_traces():
+    delays = _interleaved_trace(False)
+    assert len(delays) == 13
+    assert delays == _interleaved_trace(True)
+
+
+def test_yielding_foreign_event_fails_process(sim):
     other = Simulator()
 
     def body(sim):
