@@ -15,6 +15,8 @@ Usage::
         [--sort cumulative|tottime]
     PYTHONPATH=src python scripts/profile_hotpath.py
         --workload <ledger workload> [--seed N] [--top 0]
+    PYTHONPATH=src python scripts/profile_hotpath.py
+        --workload <ledger workload> [--seed N] --memory [--top 20]
 
 The scenario digest is printed alongside, so a profiling session doubles
 as an identity check: optimising must not move it.
@@ -27,6 +29,13 @@ of two trees at equal seed reads a per-op cost change exactly::
 
     PYTHONPATH=src python scripts/profile_hotpath.py --workload ior_scaling
 
+``--memory`` (with ``--workload``) measures memory instead of calls: one
+pass with the cyclic collector paused, as the ledger worker runs it, under
+:mod:`tracemalloc`.  It prints the traced peak, what the pass still holds
+at its end, and the top allocation sites by line of what it holds -- the
+table the op-table footprint change was sized from (DESIGN.md §6), and the
+one the next footprint change should start from.
+
 Scenarios that move data (``--scenario fieldio_small``, the flow storms)
 additionally get a per-function table of ``network/flow.py`` self time —
 calls, microseconds per call and share of the scenario — which is the
@@ -38,8 +47,10 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
+import tracemalloc
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -103,6 +114,32 @@ def profile_workload(name: str, seed: int, top: int, sort: str) -> None:
         raise SystemExit(1)
 
 
+def memory_workload(name: str, seed: int, top: int) -> None:
+    """Trace one ledger pass of ``name`` with the collector paused; print
+    its peak, what it holds at the end and the top ``top`` sites by line."""
+    workloads.run_pass(name, seed)  # warm module-level memos out of the trace
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        outcomes = workloads.run_pass(name, seed)
+        held, peak = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    snapshot = snapshot.filter_traces(
+        [tracemalloc.Filter(False, tracemalloc.__file__)]
+    )
+    print(f"== {name} (seed {seed}, collector paused) ==")
+    print(f"tracemalloc peak {peak / 2**20:.2f} MiB, held at pass end {held / 2**20:.2f} MiB")
+    print(f"  {'KiB':>9} {'blocks':>8}  site")
+    for stat in snapshot.statistics("lineno")[:top]:
+        frame = stat.traceback[0]
+        print(f"  {stat.size / 1024:9.1f} {stat.count:8d}  {frame.filename}:{frame.lineno}")
+    print(f"digest {workloads.digest_of(outcomes)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -122,6 +159,11 @@ def main(argv=None) -> int:
         "--seed", type=int, default=0, help="ledger pass seed (with --workload)"
     )
     parser.add_argument(
+        "--memory",
+        action="store_true",
+        help="with --workload: trace memory (peak and top sites) instead of calls",
+    )
+    parser.add_argument(
         "--quick", action="store_true", help="use the trimmed quick shapes"
     )
     parser.add_argument(
@@ -135,9 +177,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.memory and not args.workload:
+        parser.error("--memory needs --workload")
     if args.workload:
         for name in args.workload:
-            profile_workload(name, args.seed, args.top, args.sort)
+            if args.memory:
+                memory_workload(name, args.seed, args.top)
+            else:
+                profile_workload(name, args.seed, args.top, args.sort)
         return 0
     for name in args.scenario:
         profile_scenario(name, args.quick, args.top, args.sort)

@@ -86,8 +86,14 @@ class StorageClient(Protocol):
 
     system: Any
     stats: Dict[str, int]
-    op_metrics: Dict[str, Any]
     middleware: List[Any]
+
+    @property
+    def op_metrics(self) -> Dict[str, Any]:
+        """Per-op accumulators, read-only: each read returns a fresh
+        ``{op: OpStats}`` dict (a view of the system's op table), so writing
+        to it changes nothing."""
+        ...
 
     # -- pool / container ---------------------------------------------------------
     def pool_connect(self, pool): ...

@@ -23,7 +23,9 @@ speaks: ``yield <float>`` is a delay, ``yield <Event>`` is a wait.  Every
 public op ends in ``yield <driver>``: a pooled :class:`_FastDriver` (a
 :class:`~repro.simulation.process.Process` that finishes synchronously)
 runs the body — or the stage chain wrapped around it, whose stages speak
-the same dialect — counts the op at launch and observes it at finish.  One
+the same dialect — opens the client's row of the op's column in the
+system's :class:`~repro.daos.rpc.OpTable` at launch and observes the op on
+it at finish (``op_metrics`` is a view of those rows).  One
 method, ``_call``, decides how every op launches: a *bare* client (no
 stage but tracing, no tracer installed) launches the body without building
 a Request at all, any other client wraps it in one for its stages.  A
@@ -131,7 +133,8 @@ class _FastDriver(Process):
     passing the driver its own wake.
 
     Only :meth:`_finish` differs: the driver observes the op's latency and
-    bytes on the accumulator ``_launch`` found for it, and finishes
+    bytes on the op-table row ``_launch`` opened for it (its column and the
+    client's slot), and finishes
     *synchronously* inside the final event's callback slot — no completion
     event travels through the queue, so the caller resumes at the same
     ``(time, seq)`` boundary a ``yield from`` of the body would resume at.
@@ -145,7 +148,7 @@ class _FastDriver(Process):
     an IOR wave.
     """
 
-    __slots__ = ("_pool", "_entry", "_nbytes", "_start")
+    __slots__ = ("_pool", "_column", "_slot", "_nbytes", "_start")
 
     def __init__(self, sim, pool: List["_FastDriver"]) -> None:
         self.sim = sim
@@ -160,14 +163,15 @@ class _FastDriver(Process):
         #: across reuses.
         self._wake = Wake(self._resume)
         self._generator = None
-        self._entry = None
+        self._column = None
+        self._slot = 0
         self._nbytes = 0
         self._start = 0.0
 
     def _finish(self, value, error: Optional[BaseException]) -> None:
         """Observe the op, then complete synchronously (no queue round trip)."""
         sim = self.sim
-        self._entry.observe(sim._now - self._start, self._nbytes, ok=error is None)
+        self._column.observe(self._slot, sim._now - self._start, self._nbytes, error is None)
         if error is None:
             self._ok = True
             self._value = value
@@ -181,7 +185,6 @@ class _FastDriver(Process):
         # Recycle only after the caller resumed: a nested op launched
         # inside the callback must not grab this driver mid-finish.
         self._generator = None
-        self._entry = None
         self._pool.append(self)
         if error is not None and not callbacks and not self._defused:
             # Nobody was waiting: surface the failure like the dispatcher
@@ -209,7 +212,7 @@ class DaosClient:
     # deployment is collected: no per-instance ``__dict__``.
     __slots__ = (
         "system", "address", "sim", "net", "fabric", "provider", "_message_latency",
-        "config", "_container_cache", "op_metrics", "container_open_cached", "faults_injected",
+        "config", "_container_cache", "_slot", "container_open_cached", "faults_injected",
         "map_refreshes", "_health", "_map_view", "_middleware", "_bare", "_chain",
     )
 
@@ -231,8 +234,11 @@ class DaosClient:
         #: Open container handles by ``(pool label, uuid or label)``; made on
         #: the first open or create (most IOR ranks never cache one).
         self._container_cache: Optional[Dict[Tuple[str, str], Container]] = None
-        #: Per-op latency/bytes accumulators (maintained by the op driver).
-        self.op_metrics: Dict[str, OpStats] = {}
+        #: This client's row in every column of the system's op table,
+        #: where the op driver keeps its per-op counts, latencies and bytes.
+        table = system.op_table
+        self._slot = table.n_slots
+        table.n_slots += 1
         #: ``container_open`` calls answered from the handle cache.
         self.container_open_cached = 0
         #: Total faults injected into this client (fault middleware).
@@ -263,6 +269,21 @@ class DaosClient:
             self._chain = compose_chain(middleware)
 
     @property
+    def op_metrics(self) -> Dict[str, OpStats]:
+        """Per-op accumulators, read-only: a fresh ``{op: OpStats}`` dict built
+        from this client's rows of the system's
+        :class:`~repro.daos.rpc.OpTable`, one entry per op it has launched
+        (``count`` 0 while the first is in flight), in the order the system
+        first used each op.  Writing to it changes nothing; stages count
+        retries and faults through :meth:`tally_op`."""
+        return self.system.op_table.view(self._slot)
+
+    def tally_op(self, op: str, field: str) -> None:
+        """Add one to ``field`` (``"retries"`` or ``"faults_injected"``) of
+        this client's accumulator for ``op``, an op it has launched."""
+        self.system.op_table.tally(op, self._slot, field)
+
+    @property
     def stats(self) -> Dict[str, int]:
         """Op counts (a fresh dict): the :attr:`op_metrics` counts, which the
         driver takes as each op finishes, plus ``container_open_cached``."""
@@ -282,16 +303,21 @@ class DaosClient:
     def _launch(self, op: str, legs, nbytes: int) -> _FastDriver:
         """Launch the leg-dialect generator ``legs`` on a pooled :class:`_FastDriver`.
 
-        Finds ``op``'s accumulator (making it on first use; the driver
-        counts the op when it observes it), then drives the generator's
+        Opens this client's row of ``op``'s op-table column (one subscript
+        and an inline check once it exists; the driver counts the op when
+        it observes it), then drives the generator's
         first step synchronously — an exception raised before the first
         wait propagates out of this call, as it would out of a ``yield
         from`` of the body.  The returned driver is the event the public op
         method yields once.
         """
-        entry = self.op_metrics.get(op)
-        if entry is None:
-            self.op_metrics[op] = entry = OpStats()
+        column = self.system.op_table[op]
+        slot = self._slot
+        base = column.base
+        # The row check is inline (``OpColumn``'s layout: five counts a row,
+        # count -1 absent) so a repeated op costs no call; a first use opens.
+        if not (base <= slot < column.stop and column.counts[(slot - base) * 5] >= 0):
+            column.open(slot)
         pool = self.system.fast_drivers
         driver = pool.pop() if pool else _FastDriver(self.sim, pool)
         driver.callbacks = []
@@ -299,7 +325,8 @@ class DaosClient:
         driver._ok = True
         driver._defused = False
         driver._generator = legs
-        driver._entry = entry
+        driver._column = column
+        driver._slot = slot
         driver._nbytes = nbytes
         driver._start = self.sim._now
         driver._resume(driver._wake)

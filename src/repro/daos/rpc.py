@@ -23,7 +23,11 @@ The middleware chain is where cross-cutting concerns live:
 Op counts and latencies are not a stage: the client's op driver keeps them
 (``DaosClient._launch``), outside every stage, so an op counts once and its
 latency covers every retry.  A multi-op's sub-ops each run on a driver of
-their own, so they are counted the same way.
+their own, so they are counted the same way.  They live in the system's
+:class:`OpTable` -- one :class:`OpColumn` of typed rows per op kind, one
+row per client slot -- not in per-client objects: ``client.op_metrics`` is
+a fresh ``{op: OpStats}`` view of the client's rows, and the stages that
+count retries and injected faults write through ``client.tally_op``.
 
 A ``Request.body`` and every stage's ``handle`` speak the *leg dialect*
 of every simulation process: ``yield <float>`` is a delay, ``yield
@@ -42,6 +46,7 @@ golden digests in ``tests/bench/test_determinism.py`` are the contract.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -61,9 +66,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "DATA_OPS",
+    "COUNT_FIELDS",
     "Request",
     "Completion",
     "OpStats",
+    "OpColumn",
+    "OpTable",
     "Middleware",
     "TracingMiddleware",
     "FaultInjectionMiddleware",
@@ -151,15 +159,10 @@ class OpStats:
     total_bytes: int = 0
 
     def observe(self, elapsed: float, nbytes: int, ok: bool) -> None:
-        count = self.count
-        self.count = count + 1
+        self.count += 1
         if not ok:
             self.errors += 1
-        if count:
-            self.total_time += elapsed
-        else:
-            # Bit for bit ``0.0 + elapsed``, one float fewer to keep.
-            self.total_time = elapsed
+        self.total_time += elapsed
         if elapsed < self.min_time:
             self.min_time = elapsed
         if elapsed > self.max_time:
@@ -176,8 +179,12 @@ class OpStats:
         self.retries += other.retries
         self.faults_injected += other.faults_injected
         self.total_time += other.total_time
-        self.min_time = min(self.min_time, other.min_time)
-        self.max_time = max(self.max_time, other.max_time)
+        # ``min``/``max`` without the builtin calls: the same results, as
+        # ``min(a, b)`` keeps ``a`` unless ``b < a``.
+        if other.min_time < self.min_time:
+            self.min_time = other.min_time
+        if other.max_time > self.max_time:
+            self.max_time = other.max_time
         self.total_bytes += other.total_bytes
 
     def as_dict(self) -> Dict[str, float]:
@@ -206,6 +213,123 @@ class OpStats:
             max_time=data["max_time"],
             total_bytes=int(data["total_bytes"]),
         )
+
+
+#: The integer :class:`OpStats` fields, in the order an :class:`OpColumn`
+#: ``counts`` row keeps them; its ``times`` row keeps ``total_time``,
+#: ``min_time`` and ``max_time``.
+COUNT_FIELDS = ("count", "errors", "retries", "faults_injected", "total_bytes")
+#: The rows a column starts every slot with: absent (``count`` -1 keeps it
+#: out of the slot's view), and ``min_time`` +inf as in a fresh :class:`OpStats`.
+_ABSENT_COUNTS = array("q", (-1, 0, 0, 0, 0))
+_FRESH_TIMES = array("d", (0.0, float("inf"), 0.0))
+
+
+class OpColumn:
+    """One op kind's accumulators, one row per client slot in ``[base, stop)``.
+
+    Row ``slot - base`` of ``counts`` (``array('q')``, five per row) and of
+    ``times`` (``array('d')``, three per row) holds that slot's eight
+    :class:`OpStats` fields.  A row whose ``count`` is -1 is *absent*: the
+    column covers its slot only because a lower and a higher slot use the
+    op, and the slot's view leaves it out.
+    """
+
+    __slots__ = ("base", "stop", "counts", "times")
+
+    def __init__(self) -> None:
+        self.base = self.stop = 0
+        self.counts = array("q")
+        self.times = array("d")
+
+    def open(self, slot: int) -> None:
+        """Give ``slot`` a present row (absent rows fill any gap): from here
+        on its view shows the op, with ``count`` 0 while the first is in
+        flight.  An empty column starts at ``slot``."""
+        if not self.counts:
+            self.base = self.stop = slot
+        if slot >= self.stop:
+            # A client newer than every user so far -- the common case, an
+            # IOR wave's next rank -- appends one copy of the templates.
+            gap = slot + 1 - self.stop
+            if gap == 1:
+                self.counts += _ABSENT_COUNTS
+                self.times += _FRESH_TIMES
+            else:
+                self.counts += _ABSENT_COUNTS * gap
+                self.times += _FRESH_TIMES * gap
+            self.stop = slot + 1
+        elif slot < self.base:
+            gap = self.base - slot
+            self.counts[0:0] = _ABSENT_COUNTS * gap
+            self.times[0:0] = _FRESH_TIMES * gap
+            self.base = slot
+        row = (slot - self.base) * 5
+        if self.counts[row] < 0:
+            self.counts[row] = 0
+
+    def observe(self, slot: int, elapsed: float, nbytes: int, ok: bool) -> None:
+        """:meth:`OpStats.observe` on ``slot``'s row: the same floating-point
+        operations in the same order (the first ``total_time`` is ``+0.0 +
+        elapsed``, which is ``elapsed`` itself for every ``elapsed >= +0.0``)."""
+        index = slot - self.base
+        counts = self.counts
+        row = index * 5
+        counts[row] += 1
+        if not ok:
+            counts[row + 1] += 1
+        if nbytes:  # most metadata ops move none: skip an element read and write
+            counts[row + 4] += nbytes
+        times = self.times
+        row = index * 3
+        times[row] += elapsed
+        if elapsed < times[row + 1]:
+            times[row + 1] = elapsed
+        if elapsed > times[row + 2]:
+            times[row + 2] = elapsed
+
+
+class OpTable(dict):
+    """Every client's per-op accumulators in one system: ``{op: OpColumn}``.
+
+    Each client takes the next integer slot (``n_slots`` counts them); its
+    ``op_metrics`` is a view of its rows.  Looking up an op not seen before
+    makes its column, so the op driver finds a column with one subscript.
+    """
+
+    __slots__ = ("n_slots",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.n_slots = 0
+
+    def __missing__(self, op: str) -> OpColumn:
+        column = self[op] = OpColumn()
+        return column
+
+    def tally(self, op: str, slot: int, field: str) -> None:
+        """Add one to ``field`` of ``slot``'s row for ``op``, a launched op."""
+        column = self[op]
+        column.counts[(slot - column.base) * 5 + COUNT_FIELDS.index(field)] += 1
+
+    def view(self, slot: int) -> Dict[str, OpStats]:
+        """``slot``'s accumulators as a fresh ``{op: OpStats}`` dict, in the
+        order the system first used each op; ops the slot never launched are
+        left out."""
+        stats = {}
+        for op, column in self.items():
+            base = column.base
+            if base <= slot < column.stop:
+                counts = column.counts
+                row = (slot - base) * 5
+                if counts[row] >= 0:
+                    times = column.times
+                    at = (slot - base) * 3
+                    stats[op] = OpStats(
+                        counts[row], counts[row + 1], counts[row + 2], counts[row + 3],
+                        times[at], times[at + 1], times[at + 2], counts[row + 4],
+                    )
+        return stats
 
 
 def merge_op_stats(stats_dicts: Iterable[Dict[str, OpStats]]) -> Dict[str, OpStats]:
@@ -328,7 +452,7 @@ class FaultInjectionMiddleware(Middleware):
         under_cap = config.max_faults is None or client.faults_injected < config.max_faults
         if under_cap and self._faults(client, request, sequence):
             client.faults_injected += 1
-            client.op_metrics[request.op].faults_injected += 1
+            client.tally_op(request.op, "faults_injected")
             client.sim.record(
                 "rpc_fault", op=request.op, target=request.target, sequence=sequence
             )
@@ -364,7 +488,7 @@ class PoolMapRefreshMiddleware(Middleware):
                 refreshed = yield from client._refresh_pool_map()
                 if not refreshed:
                     raise
-                client.op_metrics[request.op].retries += 1
+                client.tally_op(request.op, "retries")
                 client.sim.record(
                     "rpc_map_refresh",
                     op=request.op,
@@ -394,7 +518,7 @@ class RetryMiddleware(Middleware):
             except SimulatedFaultError:
                 if attempt >= policy.max_attempts:
                     raise
-                client.op_metrics[request.op].retries += 1
+                client.tally_op(request.op, "retries")
                 client.sim.record("rpc_retry", op=request.op, attempt=attempt)
                 backoff = policy.backoff_base * policy.backoff_factor ** (attempt - 1)
                 yield backoff

@@ -19,6 +19,7 @@ from repro.daos.locks import RWLock
 from repro.daos.objclass import ObjectClass
 from repro.daos.placement import place_object, remap_target
 from repro.daos.pool import Pool
+from repro.daos.rpc import OpTable
 from repro.hardware.topology import Cluster
 from repro.network.fabric import NodeSocket
 from repro.simulation.resources import Resource
@@ -54,6 +55,9 @@ class DaosSystem:
         #: Free-list of recycled op drivers, shared by all clients (see
         #: :class:`repro.daos.client._FastDriver`).
         self.fast_drivers: list = []
+        #: Every client's per-op counts, latencies and bytes: one column per
+        #: op kind, one row per client slot (``client.op_metrics`` is a view).
+        self.op_table = OpTable()
 
         #: Authoritative target-health map.  Always present (version 1, all
         #: UP), but only ever *changes* when the health subsystem is enabled

@@ -57,17 +57,16 @@ class Cluster:
 
         Processes fill node 0 first (ranks 0..ppn-1), then node 1, etc.;
         within a node they round-robin over the sockets that carry a client
-        interface in this configuration.
+        interface in this configuration.  Ranks pinned to the same socket
+        share one (immutable) address.
         """
         if processes_per_node < 1:
             raise ValueError("processes_per_node must be >= 1")
         sockets = self.config.resolved_client_sockets
         pins = pin_processes(processes_per_node, sockets)
-        return [
-            NodeSocket(node, pin)
-            for node in range(self.config.n_client_nodes)
-            for pin in pins
-        ]
+        nodes = range(self.config.n_client_nodes)
+        shared = [[NodeSocket(node, socket) for socket in range(sockets)] for node in nodes]
+        return [shared[node][pin] for node in nodes for pin in pins]
 
     @property
     def engine_addresses(self) -> List[NodeSocket]:

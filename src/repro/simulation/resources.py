@@ -16,7 +16,7 @@ models the request queues in front of DAOS targets and pool services.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque
+from typing import TYPE_CHECKING, Any, Deque, Optional
 
 from repro.simulation.events import Event
 
@@ -42,7 +42,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        #: FIFO of requests waiting for a slot; made on the first enqueue
+        #: (most targets of a short run are never contended).
+        self._waiters: Optional[Deque[Event]] = None
         # Hot path: request() runs per RPC, so the event name is built once.
         self._request_name = f"{name}:request"
 
@@ -54,7 +56,7 @@ class Resource:
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self._waiters)
+        return len(self._waiters) if self._waiters else 0
 
     def request(self) -> Event:
         """Return an event that triggers once a slot is held.
@@ -67,7 +69,10 @@ class Resource:
             self._in_use += 1
             event.succeed(self)
         else:
-            self._waiters.append(event)
+            waiters = self._waiters
+            if waiters is None:
+                waiters = self._waiters = deque()
+            waiters.append(event)
         return event
 
     def try_acquire(self) -> bool:
@@ -102,10 +107,10 @@ class Resource:
         """
         if not request.triggered:
             # Cancel a queued request.
-            try:
-                self._waiters.remove(request)
-            except ValueError:
-                raise RuntimeError("release() of a request not issued here") from None
+            waiters = self._waiters
+            if not waiters or request not in waiters:
+                raise RuntimeError("release() of a request not issued here")
+            waiters.remove(request)
             # Mark it failed-but-handled so a waiting process (if any) learns.
             request._ok = True
             request._value = None
@@ -125,7 +130,7 @@ class Resource:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Resource {self.name!r} {self._in_use}/{self.capacity} busy, "
-            f"{len(self._waiters)} queued>"
+            f"{self.queue_length} queued>"
         )
 
 

@@ -56,6 +56,20 @@ def test_in_use_and_queue_length(sim):
     assert second.triggered
 
 
+def test_never_contended_resource_holds_no_queue(sim):
+    resource = Resource(sim, capacity=1)
+    granted = resource.request()
+    assert resource._waiters is None and resource.queue_length == 0
+    resource.release(granted)
+    assert resource.try_acquire()
+    resource.release_direct()
+    assert resource._waiters is None and resource.in_use == 0
+    held, queued = resource.request(), resource.request()
+    assert resource._waiters is not None and resource.queue_length == 1
+    resource.release(held)
+    assert queued.triggered and resource.queue_length == 0
+
+
 def test_release_idle_resource_rejected(sim):
     resource = Resource(sim, capacity=1)
     granted = resource.request()
