@@ -24,8 +24,11 @@ as an identity check: optimising must not move it.
 ``--workload <name> [--seed N]`` profiles one pass of an end-to-end ledger
 workload instead (``benchmarks.e2e.workloads.run_pass``, after one
 unprofiled warm pass) and prints cProfile ``total_calls`` with the pass
-digest.  The call count is deterministic where wall time is not, so an A/B
-of two trees at equal seed reads a per-op cost change exactly::
+digest, and the queue entries dispatched and instants of the warm pass
+(``Simulator.events_processed`` and ``instants`` summed over every
+simulator the pass built).  These counts are deterministic where wall time
+is not, so an A/B of two trees at equal seed reads a per-op cost change
+exactly, and equal queue counts show that no queue position moved::
 
     PYTHONPATH=src python scripts/profile_hotpath.py --workload ior_scaling
 
@@ -59,6 +62,7 @@ if str(_ROOT) not in sys.path:
 
 from benchmarks.e2e import workloads  # noqa: E402
 from repro.bench.kernel_perf import SCENARIOS, run_scenario  # noqa: E402
+from repro.simulation.core import Simulator  # noqa: E402
 
 
 def profile_scenario(name: str, quick: bool, top: int, sort: str) -> None:
@@ -95,9 +99,30 @@ def profile_scenario(name: str, quick: bool, top: int, sort: str) -> None:
         print()
 
 
+def _counted_pass(name: str, seed: int):
+    """Run one ledger pass; return its outcomes, the queue entries its
+    simulators dispatched and the instants they advanced through."""
+    built = []
+    init = Simulator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    Simulator.__init__ = recording_init
+    try:
+        outcomes = workloads.run_pass(name, seed)
+    finally:
+        Simulator.__init__ = init
+    entries = sum(sim.events_processed for sim in built)
+    return outcomes, entries, sum(sim.instants for sim in built)
+
+
 def profile_workload(name: str, seed: int, top: int, sort: str) -> None:
-    """Profile one ledger pass of ``name``; print its call count and digest."""
-    warm = workloads.digest_of(workloads.run_pass(name, seed))
+    """Profile one ledger pass of ``name``; print its call count, its queue
+    counts (from the unprofiled warm pass) and its digest."""
+    warm_outcomes, entries, instants = _counted_pass(name, seed)
+    warm = workloads.digest_of(warm_outcomes)
     profiler = cProfile.Profile()
     profiler.enable()
     outcomes = workloads.run_pass(name, seed)
@@ -108,6 +133,8 @@ def profile_workload(name: str, seed: int, top: int, sort: str) -> None:
     if top:
         stats.strip_dirs().sort_stats(sort).print_stats(top)
     print(f"total_calls {stats.total_calls}")
+    print(f"queue_entries {entries}")
+    print(f"instants {instants}")
     print(f"digest {digest}")
     if digest != warm:
         print(f"warm pass digest {warm} differs", file=sys.stderr)

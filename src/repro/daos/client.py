@@ -19,7 +19,9 @@ add no simulated events.
 
 **One body per op, one interpreter.**  Each op's timeline is written once,
 as a ``_do_*`` generator in the *leg dialect* every simulated process
-speaks: ``yield <float>`` is a delay, ``yield <Event>`` is a wait.  Every
+speaks: ``yield <float>`` is a delay, ``yield <Event>`` is a wait, and
+``yield <Gate>`` is a claim of a service slot or an object-lock side
+(granted inline when free on a settled instant, else queued).  Every
 public op ends in ``yield <driver>``: a pooled :class:`_FastDriver` (a
 :class:`~repro.simulation.process.Process` that finishes synchronously)
 runs the body — or the stage chain wrapped around it, whose stages speak
@@ -128,7 +130,8 @@ class _FastDriver(Process):
     suspension instead of one per simulated wait.  The generator — an op
     body, or the client's stage chain around one — speaks the leg dialect
     every process speaks (a ``float`` delay resumes it on its own
-    :class:`~repro.simulation.events.Wake`, an event is waited on), and
+    :class:`~repro.simulation.events.Wake`, an event is waited on, a gate
+    is claimed with the same wake), and
     ``Process._resume`` interprets it; ``_launch`` takes the first step by
     passing the driver its own wake.
 
@@ -235,7 +238,8 @@ class DaosClient:
         #: the first open or create (most IOR ranks never cache one).
         self._container_cache: Optional[Dict[Tuple[str, str], Container]] = None
         #: This client's row in every column of the system's op table,
-        #: where the op driver keeps its per-op counts, latencies and bytes.
+        #: where the op driver keeps its per-op counts, latencies and bytes;
+        #: unique per system, so posixfs also uses it as the LDLM owner.
         table = system.op_table
         self._slot = table.n_slots
         table.n_slots += 1
@@ -432,32 +436,21 @@ class DaosClient:
         """Leg: hold one slot of ``service`` (a target, the pool service, the
         MDS) for ``service_time``.
 
-        An uncontended grant is elided: when the slot is free *and* the
-        instant is settled (no other event pending at ``now``), nothing can
-        observe or be reordered against the intermediate grant event, so
-        claiming the slot inline is indistinguishable from dispatching the
-        grant through the queue.  Otherwise the grant travels as a real
-        event, keeping FIFO order against every queued waiter and exact
-        ``(time, seq)`` interleaving with same-instant events.
+        The slot is claimed through its gate: taken inline when free on a
+        settled instant, else granted FIFO behind every waiter and every
+        same-instant entry (:class:`~repro.simulation.events.Gate`).
         """
-        if self.sim.settled() and service.try_acquire():
-            try:
-                yield service_time
-            finally:
-                service.release_direct()
-        else:
-            request = service.request()
-            yield request
-            try:
-                yield service_time
-            finally:
-                service.release(request)
+        yield service.slot
+        try:
+            yield service_time
+        finally:
+            service.release()
 
     def _target_leg(self, target_index: int, service_time: float):
         """Leg: the authoritative check, then a service slot at the target."""
         if self._health:
             self._reject_if_down(target_index)
-        return self._service_leg(self.system.target(target_index).service, service_time)
+        return self._service_leg(self.system.targets[target_index].service, service_time)
 
     def _refresh_pool_map(self):
         """Refetch the pool map from the pool service (``pool_query``).
@@ -750,9 +743,7 @@ class DaosClient:
         bulk = self._kv_bulk_size(value)
         yield self._message_latency
         lock = kv.lock
-        # Uncontended write lock: elided like a service grant (_service_leg).
-        if not (self.sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
+        yield lock.exclusive
         try:
             service_time = self.config.kv_put_service_time
             for target in self._kv_write_targets(kv, key):
@@ -768,7 +759,10 @@ class DaosClient:
 
     def kv_get(self, kv: KeyValueObject, key: bytes):
         """Look up a key; raises :class:`KeyNotFoundError` if absent."""
-        value = yield from self.kv_get_or_none(kv, key)
+        value = yield self._call(
+            "kv_get", self._do_kv_get_or_none, (kv, key), 0,
+            lambda: self._key_target(kv, key),
+        )
         if value is None:
             raise KeyNotFoundError(f"key {key!r} not found")
         return value
@@ -797,8 +791,7 @@ class DaosClient:
     def _do_kv_get_or_none(self, kv: KeyValueObject, key: bytes):
         yield self._message_latency
         lock = kv.lock
-        if not (self.sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
+        yield lock.exclusive
         try:
             yield from self._target_leg(
                 self._key_target(kv, key), self.config.kv_get_service_time
@@ -825,8 +818,7 @@ class DaosClient:
         keys = list(kv.keys())
         yield self._message_latency
         lock = kv.lock
-        if not (self.sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
+        yield lock.exclusive
         try:
             pages = max(1, -(-len(keys) // page_size))
             yield from self._target_leg(
@@ -849,8 +841,7 @@ class DaosClient:
     def _do_kv_remove(self, kv: KeyValueObject, key: bytes):
         yield self._message_latency
         lock = kv.lock
-        if not (self.sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
+        yield lock.exclusive
         try:
             service_time = self.config.kv_put_service_time
             for target in self._kv_write_targets(kv, key):
@@ -959,8 +950,7 @@ class DaosClient:
     ):
         yield self._message_latency
         lock = array.lock
-        if not (self.sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
+        yield lock.exclusive
         try:
             yield from self._target_leg(
                 self._lead_target(array), self.config.rpc_service_time
@@ -987,8 +977,7 @@ class DaosClient:
     def _do_array_set_size(self, array: ArrayObject, size: int, pool: Optional[Pool]):
         yield self._message_latency
         lock = array.lock
-        if not (self.sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
+        yield lock.exclusive
         try:
             yield from self._target_leg(
                 self._lead_target(array), self.config.rpc_service_time
@@ -1174,8 +1163,7 @@ class DaosClient:
     ):
         yield self._message_latency
         lock = array.lock
-        if not (self.sim.settled() and lock.try_acquire_write()):
-            yield lock.acquire_write()
+        yield lock.exclusive
         try:
             yield from self._array_transfer(array, offset, payload.size, pool, write=True)
             array.write(offset, payload)
@@ -1195,8 +1183,7 @@ class DaosClient:
     def _do_array_read(self, array: ArrayObject, offset: int, length: int):
         yield self._message_latency
         lock = array.lock
-        if not (self.sim.settled() and lock.try_acquire_read()):
-            yield lock.acquire_read()
+        yield lock.shared
         try:
             payload = array.read(offset, length)  # validate range before moving data
             yield from self._array_transfer(array, offset, length, None, write=False)

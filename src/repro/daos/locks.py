@@ -1,4 +1,4 @@
-"""A FIFO readers-writer lock over simulation events.
+"""A FIFO readers-writer lock for simulated processes.
 
 Object updates in the model serialise at a per-object point (the VOS tree /
 dkey leader), while lookups proceed concurrently but must not interleave
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
-from repro.simulation.events import Event
+from repro.simulation.events import Gate, Wake
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.core import Simulator
@@ -25,29 +25,34 @@ __all__ = ["RWLock"]
 class RWLock:
     """FIFO readers-writer lock.
 
-    Usage inside a simulated process::
+    Each side is a :class:`~repro.simulation.events.Gate`, built once with
+    the lock; a simulated process claims it with a yield::
 
-        yield lock.acquire_read()
+        yield lock.shared
         ...
         lock.release_read()
 
-        yield lock.acquire_write()
+        yield lock.exclusive
         ...
         lock.release_write()
     """
 
-    __slots__ = ("sim", "_name", "_readers", "_writer", "_queue")
+    __slots__ = ("sim", "_name", "_holders", "_queue", "shared", "exclusive")
 
     def __init__(self, sim: "Simulator", name: object = "") -> None:
         self.sim = sim
         #: Any object naming the lock (an object lock keeps its oid); it is
         #: rendered with ``str`` only when read, by ``repr`` and errors.
         self._name = name
-        self._readers = 0
-        self._writer = False
-        #: Queue of (is_writer, event) in arrival order, made on the first
+        #: Readers holding the lock, or -1 while a writer holds it.
+        self._holders = 0
+        #: Queue of (is_writer, wake) in arrival order, made on the first
         #: enqueue: most object locks are never contended.
-        self._queue: Optional[Deque[Tuple[bool, Event]]] = None
+        self._queue: Optional[Deque[Tuple[bool, Wake]]] = None
+        #: The gates a process yields for shared (read) and exclusive
+        #: (write) access.
+        self.shared = Gate(self, RWLock._claim_read)
+        self.exclusive = Gate(self, RWLock._claim_write)
 
     @property
     def name(self) -> str:
@@ -55,97 +60,76 @@ class RWLock:
 
     @property
     def readers(self) -> int:
-        return self._readers
+        return max(self._holders, 0)
 
     @property
     def write_locked(self) -> bool:
-        return self._writer
+        return self._holders < 0
 
     @property
     def queue_length(self) -> int:
         return len(self._queue) if self._queue else 0
 
-    def acquire_read(self) -> Event:
-        """Event that triggers once shared (read) access is granted."""
-        event = Event(self.sim, name="rlock")
-        if not self._writer and not self._queue:
-            self._readers += 1
-            event.succeed(self)
+    def _claim_read(self, wake: Wake) -> bool:
+        """The :attr:`shared` gate's claim (see :class:`Gate`)."""
+        if self._holders >= 0 and not self._queue:
+            self._holders += 1
+            live = self.sim._live
+            if not live:
+                return True
+            live.append(wake)
         else:
-            self._enqueue(False, event)
-        return event
-
-    def acquire_write(self) -> Event:
-        """Event that triggers once exclusive (write) access is granted."""
-        event = Event(self.sim, name="wlock")
-        if not self._writer and self._readers == 0 and not self._queue:
-            self._writer = True
-            event.succeed(self)
-        else:
-            self._enqueue(True, event)
-        return event
-
-    def try_acquire_read(self) -> bool:
-        """Claim shared access without allocating a grant event.
-
-        Returns ``True`` (read lock held, release with :meth:`release_read`)
-        exactly when :meth:`acquire_read` would have granted immediately;
-        same settled-instant rule as :meth:`try_acquire_write`.
-        """
-        if not self._writer and not self._queue:
-            self._readers += 1
-            return True
+            self._enqueue(False, wake)
         return False
 
-    def try_acquire_write(self) -> bool:
-        """Claim exclusive access without allocating a grant event.
-
-        Returns ``True`` (write lock held, release with
-        :meth:`release_write`) exactly when :meth:`acquire_write` would have
-        granted immediately.  Lock counterpart of
-        :meth:`~repro.simulation.resources.Resource.try_acquire`: only valid
-        when the simulator instant is settled, so the elided grant cannot be
-        reordered against a same-instant event.
-        """
-        if not self._writer and self._readers == 0 and not self._queue:
-            self._writer = True
-            return True
+    def _claim_write(self, wake: Wake) -> bool:
+        """The :attr:`exclusive` gate's claim (see :class:`Gate`)."""
+        if self._holders == 0 and not self._queue:
+            self._holders = -1
+            live = self.sim._live
+            if not live:
+                return True
+            live.append(wake)
+        else:
+            self._enqueue(True, wake)
         return False
 
     def release_read(self) -> None:
-        if self._readers <= 0:
+        if self._holders <= 0:
             raise RuntimeError(f"release_read() with no readers on {self.name!r}")
-        self._readers -= 1
-        self._grant()
+        self._holders -= 1
+        if self._queue:
+            self._grant()
 
     def release_write(self) -> None:
-        if not self._writer:
+        if self._holders >= 0:
             raise RuntimeError(f"release_write() with no writer on {self.name!r}")
-        self._writer = False
-        self._grant()
+        self._holders = 0
+        if self._queue:
+            self._grant()
 
     def _grant(self) -> None:
+        """Admit a leading writer if the lock is idle, else a batch of
+        readers; each resumes at the back of the current instant."""
         queue = self._queue
-        if self._writer or not queue:
+        if self._holders < 0:
             return
-        # Admit a leading writer if the lock is idle, else a batch of readers.
+        live = self.sim._live
         if queue[0][0]:
-            if self._readers == 0:
-                _, event = queue.popleft()
-                self._writer = True
-                event.succeed(self)
+            if self._holders == 0:
+                self._holders = -1
+                live.append(queue.popleft()[1])
             return
         while queue and not queue[0][0]:
-            _, event = queue.popleft()
-            self._readers += 1
-            event.succeed(self)
+            self._holders += 1
+            live.append(queue.popleft()[1])
 
-    def _enqueue(self, is_writer: bool, event: Event) -> None:
+    def _enqueue(self, is_writer: bool, wake: Wake) -> None:
         queue = self._queue
         if queue is None:
             queue = self._queue = deque()
-        queue.append((is_writer, event))
+        queue.append((is_writer, wake))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "W" if self._writer else f"R{self._readers}"
+        state = "W" if self._holders < 0 else f"R{self._holders}"
         return f"<RWLock {self.name!r} {state} queue={self.queue_length}>"

@@ -167,8 +167,7 @@ class RebuildService:
     # -- execution ---------------------------------------------------------------
     def _move_shard(self, run: RebuildRun, move: ShardMove):
         """One throttled shard copy: flow on the rebuild path, then bookkeeping."""
-        slot = self._inflight.request()
-        yield slot
+        yield self._inflight.slot
         try:
             if move.nbytes > 0:
                 src_engine = self.system.engine_of_target(move.src_target)
@@ -179,7 +178,7 @@ class RebuildService:
                     name=f"rebuild:{move.obj.oid}/{move.position}",
                 )
         finally:
-            self._inflight.release(slot)
+            self._inflight.release()
         # The shard is re-protected only once the copy lands: update the
         # layout and move the space accounting from the dead target to the
         # spare (clamped, like every refund against approximate placement).

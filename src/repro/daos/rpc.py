@@ -31,7 +31,7 @@ count retries and injected faults write through ``client.tally_op``.
 
 A ``Request.body`` and every stage's ``handle`` speak the *leg dialect*
 of every simulation process: ``yield <float>`` is a delay, ``yield
-<Event>`` a wait.  The composed chain is one generator the client's
+<Event>`` a wait, ``yield <Gate>`` a claim.  The composed chain is one generator the client's
 pooled driver, a :class:`~repro.simulation.process.Process`, runs
 (``DaosClient._launch_request``).  Whether an op becomes a Request at all
 is decided in one place, ``DaosClient._call``: a bare client (tracing

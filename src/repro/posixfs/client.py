@@ -19,7 +19,8 @@ through Lustre's architecture:
 
 Implemented as an override of the DAOS client's ``_do_*`` op bodies and
 nothing else: each body is written once, in the leg dialect (``yield
-<float>`` a delay, ``yield <Event>`` a wait; see :mod:`repro.daos.client`),
+<float>`` a delay, ``yield <Event>`` a wait, ``yield <Gate>`` a claim; see
+:mod:`repro.daos.client`),
 and the inherited public methods and ``request_*`` builders close over
 ``self``, so the one launch decision (``DaosClient._call``: bare, or a
 Request inside the middleware stages), the op driver that runs every body,
@@ -50,7 +51,7 @@ __all__ = ["PosixClient"]
 class PosixClient(DaosClient):
     """A Lustre-style client process bound to one client socket."""
 
-    __slots__ = ("posix", "mds", "locks", "_owner")
+    __slots__ = ("posix", "mds", "locks")
 
     def __init__(
         self,
@@ -62,8 +63,6 @@ class PosixClient(DaosClient):
         self.posix = system.posix
         self.mds = system.mds
         self.locks = system.locks
-        #: Deterministic LDLM owner token (lock-cache identity).
-        self._owner = system.next_client_id()
 
     # -- MDS ---------------------------------------------------------------------
     def _mds_leg(self, service_time: float):
@@ -130,8 +129,7 @@ class PosixClient(DaosClient):
 
     def _do_container_destroy(self, pool: Pool, ref: ContainerRef):
         yield self._message_latency
-        request = self.mds.request()
-        yield request
+        yield self.mds.slot
         try:
             container = pool.destroy_container(ref)
             objects = list(container.objects())
@@ -141,7 +139,7 @@ class PosixClient(DaosClient):
                 if isinstance(obj, ArrayObject):
                     self._refund_stored(pool, obj)
         finally:
-            self.mds.release(request)
+            self.mds.release()
         yield self._message_latency
         self._forget_container(pool, container)
 
@@ -164,7 +162,7 @@ class PosixClient(DaosClient):
         bulk = self._kv_bulk_size(value)
         yield self._message_latency
         lock = self.locks.lock(kv.oid)
-        yield from lock.acquire_write(self._owner)
+        yield from lock.acquire_write(self._slot)
         try:
             # The flock is held across the MDS update: writers convoy behind
             # both the lock *and* the metadata server.
@@ -181,7 +179,7 @@ class PosixClient(DaosClient):
     def _do_kv_get_or_none(self, kv: KeyValueObject, key: bytes):
         yield self._message_latency
         lock = self.locks.lock(kv.oid)
-        yield from lock.acquire_read(self._owner)
+        yield from lock.acquire_read(self._slot)
         try:
             yield from self._mds_leg(self.posix.mds_getattr_service)
             yield from self._target_leg(
@@ -201,7 +199,7 @@ class PosixClient(DaosClient):
         keys = list(kv.keys())
         yield self._message_latency
         lock = self.locks.lock(kv.oid)
-        yield from lock.acquire_read(self._owner)
+        yield from lock.acquire_read(self._slot)
         try:
             # readdir: one MDS round per page of directory entries.
             pages = max(1, -(-len(keys) // page_size))
@@ -214,7 +212,7 @@ class PosixClient(DaosClient):
     def _do_kv_remove(self, kv: KeyValueObject, key: bytes):
         yield self._message_latency
         lock = self.locks.lock(kv.oid)
-        yield from lock.acquire_write(self._owner)
+        yield from lock.acquire_write(self._slot)
         try:
             yield from self._mds_leg(self.posix.mds_unlink_service)
             yield from self._target_leg(
@@ -260,7 +258,7 @@ class PosixClient(DaosClient):
     ):
         yield self._message_latency
         lock = self.locks.lock(array.oid)
-        yield from lock.acquire_write(self._owner)
+        yield from lock.acquire_write(self._slot)
         try:
             yield from self._mds_leg(self.posix.mds_unlink_service)
             container.remove_object(array.oid)
@@ -273,7 +271,7 @@ class PosixClient(DaosClient):
     def _do_array_set_size(self, array: ArrayObject, size: int, pool: Optional[Pool]):
         yield self._message_latency
         lock = self.locks.lock(array.oid)
-        yield from lock.acquire_write(self._owner)
+        yield from lock.acquire_write(self._slot)
         try:
             yield from self._mds_leg(self.posix.mds_update_service)
             before = array.nbytes_stored
@@ -294,7 +292,7 @@ class PosixClient(DaosClient):
         held: List[ExtentLock] = []
         try:
             for lock in self._extent_locks(array, payload.size):
-                yield from lock.acquire_write(self._owner)
+                yield from lock.acquire_write(self._slot)
                 held.append(lock)
             # Data path: identical striped scatter over the OSTs/fabric as
             # the DAOS backend (inherited) — replicas==1 and health-off are
@@ -311,7 +309,7 @@ class PosixClient(DaosClient):
         held: List[ExtentLock] = []
         try:
             for lock in self._extent_locks(array, length):
-                yield from lock.acquire_read(self._owner)
+                yield from lock.acquire_read(self._slot)
                 held.append(lock)
             payload = array.read(offset, length)  # validate range before moving data
             yield from self._array_transfer(array, offset, length, None, write=False)

@@ -10,9 +10,9 @@ contention re-arms the whole conflict queue against the new holder.
 
 :class:`ExtentLock` layers that protocol cost model over the simulation's
 FIFO :class:`~repro.daos.locks.RWLock` (which supplies the actual mutual
-exclusion and fair queueing).  Owners are small integers — deterministic
-per-client ids issued by :class:`~repro.posixfs.system.PosixSystem` — so
-the cached-state bookkeeping is itself reproducible.
+exclusion and fair queueing).  Owners are small integers — each client's
+op-table slot, unique per deployment — so the cached-state bookkeeping is
+itself reproducible.
 
 Locks are keyed ``(oid, shard)`` by the :class:`LockManager`: ``shard=None``
 is the whole-file flock a KV (small-file) op takes, an integer shard index
@@ -36,7 +36,7 @@ class ExtentLock:
     """One lockable extent (a stripe cell or a whole file).
 
     The acquires are legs in the op bodies' leg dialect (``yield <float>``
-    a delay, ``yield <Event>`` a wait; see :mod:`repro.daos.client`), so
+    a delay, ``yield <Gate>`` a claim; see :mod:`repro.daos.client`), so
     protocol costs are charged inline, and only a client op body, run by
     the op driver, takes them::
 
@@ -44,16 +44,15 @@ class ExtentLock:
         ...
         lock.release_write()
 
-    An uncontended grant of the underlying :class:`RWLock` is elided on a
-    settled instant, as the DAOS client does for its object locks.
+    The underlying :class:`RWLock` is claimed through its gates, as the
+    DAOS client claims its object locks.
     """
 
-    __slots__ = ("sim", "config", "rtt", "rwlock", "last_writer", "cached_readers")
+    __slots__ = ("config", "rtt", "rwlock", "last_writer", "cached_readers")
 
     def __init__(
         self, sim, config: PosixServiceConfig, rtt: float, name: str = ""
     ) -> None:
-        self.sim = sim
         self.config = config
         #: Client<->lock-server round trip paid on every cache miss.
         self.rtt = rtt
@@ -63,9 +62,8 @@ class ExtentLock:
         #: Owners whose *read* locks are still cached.
         self.cached_readers: Set[int] = set()
 
-    def _check_queue_limit(self) -> None:
-        limit = self.config.lock_queue_limit
-        if limit is not None and self.rwlock.queue_length >= limit:
+    def _check_queue_limit(self, limit: int) -> None:
+        if self.rwlock.queue_length >= limit:
             raise LockTimeoutError(
                 f"lock {self.rwlock.name!r}: conflict queue at "
                 f"{self.rwlock.queue_length} (limit {limit})"
@@ -73,45 +71,46 @@ class ExtentLock:
 
     def acquire_write(self, owner: int):
         """Acquire exclusively for ``owner``, charging LDLM protocol costs."""
-        self._check_queue_limit()
-        cache_hit = self.last_writer == owner and not (self.cached_readers - {owner})
-        if not cache_hit:
+        config = self.config
+        if config.lock_queue_limit is not None:
+            self._check_queue_limit(config.lock_queue_limit)
+        cached = self.cached_readers
+        # Other owners' cached read locks, counted without a set difference.
+        if self.last_writer != owner or len(cached) - (owner in cached):
             # Enqueue at the lock server...
-            yield self.rtt + self.config.ldlm_enqueue_service
+            yield self.rtt + config.ldlm_enqueue_service
             # ...then revoke every other client's cached lock (one blocking
             # callback round trip covers the batch, service accrues per lock).
-            n_revoked = len(self.cached_readers - {owner})
+            n_revoked = len(cached) - (owner in cached)
             if self.last_writer not in (None, owner):
                 n_revoked += 1
             if n_revoked:
-                yield self.rtt + self.config.lock_callback_service * n_revoked
-            self.cached_readers.clear()
+                yield self.rtt + config.lock_callback_service * n_revoked
+            cached.clear()
             self.last_writer = None
         rwlock = self.rwlock
-        if not (self.sim.settled() and rwlock.try_acquire_write()):
-            yield rwlock.acquire_write()
+        yield rwlock.exclusive
         # Granting under contention re-arms every queued conflicting request
         # against the new holder — the per-op cost that grows with the queue
         # and bends aggregate shared-file bandwidth *down* past the knee.
         waiters = rwlock.queue_length
         if waiters:
-            yield self.config.lock_contention_service * waiters
+            yield config.lock_contention_service * waiters
         self.last_writer = owner
-        self.cached_readers.clear()
+        cached.clear()
 
     def acquire_read(self, owner: int):
         """Acquire shared for ``owner``; read locks cache alongside each other."""
-        self._check_queue_limit()
-        cache_hit = owner in self.cached_readers or self.last_writer == owner
-        if not cache_hit:
-            yield self.rtt + self.config.ldlm_enqueue_service
+        config = self.config
+        if config.lock_queue_limit is not None:
+            self._check_queue_limit(config.lock_queue_limit)
+        if owner not in self.cached_readers and self.last_writer != owner:
+            yield self.rtt + config.ldlm_enqueue_service
             if self.last_writer not in (None, owner):
                 # Downgrade the cached write lock: one revocation callback.
-                yield self.rtt + self.config.lock_callback_service
+                yield self.rtt + config.lock_callback_service
                 self.last_writer = None
-        rwlock = self.rwlock
-        if not (self.sim.settled() and rwlock.try_acquire_read()):
-            yield rwlock.acquire_read()
+        yield self.rwlock.shared
         self.cached_readers.add(owner)
 
     def release_write(self) -> None:

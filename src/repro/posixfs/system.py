@@ -46,17 +46,11 @@ class PosixSystem(DaosSystem):
         self.locks = LockManager(
             cluster.sim, self.posix, rtt=2 * cluster.provider.message_latency
         )
-        self._client_counter = 0
 
     def make_client(self, address: NodeSocket, middleware=None):
         from repro.posixfs.client import PosixClient
 
         return PosixClient(self, address, middleware=middleware)
-
-    def next_client_id(self) -> int:
-        """Deterministic owner token for LDLM lock-cache bookkeeping."""
-        self._client_counter += 1
-        return self._client_counter
 
     def register_object(self, obj, oclass, container_salt: int = 0) -> None:
         if oclass.replicas > 1:

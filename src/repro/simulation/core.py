@@ -135,13 +135,14 @@ class Simulator:
     def settled(self) -> bool:
         """True when no pending event is scheduled for the current instant.
 
-        This is the guard the metadata op bodies use before eliding a
-        resource/lock grant event: when the instant is settled, nothing else
-        can observe (or be reordered against) the intermediate grant, so
-        continuing inline is indistinguishable from dispatching the grant
-        through the queue.  With a foreign event pending at ``now`` they
-        fall back to the event-based grant, preserving exact
-        ``(time, seq)`` interleaving.
+        This is the test a gate's claim makes (``not sim._live``, inline;
+        see :class:`~repro.simulation.events.Gate`) before granting a free
+        resource slot or lock side without a queue entry: when the instant
+        is settled, nothing else can observe (or be reordered against) the
+        intermediate grant, so continuing inline is indistinguishable from
+        dispatching it through the queue.  With another entry pending at
+        ``now`` the claim queues the waiter's wake behind it instead,
+        preserving exact ``(time, seq)`` interleaving.
 
         O(1): the instant is settled exactly when the live bucket is empty.
         """

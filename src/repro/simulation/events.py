@@ -5,7 +5,9 @@ and are resumed when the event is *triggered*.  :class:`Timeout` is an event
 pre-scheduled to trigger after a delay.  :class:`AllOf` joins a set of
 events (a fork/join barrier), collecting their values in a
 :class:`ConditionValue`.  A :class:`Wake` is not an event at all: a bare
-queue entry that resumes one owner, with nothing to wait on.
+queue entry that resumes one owner, with nothing to wait on.  A
+:class:`Gate` is not one either: a claim point of a resource or lock that
+a process yields, and that grants by queueing the process's own wake.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "Timeout",
     "AllOf",
     "ConditionValue",
+    "Gate",
     "Wake",
 ]
 
@@ -174,6 +177,36 @@ class Wake:
 
     def __init__(self, fire: Callable[["Wake"], None]) -> None:
         self.fire = fire
+
+
+class Gate:
+    """A claim point: one slot of a resource, or one side of a lock.
+
+    A gate is built once, with its owner, and a process takes what it
+    guards with ``yield gate``.  ``Process._resume`` then calls
+    ``gate.claim(gate.owner, wake)`` with the process's own :class:`Wake`,
+    and the claim gives the grant the queue position of an event
+    triggered when the grant is made:
+
+    * free on a settled instant (the live bucket is empty): taken, and
+      ``claim`` returns True -- the process continues inline, with no
+      queue entry, since nothing else at this instant could observe the
+      grant;
+    * free but unsettled: taken, and the wake is appended to the live
+      bucket, as ``Event.succeed`` appends an event;
+    * busy: the wake joins the owner's FIFO of waiters, and the release
+      that hands the grant over appends it to the live bucket.
+
+    In the last two cases ``claim`` returns False and the process waits.
+    The owner is released with its own method (``Resource.release``,
+    ``RWLock.release_read`` / ``release_write``).
+    """
+
+    __slots__ = ("owner", "claim")
+
+    def __init__(self, owner: Any, claim: Callable[[Any, "Wake"], bool]) -> None:
+        self.owner = owner
+        self.claim = claim
 
 
 class ConditionValue:

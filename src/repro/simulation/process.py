@@ -1,12 +1,21 @@
 """Generator-based simulated processes.
 
-A process is an ordinary Python generator written in the *leg dialect*:
-``yield <Event>`` suspends it until the event triggers, and the event's
-value is sent back into the generator (or its exception raised there);
-``yield <float>`` (or ``int``) is a delay of that many simulated seconds,
-resumed by the process's own bare :class:`~repro.simulation.events.Wake`
-at the queue position a ``Timeout`` of that delay would take.  A
-:class:`Process` is itself an Event that triggers when the generator
+A process is an ordinary Python generator written in the *leg dialect*,
+which has three yields:
+
+* ``yield <float>`` (or ``int``) is a *delay* of that many simulated
+  seconds, resumed by the process's own bare
+  :class:`~repro.simulation.events.Wake` at the queue position a
+  ``Timeout`` of that delay would take;
+* ``yield <Event>`` is an *event wait*: it suspends the process until the
+  event triggers, and the event's value is sent back into the generator
+  (or its exception raised there);
+* ``yield <Gate>`` is a *claim* of a resource slot or a lock side (see
+  :class:`~repro.simulation.events.Gate`): granted inline when free on a
+  settled instant, otherwise by queueing the same wake where the grant
+  goes; ``None`` is sent back.
+
+A :class:`Process` is itself an Event that triggers when the generator
 returns, so processes can wait on each other and be joined with ``AllOf``.
 """
 
@@ -14,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.simulation.events import Event, Wake
+from repro.simulation.events import Event, Gate, Wake
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.core import Simulator
@@ -30,8 +39,8 @@ class Process(Event):
     the generator raises, the process event fails with that exception.  So
     does a bad yield: a negative delay fails it with ``ValueError``, an
     event of another simulator with ``ValueError``, anything that is
-    neither a delay nor an event (``None``, ``str``, ``bool``, a numpy
-    scalar) with ``TypeError``.
+    neither a delay, a gate nor an event (``None``, ``str``, ``bool``, a
+    numpy scalar) with ``TypeError``.
     """
 
     __slots__ = ("_generator", "_wake")
@@ -72,9 +81,11 @@ class Process(Event):
         (slot access throughout: this runs once per simulated I/O step).
 
         A delay schedules the wake with the ``sim._schedule`` call a
-        ``Timeout`` makes, so both resume at the same ``(time, seq)``.  An
-        event is told by its attributes, not ``isinstance``: the wait path
-        makes no builtin call.
+        ``Timeout`` makes, so both resume at the same ``(time, seq)``.  A
+        gate's claim is handed the same wake; granted inline, the loop
+        carries on with it as if it had been dispatched.  An event is told
+        by its attributes, not ``isinstance``: the wait path makes no
+        builtin call.
         """
         generator = self._generator
         while True:
@@ -101,6 +112,14 @@ class Process(Event):
                     wake = self._wake = Wake(self._resume)
                 self.sim._schedule(target, wake)
                 return
+            if cls is Gate:
+                wake = self._wake
+                if wake is None:
+                    wake = self._wake = Wake(self._resume)
+                if target.claim(target.owner, wake):
+                    event = wake
+                    continue
+                return
             try:
                 callbacks = target.callbacks
                 foreign = target.sim is not self.sim
@@ -108,7 +127,7 @@ class Process(Event):
                 self._reject(
                     TypeError(
                         f"process {self.name!r} yielded {target!r}; processes must "
-                        "yield Event instances or float delays"
+                        "yield Event instances, Gates or float delays"
                     )
                 )
                 return

@@ -1,16 +1,17 @@
 """Shared-resource primitives: capacity-limited resources and FIFO stores.
 
-These follow the usual process-interaction idiom::
+A resource slot is taken with a claim, a leg of the process dialect::
 
-    with_req = resource.request()
-    yield with_req
+    yield resource.slot
     try:
-        ... hold the resource ...
+        ... hold the slot ...
     finally:
-        resource.release(with_req)
+        resource.release()
 
-All queues are strict FIFO, which keeps the simulation deterministic and
-models the request queues in front of DAOS targets and pool services.
+``resource.slot`` is a :class:`~repro.simulation.events.Gate`, built once
+with the resource, so an acquire allocates nothing.  All queues are strict
+FIFO, which keeps the simulation deterministic and models the request
+queues in front of DAOS targets and pool services.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Optional
 
-from repro.simulation.events import Event
+from repro.simulation.events import Event, Gate, Wake
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.core import Simulator
@@ -33,7 +34,7 @@ class Resource:
     service, or a node's NIC DMA engines.
     """
 
-    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters", "_request_name")
+    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters", "slot")
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -42,11 +43,11 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        #: FIFO of requests waiting for a slot; made on the first enqueue
-        #: (most targets of a short run are never contended).
-        self._waiters: Optional[Deque[Event]] = None
-        # Hot path: request() runs per RPC, so the event name is built once.
-        self._request_name = f"{name}:request"
+        #: FIFO of the wakes of processes waiting for a slot; made on the
+        #: first enqueue (most targets of a short run are never contended).
+        self._waiters: Optional[Deque[Wake]] = None
+        #: The gate a process yields to hold one slot.
+        self.slot = Gate(self, Resource._claim)
 
     @property
     def in_use(self) -> int:
@@ -55,77 +56,37 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
+        """Number of processes waiting for a slot."""
         return len(self._waiters) if self._waiters else 0
 
-    def request(self) -> Event:
-        """Return an event that triggers once a slot is held.
-
-        The slot is held from the moment the event triggers until
-        :meth:`release` is called with the same event.
-        """
-        event = Event(self.sim, name=self._request_name)
+    def _claim(self, wake: Wake) -> bool:
+        """The :attr:`slot` gate's claim (see :class:`Gate`): True when a free
+        slot is taken on a settled instant, else ``wake`` is queued."""
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
-            event.succeed(self)
+            live = self.sim._live
+            if not live:
+                return True
+            live.append(wake)
         else:
             waiters = self._waiters
             if waiters is None:
                 waiters = self._waiters = deque()
-            waiters.append(event)
-        return event
-
-    def try_acquire(self) -> bool:
-        """Claim a free slot without allocating a grant event.
-
-        Returns ``True`` (slot held, release with :meth:`release_direct`)
-        exactly when :meth:`request` would have granted immediately.  Used
-        by the metadata service leg (``DaosClient._service_leg``) to elide
-        uncontended grant events; callers
-        must only do so when the simulator instant is settled
-        (:meth:`~repro.simulation.core.Simulator.settled`), otherwise grant
-        ordering against same-instant events could differ from the event
-        path.
-        """
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            return True
+            waiters.append(wake)
         return False
 
-    def release_direct(self) -> None:
-        """Release a slot claimed via :meth:`try_acquire` (FIFO handoff kept)."""
-        if self._in_use <= 0:
-            raise RuntimeError(f"release_direct() on idle resource {self.name!r}")
-        self._in_use -= 1
-        self._grant_next()
-
-    def release(self, request: Event) -> None:
-        """Release the slot held via ``request``.
-
-        A queued request that has not yet been granted may also be passed,
-        which cancels it.
-        """
-        if not request.triggered:
-            # Cancel a queued request.
-            waiters = self._waiters
-            if not waiters or request not in waiters:
-                raise RuntimeError("release() of a request not issued here")
-            waiters.remove(request)
-            # Mark it failed-but-handled so a waiting process (if any) learns.
-            request._ok = True
-            request._value = None
-            request.callbacks = None
-            return
+    def release(self) -> None:
+        """Give back a held slot.  The oldest waiter, if any, takes it over
+        and resumes at the back of the current instant."""
         if self._in_use <= 0:
             raise RuntimeError(f"release() on idle resource {self.name!r}")
-        self._in_use -= 1
-        self._grant_next()
-
-    def _grant_next(self) -> None:
-        while self._waiters and self._in_use < self.capacity:
-            waiter = self._waiters.popleft()
-            self._in_use += 1
-            waiter.succeed(self)
+        waiters = self._waiters
+        if waiters:
+            # Waiters queue only while every slot is held, so exactly this
+            # one is free: hand it over without counting it out and back.
+            self.sim._live.append(waiters.popleft())
+        else:
+            self._in_use -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

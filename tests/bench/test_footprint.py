@@ -74,9 +74,11 @@ def test_retained_bytes_per_finished_rank():
     3,146 B once the op counts became a view of the per-op accumulators
     (no ``stats`` dict per client) and each driver woke on a bare
     :class:`~repro.simulation.events.Wake` instead of a lane event with
-    its callback list, and 2,291 B once the accumulators became rows of
+    its callback list, 2,291 B once the accumulators became rows of
     the system's op table (no ``OpStats`` objects or ``op_metrics`` dict
-    per client) and ranks pinned to one socket shared its address."""
+    per client) and ranks pinned to one socket shared its address, and
+    2,395 B once each lock carried the two gates its grants are claimed
+    through (no grant event per queued acquire)."""
     _retained_bytes(4)  # warm module-level memos out of the measurement
     small, small_ranks = _retained_bytes(8)
     large, large_ranks = _retained_bytes(40)

@@ -9,6 +9,7 @@ from repro.config import ClusterConfig
 from repro.daos.client import DaosClient
 from repro.hardware.topology import Cluster
 from repro.simulation.core import Simulator
+from repro.simulation.events import Wake
 
 
 @pytest.fixture
@@ -42,3 +43,14 @@ def run_process(cluster_or_sim, generator):
 @pytest.fixture
 def run():
     return run_process
+
+
+def claim(gate, wake=None):
+    """Claim ``gate`` outside a process, as ``Process._resume`` would: True
+    when granted inline, else the claim has queued ``wake`` (a fresh wake
+    that resumes nothing by default)."""
+    return gate.claim(gate.owner, wake if wake is not None else Wake(_resume_nothing))
+
+
+def _resume_nothing(wake):
+    pass

@@ -4,8 +4,8 @@ Every op has a single leg-dialect body (``DaosClient._do_*``) that runs on
 a pooled ``_FastDriver``, and ``DaosClient._call`` picks how it launches:
 bare (no stage but tracing, no tracer installed; no op builds a Request)
 or as a Request inside the client's middleware stages.  Which
-launch runs it, and whether an uncontended grant is elided or travels as a
-real event, must never show in the outcome: the same bits -- event
+launch runs it, and whether a free grant is taken inline or queued as a
+wake, must never show in the outcome: the same bits -- event
 timings, return values, per-op metrics, final clock, ``rpc`` spans.
 
 The reference timelines are frozen below as SHA-256 goldens.  The first
@@ -21,7 +21,7 @@ shared by every client so that it delays and sheds, and a data-plane storm
 event-queue submissions) under each middleware configuration.  Each
 scenario is checked as configured, on the request path where a plain one
 launches bare (a pass-through middleware forces the Request), and again
-with every grant forced through the event queue.  At the end of every
+with every grant forced through the event queue as a queued wake.  At the end of every
 scenario no op is in flight, so every driver is back on its free-list and
 nothing is left queued.
 """
@@ -584,6 +584,46 @@ def test_settled_metadata_ops_construct_no_event(backend, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
+def test_contended_kv_storm_builds_no_event_beyond_its_processes(backend, monkeypatch):
+    """Eight clients put and get one shared KV's keys at the same instants,
+    so grants queue on its lock: every grant is a claim that queues the
+    waiter's own wake, and the only Events the storm builds are its eight
+    processes."""
+    config = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=5)
+    cluster, system, pool = build_deployment(config, backend=backend)
+    sim = cluster.sim
+    clients = [system.make_client(address) for address in cluster.client_addresses(8)]
+
+    def setup():
+        container = yield from clients[0].container_create(pool, label="storm")
+        return (yield from clients[0].kv_open(container, ObjectId(1, 3), OC_S1))
+
+    kv = run_process(cluster, setup())
+    lock = system.locks.lock(kv.oid).rwlock if backend == "posixfs" else kv.lock
+    built = []
+    init = Event.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counted)
+
+    def rank(client, index):
+        for step in range(6):
+            key = b"k%d" % (step % 3)
+            yield from client.kv_put(kv, key, b"v%d-%d" % (index, step))
+            assert (yield from client.kv_get(kv, key)) is not None
+
+    for index, client in enumerate(clients):
+        sim.process(rank(client, index))
+    sim.run()
+    assert built == ["Process"] * len(clients)
+    assert lock._queue is not None  # made by the first waiter that queued
+    _assert_pooled(system)
+
+
+@pytest.mark.parametrize("backend", ["daos", "posixfs"])
 def test_stats_is_the_op_metrics_count_after_a_storm(backend):
     """``stats`` is derived: once a storm has drained, it is exactly the
     count each op's accumulator observed."""
@@ -683,13 +723,25 @@ def test_traced_retry_fault_one_span_per_attempt():
     assert digest == GOLDEN["data-traced_retry_fault"]
 
 
+def _queued(claim):
+    """``claim`` with every inline grant refused: a grant it would make
+    inline is queued instead, the wake appended to the live bucket where a
+    grant event used to go."""
+
+    def queued(owner, wake):
+        if claim(owner, wake):
+            owner.sim._live.append(wake)
+        return False
+
+    return queued
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_elided_grants_match_real_grants(name, monkeypatch):
-    """Elision vs real grants: with every ``try_acquire`` refused, each
-    service slot and object lock is granted by a queued event instead."""
-    monkeypatch.setattr(Resource, "try_acquire", lambda self: False)
-    monkeypatch.setattr(RWLock, "try_acquire_write", lambda self: False)
-    monkeypatch.setattr(RWLock, "try_acquire_read", lambda self: False)
+    """Elision vs real grants: with every inline grant refused, each
+    service slot and object lock is granted by a queued wake instead."""
+    for owner, claim in ((Resource, "_claim"), (RWLock, "_claim_read"), (RWLock, "_claim_write")):
+        monkeypatch.setattr(owner, claim, _queued(getattr(owner, claim)))
     digest, _, _, _ = _run(name)
     assert digest == GOLDEN[name]
     if "plain" in name:

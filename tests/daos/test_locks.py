@@ -3,10 +3,13 @@
 import pytest
 
 from repro.daos.locks import RWLock
+from repro.simulation import Simulator
+from repro.simulation.events import Wake
+from tests.conftest import claim
 
 
 def reader(sim, lock, name, hold, log):
-    yield lock.acquire_read()
+    yield lock.shared
     log.append(("r-in", name, sim.now))
     yield sim.timeout(hold)
     lock.release_read()
@@ -14,7 +17,7 @@ def reader(sim, lock, name, hold, log):
 
 
 def writer(sim, lock, name, hold, log):
-    yield lock.acquire_write()
+    yield lock.exclusive
     log.append(("w-in", name, sim.now))
     yield sim.timeout(hold)
     lock.release_write()
@@ -55,8 +58,6 @@ def test_writers_exclude_each_other(sim):
 def test_queued_writer_blocks_later_readers():
     """FIFO: a writer queued behind readers is serviced before readers that
     arrive after it (no writer starvation)."""
-    from repro.simulation import Simulator
-
     sim = Simulator()
     lock = RWLock(sim)
     log = []
@@ -77,8 +78,6 @@ def test_queued_writer_blocks_later_readers():
 
 
 def test_reader_batch_admitted_together():
-    from repro.simulation import Simulator
-
     sim = Simulator()
     lock = RWLock(sim)
     log = []
@@ -105,11 +104,10 @@ def test_release_without_hold_rejected(sim):
 
 def test_state_inspection(sim):
     lock = RWLock(sim)
-    grant = lock.acquire_write()
-    assert grant.triggered
+    assert claim(lock.exclusive)
     assert lock.write_locked
     assert lock.readers == 0
-    lock.acquire_read()  # queued
+    assert not claim(lock.shared)  # queued
     assert lock.queue_length == 1
     lock.release_write()
     assert not lock.write_locked
@@ -122,25 +120,25 @@ def _idle(sim):
 
 def _read_held(sim):
     lock = RWLock(sim)
-    lock.acquire_read()
+    claim(lock.shared)
     return lock
 
 
 def _write_held(sim):
     lock = RWLock(sim)
-    lock.acquire_write()
+    claim(lock.exclusive)
     return lock
 
 
 def _read_held_writer_queued(sim):
     lock = _read_held(sim)
-    lock.acquire_write()
+    claim(lock.exclusive)
     return lock
 
 
 def _write_held_reader_queued(sim):
     lock = _write_held(sim)
-    lock.acquire_read()
+    claim(lock.shared)
     return lock
 
 
@@ -148,6 +146,7 @@ def _drained(sim):
     """Idle again after a waiter queued and was granted: the queue exists."""
     lock = _write_held_reader_queued(sim)
     lock.release_write()
+    sim._live.clear()  # the granted reader's wake, dispatched
     lock.release_read()
     return lock
 
@@ -161,35 +160,80 @@ def _state(lock):
 
 
 @pytest.mark.parametrize("make", LOCK_STATES, ids=lambda make: make.__name__.strip("_"))
-def test_try_acquire_read_grants_exactly_when_acquire_read_does(sim, make):
-    tried, acquired = make(sim), make(sim)
+def test_try_acquire_read_grants_exactly_when_acquire_read_does(make):
+    """A read claim on a settled instant grants inline exactly when one on
+    an unsettled instant is granted at once, its wake appended to the live
+    bucket (where the grant event of the retired ``acquire_read`` went),
+    rather than queued on the lock."""
+    tried, acquired = make(Simulator()), make(Simulator())
     before = _state(tried)
-    granted = tried.try_acquire_read()
-    grant = acquired.acquire_read()
-    assert granted == grant.triggered
+    granted = claim(tried.shared)
+    live = acquired.sim._live
+    live.append(Wake(lambda wake: None))  # an entry already due: unsettled
+    wake = Wake(lambda wake: None)
+    assert claim(acquired.shared, wake) is False
+    assert granted == (wake in live)
     if granted:
         assert _state(tried) == _state(acquired) == (before[0] + 1, False, before[2])
         tried.release_read()
         assert _state(tried) == before
     else:
-        # A refused try leaves the lock untouched; acquire_read queued.
-        assert _state(tried) == before
-        assert _state(acquired) == (before[0], before[1], before[2] + 1)
+        # Both queued behind what holds the lock.
+        assert _state(tried) == _state(acquired) == (before[0], before[1], before[2] + 1)
 
 
 def test_never_contended_lock_holds_no_queue(sim):
     lock = RWLock(sim)
     for _ in range(3):
-        lock.acquire_write()
+        assert claim(lock.exclusive)
         lock.release_write()
-        assert lock.try_acquire_read() and lock.try_acquire_write() is False
-        lock.acquire_read()
+        assert claim(lock.shared) and claim(lock.shared)
         lock.release_read()
         lock.release_read()
     assert lock._queue is None and lock.queue_length == 0
-    lock.acquire_write()
-    lock.acquire_read()  # the first waiter makes the queue
+    assert claim(lock.exclusive)
+    assert not claim(lock.shared)  # the first waiter makes the queue
     assert lock._queue is not None and lock.queue_length == 1
+
+
+@pytest.mark.parametrize("side", ["shared", "exclusive"])
+def test_unsettled_free_claim_resumes_after_the_entry_already_due(sim, side):
+    lock = RWLock(sim)
+    log = []
+
+    def claimant():
+        yield 1.0
+        sim.timeout(0.0).add_callback(lambda event: log.append("already due"))
+        yield getattr(lock, side)
+        log.append("granted")
+
+    sim.process(claimant())
+    sim.run()
+    assert log == ["already due", "granted"]
+
+
+def test_released_waiters_resume_before_later_entries(sim):
+    """A writer's release admits the queued reader batch; each resumes, in
+    queue order, ahead of what is scheduled after the release."""
+    lock = RWLock(sim)
+    log = []
+
+    def writer_then_entry():
+        yield lock.exclusive
+        yield 1.0
+        lock.release_write()
+        sim.timeout(0.0).add_callback(lambda event: log.append("after release"))
+
+    def waiting_reader(name):
+        yield lock.shared
+        log.append(name)
+        lock.release_read()
+
+    sim.process(writer_then_entry())
+    for name in ("r1", "r2"):
+        sim.process(waiting_reader(name))
+    sim.run()
+    assert log == ["r1", "r2", "after release"]
 
 
 def test_name_is_rendered_only_when_read(sim):

@@ -32,10 +32,7 @@ def test_rwlock_safety_under_random_schedules(schedule):
 
     def participant(sim, lock, is_writer, hold, delay):
         yield sim.timeout(float(delay))
-        if is_writer:
-            yield lock.acquire_write()
-        else:
-            yield lock.acquire_read()
+        yield lock.exclusive if is_writer else lock.shared
         start = sim.now
         yield sim.timeout(float(hold))
         if is_writer:
@@ -73,12 +70,12 @@ def test_rwlock_total_hold_time_conserved(n_readers, n_writers):
     hold = 1.0
 
     def reader(sim, lock):
-        yield lock.acquire_read()
+        yield lock.shared
         yield sim.timeout(hold)
         lock.release_read()
 
     def writer(sim, lock):
-        yield lock.acquire_write()
+        yield lock.exclusive
         yield sim.timeout(hold)
         lock.release_write()
 

@@ -3,14 +3,15 @@
 import pytest
 
 from repro.simulation import Resource, Store
+from repro.simulation.events import Wake
+from tests.conftest import claim
 
 
 def holder(sim, resource, name, hold, log):
-    request = resource.request()
-    yield request
+    yield resource.slot
     log.append(("acquired", name, sim.now))
-    yield sim.timeout(hold)
-    resource.release(request)
+    yield hold
+    resource.release()
     log.append(("released", name, sim.now))
 
 
@@ -47,53 +48,77 @@ def test_multi_slot_concurrency(sim):
 
 def test_in_use_and_queue_length(sim):
     resource = Resource(sim, capacity=1)
-    first = resource.request()
-    second = resource.request()
+    second = Wake(lambda wake: None)
+    assert claim(resource.slot)
+    assert claim(resource.slot, second) is False
     assert resource.in_use == 1
     assert resource.queue_length == 1
-    assert first.triggered and not second.triggered
-    resource.release(first)
-    assert second.triggered
+    assert second not in sim._live
+    resource.release()
+    # The slot passes straight to the waiter, whose wake is now due.
+    assert resource.in_use == 1 and resource.queue_length == 0
+    assert list(sim._live) == [second]
 
 
 def test_never_contended_resource_holds_no_queue(sim):
     resource = Resource(sim, capacity=1)
-    granted = resource.request()
+    assert claim(resource.slot)
     assert resource._waiters is None and resource.queue_length == 0
-    resource.release(granted)
-    assert resource.try_acquire()
-    resource.release_direct()
+    resource.release()
     assert resource._waiters is None and resource.in_use == 0
-    held, queued = resource.request(), resource.request()
+    assert claim(resource.slot) and not claim(resource.slot)
     assert resource._waiters is not None and resource.queue_length == 1
-    resource.release(held)
-    assert queued.triggered and resource.queue_length == 0
+    resource.release()
+    assert resource.queue_length == 0 and len(sim._live) == 1
 
 
 def test_release_idle_resource_rejected(sim):
     resource = Resource(sim, capacity=1)
-    granted = resource.request()
-    resource.release(granted)
+    assert claim(resource.slot)
+    resource.release()
     with pytest.raises(RuntimeError, match="idle"):
-        resource.release(granted)
+        resource.release()
 
 
-def test_cancel_queued_request(sim):
+def test_unsettled_free_claim_resumes_after_the_entry_already_due(sim):
+    """A free slot claimed while another entry is due at the same instant
+    is granted behind that entry, where a grant event was appended."""
     resource = Resource(sim, capacity=1)
-    held = resource.request()
-    queued = resource.request()
-    resource.release(queued)  # cancel while still queued
-    assert resource.queue_length == 0
-    resource.release(held)
-    assert resource.in_use == 0
+    log = []
+
+    def claimant():
+        yield 1.0
+        sim.timeout(0.0).add_callback(lambda event: log.append("already due"))
+        yield resource.slot
+        log.append("granted")
+        resource.release()
+
+    sim.process(claimant())
+    sim.run()
+    assert log == ["already due", "granted"]
 
 
-def test_cancel_foreign_request_rejected(sim):
+def test_released_waiter_resumes_before_later_entries(sim):
+    """The waiter a release hands the slot to resumes ahead of everything
+    scheduled at that instant after the release."""
     resource = Resource(sim, capacity=1)
-    resource.request()
-    foreign = sim.event()
-    with pytest.raises(RuntimeError, match="not issued here"):
-        resource.release(foreign)
+    log = []
+
+    def first():
+        yield resource.slot
+        yield 1.0
+        resource.release()
+        sim.timeout(0.0).add_callback(lambda event: log.append(("after release", sim.now)))
+
+    def waiter():
+        yield resource.slot
+        log.append(("waiter", sim.now))
+        resource.release()
+
+    sim.process(first())
+    sim.process(waiter())
+    sim.run()
+    assert log == [("waiter", 1.0), ("after release", 1.0)]
 
 
 def test_store_put_then_get(sim):

@@ -1,8 +1,9 @@
 """Simulated processes speak one dialect, interpreted in one place.
 
-A process body yields a ``float`` for a delay and an ``Event`` for a wait,
-and ``Process._resume`` is the one loop that interprets both (the storage
-client's op driver is a ``Process`` too).  A ``yield sim.timeout(x)`` in the
+A process body yields one of three things: a ``float`` for a delay, an
+``Event`` for a wait and a ``Gate`` for a claim of a resource slot or lock
+side.  ``Process._resume`` is the one loop that interprets all three (the
+storage client's op driver is a ``Process`` too).  A ``yield sim.timeout(x)`` in the
 package is the old Event-only dialect, and a second ``_resume`` a second
 interpreter; either can come back only together with an edit to this test.
 """
