@@ -22,8 +22,9 @@ name a concrete client class.  The contract each implementation must keep:
 - *functional semantics* are identical across backends (same values
   returned, same error taxonomy from :mod:`repro.daos.errors`); only the
   *timing* — where latency, serialisation, and contention accrue — differs;
-- ops pass through the client's middleware chain, so metrics, tracing,
-  seeded fault injection, and retry behave identically on every backend;
+- ops run on the client's op driver and through its middleware stages, so
+  metrics, tracing, seeded fault injection, and retry behave identically on
+  every backend;
 - determinism: two same-seed runs of the same workload on the same backend
   produce bit-identical event streams.
 

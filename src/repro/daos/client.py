@@ -7,15 +7,14 @@ RPC latency, per-target service time, object serialisation, and bulk data
 flows, then apply the functional state change and return the result.
 
 Every operation can be materialised as a :class:`~repro.daos.rpc.Request`
-(op kind, target, payload size, re-invocable body) and run through the
-client's middleware stages — tracing always, pool-map refresh when health
-is on, fault injection and retry when
-:class:`~repro.config.FaultInjectionConfig` enables them, QoS admission
-when a serving tenant installs it.  ``request_*`` builders expose the
-Request objects directly so callers can submit them asynchronously through
-an :class:`~repro.daos.eq.EventQueue` (``client.eq_create()``), the
-``daos_eq_*`` idiom the pipelined Field I/O path uses.  The default stages
-add no simulated events.
+(op kind, payload size, re-invocable body) and run through the client's
+middleware stages — pool-map refresh when health is on, fault injection
+and retry when :class:`~repro.config.FaultInjectionConfig` enables them,
+QoS admission when a serving tenant installs it.  ``request_*`` builders
+expose the Request objects directly so callers can submit them
+asynchronously through an :class:`~repro.daos.eq.EventQueue`
+(``client.eq_create()``), the ``daos_eq_*`` idiom the pipelined Field I/O
+path uses.  A default client has no stages at all.
 
 **One body per op, one interpreter.**  Each op's timeline is written once,
 as a ``_do_*`` generator in the *leg dialect* every simulated process
@@ -27,13 +26,14 @@ public op ends in ``yield <driver>``: a pooled :class:`_FastDriver` (a
 runs the body — or the stage chain wrapped around it, whose stages speak
 the same dialect — opens the client's row of the op's column in the
 system's :class:`~repro.daos.rpc.OpTable` at launch and observes the op on
-it at finish (``op_metrics`` is a view of those rows).  One
-method, ``_call``, decides how every op launches: a *bare* client (no
-stage but tracing, no tracer installed) launches the body without building
-a Request at all, any other client wraps it in one for its stages.  A
-multi-op runs each sub-op on a driver of its own.  The per-shard legs
-(``_shard_io``) run inline or as spawned processes; either way they take
-their target slot through ``_target_leg``, like every other op.
+it at finish (``op_metrics`` is a view of those rows); when a tracer is
+installed, the finish also emits the op's one ``rpc`` span.  One method,
+``_call``, decides how every op launches: a *bare* client (no stage)
+launches the body without building a Request at all, traced or not; any
+other client wraps it in one for its stages.  A multi-op runs each sub-op
+on a driver of its own.  The per-shard legs (``_shard_io``) run inline or
+as spawned processes; either way they take their target slot through
+``_target_leg``, like every other op.
 
 Connection/handle caching follows the paper (§5.2: "Pool and container
 connections in a process are cached"): repeated ``container_open`` calls for
@@ -61,13 +61,13 @@ from repro.daos.payload import BytesPayload, Payload
 from repro.daos.placement import shard_layout
 from repro.daos.pool import Pool
 from repro.daos.rpc import (
+    DATA_OPS,
     FaultInjectionMiddleware,
     Middleware,
     OpStats,
     PoolMapRefreshMiddleware,
     Request,
     RetryMiddleware,
-    TracingMiddleware,
     compose_chain,
 )
 from repro.daos.system import DaosSystem
@@ -92,11 +92,12 @@ _DKEY_HASH_CACHE_BOUND = 1 << 16
 def default_middleware(config) -> List[Middleware]:
     """The standard stages for a :class:`DaosServiceConfig`, outermost first.
 
-    Metrics is not a stage: the driver counts an op when it launches and
-    observes it when it finishes, outside every stage, so an op counts once
-    and its latency covers retries.  Retry wraps tracing (each attempt gets
-    its own span); fault injection sits innermost, directly in front of the
-    op body.
+    Neither metrics nor tracing is a stage: the driver counts an op when it
+    launches and observes and traces it when it finishes, outside every
+    stage, so an op counts once and its latency and span cover retries.
+    Fault injection sits innermost, directly in front of the op body.  With
+    neither fault injection nor health on the list is empty: the client is
+    bare.
     """
     chain: List[Middleware] = []
     fault = config.fault_injection
@@ -108,17 +109,9 @@ def default_middleware(config) -> List[Middleware]:
         chain.append(PoolMapRefreshMiddleware())
     if fault.enabled and config.retry.max_attempts > 1:
         chain.append(RetryMiddleware(config.retry))
-    chain.append(TracingMiddleware())
     if fault.enabled:
         chain.append(FaultInjectionMiddleware(fault))
     return chain
-
-
-#: The composed chain of every default client whose config enables neither
-#: fault injection nor health, i.e. whose stages are tracing alone.  Tracing
-#: keeps no per-client state, so those clients share this one chain: an IOR
-#: wave builds one client per rank and composes nothing per client.
-_BARE_CHAIN = compose_chain([TracingMiddleware()])
 
 
 class _FastDriver(Process):
@@ -137,7 +130,9 @@ class _FastDriver(Process):
 
     Only :meth:`_finish` differs: the driver observes the op's latency and
     bytes on the op-table row ``_launch`` opened for it (its column and the
-    client's slot), and finishes
+    client's slot), emits the op's ``rpc`` span when a tracer is installed
+    (one per launched op, from launch to finish, every retry inside), and
+    finishes
     *synchronously* inside the final event's callback slot — no completion
     event travels through the queue, so the caller resumes at the same
     ``(time, seq)`` boundary a ``yield from`` of the body would resume at.
@@ -172,9 +167,22 @@ class _FastDriver(Process):
         self._start = 0.0
 
     def _finish(self, value, error: Optional[BaseException]) -> None:
-        """Observe the op, then complete synchronously (no queue round trip)."""
+        """Observe (and trace) the op, then complete synchronously (no queue
+        round trip)."""
         sim = self.sim
-        self._column.observe(self._slot, sim._now - self._start, self._nbytes, error is None)
+        column = self._column
+        column.observe(self._slot, sim._now - self._start, self._nbytes, error is None)
+        if sim.tracer is not None:
+            op = column.op
+            sim.record(
+                "rpc",
+                op=op,
+                op_kind="data" if op in DATA_OPS else "metadata",
+                nbytes=self._nbytes,
+                start=self._start,
+                end=sim._now,
+                status="ok" if error is None else type(error).__name__,
+            )
         if error is None:
             self._ok = True
             self._value = value
@@ -216,7 +224,7 @@ class DaosClient:
     __slots__ = (
         "system", "address", "sim", "net", "fabric", "provider", "_message_latency",
         "config", "_container_cache", "_slot", "container_open_cached", "faults_injected",
-        "map_refreshes", "_health", "_map_view", "_middleware", "_bare", "_chain",
+        "map_refreshes", "_health", "_map_view", "_middleware", "_chain",
     )
 
     def __init__(
@@ -258,19 +266,13 @@ class DaosClient:
         shared = middleware is None
         if shared:
             middleware = default_middleware(self.config)
-        #: No stage but tracing.  While no tracer is installed (checked per
-        #: call: installing one mid-run takes effect at the next op) the
-        #: chain would add nothing, so :meth:`_call` launches every op body
-        #: directly instead of building a Request for it.
-        self._bare = len(middleware) == 1 and type(middleware[0]) is TracingMiddleware
-        if shared and self._bare:
-            #: The stage list; ``None`` on a shared-chain client until
-            #: :attr:`middleware` is read (an IOR wave never reads it).
-            self._middleware = None
-            self._chain = _BARE_CHAIN
-        else:
-            self._middleware = middleware
-            self._chain = compose_chain(middleware)
+        #: The stage list; ``None`` on a default client with no stage until
+        #: :attr:`middleware` is read (an IOR wave never reads it).
+        self._middleware = None if shared and not middleware else middleware
+        #: The composed stages, or ``None`` on a *bare* client (no stage):
+        #: :meth:`_call` then launches every op body directly instead of
+        #: building a Request for it, and a submitted Request runs its body.
+        self._chain = compose_chain(middleware) if middleware else None
 
     @property
     def op_metrics(self) -> Dict[str, OpStats]:
@@ -337,22 +339,21 @@ class DaosClient:
         return driver
 
     def _launch_request(self, request: Request) -> _FastDriver:
-        """Launch ``request`` through the client's stages on a pooled driver."""
-        return self._launch(request.op, self._chain(self, request), request.nbytes)
+        """Launch ``request`` through the client's stages (a bare client:
+        its body) on a pooled driver."""
+        chain = self._chain
+        legs = request.body() if chain is None else chain(self, request)
+        return self._launch(request.op, legs, request.nbytes)
 
-    def _call(self, op: str, body, args: tuple, nbytes: int = 0, target=None) -> _FastDriver:
+    def _call(self, op: str, body, args: tuple, nbytes: int = 0) -> _FastDriver:
         """Launch the op body ``body(*args)``: the one bare-or-staged decision.
 
-        A bare client with no tracer installed launches the body directly;
-        any other client wraps it in a :class:`Request` and runs it through
-        its stages.  ``target`` is a zero-argument callable returning the
-        op's routing target, called only when the Request is built.
+        A bare client launches the body directly; any other client wraps it
+        in a :class:`Request` and runs it through its stages.
         """
-        if self._bare and self.sim.tracer is None:
+        if self._chain is None:
             return self._launch(op, body(*args), nbytes)
-        return self._launch_request(
-            Request(op, lambda: body(*args), target() if target else None, nbytes)
-        )
+        return self._launch_request(Request(op, lambda: body(*args), nbytes))
 
     def eq_create(self, name: str = "eq") -> EventQueue:
         """A fresh event queue for asynchronous submissions (``daos_eq_create``)."""
@@ -378,7 +379,6 @@ class DaosClient:
         return Request(
             op=op,
             body=lambda: self._do_multi(subs),
-            target=subs[0].target if subs else None,
             nbytes=sum(request.nbytes for request in subs),
             subrequests=subs,
         )
@@ -671,9 +671,7 @@ class DaosClient:
         kv = container.get_or_create_kv(oid, oclass)
         if kv.lock is None:
             self.system.register_object(kv, oclass, container_salt=container.uuid.int)
-        return (
-            yield self._call("kv_open", self._do_kv_open, (kv,), 0, lambda: self._lead_target(kv))
-        )
+        return (yield self._call("kv_open", self._do_kv_open, (kv,)))
 
     def _do_kv_open(self, kv: KeyValueObject):
         yield self._message_latency
@@ -685,7 +683,6 @@ class DaosClient:
         return Request(
             op="kv_put",
             body=lambda: self._do_kv_put(kv, key, value),
-            target=self._key_target(kv, key),
             nbytes=len(value),
         )
 
@@ -696,12 +693,7 @@ class DaosClient:
         time), which is the mechanism behind the paper's shared-index-KV
         contention (§5.2, Fig 4).
         """
-        return (
-            yield self._call(
-                "kv_put", self._do_kv_put, (kv, key, value), len(value),
-                lambda: self._key_target(kv, key),
-            )
-        )
+        return (yield self._call("kv_put", self._do_kv_put, (kv, key, value), len(value)))
 
     def _kv_write_targets(self, kv: KeyValueObject, key: bytes) -> List[int]:
         """Targets a dkey update must service: every live replica.
@@ -759,10 +751,7 @@ class DaosClient:
 
     def kv_get(self, kv: KeyValueObject, key: bytes):
         """Look up a key; raises :class:`KeyNotFoundError` if absent."""
-        value = yield self._call(
-            "kv_get", self._do_kv_get_or_none, (kv, key), 0,
-            lambda: self._key_target(kv, key),
-        )
+        value = yield self._call("kv_get", self._do_kv_get_or_none, (kv, key))
         if value is None:
             raise KeyNotFoundError(f"key {key!r} not found")
         return value
@@ -771,7 +760,6 @@ class DaosClient:
         return Request(
             op="kv_get",
             body=lambda: self._do_kv_get_or_none(kv, key),
-            target=self._key_target(kv, key),
         )
 
     def kv_get_or_none(self, kv: KeyValueObject, key: bytes):
@@ -781,12 +769,7 @@ class DaosClient:
         service time — VOS dkey-tree descent on a hot shared object is what
         bends the Fig 4 read curves.
         """
-        return (
-            yield self._call(
-                "kv_get", self._do_kv_get_or_none, (kv, key), 0,
-                lambda: self._key_target(kv, key),
-            )
-        )
+        return (yield self._call("kv_get", self._do_kv_get_or_none, (kv, key)))
 
     def _do_kv_get_or_none(self, kv: KeyValueObject, key: bytes):
         yield self._message_latency
@@ -809,9 +792,7 @@ class DaosClient:
 
     def kv_list(self, kv: KeyValueObject):
         """Enumerate all keys (paged enumeration, one service charge per page)."""
-        return (
-            yield self._call("kv_list", self._do_kv_list, (kv,), 0, lambda: self._lead_target(kv))
-        )
+        return (yield self._call("kv_list", self._do_kv_list, (kv,)))
 
     def _do_kv_list(self, kv: KeyValueObject):
         page_size = self.config.kv_list_page_size
@@ -831,12 +812,7 @@ class DaosClient:
 
     def kv_remove(self, kv: KeyValueObject, key: bytes):
         """Remove a key (same serialisation as a put)."""
-        return (
-            yield self._call(
-                "kv_remove", self._do_kv_remove, (kv, key), 0,
-                lambda: self._key_target(kv, key),
-            )
-        )
+        return (yield self._call("kv_remove", self._do_kv_remove, (kv, key)))
 
     def _do_kv_remove(self, kv: KeyValueObject, key: bytes):
         yield self._message_latency
@@ -861,12 +837,7 @@ class DaosClient:
         array = container.get_or_create_array(oid, oclass)
         if array.lock is None:
             self.system.register_object(array, oclass, container_salt=container.uuid.int)
-        return (
-            yield self._call(
-                "array_create", self._do_array_create, (container, array), 0,
-                lambda: self._lead_target(array),
-            )
-        )
+        return (yield self._call("array_create", self._do_array_create, (container, array)))
 
     def _do_array_create(self, container: Container, array: ArrayObject):
         yield self._message_latency
@@ -882,12 +853,7 @@ class DaosClient:
         array = container.get_object(oid)
         if not isinstance(array, ArrayObject):
             raise InvalidArgumentError(f"object {oid} is not an Array")
-        return (
-            yield self._call(
-                "array_open", self._do_array_open, (container, array), 0,
-                lambda: self._lead_target(array),
-            )
-        )
+        return (yield self._call("array_open", self._do_array_open, (container, array)))
 
     def _do_array_open(self, container: Container, array: ArrayObject):
         yield self._message_latency
@@ -900,12 +866,7 @@ class DaosClient:
 
     def array_close(self, array: ArrayObject):
         """Close an array handle (flush + release)."""
-        return (
-            yield self._call(
-                "array_close", self._do_array_close, (array,), 0,
-                lambda: self._lead_target(array),
-            )
-        )
+        return (yield self._call("array_close", self._do_array_close, (array,)))
 
     def _do_array_close(self, array: ArrayObject):
         yield from self._target_leg(
@@ -915,12 +876,7 @@ class DaosClient:
 
     def array_get_size(self, array: ArrayObject):
         """Query the array size (a lead-target RPC)."""
-        return (
-            yield self._call(
-                "array_get_size", self._do_array_get_size, (array,), 0,
-                lambda: self._lead_target(array),
-            )
-        )
+        return (yield self._call("array_get_size", self._do_array_get_size, (array,)))
 
     def _do_array_get_size(self, array: ArrayObject):
         yield self._message_latency
@@ -938,12 +894,7 @@ class DaosClient:
         accounting can never go negative even for arrays written through
         several versions.
         """
-        return (
-            yield self._call(
-                "array_punch", self._do_array_punch, (container, array, pool), 0,
-                lambda: self._lead_target(array),
-            )
-        )
+        return (yield self._call("array_punch", self._do_array_punch, (container, array, pool)))
 
     def _do_array_punch(
         self, container: Container, array: ArrayObject, pool: Optional[Pool]
@@ -968,10 +919,7 @@ class DaosClient:
         Truncation refunds the discarded bytes to the pool when one is given.
         """
         return (
-            yield self._call(
-                "array_set_size", self._do_array_set_size, (array, size, pool), 0,
-                lambda: self._lead_target(array),
-            )
+            yield self._call("array_set_size", self._do_array_set_size, (array, size, pool))
         )
 
     def _do_array_set_size(self, array: ArrayObject, size: int, pool: Optional[Pool]):
@@ -1131,7 +1079,6 @@ class DaosClient:
         return Request(
             op="array_write",
             body=lambda: self._do_array_write(array, offset, payload, pool),
-            target=self._lead_target(array),
             nbytes=payload.size,
         )
 
@@ -1153,8 +1100,7 @@ class DaosClient:
             payload = BytesPayload(bytes(payload))
         return (
             yield self._call(
-                "array_write", self._do_array_write, (array, offset, payload, pool),
-                payload.size, lambda: self._lead_target(array),
+                "array_write", self._do_array_write, (array, offset, payload, pool), payload.size
             )
         )
 
@@ -1174,10 +1120,7 @@ class DaosClient:
     def array_read(self, array: ArrayObject, offset: int, length: int):
         """Read ``[offset, offset+length)``; concurrent reads share the lock."""
         return (
-            yield self._call(
-                "array_read", self._do_array_read, (array, offset, length), length,
-                lambda: self._lead_target(array),
-            )
+            yield self._call("array_read", self._do_array_read, (array, offset, length), length)
         )
 
     def _do_array_read(self, array: ArrayObject, offset: int, length: int):

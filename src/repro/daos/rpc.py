@@ -1,7 +1,7 @@
 """The explicit RPC layer of the DAOS client: requests, completions, middleware.
 
 A :class:`~repro.daos.client.DaosClient` operation is materialised as a
-:class:`Request` — op kind, target, payload size, and a *re-invocable* body
+:class:`Request` — op kind, payload size, and a *re-invocable* body
 generator — and run through a chain of :class:`Middleware` stages around
 the body.  This mirrors the request pipeline of the real DAOS client
 library (``daos_rpc``/CaRT), where every API call builds an RPC descriptor
@@ -9,8 +9,6 @@ that passes through registered callbacks on its way to the wire.
 
 The middleware chain is where cross-cutting concerns live:
 
-* :class:`TracingMiddleware` — structured spans into the simulator's
-  :class:`~repro.simulation.trace.Tracer` (no-op unless tracing is enabled);
 * :class:`FaultInjectionMiddleware` — deterministic, seeded fault schedule
   raising :class:`~repro.daos.errors.SimulatedFaultError` *before* the body
   executes, so injected failures never leave partial state behind;
@@ -20,27 +18,30 @@ The middleware chain is where cross-cutting concerns live:
   request body (possible precisely because a Request carries a factory, not
   a generator instance).
 
-Op counts and latencies are not a stage: the client's op driver keeps them
-(``DaosClient._launch``), outside every stage, so an op counts once and its
-latency covers every retry.  A multi-op's sub-ops each run on a driver of
-their own, so they are counted the same way.  They live in the system's
-:class:`OpTable` -- one :class:`OpColumn` of typed rows per op kind, one
-row per client slot -- not in per-client objects: ``client.op_metrics`` is
-a fresh ``{op: OpStats}`` view of the client's rows, and the stages that
-count retries and injected faults write through ``client.tally_op``.
+Op counts, latencies and ``rpc`` spans are not stages: the client's op
+driver keeps them (``DaosClient._launch`` and ``_FastDriver._finish``),
+outside every stage, so an op counts once and its latency and span cover
+every retry.  A multi-op's sub-ops and every event-queue submission each
+run on a driver of their own, so they are counted and traced the same way.
+Counts live in the system's :class:`OpTable` -- one :class:`OpColumn` of
+typed rows per op kind, one row per client slot -- not in per-client
+objects: ``client.op_metrics`` is a fresh ``{op: OpStats}`` view of the
+client's rows, and the stages that count retries and injected faults write
+through ``client.tally_op``.  The stages still mark each attempt with
+``rpc_retry``, ``rpc_fault`` and ``rpc_map_refresh`` records.
 
 A ``Request.body`` and every stage's ``handle`` speak the *leg dialect*
 of every simulation process: ``yield <float>`` is a delay, ``yield
 <Event>`` a wait, ``yield <Gate>`` a claim.  The composed chain is one generator the client's
 pooled driver, a :class:`~repro.simulation.process.Process`, runs
 (``DaosClient._launch_request``).  Whether an op becomes a Request at all
-is decided in one place, ``DaosClient._call``: a bare client (tracing
-alone, no tracer installed) runs every op body on the same interpreter
-without one.
+is decided in one place, ``DaosClient._call``: a bare client (no stage)
+runs every op body on the same interpreter without one, traced or not.
 
-The default stages (tracing, disabled) add no simulated events, so the
-blocking call path stays bit-identical to the pre-RPC-layer client — the
-golden digests in ``tests/bench/test_determinism.py`` are the contract.
+A default client has no stage unless fault injection or health is on, and
+tracing adds no simulated events, so the blocking call path stays
+bit-identical to the pre-RPC-layer client — the golden digests in
+``tests/bench/test_determinism.py`` are the contract.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ __all__ = [
     "OpColumn",
     "OpTable",
     "Middleware",
-    "TracingMiddleware",
     "FaultInjectionMiddleware",
     "PoolMapRefreshMiddleware",
     "RetryMiddleware",
@@ -88,7 +88,7 @@ DATA_OPS = frozenset({"array_write", "array_read"})
 
 @dataclass(slots=True)
 class Request:
-    """One client RPC: op kind, routing hints, and a re-invocable body.
+    """One client RPC: op kind, payload size, and a re-invocable body.
 
     ``body`` is a zero-argument factory returning a *fresh* generator that
     performs the op when driven — retry middleware re-invokes it, so bodies
@@ -97,9 +97,6 @@ class Request:
 
     op: str
     body: Callable[[], Generator]
-    #: Lead/servicing target index when known at build time (``None`` for
-    #: pool-service ops, which have no target).
-    target: Optional[int] = None
     #: Payload bytes moved by the op (0 for pure metadata RPCs).
     nbytes: int = 0
     #: For a vectorized multi-op submit (``DaosClient.request_multi``):
@@ -108,15 +105,6 @@ class Request:
     #: tuple — QoS admission, for one, meters a token per covered sub-op
     #: so batching cannot launder rate limits.
     subrequests: Optional[tuple] = None
-
-    @property
-    def is_data(self) -> bool:
-        return self.op in DATA_OPS
-
-    @property
-    def kind(self) -> str:
-        """``"data"`` or ``"metadata"`` — the §6.3.1 op taxonomy."""
-        return "data" if self.is_data else "metadata"
 
 
 @dataclass(slots=True)
@@ -228,6 +216,8 @@ _FRESH_TIMES = array("d", (0.0, float("inf"), 0.0))
 class OpColumn:
     """One op kind's accumulators, one row per client slot in ``[base, stop)``.
 
+    ``op`` names the kind (the driver's ``rpc`` span reads it from here).
+
     Row ``slot - base`` of ``counts`` (``array('q')``, five per row) and of
     ``times`` (``array('d')``, three per row) holds that slot's eight
     :class:`OpStats` fields.  A row whose ``count`` is -1 is *absent*: the
@@ -235,9 +225,10 @@ class OpColumn:
     op, and the slot's view leaves it out.
     """
 
-    __slots__ = ("base", "stop", "counts", "times")
+    __slots__ = ("op", "base", "stop", "counts", "times")
 
-    def __init__(self) -> None:
+    def __init__(self, op: str) -> None:
+        self.op = op
         self.base = self.stop = 0
         self.counts = array("q")
         self.times = array("d")
@@ -304,7 +295,7 @@ class OpTable(dict):
         self.n_slots = 0
 
     def __missing__(self, op: str) -> OpColumn:
-        column = self[op] = OpColumn()
+        column = self[op] = OpColumn(op)
         return column
 
     def tally(self, op: str, slot: int, field: str) -> None:
@@ -350,70 +341,10 @@ class Middleware:
     ``handle`` is a leg-dialect generator the client's op driver runs;
     ``call`` invokes the rest of the chain (terminating at
     ``request.body()``) and may be invoked more than once (retries).
-
-    ``bind`` is the composition hook: it folds this middleware over the
-    next handler and returns the callable the chain invokes per request.
-    Middlewares that can decide *per call* that they have nothing to do
-    (e.g. tracing while no tracer is installed) override it to return the
-    inner generator directly, adding zero frames to the hot path.
     """
 
     def handle(self, client: "DaosClient", request: Request, call):
         result = yield from call(client, request)
-        return result
-
-    def bind(self, nxt) -> Callable[["DaosClient", Request], Generator]:
-        def handler(client: "DaosClient", request: Request) -> Generator:
-            return self.handle(client, request, nxt)
-
-        return handler
-
-
-class TracingMiddleware(Middleware):
-    """Emits one ``rpc`` span per attempt into the simulator's tracer.
-
-    Free when tracing is disabled: ``bind`` checks ``tracer is None`` per
-    call and delegates straight to the rest of the chain without inserting
-    a generator frame of its own.
-    """
-
-    def bind(self, nxt) -> Callable[["DaosClient", Request], Generator]:
-        handle = self.handle
-
-        def handler(client: "DaosClient", request: Request) -> Generator:
-            if client.sim.tracer is None:
-                return nxt(client, request)
-            return handle(client, request, nxt)
-
-        return handler
-
-    def handle(self, client: "DaosClient", request: Request, call):
-        sim = client.sim
-        start = sim.now
-        try:
-            result = yield from call(client, request)
-        except BaseException as exc:
-            sim.record(
-                "rpc",
-                op=request.op,
-                op_kind=request.kind,
-                target=request.target,
-                nbytes=request.nbytes,
-                start=start,
-                end=sim.now,
-                status=type(exc).__name__,
-            )
-            raise
-        sim.record(
-            "rpc",
-            op=request.op,
-            op_kind=request.kind,
-            target=request.target,
-            nbytes=request.nbytes,
-            start=start,
-            end=sim.now,
-            status="ok",
-        )
         return result
 
 
@@ -453,9 +384,7 @@ class FaultInjectionMiddleware(Middleware):
         if under_cap and self._faults(client, request, sequence):
             client.faults_injected += 1
             client.tally_op(request.op, "faults_injected")
-            client.sim.record(
-                "rpc_fault", op=request.op, target=request.target, sequence=sequence
-            )
+            client.sim.record("rpc_fault", op=request.op, sequence=sequence)
             yield client._message_latency  # the round trip that never completed
             raise SimulatedFaultError(
                 f"injected fault on {request.op} (sequence {sequence})"
@@ -538,7 +467,10 @@ def compose_chain(
     def terminal(client: "DaosClient", request: Request) -> Generator:
         return request.body()
 
+    def link(handle, call) -> Callable[["DaosClient", Request], Generator]:
+        return lambda client, request: handle(client, request, call)
+
     handler = terminal
     for middleware in reversed(middlewares):
-        handler = middleware.bind(handler)
+        handler = link(middleware.handle, handler)
     return handler

@@ -37,7 +37,6 @@ from repro.config import ClusterConfig, DaosServiceConfig, HealthConfig
 from repro.daos.errors import ServiceBusyError
 from repro.daos.health import seeded_failure_schedule
 from repro.daos.objclass import object_class_by_name
-from repro.daos.rpc import TracingMiddleware
 from repro.experiments.common import (
     ExperimentResult,
     GridSpec,
@@ -210,16 +209,9 @@ def cycle_point(
             client, pool, kv_oclass=storage_oclass, array_oclass=storage_oclass
         )
 
-    reader_chain = (
-        None if qos is None
-        else lambda: [qos, TracingMiddleware()]
-    )
     writer_ios = [make_fieldio(i) for i in range(n_writers)]
     reader_ios = [
-        make_fieldio(
-            n_writers + i,
-            middleware=reader_chain() if reader_chain else None,
-        )
+        make_fieldio(n_writers + i, middleware=None if qos is None else [qos])
         for i in range(n_readers)
     ]
 

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.daos.errors import InvalidArgumentError, ServiceBusyError
 from repro.daos.objclass import OC_RP_2G1, OC_RP_3G1, ObjectClass
 from repro.daos.payload import Payload
-from repro.daos.rpc import TracingMiddleware
 from repro.fdb.fieldio import FieldIO
 from repro.fdb.key import FieldKey
 from repro.fdb.request import Request
@@ -179,9 +178,7 @@ class Gateway:
             addresses = self._worker_addresses()
         workers = []
         for address in addresses:
-            middleware = None
-            if qos is not None:
-                middleware = [qos, TracingMiddleware()]
+            middleware = None if qos is None else [qos]
             client = self.system.make_client(address, middleware=middleware)
             workers.append(FieldIO(client, self.pool, schema=self.schema))
         self._tenants[name] = _Tenant(workers=workers, qos=qos)

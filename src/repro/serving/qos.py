@@ -104,7 +104,7 @@ class TokenBucket:
 class QosAdmissionMiddleware(Middleware):
     """Token-bucket admission + queue-depth shedding for one tenant.
 
-    Installed in front of tracing in each worker client's stages;
+    Installed as the one stage of each worker client;
     ops outside ``ops`` (when given) pass through untouched, so the
     gateway meters one token per *field read* by covering only the index
     lookup (``kv_get``) — shedding happens before any bulk array work.

@@ -275,7 +275,7 @@ def test_metadata_overload_error_from_the_one_mds_leg(launch):
     assert system.fast_drivers
     assert all(driver._generator is None for driver in system.fast_drivers)
     assert cluster.sim.pending == 0
-    assert all(client._bare == (launch == "driver") for client in clients)
+    assert all((client._chain is None) == (launch == "driver") for client in clients)
     if launch == "driver":
         assert outcomes.count("overload") == rejected > 0 == retried
     else:

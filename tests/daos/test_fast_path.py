@@ -2,11 +2,15 @@
 
 Every op has a single leg-dialect body (``DaosClient._do_*``) that runs on
 a pooled ``_FastDriver``, and ``DaosClient._call`` picks how it launches:
-bare (no stage but tracing, no tracer installed; no op builds a Request)
-or as a Request inside the client's middleware stages.  Which
-launch runs it, and whether a free grant is taken inline or queued as a
-wake, must never show in the outcome: the same bits -- event
-timings, return values, per-op metrics, final clock, ``rpc`` spans.
+bare (no stage; no op builds a Request, whether or not a tracer is
+installed) or as a Request inside the client's middleware stages.  Which
+launch runs it, whether a free grant is taken inline or queued as a wake,
+and whether a tracer watches, must never show in the outcome: the same bits
+-- event timings, return values, per-op metrics, final clock.  The driver
+emits one ``rpc`` span per launched op (sub-ops of a multi-op and
+event-queue submissions included), so a traced run's span stream is pinned
+apart from its outcome: every traced scenario's span-free digest equals its
+untraced twin's golden.
 
 The reference timelines are frozen below as SHA-256 goldens.  The first
 seven were recorded at the last commit that still carried the Event-dialect
@@ -21,13 +25,16 @@ shared by every client so that it delays and sheds, and a data-plane storm
 event-queue submissions) under each middleware configuration.  Each
 scenario is checked as configured, on the request path where a plain one
 launches bare (a pass-through middleware forces the Request), and again
-with every grant forced through the event queue as a queued wake.  At the end of every
-scenario no op is in flight, so every driver is back on its free-list and
-nothing is left queued.
+with every grant forced through the event queue as a queued wake, and
+with a tracer installed from the start.  At the end of every scenario no op
+is in flight, so every driver is back on its free-list and nothing is left
+queued.
 """
 
 import dataclasses
 import hashlib
+from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -39,7 +46,7 @@ from repro.daos.locks import RWLock
 from repro.daos.objclass import OC_RP_2G1, OC_S1, OC_SX
 from repro.daos.oid import ObjectId
 from repro.daos.payload import PatternPayload
-from repro.daos.rpc import Middleware, Request, TracingMiddleware
+from repro.daos.rpc import DATA_OPS, Middleware
 from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
 from repro.simulation.events import Event, Timeout
 from repro.simulation.resources import Resource
@@ -61,7 +68,10 @@ FAILURES = (SimulatedFaultError, TargetDownError)
 #: sha256 of each scenario's fingerprint (``_digest``).  The first seven
 #: were frozen at the parent of the commit that deleted the
 #: ``_do_*``/``_fast_*`` twins; the rest at the parent of the commit that
-#: made ``_FastDriver`` the only interpreter.
+#: made ``_FastDriver`` the only interpreter.  The two traced scenarios'
+#: digests also cover their ``rpc`` spans; their span part was re-recorded
+#: when the span moved from a middleware stage onto the op driver (one span
+#: per op rather than per attempt, sub-ops traced, no ``target`` field).
 GOLDEN = {
     "plain-daos": "2450c9f3293abd2172939197346f3906bf3836fd912baf91a2dc14496471b69a",
     "plain-posixfs": "3dc6f70385396466f5638873ec71c4726c1ff8119293feb429b4c8ce29a0de07",
@@ -69,7 +79,7 @@ GOLDEN = {
     "retry_fault": "6ae69be97189cf30810279973bd954e5414bc5afa86b47c4bf12830c4c77aa66",
     "qos-daos": "2450c9f3293abd2172939197346f3906bf3836fd912baf91a2dc14496471b69a",
     "qos-posixfs": "3dc6f70385396466f5638873ec71c4726c1ff8119293feb429b4c8ce29a0de07",
-    "mid_run_tracer": "5478cce516a8438c1b89d51798e6eae01b36e4a3820ad7c0ef33f81713549881",
+    "mid_run_tracer": "95fea5668b2c7a2b10044f14b7ab2479ac542deb04048383bc6094218c2d2402",
     "health_failure": "ef62a9e469b770f16666b9d7f6796f14d3a030b0e4ce1ae149eac7f5b1fe83f6",
     "qos_shared": "becf8ee5eeccf49a3e20295ac87109a38e1f97a9c395bb9772f565259953f2d4",
     "data-plain-daos": "52d3b6683e4833a2d643040ab9ed122bfcc77a0b774e5cc41f20cda6a66c93f1",
@@ -77,8 +87,11 @@ GOLDEN = {
     "data-retry_fault": "abdc2fdf21911f41605e7e9727aafdf6bee90dcbaa55446b711a36fd70b8731d",
     "data-health_failure": "1c383a0cbf982fb8dd0d224690d36954fab2596e54b120d03efe5fafd352f50f",
     "data-qos_shared": "ede0adc42d7e33397c1ffae35465b0cf1cfd1978fb11bc62c1304d0c10c90944",
-    "data-traced_retry_fault": "1eea5d9358cbce48ce662efac87e9368154f5bdd11ecc5738d8b7686977f7954",
+    "data-traced_retry_fault": "6ee06326c8a8a7de9079c85457e2bcf788b5bd9b160080cf8b59bb305753d3b6",
 }
+#: The traced scenarios and their untraced twins: tracing must not move a
+#: bit of the outcome, so a traced run's span-free digest is the twin's.
+TWIN = {"mid_run_tracer": "plain-daos", "data-traced_retry_fault": "data-retry_fault"}
 
 
 def _fingerprint(sim, clients, trajectory, results, shared_kv):
@@ -111,16 +124,21 @@ def _clients(system, cluster, chain_factory):
     ]
 
 
-def _run_storm(backend="daos", config=None, chain_factory=None, mid_run_hook=None):
+def _run_storm(
+    backend="daos", config=None, chain_factory=None, start_hook=None, mid_run_hook=None
+):
     """One deterministic metadata storm; returns its fingerprint, system and clients.
 
     ``chain_factory(system)`` builds a middleware list per client (None =
-    the client default).  ``mid_run_hook(sim)`` fires from inside rank 0
-    halfway through its ops (used to install a tracer mid-run).
+    the client default).  ``start_hook(sim)`` runs before the first op, and
+    ``mid_run_hook(sim)`` fires from inside rank 0 halfway through its ops
+    (both used to install a tracer).
     """
     config = config or ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=5)
     cluster, system, pool = build_deployment(config, backend=backend)
     sim = cluster.sim
+    if start_hook is not None:
+        start_hook(sim)
     clients = _clients(system, cluster, chain_factory)
 
     def bootstrap():
@@ -323,20 +341,19 @@ def _qos_chain(system):
             QosPolicy(rate=5000.0, burst=2.0, max_queue_depth=1),
             ops=("kv_get",),
         ),
-        TracingMiddleware(),
     ]
 
 
 def _shared_qos_chain(policy, ops):
     """A chain factory whose clients all meter against one admission object."""
     qos = QosAdmissionMiddleware("tenant", policy, ops=ops)
-    return lambda system: [qos, TracingMiddleware()]
+    return lambda system: [qos]
 
 
 def _pass_through_chain(system):
-    """The default stages plus a do-nothing middleware: same timeline, but
-    no longer bare, so every op is launched as a Request through them."""
-    return [Middleware(), TracingMiddleware()]
+    """One do-nothing middleware: same timeline, but no longer bare, so
+    every op is launched as a Request through it."""
+    return [Middleware()]
 
 
 def _health(at):
@@ -385,7 +402,7 @@ def _scenario(name):
             )
         )
     if kind == "pool_map_refresh":
-        # Health-enabled stages: [refresh, tracing].
+        # Health-enabled stages: [refresh].
         health = dataclasses.replace(ClusterConfig().daos.health, enabled=True)
         return dict(config=_config(n_server_nodes=2, health=health))
     if kind == "health_failure":
@@ -393,7 +410,7 @@ def _scenario(name):
         # rejected, refetch the map, and retry or surface the loss.
         return dict(config=_config(n_server_nodes=2, health=_health(0.006)))
     if kind == "retry_fault":
-        # Faulty stages: [retry, tracing, fault].
+        # Faulty stages: [retry, fault].
         return dict(config=_config(fault_injection=fault))
     assert kind == "mid_run_tracer"
     return {}
@@ -405,8 +422,23 @@ def _assert_pooled(system):
     assert system.cluster.sim.pending == 0
 
 
-def _run(name, **overrides):
-    """Run scenario ``name``; returns ``(digest, system, clients, rpc spans)``.
+class _Outcome(NamedTuple):
+    #: The scenario's digest: its fingerprint and, on a traced scenario
+    #: (``TWIN``), its ``rpc`` spans -- the ``GOLDEN`` value.
+    digest: str
+    #: The fingerprint alone: on a traced run, the untraced twin's golden.
+    untraced: str
+    system: object
+    clients: list
+    #: Every trace record of the run (empty when no tracer was installed).
+    records: list
+    #: When the tracer was installed (``None``: never).
+    traced_from: object
+
+
+def _run(name, trace=False, **overrides) -> _Outcome:
+    """Run scenario ``name``; ``trace=True`` installs a tracer from the
+    start on an untraced one (its digest stays span-free).
 
     Also the leak rail: every op has completed, so each launch's driver is
     back on the free-list with no body and no wake is left queued -- and
@@ -416,22 +448,52 @@ def _run(name, **overrides):
 
     def install(sim):
         sim.tracer = Tracer()
-        tracers.append(sim.tracer)
+        tracers.append((sim.now, sim.tracer))
 
     kwargs = {**_scenario(name), **overrides}
     storm = kwargs.pop("storm", _run_storm)
     if name == "mid_run_tracer":
         kwargs["mid_run_hook"] = install
-    if name.endswith("traced_retry_fault"):
+    elif trace or name in TWIN:
         kwargs["start_hook"] = install
     fingerprint, system, clients = storm(**kwargs)
     _assert_pooled(system)
+    records = [record for _, tracer in tracers for record in tracer]
     spans = [
-        (s.time.hex(), s.kind, sorted(s.fields.items()))
-        for tracer in tracers
-        for s in tracer.filter("rpc")
+        (s.time.hex(), s.kind, sorted(s.fields.items())) for s in records if s.kind == "rpc"
     ]
-    return _digest(fingerprint, spans), system, clients, spans
+    return _Outcome(
+        _digest(fingerprint, spans if name in TWIN else []),
+        _digest(fingerprint, []),
+        system,
+        clients,
+        records,
+        tracers[0][0] if tracers else None,
+    )
+
+
+def _assert_one_span_per_op(records, clients):
+    """Every launched op -- sub-ops and event-queue submissions included --
+    has exactly one ``rpc`` span, and every retry and injected fault one
+    record: the span stream counts what the op table counts."""
+    spans = [record for record in records if record.kind == "rpc"]
+    kinds = Counter(record.kind for record in records)
+    launched, failed = Counter(), Counter()
+    retries = faults = 0
+    for client in clients:
+        for op, entry in client.op_metrics.items():
+            launched[op] += entry.count
+            failed[op] += entry.errors
+            retries += entry.retries
+            faults += entry.faults_injected
+    assert Counter(span["op"] for span in spans) == launched
+    assert Counter(span["op"] for span in spans if span["status"] != "ok") == +failed
+    assert kinds["rpc_retry"] + kinds["rpc_map_refresh"] == retries
+    assert kinds["rpc_fault"] == faults
+    for span in spans:
+        assert span["start"] <= span["end"] == span.time
+        assert span["op_kind"] == ("data" if span["op"] in DATA_OPS else "metadata")
+        assert set(span.fields) == {"op", "op_kind", "nbytes", "start", "end", "status"}
 
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
@@ -440,26 +502,26 @@ def test_plain_chain_identity(backend):
     a pass-through middleware sends the same bodies through
     ``_launch_request``."""
     name = f"plain-{backend}"
-    bare, _, clients, _ = _run(name)
-    assert all(client._bare for client in clients)
-    on_request, _, clients, _ = _run(name, chain_factory=_pass_through_chain)
-    assert not any(client._bare for client in clients)
-    assert bare == on_request == GOLDEN[name]
+    bare = _run(name)
+    assert all(client._chain is None for client in bare.clients)
+    on_request = _run(name, chain_factory=_pass_through_chain)
+    assert all(client._chain is not None for client in on_request.clients)
+    assert bare.digest == on_request.digest == GOLDEN[name]
 
 
 def _assert_on_request_path(name):
-    digest, _, clients, _ = _run(name)
-    assert not any(client._bare for client in clients)
-    assert digest == GOLDEN[name]
+    outcome = _run(name)
+    assert all(client._chain is not None for client in outcome.clients)
+    assert outcome.digest == GOLDEN[name]
 
 
 def test_pool_map_refresh_chain_identity():
-    """Health-enabled stages ([refresh, tracing]): every op is a Request."""
+    """Health-enabled stages ([refresh]): every op is a Request."""
     _assert_on_request_path("pool_map_refresh")
 
 
 def test_retry_fault_chain_identity():
-    """Faulty stages ([retry, tracing, fault]): every op is a Request."""
+    """Faulty stages ([retry, fault]): every op is a Request."""
     _assert_on_request_path("retry_fault")
 
 
@@ -469,13 +531,30 @@ def test_qos_chain_identity(backend):
     _assert_on_request_path(f"qos-{backend}")
 
 
-def test_mid_run_tracer_installation_falls_back():
-    """Installing a tracer mid-run moves live bare clients onto the request
-    path at their next op, so the span stream is complete from there."""
-    digest, _, clients, spans = _run("mid_run_tracer")
-    assert all(client._bare for client in clients)
-    assert spans, "tracer must capture spans after mid-run installation"
-    assert digest == GOLDEN["mid_run_tracer"]
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_tracing_is_bit_invisible_and_spans_every_op(name):
+    """A tracer installed from the start (``mid_run_tracer``: halfway, as
+    configured) moves no bit of any scenario: the span-free digest is the
+    untraced twin's golden.  From the start, the span stream counts what
+    the op table counts: one ``rpc`` span per launched op, one record per
+    retry and injected fault."""
+    outcome = _run(name, trace=True)
+    assert outcome.untraced == GOLDEN[TWIN.get(name, name)]
+    if name != "mid_run_tracer":
+        _assert_one_span_per_op(outcome.records, outcome.clients)
+
+
+def test_mid_run_tracer_installation_keeps_clients_bare():
+    """Installing a tracer mid-run changes no client's launch: every client
+    stays bare, and spans start at the next op that finishes -- ops already
+    in flight at the installation included."""
+    outcome = _run("mid_run_tracer")
+    assert all(client._chain is None for client in outcome.clients)
+    at = outcome.traced_from
+    spans = [record for record in outcome.records if record.kind == "rpc"]
+    assert spans and all(span["end"] >= at for span in spans)
+    assert any(span["start"] < at for span in spans)
+    assert outcome.digest == GOLDEN["mid_run_tracer"]
 
 
 def _every_op(client, pool, other):
@@ -506,8 +585,8 @@ def _every_op(client, pool, other):
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
 def test_one_launch_decision_for_every_op(backend, monkeypatch):
-    """A bare client builds no Request for any op; with a tracer installed
-    a bare client builds exactly one per launched op."""
+    """A bare client builds no Request for any op, with or without a tracer
+    installed; with one, every launched op emits exactly one span."""
     config = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=5)
     cluster, system, pool = build_deployment(config, backend=backend)
     owner, address = cluster.client_addresses(2)
@@ -517,7 +596,7 @@ def test_one_launch_decision_for_every_op(backend, monkeypatch):
 
     def launched():
         client = system.make_client(address)
-        assert client._bare
+        assert client._chain is None
         run_process(cluster, _every_op(client, pool, other))
         stats = client.stats
         assert stats.pop("container_open_cached") == 1
@@ -530,15 +609,9 @@ def test_one_launch_decision_for_every_op(backend, monkeypatch):
     untraced = launched()
     assert len(untraced) == 18
 
-    built = {}
-
-    def counting(op, *args, **kwargs):
-        built[op] = built.get(op, 0) + 1
-        return Request(op, *args, **kwargs)
-
-    monkeypatch.setattr(client_module, "Request", counting)
-    cluster.sim.tracer = Tracer()
-    assert built == launched() == untraced
+    cluster.sim.tracer = tracer = Tracer()
+    assert launched() == untraced
+    assert Counter(span["op"] for span in tracer.filter("rpc")) == untraced
     _assert_pooled(system)
 
 
@@ -638,9 +711,9 @@ def test_stats_is_the_op_metrics_count_after_a_storm(backend):
 @pytest.mark.parametrize("name", ["health_failure", "data-health_failure"])
 def test_engine_failure_makes_the_refresh_act(name):
     """An engine lost mid-storm: stale clients refetch the pool map."""
-    digest, _, clients, _ = _run(name)
-    assert any(client.map_refreshes > 0 for client in clients)
-    assert digest == GOLDEN[name]
+    outcome = _run(name)
+    assert any(client.map_refreshes > 0 for client in outcome.clients)
+    assert outcome.digest == GOLDEN[name]
 
 
 def test_stale_multi_shard_write_completes():
@@ -674,17 +747,17 @@ def test_stale_multi_shard_write_completes():
 def test_shared_qos_delays_and_sheds(name):
     """One admission object for every client, over its rate: it both paces
     and sheds, so the QoS stage's waits and failures are in the golden."""
-    digest, _, clients, _ = _run(name)
+    outcome = _run(name)
     qos = {
         id(stage): stage
-        for client in clients
+        for client in outcome.clients
         for stage in client.middleware
         if isinstance(stage, QosAdmissionMiddleware)
     }
     assert len(qos) == 1
     (stage,) = qos.values()
     assert stage.delayed > 0 and stage.shed > 0
-    assert digest == GOLDEN[name]
+    assert outcome.digest == GOLDEN[name]
 
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
@@ -692,35 +765,27 @@ def test_data_storm_identity(backend):
     """The data plane, multi-ops and event-queue submissions on the default
     stages, and again with a pass-through middleware in them."""
     name = f"data-plain-{backend}"
-    digest, _, _, _ = _run(name)
-    on_request, _, _, _ = _run(name, chain_factory=_pass_through_chain)
+    digest = _run(name).digest
+    on_request = _run(name, chain_factory=_pass_through_chain).digest
     assert digest == on_request == GOLDEN[name]
 
 
 def test_data_storm_retry_fault_identity():
-    digest, _, clients, _ = _run("data-retry_fault")
-    assert sum(client.faults_injected for client in clients) > 0
-    assert digest == GOLDEN["data-retry_fault"]
+    outcome = _run("data-retry_fault")
+    assert sum(client.faults_injected for client in outcome.clients) > 0
+    assert outcome.digest == GOLDEN["data-retry_fault"]
 
 
-def test_traced_retry_fault_one_span_per_attempt():
+def test_traced_retry_fault_one_span_per_op():
     """A tracer installed from the start under retry + fault: one ``rpc``
-    span per attempt of every op that is never a multi-op's sub-op."""
-    digest, _, clients, spans = _run("data-traced_retry_fault")
-    per_op = {}
-    for _time, _kind, fields in spans:
-        op = dict(fields)["op"]
-        per_op[op] = per_op.get(op, 0) + 1
-    attempts = {}
-    for client in clients:
-        for op, entry in client.op_metrics.items():
-            attempts[op] = attempts.get(op, 0) + entry.count + entry.retries
-    for op in ("kv_put", "kv_get"):  # also counted as multi-op sub-ops
-        del attempts[op]
-        per_op.pop(op, None)
-    assert sum(client.faults_injected for client in clients) > 0
-    assert per_op == attempts
-    assert digest == GOLDEN["data-traced_retry_fault"]
+    span per op -- covering all its attempts -- for every op, multi-op
+    sub-ops and event-queue submissions included; one ``rpc_retry`` and
+    ``rpc_fault`` record per retry and injected fault."""
+    outcome = _run("data-traced_retry_fault")
+    assert sum(client.faults_injected for client in outcome.clients) > 0
+    assert any(record.kind == "rpc_retry" for record in outcome.records)
+    _assert_one_span_per_op(outcome.records, outcome.clients)
+    assert outcome.digest == GOLDEN["data-traced_retry_fault"]
 
 
 def _queued(claim):
@@ -742,8 +807,6 @@ def test_elided_grants_match_real_grants(name, monkeypatch):
     service slot and object lock is granted by a queued wake instead."""
     for owner, claim in ((Resource, "_claim"), (RWLock, "_claim_read"), (RWLock, "_claim_write")):
         monkeypatch.setattr(owner, claim, _queued(getattr(owner, claim)))
-    digest, _, _, _ = _run(name)
-    assert digest == GOLDEN[name]
+    assert _run(name).digest == GOLDEN[name]
     if "plain" in name:
-        on_request, _, _, _ = _run(name, chain_factory=_pass_through_chain)
-        assert on_request == GOLDEN[name]
+        assert _run(name, chain_factory=_pass_through_chain).digest == GOLDEN[name]

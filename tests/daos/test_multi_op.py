@@ -15,7 +15,7 @@ from repro.config import ClusterConfig
 from repro.daos.errors import ServiceBusyError
 from repro.daos.objclass import OC_SX
 from repro.daos.oid import ObjectId
-from repro.daos.rpc import Request, TracingMiddleware
+from repro.daos.rpc import Request
 from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
 from tests.conftest import run_process
 from tests.daos.test_fast_path import _assert_pooled
@@ -163,7 +163,7 @@ def _qos_client(rate=4.0, burst=2.0, max_queue_depth=0):
     )
     client = system.make_client(
         cluster.client_addresses(1)[0],
-        middleware=[qos, TracingMiddleware()],
+        middleware=[qos],
     )
     return cluster, pool, client, qos
 

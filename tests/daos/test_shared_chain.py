@@ -1,11 +1,11 @@
-"""Default clients share one composed stage chain; stateful ones stay private.
+"""Default clients have no stage chain at all; stateful ones compose their own.
 
-Tracing, the only default stage while fault injection and health are off,
-keeps no per-client state, so every such default client shares one
-composed chain (and one op-driver free-list); anything else -- explicit
-``middleware=``, fault injection, health, QoS -- composes a chain of its
-own.  Either way every op runs on a pooled driver.  The bare-vs-request
-identity rails live in ``test_fast_path.py``.
+While fault injection and health are off the default stage list is empty,
+so every default client is bare: it composes no chain (and shares the
+system's one op-driver free-list), traced or not.  Anything else --
+explicit ``middleware=``, fault injection, health, QoS -- composes a chain
+of its own.  Either way every op runs on a pooled driver.  The
+bare-vs-request identity rails live in ``test_fast_path.py``.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ from repro.bench.runner import build_deployment
 from repro.config import ClusterConfig, FaultInjectionConfig
 from repro.daos.objclass import OC_S1
 from repro.daos.oid import ObjectId
-from repro.daos.rpc import TracingMiddleware
+from repro.daos.rpc import Middleware
 from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
 from repro.simulation.trace import Tracer
 from tests.conftest import run_process
@@ -48,15 +48,16 @@ def _ran_on_drivers(cluster, system, client, pool, label):
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
 def test_default_clients_share_the_chain_but_not_their_accounting(backend):
+    """What default clients share is the absence of a chain: none composes
+    one.  Each keeps its own accounting and its own stage list."""
     cluster, system, pool = build_deployment(_config(), backend=backend)
     first, second = _clients(system, cluster)
-    assert first._chain is second._chain
-    assert first._bare and second._bare
+    assert first._chain is None and second._chain is None
     # The list is per client: editing one client's view is not global.
-    assert [type(stage) for stage in first.middleware] == [TracingMiddleware]
+    assert first.middleware == []
     assert first.middleware is not second.middleware
     first.middleware.append("scribble")
-    assert len(system.make_client(first.address).middleware) == 1
+    assert system.make_client(first.address).middleware == []
 
     def work(client, n_puts):
         container = yield from client.container_open(pool, "shared-chain")
@@ -79,31 +80,41 @@ def test_default_clients_share_the_chain_but_not_their_accounting(backend):
     assert 1 <= len(system.fast_drivers) <= 2
 
 
-def test_mid_run_tracer_still_falls_back_on_the_shared_chain():
+def test_mid_run_tracer_spans_start_at_the_next_finishing_op():
+    """A tracer installed while an op is in flight: the clients stay bare,
+    and the in-flight op is the first traced, from its launch."""
     cluster, system, pool = build_deployment(_config())
     first, second = _clients(system, cluster)
+    sim = cluster.sim
     run_process(cluster, first.container_create(pool, label="c", is_default=True))
-    cluster.sim.tracer = tracer = Tracer()
+    launched = sim.now
+    create = sim.process(first.container_create(pool, label="d"))
+    sim.run(until=launched + 1e-7)  # the create is in flight
+    assert create.is_alive
+    sim.tracer = tracer = Tracer()
+    sim.run(until=create)
     run_process(cluster, second.container_exists(pool, "c"))
-    spans = [record for record in tracer.records if record.kind == "rpc"]
-    assert [span.fields["op"] for span in spans] == ["container_exists"]
+    assert first._chain is None and second._chain is None
+    spans = tracer.filter("rpc")
+    assert [span["op"] for span in spans] == ["container_create", "container_exists"]
+    assert spans[0]["start"] == launched
 
 
 def test_stateful_chains_stay_private():
-    # Explicit middleware: never the shared chain, even when it is tracing
-    # alone (bare, so the hot ops still launch without a Request).
+    # Explicit middleware: a chain per client; an explicit empty list is
+    # bare like the default.
     cluster, system, pool = build_deployment(_config())
-    explicit = _clients(system, cluster, middleware=[TracingMiddleware()])
-    default = system.make_client(explicit[0].address)
-    assert len({id(c._chain) for c in (*explicit, default)}) == 3
-    assert explicit[0]._bare
+    explicit = _clients(system, cluster, middleware=[Middleware()])
+    assert explicit[0]._chain is not explicit[1]._chain
+    assert None not in {explicit[0]._chain, explicit[1]._chain}
     _ran_on_drivers(cluster, system, explicit[0], pool, "explicit")
+    assert system.make_client(explicit[0].address, middleware=[])._chain is None
 
     # QoS tenants: one admission object, a private chain per worker.
     qos = QosAdmissionMiddleware("t0", QosPolicy(rate=100.0, burst=1.0))
-    tenants = _clients(system, cluster, middleware=[qos, TracingMiddleware()])
+    tenants = _clients(system, cluster, middleware=[qos])
     assert tenants[0]._chain is not tenants[1]._chain
-    assert not tenants[0]._bare
+    assert tenants[0]._chain is not None
     _ran_on_drivers(cluster, system, tenants[0], pool, "tenant")
     assert qos.admitted == 1
 
@@ -116,5 +127,5 @@ def test_stateful_chains_stay_private():
         first, second = _clients(system, cluster)
         assert first._chain is not second._chain
         assert all(a is not b for a, b in zip(first.middleware, second.middleware))
-        assert not first._bare
+        assert first._chain is not None
         _ran_on_drivers(cluster, system, first, pool, "stateful")

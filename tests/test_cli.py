@@ -84,6 +84,33 @@ def test_trace_out_warns_serial_uncached(tmp_path, capsys):
     assert trace.exists()
 
 
+def test_traced_run_renders_the_untraced_report(tmp_path, capsys):
+    """A tracer is bit-invisible end to end: ``--trace-out`` renders the
+    same report body as an untraced run, and every ``rpc`` span it writes
+    is a whole op's."""
+    import json
+
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", "table1", "--trace-out", str(trace)]) == 0
+    traced = capsys.readouterr().out
+    assert main(["run", "table1", "--no-cache"]) == 0
+    untraced = capsys.readouterr().out
+
+    strip = lambda text: [  # noqa: E731
+        line for line in text.splitlines()
+        if not line.startswith(("#", "[", "wrote"))
+    ]
+    assert strip(traced) == strip(untraced)
+    spans = [
+        row for row in map(json.loads, trace.read_text().splitlines())
+        if row["kind"] == "rpc"
+    ]
+    assert spans
+    for span in spans:
+        assert {"op", "op_kind", "nbytes", "status"} <= span.keys()
+        assert span["start"] <= span["end"]
+
+
 def test_backend_flag_header(capsys):
     assert main(["run", "table2", "--backend", "posixfs", "--no-cache"]) == 0
     out = capsys.readouterr().out
