@@ -26,7 +26,10 @@ workload instead (``benchmarks.e2e.workloads.run_pass``, after one
 unprofiled warm pass) and prints cProfile ``total_calls`` with the pass
 digest, and the queue entries dispatched and instants of the warm pass
 (``Simulator.events_processed`` and ``instants`` summed over every
-simulator the pass built).  These counts are deterministic where wall time
+simulator the pass built).  Beside them it prints the warm pass's flow
+wake-ups -- armed, and stale (superseded by a later solve before they
+fired) -- and arena entries (``mode_switches``), summed over every flow
+network the pass built.  These counts are deterministic where wall time
 is not, so an A/B of two trees at equal seed reads a per-op cost change
 exactly, and equal queue counts show that no queue position moved::
 
@@ -62,6 +65,7 @@ if str(_ROOT) not in sys.path:
 
 from benchmarks.e2e import workloads  # noqa: E402
 from repro.bench.kernel_perf import SCENARIOS, run_scenario  # noqa: E402
+from repro.network.flow import FlowNetwork  # noqa: E402
 from repro.simulation.core import Simulator  # noqa: E402
 
 
@@ -100,28 +104,51 @@ def profile_scenario(name: str, quick: bool, top: int, sort: str) -> None:
 
 
 def _counted_pass(name: str, seed: int):
-    """Run one ledger pass; return its outcomes, the queue entries its
-    simulators dispatched and the instants they advanced through."""
-    built = []
-    init = Simulator.__init__
+    """Run one ledger pass; return its outcomes and its counts: the queue
+    entries its simulators dispatched, the instants they advanced through,
+    and its flow networks' wake-ups armed and stale and arena entries."""
+    sims, nets = [], []
+    counts = {"armed": 0, "stale": 0}
+    sim_init, net_init = Simulator.__init__, FlowNetwork.__init__
+    arm, on_wake = FlowNetwork._refresh_deadlines_and_arm, FlowNetwork._on_wake
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
+    def recording_sim_init(self, *args, **kwargs):
+        sim_init(self, *args, **kwargs)
+        sims.append(self)
 
-    Simulator.__init__ = recording_init
+    def recording_net_init(self, *args, **kwargs):
+        net_init(self, *args, **kwargs)
+        nets.append(self)
+
+    def counting_arm(self):
+        arm(self)
+        counts["armed"] += self._wake is not None
+
+    def counting_on_wake(self, wake):
+        counts["stale"] += wake is not self._wake
+        on_wake(self, wake)
+
+    # The wake is bound when armed, so the patched _on_wake is the one it
+    # fires while the pass runs.
+    Simulator.__init__, FlowNetwork.__init__ = recording_sim_init, recording_net_init
+    FlowNetwork._refresh_deadlines_and_arm = counting_arm
+    FlowNetwork._on_wake = counting_on_wake
     try:
         outcomes = workloads.run_pass(name, seed)
     finally:
-        Simulator.__init__ = init
-    entries = sum(sim.events_processed for sim in built)
-    return outcomes, entries, sum(sim.instants for sim in built)
+        Simulator.__init__, FlowNetwork.__init__ = sim_init, net_init
+        FlowNetwork._refresh_deadlines_and_arm = arm
+        FlowNetwork._on_wake = on_wake
+    counts["queue_entries"] = sum(sim.events_processed for sim in sims)
+    counts["instants"] = sum(sim.instants for sim in sims)
+    counts["arena_entries"] = sum(net.mode_switches for net in nets)
+    return outcomes, counts
 
 
 def profile_workload(name: str, seed: int, top: int, sort: str) -> None:
     """Profile one ledger pass of ``name``; print its call count, its queue
-    counts (from the unprofiled warm pass) and its digest."""
-    warm_outcomes, entries, instants = _counted_pass(name, seed)
+    and flow wake-up counts (from the unprofiled warm pass) and its digest."""
+    warm_outcomes, counts = _counted_pass(name, seed)
     warm = workloads.digest_of(warm_outcomes)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -133,8 +160,10 @@ def profile_workload(name: str, seed: int, top: int, sort: str) -> None:
     if top:
         stats.strip_dirs().sort_stats(sort).print_stats(top)
     print(f"total_calls {stats.total_calls}")
-    print(f"queue_entries {entries}")
-    print(f"instants {instants}")
+    print(f"queue_entries {counts['queue_entries']}")
+    print(f"instants {counts['instants']}")
+    print(f"flow_wakes armed {counts['armed']} stale {counts['stale']}")
+    print(f"arena_entries {counts['arena_entries']}")
     print(f"digest {digest}")
     if digest != warm:
         print(f"warm pass digest {warm} differs", file=sys.stderr)

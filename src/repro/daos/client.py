@@ -263,12 +263,11 @@ class DaosClient:
         #: The client's cached pool-map view (possibly stale; refreshed via
         #: the PoolMapRefreshMiddleware when a target rejects an op).
         self._map_view = system.pool_map.snapshot()
-        shared = middleware is None
-        if shared:
+        if middleware is None and system.default_staged:
             middleware = default_middleware(self.config)
         #: The stage list; ``None`` on a default client with no stage until
         #: :attr:`middleware` is read (an IOR wave never reads it).
-        self._middleware = None if shared and not middleware else middleware
+        self._middleware = middleware
         #: The composed stages, or ``None`` on a *bare* client (no stage):
         #: :meth:`_call` then launches every op body directly instead of
         #: building a Request for it, and a submitted Request runs its body.

@@ -58,6 +58,11 @@ class DaosSystem:
         #: Every client's per-op counts, latencies and bytes: one column per
         #: op kind, one row per client slot (``client.op_metrics`` is a view).
         self.op_table = OpTable()
+        from repro.daos.client import default_middleware
+
+        #: Whether the config yields any default stage: a client built
+        #: without stages of its own makes its private list only if so.
+        self.default_staged = bool(default_middleware(self.config))
 
         #: Authoritative target-health map.  Always present (version 1, all
         #: UP), but only ever *changes* when the health subsystem is enabled

@@ -162,30 +162,20 @@ class FieldIO:
         return self._main_container
 
     # -- forecast resolution (the container/index plumbing of Algorithm 1/2) --------
-    def _forecast_for_write(self, msk: FieldKey):
-        """Resolve (creating if needed) the forecast handles for ``msk``."""
+    def _forecast(self, msk: FieldKey, create: bool):
+        """Resolve the forecast handles for ``msk``; if it is not indexed yet,
+        create it (``create``, the write side) or fail (the read side)."""
         cached = self._forecasts.get(msk)
         if cached is not None:
             return cached
         main = yield from self._open_main()
         ref = yield from self.client.kv_get_or_none(self._main_kv, msk.encode())
-        if ref is None:
+        if ref is not None:
+            handles = yield from self._open_forecast(main, msk, ref)
+        elif create:
             handles = yield from self._create_forecast(main, msk)
         else:
-            handles = yield from self._open_forecast(main, msk, ref)
-        self._forecasts[msk] = handles
-        return handles
-
-    def _forecast_for_read(self, msk: FieldKey):
-        """Resolve the forecast handles for ``msk``; fail if absent."""
-        cached = self._forecasts.get(msk)
-        if cached is not None:
-            return cached
-        main = yield from self._open_main()
-        ref = yield from self.client.kv_get_or_none(self._main_kv, msk.encode())
-        if ref is None:
             raise FieldNotFoundError(f"no forecast indexed for {msk.canonical()!r}")
-        handles = yield from self._open_forecast(main, msk, ref)
         self._forecasts[msk] = handles
         return handles
 
@@ -253,7 +243,7 @@ class FieldIO:
             yield from client.array_write(array, 0, payload, pool=self.pool)
             yield from client.array_close(array)
             return
-        handles = yield from self._forecast_for_write(msk)
+        handles = yield from self._forecast(msk, create=True)
         array = yield from client.array_create(handles.store_container, self.array_oclass)
         ref = _encode_field_ref(handles.store_container.uuid, array.oid, payload.size)
         if self.async_io:
@@ -300,7 +290,7 @@ class FieldIO:
             msk, lsk = self.schema.split(key)
             if not isinstance(payload, Payload):
                 payload = BytesPayload(bytes(payload))
-            handles = yield from self._forecast_for_write(msk)
+            handles = yield from self._forecast(msk, create=True)
             array = yield from client.array_create(
                 handles.store_container, self.array_oclass
             )
@@ -329,7 +319,7 @@ class FieldIO:
             payload = yield from client.array_read(array, 0, size)
             yield from client.array_close(array)
             return payload
-        handles = yield from self._forecast_for_read(msk)
+        handles = yield from self._forecast(msk, create=False)
         ref = yield from client.kv_get_or_none(handles.index_kv, lsk.encode())
         if ref is None:
             raise FieldNotFoundError(f"field {key.canonical()!r} not found")
@@ -368,7 +358,7 @@ class FieldIO:
         per_key = []
         for key in keys:
             msk, lsk = self.schema.split(key)
-            handles = yield from self._forecast_for_read(msk)
+            handles = yield from self._forecast(msk, create=False)
             gets.append(client.request_kv_get(handles.index_kv, lsk.encode()))
             per_key.append(handles)
         refs = []
@@ -411,7 +401,7 @@ class FieldIO:
         if self.mode is FieldIOMode.NO_INDEX:
             raise FieldNotFoundError("wipe requires an index to enumerate fields")
         client = self.client
-        handles = yield from self._forecast_for_read(msk)
+        handles = yield from self._forecast(msk, create=False)
         raw_keys = yield from client.kv_list(handles.index_kv)
         removed = 0
         for raw in raw_keys:
@@ -438,7 +428,7 @@ class FieldIO:
             raise FieldNotFoundError(
                 "listing requires an index; the NO_INDEX mode has none"
             )
-        handles = yield from self._forecast_for_read(msk)
+        handles = yield from self._forecast(msk, create=False)
         raw_keys = yield from self.client.kv_list(handles.index_kv)
         fields = []
         for raw in raw_keys:
@@ -455,7 +445,7 @@ class FieldIO:
             main = yield from self._open_main()
             return main.has_object(_array_oid_for_field(key))
         try:
-            handles = yield from self._forecast_for_read(msk)
+            handles = yield from self._forecast(msk, create=False)
         except FieldNotFoundError:
             return False
         ref = yield from self.client.kv_get_or_none(handles.index_kv, lsk.encode())

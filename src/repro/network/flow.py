@@ -70,9 +70,10 @@ setting:
   number of debit steps, so the result equals the per-flow reference bit
   for bit; the only work skipped is debits nobody reads (links emptied
   this round, the final round).
-* **The arena and the vector kernel.**  Above ``_VEC_ON`` concurrent flows
-  the network migrates its hot state into a compact numpy arena (and back
-  below ``_VEC_OFF``): per-flow remaining/rate arrays are kept dense by
+* **The arena and the vector kernel.**  At the first flush that sees
+  ``_VEC_ON`` live flows the network moves its hot state into a compact
+  numpy arena, and keeps it there for the rest of its life (a one-way
+  switch): per-flow remaining/rate arrays are kept dense by
   swap-deleting completed flows, and each flow's path lives in one column
   of a fixed-stride incidence matrix padded with a sentinel "link" whose
   fair share is pinned to +inf.  Progress debits, completion scans and
@@ -89,6 +90,11 @@ setting:
   Every floating-point operation matches the scalar kernel bit for bit
   (``tests/network/test_flow_vector.py``); DESIGN.md §6 has the
   measurements behind the thresholds and behind one array kernel, not two.
+* **One wake-up per solve, a bare entry.**  Each flush arms a
+  :class:`~repro.simulation.events.Wake` for the earliest projected
+  completion through ``sim._schedule`` (the queue slot a ``Timeout`` of
+  that delay would take, with no callback list); a wake a later solve
+  superseded still fires, and is dropped by one identity test.
 
 Determinism is a hard constraint: identical seeds produce bit-identical
 timestamp logs, guarded by golden digests in
@@ -106,7 +112,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.simulation.core import Simulator
-from repro.simulation.events import Event
+from repro.simulation.events import Event, Wake
 
 __all__ = ["Link", "Flow", "FlowGroup", "FlowNetwork"]
 
@@ -117,12 +123,11 @@ _EPSILON_BYTES = 1e-3
 
 _INF = math.inf
 
-#: Active-flow population at which the network migrates its hot state into
-#: the numpy arena (and back below ``_VEC_OFF``).  The wide hysteresis band
-#: keeps workloads that hover around the boundary from thrashing between
-#: representations.
+#: Active-flow population at whose first flush the network moves its hot
+#: state into the numpy arena, where it stays: a population that drains
+#: keeps the arena (and its array scans), so nothing hovering around the
+#: boundary can thrash between representations.
 _VEC_ON = 96
-_VEC_OFF = 24
 
 #: Minimum size for a vectorized pass to beat scalar Python: solves with
 #: fewer rows (live groups, or flows in scope) stay on the scalar kernel
@@ -403,10 +408,10 @@ class FlowNetwork:
     the last byte has moved.
 
     Nothing about the solver is settable: the flow population decides where
-    the hot state lives (``_VEC_ON`` / ``_VEC_OFF``), and the smaller of
-    the live groups and the flows in a solve's scope decides which of the
-    two bit-identical kernels runs it (``_VEC_SOLVE_MIN``); see the module
-    docstring.
+    the hot state lives (the arena from the first flush with ``_VEC_ON``
+    live flows on, for good), and the smaller of the live groups and the
+    flows in a solve's scope decides which of the two bit-identical kernels
+    runs it (``_VEC_SOLVE_MIN``); see the module docstring.
     """
 
     #: Flows cancelled mid-flight.  Nothing cancels a flow, so this is the
@@ -438,9 +443,9 @@ class FlowNetwork:
         #: with the dirty links, but a path-less (rate-cap-only) flow forms
         #: its own component and is only reachable through this seed set.
         self._dirty_flows: Dict[Flow, None] = {}
-        #: The currently armed wake-up event; wake-ups from superseded
-        #: solves no longer match and are ignored.
-        self._wake_event: Optional[Event] = None
+        #: The currently armed wake-up; one from a superseded solve is no
+        #: longer this one and is dropped.
+        self._wake: Optional[Wake] = None
         #: Monotonic stamp marking which scalar solve discovered a group or
         #: initialised a shared link's water-filling working state.
         self._epoch = 0
@@ -846,44 +851,15 @@ class FlowNetwork:
         self._n_live = m
 
     def _enter_vector(self) -> None:
-        self._n_live = 0
-        self._pad = len(self._link_list)
-        self._ng = 0
-        self._g_free.clear()
-        for group in self._groups.values():
-            group.gid = -1
-        if len(self._active) >= 64:
-            self._ingest_batch(list(self._active))
-        else:
-            for flow in self._active:
-                self._ingest(flow)
+        """Move every live flow into the arena, once per network.
+
+        Nothing has touched the arena before this (no group row, no freed
+        row, no column), and it runs with at least ``_VEC_ON`` flows, so one
+        batch ingest fills it.
+        """
+        self._ingest_batch(list(self._active))
         self._vector = True
         self.mode_switches += 1
-
-    def _exit_vector(self) -> None:
-        rem, rate = self._rem_v, self._rate_v
-        flows_pos = self._flows_pos
-        for flow in self._active:
-            pos = flow.pos
-            flow._rem = float(rem[pos])
-            flow._rate = float(rate[pos])
-            flow.pos = -1
-            flows_pos[pos] = None
-        for group in self._groups.values():
-            group.gid = -1
-        self._ng = 0
-        self._g_free.clear()
-        self._n_live = 0
-        self._vector = False
-        self.mode_switches += 1
-
-    def _manage_mode(self) -> None:
-        n = len(self._active)
-        if not self._vector:
-            if n >= _VEC_ON:
-                self._enter_vector()
-        elif n < _VEC_OFF:
-            self._exit_vector()
 
     # -- internals -----------------------------------------------------------
     def _schedule_recompute(self) -> None:
@@ -897,7 +873,8 @@ class FlowNetwork:
         """Solve the instant's coalesced dirty set and re-arm the wake-up."""
         self._recompute_pending = False
         self._advance_to_now()  # no-op: the instant's first change advanced
-        self._manage_mode()
+        if not self._vector and len(self._active) >= _VEC_ON:
+            self._enter_vector()
         dirty = self._dirty
         dirty_flows = self._dirty_flows
         if dirty or dirty_flows:
@@ -1065,19 +1042,20 @@ class FlowNetwork:
                         shortest = left
         earliest = now + shortest
         if earliest == _INF:
-            self._wake_event = None
+            self._wake = None
             return
         delay = earliest - now
         if delay < 0.0:
             delay = 0.0
-        wake = self.sim.timeout(delay, name="flownet:wake")
-        wake.add_callback(self._on_wake)
-        self._wake_event = wake
+        # A bare queue entry, scheduled by the call a Timeout makes: the
+        # same (time, seq) slot without a callback list to build or walk.
+        self._wake = wake = Wake(self._on_wake)
+        self.sim._schedule(delay, wake)
 
-    def _on_wake(self, event: Event) -> None:
-        if event is not self._wake_event:
+    def _on_wake(self, wake: Wake) -> None:
+        if wake is not self._wake:
             return  # a newer solve superseded this wake-up
-        self._wake_event = None
+        self._wake = None
         self._advance_to_now()
         if self._vector:
             n = self._n_live

@@ -147,9 +147,9 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, name: str = "") -> None:
         if delay < 0:
             raise ValueError(f"timeout delay must be non-negative, got {delay}")
-        # ``Event.__init__`` inlined: every simulated service time and every
-        # flow-network wake allocates a Timeout, making this the hottest
-        # constructor in the kernel.
+        # ``Event.__init__`` inlined.  The package times its own wake-ups
+        # with a bare Wake (a process delay, a flow-network completion);
+        # this is what ``Simulator.timeout`` builds for its callers.
         self.sim = sim
         self.name = name
         self.callbacks = []
@@ -167,7 +167,9 @@ class Wake:
     No callback list, PENDING swap or failure check -- only "resume this
     owner".  The owner schedules it with ``sim._schedule(delay, wake)``
     (at most once at a time); ``fire`` reads it like a processed event
-    that succeeded with ``None``.
+    that succeeded with ``None``.  A process owns one for its delays and
+    grants; a flow network arms a fresh one per solve and drops one a
+    later solve superseded by identity.
     """
 
     __slots__ = ("fire",)

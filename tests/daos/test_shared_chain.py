@@ -129,3 +129,37 @@ def test_stateful_chains_stay_private():
         assert all(a is not b for a, b in zip(first.middleware, second.middleware))
         assert first._chain is not None
         _ran_on_drivers(cluster, system, first, pool, "stateful")
+
+
+@pytest.mark.parametrize("backend", ["daos", "posixfs"])
+def test_stage_decision_is_made_once_per_system(backend, monkeypatch):
+    """Whether the config yields any default stage is decided when the
+    system is built: a default client asks again only where it does (for
+    stages of its own), and a stage-less one still builds its (empty) list
+    when :attr:`middleware` is read."""
+    from repro.daos import client as client_module
+
+    stages = client_module.default_middleware
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return stages(config)
+
+    for overrides, staged in (
+        ({}, False),
+        (dict(fault_injection=FaultInjectionConfig(enabled=True, rate=0.2, seed=11)), True),
+    ):
+        cluster, system, _pool = build_deployment(_config(**overrides), backend=backend)
+        assert system.default_staged is staged
+        monkeypatch.setattr(client_module, "default_middleware", counting)
+        del calls[:]
+        clients = _clients(system, cluster, n=3)
+        assert len(calls) == (3 if staged else 0)
+        assert all((client._chain is not None) is staged for client in clients)
+        if staged:  # private stage instances, no list built on read
+            assert len({id(client.middleware[0]) for client in clients}) == 3
+            assert len(calls) == 3
+        else:  # the empty list is built when read
+            assert clients[0].middleware == [] and len(calls) == 1
+        monkeypatch.setattr(client_module, "default_middleware", stages)

@@ -4,7 +4,7 @@ A mixed workload (shared paths, distinct rate caps, zero-byte flows,
 path-less capped flows, overlapping waves mid-flight) driven through
 ``transfer`` must give the same hex-exact outcome whichever kernel solves
 and wherever the hot state lives (arena pinned out, pinned in or left to
-the production hysteresis; see ``conftest.pin_arena``).
+the production one-way switch; see ``conftest.pin_arena``).
 """
 
 import math

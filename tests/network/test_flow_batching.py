@@ -28,16 +28,28 @@ def _eager_recompute(self):
     them from a same-instant arrival would push their completion one ulp
     past the wake-up.
     """
-    if self._wake_event is not None and self._wake_due == self.sim.now:
-        self._on_wake(self._wake_event)
+    if self._wake is not None and self._wake_due == self.sim.now:
+        self._on_wake(self._wake)
     self._flush_recompute()
 
 
 def _arm_noting_due(self):
-    """Arm the wake-up as usual and note the instant it is due."""
-    FlowNetwork._refresh_deadlines_and_arm(self)
-    if self._wake_event is not None:
-        self._wake_due = self.sim.now + self._wake_event.delay
+    """Arm the wake-up as usual and note the instant it is due.
+
+    A bare wake carries no delay, so the instant is the one its arming
+    computed: ``now`` plus the delay handed to ``sim._schedule``.
+    """
+    schedule = self.sim._schedule
+
+    def noting(delay, entry):
+        self._wake_due = self.sim.now + delay
+        schedule(delay, entry)
+
+    self.sim._schedule = noting
+    try:
+        FlowNetwork._refresh_deadlines_and_arm(self)
+    finally:
+        del self.sim._schedule
 
 
 def _run_schedule(schedule, eager):

@@ -5,9 +5,9 @@ floating-point operations reproduces the scalar water-filling kernel bit
 for bit — the repo's golden digests hash event timestamps, so a 1-ulp
 drift anywhere fails determinism checks.  These tests run identical
 randomised workloads with the arena pinned out (``"never"``), pinned in
-(``"always"``) and left to the production hysteresis (``"auto"``, which
-switches representations mid-run around the ``_VEC_ON`` / ``_VEC_OFF``
-thresholds) — see ``conftest.pin_arena`` — and require *exact* float
+(``"always"``) and left to the production switch (``"auto"``, which moves
+into the arena mid-run once ``_VEC_ON`` flows are live, and stays there as
+the population drains) — see ``conftest.pin_arena`` — and require *exact* float
 equality of every completion time.  Topologies include ``capacity_fn``
 links, write-amplified paths (the same link repeated within one path), and
 pathless rate-capped flows.
@@ -35,7 +35,7 @@ def _run(seed, n_flows):
     The topology mixes plain links, a ``capacity_fn`` link, and paths with
     a repeated link (write amplification: that flow consumes the link's
     bandwidth twice).  Flow count is pushed past ``_VEC_ON`` so ``"auto"``
-    crosses into the arena and back out as the population drains.
+    enters the arena mid-run and keeps it as the population drains.
     """
     rng = random.Random(seed)
     sim = Simulator()
@@ -88,10 +88,35 @@ def test_scalar_vector_auto_bitwise_identical(seed, pin_arena):
     assert net_s.mode_switches == 0 and net_s.vector_solves == 0
 
 
-def test_auto_crosses_threshold_both_ways():
-    """The equivalence above exercises a genuine mid-run mode round-trip."""
-    _, net = _run(seed=7, n_flows=160)
-    assert net.mode_switches >= 2  # entered and left the arena
+def test_arena_is_entered_once_and_never_left(pin_arena, monkeypatch):
+    """The one-way switch: in at the first flush with ``_VEC_ON`` live flows.
+
+    Every later flush, down to the drained network, finds the arena still
+    holding the hot state, no network switches twice, and the completion
+    times equal a run that never saw the arena, bit for bit.
+    """
+    flushes = []  # (network, live flows at the flush, in the arena after it)
+    flush = FlowNetwork._flush_recompute
+
+    def recording(net):
+        live = len(net._active)
+        flush(net)
+        flushes.append((net, live, net._vector))
+
+    monkeypatch.setattr(FlowNetwork, "_flush_recompute", recording)
+    runs = {}
+    for arena in ("never", "always", "auto"):
+        pin_arena(arena)
+        runs[arena] = _run(seed=7, n_flows=160)
+    for ends, net in runs.values():
+        assert ends == runs["never"][0]  # exact: no tolerance
+        assert net.mode_switches <= 1
+    net = runs["auto"][1]
+    seen = [(live, vector) for owner, live, vector in flushes if owner is net]
+    first = next(i for i, (live, _) in enumerate(seen) if live >= flow_module._VEC_ON)
+    assert first > 0 and not any(vector for _, vector in seen[:first])
+    assert all(vector for _, vector in seen[first:])
+    assert net.mode_switches == 1 and net.active_flows == 0 and net._vector
 
 
 def _component_rows(net, dirty, dirty_flows):
@@ -148,7 +173,7 @@ def _check_scopes(net):
 
 
 def _run_waves(waves=4, per_wave=130):
-    """Population swings 0 -> 130 -> 0 per wave: several arena round trips.
+    """Population swings 0 -> 130 -> 0 per wave, the arena kept throughout.
 
     Paths are mostly distinct (so the arena's own kernels run, not just
     the scalar one on group rows), with a ``capacity_fn`` link, repeated
@@ -185,7 +210,7 @@ def _run_waves(waves=4, per_wave=130):
     return ends, net, shapes
 
 
-def test_repeated_mode_round_trips_stay_identical_and_scope_components(pin_arena):
+def test_repeated_waves_stay_identical_and_scope_components(pin_arena):
     pin_arena("never")
     scalar, net_s, shapes_s = _run_waves()
     pin_arena("always")
@@ -195,7 +220,7 @@ def test_repeated_mode_round_trips_stay_identical_and_scope_components(pin_arena
     assert scalar == vector == auto  # exact: no tolerance
     assert net_s.solver_runs == net_v.solver_runs == net_a.solver_runs
     assert net_s.mode_switches == 0 and not any(shapes_s.values())
-    assert net_a.mode_switches >= 8  # in and out of the arena every wave
+    assert net_a.mode_switches == 1 and net_a._vector  # entered once, never left
     assert net_a.vector_solves > 0
     # Both arenas scoped full and partial components (empty ones are
     # pinned by test_drained_component_scopes_to_no_flow).
