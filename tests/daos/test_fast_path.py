@@ -72,6 +72,8 @@ FAILURES = (SimulatedFaultError, TargetDownError)
 #: digests also cover their ``rpc`` spans; their span part was re-recorded
 #: when the span moved from a middleware stage onto the op driver (one span
 #: per op rather than per attempt, sub-ops traced, no ``target`` field).
+#: ``health_retry_fault`` was frozen on the middleware chain, before its
+#: stages became one attempt loop on the driver.
 GOLDEN = {
     "plain-daos": "2450c9f3293abd2172939197346f3906bf3836fd912baf91a2dc14496471b69a",
     "plain-posixfs": "3dc6f70385396466f5638873ec71c4726c1ff8119293feb429b4c8ce29a0de07",
@@ -81,6 +83,7 @@ GOLDEN = {
     "qos-posixfs": "3dc6f70385396466f5638873ec71c4726c1ff8119293feb429b4c8ce29a0de07",
     "mid_run_tracer": "95fea5668b2c7a2b10044f14b7ab2479ac542deb04048383bc6094218c2d2402",
     "health_failure": "ef62a9e469b770f16666b9d7f6796f14d3a030b0e4ce1ae149eac7f5b1fe83f6",
+    "health_retry_fault": "c5ecfdfd96f02749bca5839610f9c4ecc4b2f2d8f77c5e8179e7a3d43949b205",
     "qos_shared": "becf8ee5eeccf49a3e20295ac87109a38e1f97a9c395bb9772f565259953f2d4",
     "data-plain-daos": "52d3b6683e4833a2d643040ab9ed122bfcc77a0b774e5cc41f20cda6a66c93f1",
     "data-plain-posixfs": "a963daeca1196d40d1ceed821aa4c2f11fdf418b316267fae5785bb6624a3a4f",
@@ -409,6 +412,12 @@ def _scenario(name):
         # The same chain, with an engine lost mid-storm: stale clients are
         # rejected, refetch the map, and retry or surface the loss.
         return dict(config=_config(n_server_nodes=2, health=_health(0.006)))
+    if kind == "health_retry_fault":
+        # Every default policy at once: the refresh outermost, retry and
+        # fault injection inside it, with an engine lost mid-storm.
+        return dict(
+            config=_config(n_server_nodes=2, health=_health(0.006), fault_injection=fault)
+        )
     if kind == "retry_fault":
         # Faulty stages: [retry, fault].
         return dict(config=_config(fault_injection=fault))
@@ -768,6 +777,16 @@ def test_data_storm_identity(backend):
     digest = _run(name).digest
     on_request = _run(name, chain_factory=_pass_through_chain).digest
     assert digest == on_request == GOLDEN[name]
+
+
+def test_health_retry_fault_refreshes_and_retries():
+    """Health and fault injection together: a storm that both refetches the
+    pool map after the engine loss and retries injected faults, so the
+    golden pins how the refresh and the retry count compose."""
+    outcome = _run("health_retry_fault", trace=True)
+    kinds = Counter(record.kind for record in outcome.records)
+    assert kinds["rpc_map_refresh"] > 0 and kinds["rpc_retry"] > 0
+    assert outcome.untraced == GOLDEN["health_retry_fault"]
 
 
 def test_data_storm_retry_fault_identity():
