@@ -35,6 +35,11 @@ exactly, and equal queue counts show that no queue position moved::
 
     PYTHONPATH=src python scripts/profile_hotpath.py --workload ior_scaling
 
+Several workloads after ``--workload`` are each profiled in a fresh
+interpreter (the script runs itself once per workload), so a workload's
+counts do not depend on which workloads ran before it: state a pass
+leaves behind, such as module-level memos, would otherwise shift them.
+
 ``--memory`` (with ``--workload``) measures memory instead of calls: one
 pass with the cyclic collector paused, as the ledger worker runs it, under
 :mod:`tracemalloc`.  It prints the traced peak, what the pass still holds
@@ -55,6 +60,7 @@ import argparse
 import cProfile
 import gc
 import pstats
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -235,12 +241,23 @@ def main(argv=None) -> int:
 
     if args.memory and not args.workload:
         parser.error("--memory needs --workload")
-    if args.workload:
+    if args.workload and len(args.workload) > 1:
+        flags = ["--seed", str(args.seed), "--top", str(args.top), "--sort", args.sort]
+        if args.memory:
+            flags.append("--memory")
         for name in args.workload:
-            if args.memory:
-                memory_workload(name, args.seed, args.top)
-            else:
-                profile_workload(name, args.seed, args.top, args.sort)
+            sys.stdout.flush()
+            command = [sys.executable, __file__, "--workload", name, *flags]
+            returncode = subprocess.run(command).returncode
+            if returncode:
+                return returncode
+        return 0
+    if args.workload:
+        (name,) = args.workload
+        if args.memory:
+            memory_workload(name, args.seed, args.top)
+        else:
+            profile_workload(name, args.seed, args.top, args.sort)
         return 0
     for name in args.scenario:
         profile_scenario(name, args.quick, args.top, args.sort)

@@ -22,9 +22,9 @@ name a concrete client class.  The contract each implementation must keep:
 - *functional semantics* are identical across backends (same values
   returned, same error taxonomy from :mod:`repro.daos.errors`); only the
   *timing* — where latency, serialisation, and contention accrue — differs;
-- ops run on the client's op driver and through its middleware stages, so
-  metrics, tracing, seeded fault injection, and retry behave identically on
-  every backend;
+- ops run on the client's op driver and under its one attempt loop, so
+  metrics, tracing, seeded fault injection, retry, map refresh and QoS
+  admission behave identically on every backend;
 - determinism: two same-seed runs of the same workload on the same backend
   produce bit-identical event streams.
 
@@ -37,7 +37,7 @@ generator signatures are enforced by the shared behavioural tests, not by
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Protocol, runtime_checkable
+from typing import Any, Dict, Protocol, runtime_checkable
 
 __all__ = ["StorageClient", "StorageSystem"]
 
@@ -50,7 +50,8 @@ class StorageSystem(Protocol):
     backend_name: str
 
     def make_client(self, address, middleware=None) -> "StorageClient":
-        """A per-process client bound to ``address``."""
+        """A per-process client bound to ``address``; ``middleware`` is a
+        serving tenant's QoS admission or ``None``."""
         ...
 
     def create_pool(self, label: str = "pool0", scm_bytes_per_target=None):
@@ -87,7 +88,6 @@ class StorageClient(Protocol):
 
     system: Any
     stats: Dict[str, int]
-    middleware: List[Any]
 
     @property
     def op_metrics(self) -> Dict[str, Any]:

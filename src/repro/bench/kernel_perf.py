@@ -469,7 +469,7 @@ def _rpc_storm(quick: bool) -> ScenarioResult:
     small KV puts/gets on *private* per-rank index objects, salted with
     ``container_exists`` probes and ``kv_remove`` calls — the FDB-style
     index-maintenance mix of §5.2, with almost no lock contention, so the
-    per-op RPC machinery (middleware chain, event churn, resource grants)
+    per-op RPC machinery (attempt loop, event churn, resource grants)
     dominates the wall clock.  The same storm runs against the DAOS and the
     posixfs backend through :func:`~repro.bench.runner.build_deployment` +
     ``system.make_client``; the digest folds in each backend's final

@@ -33,7 +33,7 @@ __all__ = [
 class FaultInjectionConfig:
     """Deterministic, seeded RPC fault schedule (off by default).
 
-    When enabled, the client's fault-injection middleware drops RPCs
+    When enabled, the client's attempt loop drops RPCs
     according to a schedule that is a pure function of ``seed``, the client
     address, the op kind, and the per-client RPC sequence number — so a
     faulty run replays identically, independent of every other random
@@ -122,7 +122,8 @@ class HealthConfig:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Client retry-with-backoff for faulted RPCs (middleware-enforced)."""
+    """Client retry-with-backoff for faulted RPCs (applied by the client's
+    attempt loop)."""
 
     #: Total attempts per RPC, including the first (1 = no retries).
     max_attempts: int = 3
@@ -326,10 +327,10 @@ class DaosServiceConfig:
     #: Reproduce the instability the paper hit: Field I/O *full* mode with
     #: more than 8 server nodes failed in pattern A low contention (§7).
     emulate_known_bugs: bool = False
-    #: RPC fault-injection schedule (client middleware; off by default, so
+    #: RPC fault-injection schedule (client attempt loop; off by default, so
     #: the blocking path stays bit-identical to the fault-free kernel).
     fault_injection: FaultInjectionConfig = field(default_factory=FaultInjectionConfig)
-    #: Retry policy applied by the client's retry middleware whenever fault
+    #: Retry policy applied by the client's attempt loop whenever fault
     #: injection is enabled (ignored otherwise).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Pool health / engine-failure / rebuild model (off by default; the

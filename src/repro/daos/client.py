@@ -6,15 +6,16 @@ driven with ``yield from`` inside a simulation process; they charge provider
 RPC latency, per-target service time, object serialisation, and bulk data
 flows, then apply the functional state change and return the result.
 
-Every operation can be materialised as a :class:`~repro.daos.rpc.Request`
-(op kind, payload size, re-invocable body) and run through the client's
-middleware stages — pool-map refresh when health is on, fault injection
-and retry when :class:`~repro.config.FaultInjectionConfig` enables them,
-QoS admission when a serving tenant installs it.  ``request_*`` builders
-expose the Request objects directly so callers can submit them
-asynchronously through an :class:`~repro.daos.eq.EventQueue`
-(``client.eq_create()``), the ``daos_eq_*`` idiom the pipelined Field I/O
-path uses.  A default client has no stages at all.
+Every operation runs under the client's policy, applied by one attempt
+loop (``DaosClient._attempt``) in a fixed order: pool-map refresh when
+health is on, retry and fault injection when
+:class:`~repro.config.FaultInjectionConfig` enables them, QoS admission
+when the client works for a serving tenant.  A default client has no
+policy at all.  ``request_*`` builders expose an op as a
+:class:`~repro.daos.rpc.Request` (op kind, payload size, re-invocable
+body) so callers can submit it asynchronously through an
+:class:`~repro.daos.eq.EventQueue` (``client.eq_create()``), the
+``daos_eq_*`` idiom the pipelined Field I/O path uses.
 
 **One body per op, one interpreter.**  Each op's timeline is written once,
 as a ``_do_*`` generator in the *leg dialect* every simulated process
@@ -23,14 +24,14 @@ speaks: ``yield <float>`` is a delay, ``yield <Event>`` is a wait, and
 (granted inline when free on a settled instant, else queued).  Every
 public op ends in ``yield <driver>``: a pooled :class:`_FastDriver` (a
 :class:`~repro.simulation.process.Process` that finishes synchronously)
-runs the body — or the stage chain wrapped around it, whose stages speak
-the same dialect — opens the client's row of the op's column in the
+runs the body -- or the attempt loop around it, which speaks the same
+dialect -- opens the client's row of the op's column in the
 system's :class:`~repro.daos.rpc.OpTable` at launch and observes the op on
 it at finish (``op_metrics`` is a view of those rows); when a tracer is
 installed, the finish also emits the op's one ``rpc`` span.  One method,
-``_call``, decides how every op launches: a *bare* client (no stage)
-launches the body without building a Request at all, traced or not; any
-other client wraps it in one for its stages.  A multi-op runs each sub-op
+``_call``, decides how every op launches: an op no policy applies to
+launches its body bare, traced or not; any other runs the attempt loop
+around it.  No blocking op builds a Request.  A multi-op runs each sub-op
 on a driver of its own.  The per-shard legs (``_shard_io``) run inline or
 as spawned processes; either way they take their target slot through
 ``_target_leg``, like every other op.
@@ -52,6 +53,7 @@ from repro.daos.eq import EventQueue
 from repro.daos.errors import (
     InvalidArgumentError,
     KeyNotFoundError,
+    SimulatedFaultError,
     TargetDownError,
 )
 from repro.daos.kv import KeyValueObject
@@ -60,22 +62,13 @@ from repro.daos.oid import ObjectId
 from repro.daos.payload import BytesPayload, Payload
 from repro.daos.placement import shard_layout
 from repro.daos.pool import Pool
-from repro.daos.rpc import (
-    DATA_OPS,
-    FaultInjectionMiddleware,
-    Middleware,
-    OpStats,
-    PoolMapRefreshMiddleware,
-    Request,
-    RetryMiddleware,
-    compose_chain,
-)
+from repro.daos.rpc import DATA_OPS, OpStats, Request, fault_fires
 from repro.daos.system import DaosSystem
 from repro.network.fabric import NodeSocket
 from repro.simulation.events import PENDING, Wake
 from repro.simulation.process import Process
 
-__all__ = ["DaosClient", "default_middleware"]
+__all__ = ["DaosClient"]
 
 ContainerRef = Union[uuid_module.UUID, str]
 
@@ -89,39 +82,14 @@ _DKEY_HASH_CACHE: Dict[bytes, int] = {}
 _DKEY_HASH_CACHE_BOUND = 1 << 16
 
 
-def default_middleware(config) -> List[Middleware]:
-    """The standard stages for a :class:`DaosServiceConfig`, outermost first.
-
-    Neither metrics nor tracing is a stage: the driver counts an op when it
-    launches and observes and traces it when it finishes, outside every
-    stage, so an op counts once and its latency and span cover retries.
-    Fault injection sits innermost, directly in front of the op body.  With
-    neither fault injection nor health on the list is empty: the client is
-    bare.
-    """
-    chain: List[Middleware] = []
-    fault = config.fault_injection
-    if config.health.enabled:
-        # Health-aware retry: a TargetDownError means the client's cached
-        # pool map is (possibly) stale — refetch it and re-route the op.
-        # Sits outermost (the refresh round trips count toward the op's
-        # observed latency) and outside plain retry/fault injection.
-        chain.append(PoolMapRefreshMiddleware())
-    if fault.enabled and config.retry.max_attempts > 1:
-        chain.append(RetryMiddleware(config.retry))
-    if fault.enabled:
-        chain.append(FaultInjectionMiddleware(fault))
-    return chain
-
-
 class _FastDriver(Process):
     """The process every op runs on: a pooled :class:`Process` that
     finishes synchronously.
 
     The driver *is* the event the calling process waits on: the public op
     method returns ``(yield driver)``, so the whole op costs the caller one
-    suspension instead of one per simulated wait.  The generator — an op
-    body, or the client's stage chain around one — speaks the leg dialect
+    suspension instead of one per simulated wait.  The generator -- an op
+    body, or the client's attempt loop around one -- speaks the leg dialect
     every process speaks (a ``float`` delay resumes it on its own
     :class:`~repro.simulation.events.Wake`, an event is waited on, a gate
     is claimed with the same wake), and
@@ -214,9 +182,10 @@ class DaosClient:
     address:
         The client node/socket this process is pinned to; determines which
         fabric links its traffic traverses.
-    middleware:
-        Override the RPC middleware stages (outermost first).  Defaults to
-        :func:`default_middleware` over the system's service config.
+    qos:
+        A serving tenant's :class:`~repro.serving.qos.QosAdmission`, shared
+        by all of the tenant's worker clients, or ``None``.  It adds to the
+        policy the system's config turns on (see :meth:`_attempt`).
     """
 
     # An IOR wave keeps thousands of finished clients alive until its
@@ -224,14 +193,14 @@ class DaosClient:
     __slots__ = (
         "system", "address", "sim", "net", "fabric", "provider", "_message_latency",
         "config", "_container_cache", "_slot", "container_open_cached", "faults_injected",
-        "map_refreshes", "_health", "_map_view", "_middleware", "_chain",
+        "map_refreshes", "_health", "_map_view", "_qos", "_fault_seq",
     )
 
     def __init__(
         self,
         system: DaosSystem,
         address: NodeSocket,
-        middleware: Optional[List[Middleware]] = None,
+        qos=None,
     ) -> None:
         self.system = system
         self.address = address
@@ -253,25 +222,21 @@ class DaosClient:
         table.n_slots += 1
         #: ``container_open`` calls answered from the handle cache.
         self.container_open_cached = 0
-        #: Total faults injected into this client (fault middleware).
+        #: Total faults injected into this client (see :meth:`_attempt`).
         self.faults_injected = 0
         #: Pool-map refetches performed after TargetDownError rejections.
         self.map_refreshes = 0
         #: Cheap flag guarding every health check — False keeps the default
         #: path bit-identical to a health-free build.
         self._health = self.config.health.enabled
-        #: The client's cached pool-map view (possibly stale; refreshed via
-        #: the PoolMapRefreshMiddleware when a target rejects an op).
+        #: The client's cached pool-map view (possibly stale; refreshed by
+        #: :meth:`_attempt` when a target rejects an op).
         self._map_view = system.pool_map.snapshot()
-        if middleware is None and system.default_staged:
-            middleware = default_middleware(self.config)
-        #: The stage list; ``None`` on a default client with no stage until
-        #: :attr:`middleware` is read (an IOR wave never reads it).
-        self._middleware = middleware
-        #: The composed stages, or ``None`` on a *bare* client (no stage):
-        #: :meth:`_call` then launches every op body directly instead of
-        #: building a Request for it, and a submitted Request runs its body.
-        self._chain = compose_chain(middleware) if middleware else None
+        #: The tenant's admission (shared), or ``None``.
+        self._qos = qos
+        #: The next attempt's number in this client's fault schedule: it
+        #: counts every attempt, retries included (see :func:`fault_fires`).
+        self._fault_seq = 0
 
     @property
     def op_metrics(self) -> Dict[str, OpStats]:
@@ -279,8 +244,8 @@ class DaosClient:
         from this client's rows of the system's
         :class:`~repro.daos.rpc.OpTable`, one entry per op it has launched
         (``count`` 0 while the first is in flight), in the order the system
-        first used each op.  Writing to it changes nothing; stages count
-        retries and faults through :meth:`tally_op`."""
+        first used each op.  Writing to it changes nothing; :meth:`_attempt`
+        counts retries and faults through :meth:`tally_op`."""
         return self.system.op_table.view(self._slot)
 
     def tally_op(self, op: str, field: str) -> None:
@@ -296,13 +261,6 @@ class DaosClient:
         if self.container_open_cached:
             stats["container_open_cached"] = self.container_open_cached
         return stats
-
-    @property
-    def middleware(self) -> List[Middleware]:
-        """This client's stages, outermost first (a list of its own)."""
-        if self._middleware is None:
-            self._middleware = default_middleware(self.config)
-        return self._middleware
 
     # -- the interpreter ---------------------------------------------------------------
     def _launch(self, op: str, legs, nbytes: int) -> _FastDriver:
@@ -337,22 +295,107 @@ class DaosClient:
         driver._resume(driver._wake)
         return driver
 
+    def _call(self, op: str, body, args: tuple, nbytes: int = 0) -> _FastDriver:
+        """Launch the op body ``body(*args)`` on a pooled driver.
+
+        The one test: the op runs through :meth:`_attempt` only if some
+        policy applies to it -- the system's config turns on a default one,
+        or the tenant's admission covers ``op``.  Otherwise the body
+        launches bare, which is what :meth:`_attempt` reduces to with no
+        policy.
+        """
+        qos = self._qos
+        if self.system.default_staged or (qos is not None and (qos.ops is None or op in qos.ops)):
+            return self._launch(op, self._attempt(op, body, args, ()), nbytes)
+        return self._launch(op, body(*args), nbytes)
+
     def _launch_request(self, request: Request) -> _FastDriver:
-        """Launch ``request`` through the client's stages (a bare client:
-        its body) on a pooled driver."""
-        chain = self._chain
-        legs = request.body() if chain is None else chain(self, request)
+        """Launch a submitted ``request`` (an event-queue submission or a
+        multi-op) on a pooled driver: through :meth:`_attempt` whenever the
+        client has any policy, as admission meters a multi-op's covered
+        sub-ops."""
+        if self.system.default_staged or self._qos is not None:
+            legs = self._attempt(request.op, request.body, (), request.subrequests)
+        else:
+            legs = request.body()
         return self._launch(request.op, legs, request.nbytes)
 
-    def _call(self, op: str, body, args: tuple, nbytes: int = 0) -> _FastDriver:
-        """Launch the op body ``body(*args)``: the one bare-or-staged decision.
+    def _attempt(self, op: str, body, args: tuple, subs: tuple):
+        """Run ``body(*args)`` under this client's policy: the one op path.
 
-        A bare client launches the body directly; any other client wraps it
-        in a :class:`Request` and runs it through its stages.
+        The policy is applied in one fixed order, outermost first:
+
+        1. **Map refresh** (health on).  A :class:`TargetDownError` means
+           the op addressed a target the server knows is gone.  The client
+           refetches the pool map; if the fetched map is newer than its
+           view the op runs again (re-running target selection) with a
+           fresh retry count, else the error surfaces -- retrying against
+           the same map would loop forever on a permanently lost object.
+           The map version only grows, so refreshes are bounded by the
+           run's health transitions, and their round trips count toward
+           the op's latency.
+        2. **Retry with backoff** (fault injection on, ``max_attempts >
+           1``).  A :class:`SimulatedFaultError` -- an injected fault, a
+           posixfs overload or lock timeout, a QoS shed -- backs off
+           exponentially from ``backoff_base`` and runs the attempt again,
+           until ``max_attempts`` is spent.
+        3. **QoS admission** (the tenant's, when it covers ``op`` or one of
+           the ``subs`` of a multi-op).  Reserve the tokens, then wait for
+           them; a shed raises :class:`~repro.daos.errors.ServiceBusyError`.
+           It sits inside retry, so a shed is re-offered after the backoff
+           and pays a fresh token.
+        4. **Fault injection** (on).  The seeded schedule
+           (:func:`~repro.daos.rpc.fault_fires`) drops the RPC before the
+           body runs: one message latency, then a
+           :class:`SimulatedFaultError` with no state touched, which is
+           what makes a retry safe.  It sits inside admission, so a lost
+           RPC had been admitted.  Every attempt takes the next number of
+           the client's fault sequence.
+        5. **The op body.**
         """
-        if self._chain is None:
-            return self._launch(op, body(*args), nbytes)
-        return self._launch_request(Request(op, lambda: body(*args), nbytes))
+        config = self.config
+        fault = config.fault_injection
+        retry = config.retry
+        retries = fault.enabled and retry.max_attempts > 1
+        qos = self._qos
+        attempt = 1
+        while True:
+            try:
+                if qos is not None:
+                    wait, tokens = qos.reserve(self, op, subs)
+                    if wait > 0.0:
+                        yield wait
+                        qos.waiting -= 1
+                    qos.admitted += tokens
+                if fault.enabled:
+                    sequence = self._fault_seq
+                    self._fault_seq = sequence + 1
+                    if (
+                        fault.max_faults is None or self.faults_injected < fault.max_faults
+                    ) and fault_fires(fault, self.address, op, sequence):
+                        self.faults_injected += 1
+                        self.tally_op(op, "faults_injected")
+                        self.sim.record("rpc_fault", op=op, sequence=sequence)
+                        yield self._message_latency  # the round trip that never completed
+                        raise SimulatedFaultError(
+                            f"injected fault on {op} (sequence {sequence})"
+                        )
+                return (yield from body(*args))
+            except SimulatedFaultError:
+                if not retries or attempt >= retry.max_attempts:
+                    raise
+                self.tally_op(op, "retries")
+                self.sim.record("rpc_retry", op=op, attempt=attempt)
+                yield retry.backoff_base * retry.backoff_factor ** (attempt - 1)
+                attempt += 1
+            except TargetDownError:
+                if not self._health or not (yield from self._refresh_pool_map()):
+                    raise
+                self.tally_op(op, "retries")
+                self.sim.record(
+                    "rpc_map_refresh", op=op, map_version=self._map_view.version
+                )
+                attempt = 1
 
     def eq_create(self, name: str = "eq") -> EventQueue:
         """A fresh event queue for asynchronous submissions (``daos_eq_create``)."""
@@ -360,19 +403,19 @@ class DaosClient:
 
     # -- vectorized multi-op submission -------------------------------------------
     def request_multi(self, requests: List[Request], op: str = "multi") -> Request:
-        """One Request carrying ``requests`` through the middleware stages.
+        """One Request carrying ``requests`` as a single submission.
 
         The sub-request bodies run sequentially inside the wrapper body,
-        each on a driver of its own, so on the default stages the simulated
-        timeline is identical to submitting them one by one — what the batch
-        saves is the per-op stage traversal, which dominates small-op cost
-        in index-update storms.  Per-sub-op stats are preserved: each
+        each on a driver of its own, so with no policy the simulated
+        timeline is identical to submitting them one by one -- what the
+        batch saves is the per-op policy pass, which dominates small-op
+        cost in index-update storms.  Per-sub-op stats are preserved: each
         sub-op's driver counts and observes it exactly as a single launch
         would (the wrapper op is additionally counted once under ``op``).
-        Non-default stages apply to the wrapper as a unit: one
+        The client's policy applies to the wrapper as a unit: one
         fault-injection/retry/QoS decision covers the whole batch (QoS
         meters one token per covered sub-op, see
-        :class:`~repro.serving.qos.QosAdmissionMiddleware`).
+        :meth:`~repro.serving.qos.QosAdmission.reserve`).
         """
         subs = tuple(requests)
         return Request(
@@ -454,9 +497,9 @@ class DaosClient:
     def _refresh_pool_map(self):
         """Refetch the pool map from the pool service (``pool_query``).
 
-        Legs of the refresh middleware.  Returns ``True`` when the fetched
-        map is newer than the cached view — the signal the middleware uses
-        to decide whether retrying can possibly help.
+        Legs of the map refresh in :meth:`_attempt`.  Returns ``True`` when
+        the fetched map is newer than the cached view -- the signal that
+        running the op again can possibly help.
         """
         stale_version = self._map_view.version
         yield self._message_latency
@@ -698,8 +741,8 @@ class DaosClient:
         """Targets a dkey update must service: every live replica.
 
         Raises :class:`TargetDownError` when the cached view shows no
-        replica alive — the refresh middleware refetches the map and
-        retries, or surfaces the loss when the map agrees.
+        replica alive -- the map refresh of :meth:`_attempt` refetches the
+        map and runs the op again, or surfaces the loss when the map agrees.
         """
         candidates = self._key_candidates(kv, key)
         if self._health and len(candidates) > 1:

@@ -106,7 +106,7 @@ class EventQueue:
         return process
 
     def submit(self, client: "DaosClient", request: Request) -> "Process":
-        """Submit a built :class:`Request` through ``client``'s middleware stages."""
+        """Submit a built :class:`Request` under ``client``'s policy."""
         return self.launch(_run(client, request), op=request.op, request=request)
 
     # -- reaping -------------------------------------------------------------

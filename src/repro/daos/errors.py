@@ -6,7 +6,7 @@ races resolving via "already exists", lookups failing via "nonexistent").
 
 The hierarchy is deliberately backend-agnostic: POSIX-model failures map
 onto the same tree (lock timeout and MDS overload are
-:class:`SimulatedFaultError` subclasses the retry middleware already
+:class:`SimulatedFaultError` subclasses the client's retry already
 handles; a full OST surfaces as :class:`NoSpaceError`, exactly like an
 exhausted SCM pool), so ``FieldIO`` and the benchmarks never branch on the
 backend in their error paths.
@@ -89,7 +89,7 @@ class LockTimeoutError(SimulatedFaultError):
     conflict queue that already exceeds the configured depth — the Lustre
     LDLM ``-ETIMEDOUT``/evicted-client failure mode.  Subclassing
     :class:`SimulatedFaultError` keeps the taxonomy backend-agnostic: the
-    standard retry middleware backs off and re-requests, so ``FieldIO`` and
+    client's retry backs off and re-requests, so ``FieldIO`` and
     the benches need no backend branching.
     """
 
@@ -100,21 +100,22 @@ class MetadataOverloadError(SimulatedFaultError):
     The posixfs analogue of a Lustre MDS dropping/abandoning requests under
     load (client sees ``-ENODEV``/timeout and retries).  Mapped onto
     :class:`SimulatedFaultError` so the existing retry-with-backoff
-    middleware handles it identically to an injected RPC fault.
+    of the client's attempt loop handles it identically to an injected RPC
+    fault.
     """
 
 
 class ServiceBusyError(SimulatedFaultError):
     """Request shed by admission control: the service is over capacity.
 
-    Raised by the serving tier's QoS middleware when a tenant is out of
+    Raised by the serving tier's QoS admission when a tenant is out of
     rate-limit tokens *and* its wait queue is already at the configured
     depth — the DER_BUSY/overload answer a gateway returns instead of
     letting queues grow without bound.  Subclassing
-    :class:`SimulatedFaultError` makes the shed *retryable*: a client that
-    installs the standard retry middleware backs off and re-offers the
-    request, while open-loop load generators may equally count the shed
-    and move on.
+    :class:`SimulatedFaultError` makes the shed *retryable*: a client with
+    the standard retry on backs off and re-offers the request (admission
+    sits inside retry, so each re-offer pays a fresh token), while
+    open-loop load generators may equally count the shed and move on.
     """
 
     code = -1012

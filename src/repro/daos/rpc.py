@@ -1,46 +1,43 @@
-"""The explicit RPC layer of the DAOS client: requests, completions, middleware.
+"""The explicit RPC layer of the DAOS client: requests, completions, op counts.
 
-A :class:`~repro.daos.client.DaosClient` operation is materialised as a
-:class:`Request` — op kind, payload size, and a *re-invocable* body
-generator — and run through a chain of :class:`Middleware` stages around
-the body.  This mirrors the request pipeline of the real DAOS client
-library (``daos_rpc``/CaRT), where every API call builds an RPC descriptor
-that passes through registered callbacks on its way to the wire.
+A :class:`Request` -- op kind, payload size, and a *re-invocable* body
+generator -- is the record of an asynchronous submission: the client's
+``request_*`` builders make one for an event queue (:mod:`repro.daos.eq`),
+and a vectorized multi-op carries its sub-requests in one.  A blocking op
+builds none; the client launches its body directly.  This mirrors the
+real DAOS client library (``daos_rpc``/CaRT), where an API call submitted
+on an event queue carries an RPC descriptor to the wire.
 
-The middleware chain is where cross-cutting concerns live:
+The client's policy around an op is one loop, ``DaosClient._attempt``,
+not a stack of stages: pool-map refresh after a
+:class:`~repro.daos.errors.TargetDownError` (health on), retry with
+backoff (fault injection on), QoS admission (a serving tenant's) and
+fault injection, in that order, around the op body.  Re-running the body
+is possible precisely because a body is a factory, not a generator
+instance.  The fault schedule the loop consults is :func:`fault_fires`, a
+pure function of the seed, the client's address, the op and the client's
+attempt sequence.
 
-* :class:`FaultInjectionMiddleware` — deterministic, seeded fault schedule
-  raising :class:`~repro.daos.errors.SimulatedFaultError` *before* the body
-  executes, so injected failures never leave partial state behind;
-* :class:`PoolMapRefreshMiddleware` — refetch the pool map and re-route
-  after a :class:`~repro.daos.errors.TargetDownError` (health enabled);
-* :class:`RetryMiddleware` — retry with exponential backoff, re-invoking the
-  request body (possible precisely because a Request carries a factory, not
-  a generator instance).
+Op counts, latencies and ``rpc`` spans are kept by the client's op driver
+(``DaosClient._launch`` and ``_FastDriver._finish``), outside the attempt
+loop, so an op counts once and its latency and span cover every retry.  A
+multi-op's sub-ops and every event-queue submission each run on a driver
+of their own, so they are counted and traced the same way.  Counts live in
+the system's :class:`OpTable` -- one :class:`OpColumn` of typed rows per op
+kind, one row per client slot -- not in per-client objects:
+``client.op_metrics`` is a fresh ``{op: OpStats}`` view of the client's
+rows, and the attempt loop counts retries and injected faults through
+``client.tally_op``.  It marks each attempt with ``rpc_retry``,
+``rpc_fault`` and ``rpc_map_refresh`` records.
 
-Op counts, latencies and ``rpc`` spans are not stages: the client's op
-driver keeps them (``DaosClient._launch`` and ``_FastDriver._finish``),
-outside every stage, so an op counts once and its latency and span cover
-every retry.  A multi-op's sub-ops and every event-queue submission each
-run on a driver of their own, so they are counted and traced the same way.
-Counts live in the system's :class:`OpTable` -- one :class:`OpColumn` of
-typed rows per op kind, one row per client slot -- not in per-client
-objects: ``client.op_metrics`` is a fresh ``{op: OpStats}`` view of the
-client's rows, and the stages that count retries and injected faults write
-through ``client.tally_op``.  The stages still mark each attempt with
-``rpc_retry``, ``rpc_fault`` and ``rpc_map_refresh`` records.
+A ``Request.body`` and the attempt loop speak the *leg dialect* of every
+simulation process: ``yield <float>`` is a delay, ``yield <Event>`` a
+wait, ``yield <Gate>`` a claim; the client's pooled driver, a
+:class:`~repro.simulation.process.Process`, runs them.
 
-A ``Request.body`` and every stage's ``handle`` speak the *leg dialect*
-of every simulation process: ``yield <float>`` is a delay, ``yield
-<Event>`` a wait, ``yield <Gate>`` a claim.  The composed chain is one generator the client's
-pooled driver, a :class:`~repro.simulation.process.Process`, runs
-(``DaosClient._launch_request``).  Whether an op becomes a Request at all
-is decided in one place, ``DaosClient._call``: a bare client (no stage)
-runs every op body on the same interpreter without one, traced or not.
-
-A default client has no stage unless fault injection or health is on, and
-tracing adds no simulated events, so the blocking call path stays
-bit-identical to the pre-RPC-layer client — the golden digests in
+A default client has no policy unless fault injection or health is on,
+and tracing adds no simulated events, so the blocking call path stays
+bit-identical to the pre-RPC-layer client -- the golden digests in
 ``tests/bench/test_determinism.py`` are the contract.
 """
 
@@ -49,21 +46,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    Iterable,
-    List,
-    Optional,
-)
-
-from repro.daos.errors import SimulatedFaultError, TargetDownError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.daos.client import DaosClient
+from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 __all__ = [
     "DATA_OPS",
@@ -73,11 +56,7 @@ __all__ = [
     "OpStats",
     "OpColumn",
     "OpTable",
-    "Middleware",
-    "FaultInjectionMiddleware",
-    "PoolMapRefreshMiddleware",
-    "RetryMiddleware",
-    "compose_chain",
+    "fault_fires",
     "merge_op_stats",
 ]
 
@@ -91,8 +70,8 @@ class Request:
     """One client RPC: op kind, payload size, and a re-invocable body.
 
     ``body`` is a zero-argument factory returning a *fresh* generator that
-    performs the op when driven — retry middleware re-invokes it, so bodies
-    must not close over partially-consumed state.
+    performs the op when driven -- a retry re-invokes it, so bodies must
+    not close over partially-consumed state.
     """
 
     op: str
@@ -100,11 +79,10 @@ class Request:
     #: Payload bytes moved by the op (0 for pure metadata RPCs).
     nbytes: int = 0
     #: For a vectorized multi-op submit (``DaosClient.request_multi``):
-    #: the sub-requests this request carries, in execution order.  ``None``
-    #: for ordinary single-op requests.  Middleware may introspect the
-    #: tuple — QoS admission, for one, meters a token per covered sub-op
-    #: so batching cannot launder rate limits.
-    subrequests: Optional[tuple] = None
+    #: the sub-requests this request carries, in execution order; empty
+    #: for ordinary single-op requests.  QoS admission meters a token per
+    #: covered sub-op, so batching cannot launder rate limits.
+    subrequests: tuple = ()
 
 
 @dataclass(slots=True)
@@ -335,142 +313,18 @@ def merge_op_stats(stats_dicts: Iterable[Dict[str, OpStats]]) -> Dict[str, OpSta
     return merged
 
 
-class Middleware:
-    """Base middleware: pass the request down the chain unchanged.
+def fault_fires(config, address, op: str, sequence: int) -> bool:
+    """Whether attempt ``sequence`` of the client at ``address`` faults on ``op``.
 
-    ``handle`` is a leg-dialect generator the client's op driver runs;
-    ``call`` invokes the rest of the chain (terminating at
-    ``request.body()``) and may be invoked more than once (retries).
+    The seeded fault schedule (§7's instabilities, on demand): a pure
+    function of the :class:`~repro.config.FaultInjectionConfig` seed, the
+    client's address, the op kind and the client's attempt sequence number,
+    independent of wall clock and of every other random stream, so a faulty
+    run is exactly reproducible.  ``max_faults`` is the caller's to check.
     """
-
-    def handle(self, client: "DaosClient", request: Request, call):
-        result = yield from call(client, request)
-        return result
-
-
-class FaultInjectionMiddleware(Middleware):
-    """Deterministic seeded fault schedule (§7's instabilities, on demand).
-
-    Whether attempt ``n`` of a client faults is a pure function of the
-    schedule seed, the client's address, the op kind, and the client's RPC
-    sequence number — independent of wall clock and of every other random
-    stream, so a faulty run is exactly reproducible.  Faults fire *before*
-    the body runs (modelling an RPC lost on the wire): one message latency
-    is charged, then :class:`SimulatedFaultError` is raised, leaving all
-    functional state untouched — which is what makes retry safe.
-    """
-
-    def __init__(self, config) -> None:
-        self.config = config
-        self._sequence = 0
-
-    def _faults(self, client: "DaosClient", request: Request, sequence: int) -> bool:
-        config = self.config
-        if config.ops and request.op not in config.ops:
-            return False
-        token = (
-            f"{config.seed}/{client.address.node}.{client.address.socket}"
-            f"/{request.op}/{sequence}"
-        )
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        fraction = int.from_bytes(digest[:8], "little") / float(1 << 64)
-        return fraction < config.rate
-
-    def handle(self, client: "DaosClient", request: Request, call):
-        sequence = self._sequence
-        self._sequence += 1
-        config = self.config
-        under_cap = config.max_faults is None or client.faults_injected < config.max_faults
-        if under_cap and self._faults(client, request, sequence):
-            client.faults_injected += 1
-            client.tally_op(request.op, "faults_injected")
-            client.sim.record("rpc_fault", op=request.op, sequence=sequence)
-            yield client._message_latency  # the round trip that never completed
-            raise SimulatedFaultError(
-                f"injected fault on {request.op} (sequence {sequence})"
-            )
-        result = yield from call(client, request)
-        return result
-
-
-class PoolMapRefreshMiddleware(Middleware):
-    """Health-aware retry: refetch the pool map on DER_TGT_DOWN, then re-route.
-
-    A :class:`TargetDownError` means the op addressed a target the server
-    knows is gone — either the client's cached view is stale (the common
-    case right after an engine failure) or the data is genuinely
-    unreachable.  The middleware refetches the pool map and retries the op
-    (re-invoking the body re-runs target selection against the fresh view)
-    *only if* the fetched map is newer than the view the client held;
-    otherwise the error is surfaced, because retrying against the same map
-    would loop forever on a permanently lost object.  The map version is
-    strictly increasing, so the retry loop is bounded by the number of
-    health transitions in the run.
-    """
-
-    def handle(self, client: "DaosClient", request: Request, call):
-        while True:
-            try:
-                result = yield from call(client, request)
-                return result
-            except TargetDownError:
-                refreshed = yield from client._refresh_pool_map()
-                if not refreshed:
-                    raise
-                client.tally_op(request.op, "retries")
-                client.sim.record(
-                    "rpc_map_refresh",
-                    op=request.op,
-                    map_version=client._map_view.version,
-                )
-
-
-class RetryMiddleware(Middleware):
-    """Retry-with-backoff on :class:`SimulatedFaultError`.
-
-    Sits outside fault injection (and the body), so it recovers both
-    injected faults and genuinely raised simulated instabilities.  Backoff
-    is exponential from ``policy.backoff_base``; the final failure is
-    re-raised once ``policy.max_attempts`` is exhausted.
-    """
-
-    def __init__(self, policy) -> None:
-        self.policy = policy
-
-    def handle(self, client: "DaosClient", request: Request, call):
-        policy = self.policy
-        attempt = 1
-        while True:
-            try:
-                result = yield from call(client, request)
-                return result
-            except SimulatedFaultError:
-                if attempt >= policy.max_attempts:
-                    raise
-                client.tally_op(request.op, "retries")
-                client.sim.record("rpc_retry", op=request.op, attempt=attempt)
-                backoff = policy.backoff_base * policy.backoff_factor ** (attempt - 1)
-                yield backoff
-                attempt += 1
-
-
-def compose_chain(
-    middlewares: List[Middleware],
-) -> Callable[["DaosClient", Request], Generator]:
-    """Fold a middleware list (outermost first) into one callable.
-
-    The returned callable produces the generator that
-    ``DaosClient._launch_request`` runs on a driver; the innermost stage
-    invokes ``request.body()``.
-    """
-
-    def terminal(client: "DaosClient", request: Request) -> Generator:
-        return request.body()
-
-    def link(handle, call) -> Callable[["DaosClient", Request], Generator]:
-        return lambda client, request: handle(client, request, call)
-
-    handler = terminal
-    for middleware in reversed(middlewares):
-        handler = link(middleware.handle, handler)
-    return handler
+    if config.ops and op not in config.ops:
+        return False
+    token = f"{config.seed}/{address.node}.{address.socket}/{op}/{sequence}"
+    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    fraction = int.from_bytes(digest[:8], "little") / float(1 << 64)
+    return fraction < config.rate

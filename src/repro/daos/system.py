@@ -58,11 +58,12 @@ class DaosSystem:
         #: Every client's per-op counts, latencies and bytes: one column per
         #: op kind, one row per client slot (``client.op_metrics`` is a view).
         self.op_table = OpTable()
-        from repro.daos.client import default_middleware
-
-        #: Whether the config yields any default stage: a client built
-        #: without stages of its own makes its private list only if so.
-        self.default_staged = bool(default_middleware(self.config))
+        #: Whether the config turns on a default policy (health's map
+        #: refresh, fault injection and its retry): if so every client runs
+        #: each op through its attempt loop (``DaosClient._attempt``).
+        self.default_staged = (
+            self.config.health.enabled or self.config.fault_injection.enabled
+        )
 
         #: Authoritative target-health map.  Always present (version 1, all
         #: UP), but only ever *changes* when the health subsystem is enabled
@@ -82,6 +83,10 @@ class DaosSystem:
     def make_client(self, address: NodeSocket, middleware=None):
         """A per-process client bound to ``address`` for this backend.
 
+        ``middleware`` is ``None`` or a serving tenant's
+        :class:`~repro.serving.qos.QosAdmission`, which the client applies
+        on top of the system's default policy.
+
         The factory is the only place consumers need a concrete client
         class; everything downstream talks the ``StorageClient`` protocol
         (:mod:`repro.backends.protocol`), which is what lets a posixfs
@@ -89,7 +94,7 @@ class DaosSystem:
         """
         from repro.daos.client import DaosClient
 
-        return DaosClient(self, address, middleware=middleware)
+        return DaosClient(self, address, qos=middleware)
 
     # -- health -------------------------------------------------------------------
     def arm_failure_schedule(self) -> None:

@@ -46,7 +46,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.units import backend_kwargs
 from repro.fdb.fieldio import FieldIO
-from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
+from repro.serving.qos import QosAdmission, QosPolicy
 from repro.units import GiB, KiB, MiB
 from repro.workloads.fields import PRESSURE_LEVELS, UPPER_AIR_PARAMS, field_payload
 from repro.workloads.forecast import ForecastSpec
@@ -148,7 +148,7 @@ def cycle_point(
     seeded single-engine failure at that simulated time; pair it with a
     replicated ``oclass`` so degraded reads and rebuild traffic join the
     contention.  ``reader_qos_rate`` puts every reader behind one shared
-    per-tenant :class:`~repro.serving.qos.QosAdmissionMiddleware` (metering
+    per-tenant :class:`~repro.serving.qos.QosAdmission` (metering
     index ``kv_get`` sub-ops); shed readers retry with
     ``reader_retry_backoff``-spaced backoff, modelling the gateway
     protecting the ensemble writers from a product-reader herd.
@@ -183,11 +183,11 @@ def cycle_point(
     per_node = -(-total_procs // clients)
     addresses = cluster.client_addresses(per_node)
 
-    # One admission middleware shared by every reader client = one limit
-    # for the whole "products" tenant, however many connections it opens.
+    # One admission shared by every reader client = one limit for the
+    # whole "products" tenant, however many connections it opens.
     qos = None
     if reader_qos_rate is not None:
-        qos = QosAdmissionMiddleware(
+        qos = QosAdmission(
             "products",
             QosPolicy(
                 rate=reader_qos_rate,
@@ -199,10 +199,8 @@ def cycle_point(
 
     # Replicated classes only matter for the rebuild round; the plain
     # rounds keep FieldIO's defaults so the baseline stays the baseline.
-    def make_fieldio(index: int, middleware=None) -> FieldIO:
-        client = system.make_client(
-            addresses[index % len(addresses)], middleware=middleware
-        )
+    def make_fieldio(index: int, qos=None) -> FieldIO:
+        client = system.make_client(addresses[index % len(addresses)], middleware=qos)
         if fail_at is None:
             return FieldIO(client, pool)
         return FieldIO(
@@ -211,8 +209,7 @@ def cycle_point(
 
     writer_ios = [make_fieldio(i) for i in range(n_writers)]
     reader_ios = [
-        make_fieldio(n_writers + i, middleware=None if qos is None else [qos])
-        for i in range(n_readers)
+        make_fieldio(n_writers + i, qos=qos) for i in range(n_readers)
     ]
 
     write_seconds = 0.0

@@ -19,11 +19,11 @@ comparison paper's story:
   targets (now playing OSTs) and moves over the same fabric model, so the
   data-path hardware is held constant and only the semantics differ.
 
-The backend reuses the DAOS client's op driver and middleware stages
+The backend reuses the DAOS client's op driver and attempt loop
 unchanged: op metrics, tracing, seeded fault injection, retry and QoS
 admission behave identically, and posixfs failure modes (lock timeout, MDS
 overload) surface as :class:`~repro.daos.errors.SimulatedFaultError`
-subclasses the retry middleware already understands.
+subclasses the client's retry already understands.
 """
 
 from repro.posixfs.config import PosixServiceConfig

@@ -1,8 +1,8 @@
 """The per-process POSIX (Lustre-style) client.
 
 Implements the same ``StorageClient`` protocol as
-:class:`~repro.daos.client.DaosClient` — same middleware chain, same
-functional semantics, same error taxonomy — but re-times every operation
+:class:`~repro.daos.client.DaosClient` -- same attempt loop, same
+functional semantics, same error taxonomy -- but re-times every operation
 through Lustre's architecture:
 
 - **Namespace ops go through the MDS.**  Pool/container/object open,
@@ -22,8 +22,8 @@ nothing else: each body is written once, in the leg dialect (``yield
 <float>`` a delay, ``yield <Event>`` a wait, ``yield <Gate>`` a claim; see
 :mod:`repro.daos.client`),
 and the inherited public methods and ``request_*`` builders close over
-``self``, so the one launch decision (``DaosClient._call``: bare, or a
-Request inside the middleware stages), the op driver that runs every body,
+``self``, so the one launch decision (``DaosClient._call``: bare, or
+inside the attempt loop), the op driver that runs every body,
 the event-queue async path and the op bookkeeping are shared verbatim
 rather than forked.
 """
@@ -40,7 +40,6 @@ from repro.daos.errors import MetadataOverloadError
 from repro.daos.kv import KeyValueObject
 from repro.daos.placement import shard_layout
 from repro.daos.pool import Pool
-from repro.daos.rpc import Middleware
 from repro.daos.system import DaosSystem
 from repro.network.fabric import NodeSocket
 from repro.posixfs.locks import ExtentLock
@@ -57,9 +56,9 @@ class PosixClient(DaosClient):
         self,
         system: DaosSystem,
         address: NodeSocket,
-        middleware: Optional[List[Middleware]] = None,
+        qos=None,
     ) -> None:
-        super().__init__(system, address, middleware=middleware)
+        super().__init__(system, address, qos=qos)
         self.posix = system.posix
         self.mds = system.mds
         self.locks = system.locks
@@ -69,7 +68,7 @@ class PosixClient(DaosClient):
         """Leg: occupy an MDS service thread for ``service_time``.
 
         Rejects the request up front when the MDS queue exceeds the
-        configured overload depth — the retry middleware backs off and
+        configured overload depth -- the client's retry backs off and
         re-submits, which is what a Lustre client's RPC resend does.
         """
         limit = self.posix.mds_overload_queue

@@ -50,7 +50,7 @@ class PosixSystem(DaosSystem):
     def make_client(self, address: NodeSocket, middleware=None):
         from repro.posixfs.client import PosixClient
 
-        return PosixClient(self, address, middleware=middleware)
+        return PosixClient(self, address, qos=middleware)
 
     def register_object(self, obj, oclass, container_salt: int = 0) -> None:
         if oclass.replicas > 1:

@@ -8,8 +8,8 @@ bounded under zipf-skewed read traffic:
 
 * a gateway-side :class:`FieldCache` keyed by field key (LRU in bytes,
   per-entry TTL for cycle rollover);
-* per-tenant QoS admission (:class:`QosAdmissionMiddleware`) in the
-  standard RPC middleware chain — token-bucket rate limits with
+* per-tenant QoS admission (:class:`QosAdmission`), one of the policies
+  of every worker client's attempt loop -- token-bucket rate limits with
   queue-depth shedding via
   :class:`~repro.daos.errors.ServiceBusyError`;
 * hot-object replication: fields hotter than a promotion threshold are
@@ -19,13 +19,13 @@ bounded under zipf-skewed read traffic:
 
 from repro.serving.cache import FieldCache
 from repro.serving.gateway import Gateway, GatewayConfig
-from repro.serving.qos import QosAdmissionMiddleware, QosPolicy, TokenBucket
+from repro.serving.qos import QosAdmission, QosPolicy, TokenBucket
 
 __all__ = [
     "FieldCache",
     "Gateway",
     "GatewayConfig",
-    "QosAdmissionMiddleware",
+    "QosAdmission",
     "QosPolicy",
     "TokenBucket",
 ]

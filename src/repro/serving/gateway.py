@@ -3,7 +3,7 @@
 A :class:`Gateway` fronts one deployment's field store for a population of
 dissemination users.  Each tenant gets a pool of worker storage clients
 (spread over distinct client addresses, so replica reads fan out across
-engines) sharing one :class:`~repro.serving.qos.QosAdmissionMiddleware`;
+engines) sharing one :class:`~repro.serving.qos.QosAdmission`;
 all tenants share one :class:`~repro.serving.cache.FieldCache`.
 
 Serving a :class:`~repro.fdb.request.Request` expands it once and walks the
@@ -42,7 +42,7 @@ from repro.fdb.key import FieldKey
 from repro.fdb.request import Request
 from repro.fdb.schema import DEFAULT_SCHEMA, KeySchema
 from repro.serving.cache import FieldCache
-from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
+from repro.serving.qos import QosAdmission, QosPolicy
 from repro.simulation.resources import Store
 from repro.units import MiB
 
@@ -97,7 +97,7 @@ class _Tenant:
     """One tenant's worker pool, QoS handle, and counters."""
 
     workers: List[FieldIO]
-    qos: Optional[QosAdmissionMiddleware]
+    qos: Optional[QosAdmission]
     stats: Dict[str, int] = field(
         default_factory=lambda: {
             "requests": 0, "fields": 0, "hits": 0, "misses": 0, "shed": 0,
@@ -170,7 +170,7 @@ class Gateway:
         if name in self._tenants:
             raise InvalidArgumentError(f"tenant {name!r} already registered")
         qos = (
-            QosAdmissionMiddleware(name, policy, ops=QOS_OPS)
+            QosAdmission(name, policy, ops=QOS_OPS)
             if policy is not None
             else None
         )
@@ -178,8 +178,7 @@ class Gateway:
             addresses = self._worker_addresses()
         workers = []
         for address in addresses:
-            middleware = None if qos is None else [qos]
-            client = self.system.make_client(address, middleware=middleware)
+            client = self.system.make_client(address, middleware=qos)
             workers.append(FieldIO(client, self.pool, schema=self.schema))
         self._tenants[name] = _Tenant(workers=workers, qos=qos)
 
@@ -190,7 +189,7 @@ class Gateway:
     def tenant_stats(self, name: str) -> Dict[str, int]:
         return dict(self._tenants[name].stats)
 
-    def tenant_qos(self, name: str) -> Optional[QosAdmissionMiddleware]:
+    def tenant_qos(self, name: str) -> Optional[QosAdmission]:
         return self._tenants[name].qos
 
     # -- serving ----------------------------------------------------------------

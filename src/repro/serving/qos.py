@@ -1,31 +1,31 @@
-"""Per-tenant QoS admission for the serving tier's RPC chains.
+"""Per-tenant QoS admission for the serving tier's storage clients.
 
-A :class:`QosAdmissionMiddleware` slots into the :mod:`repro.daos.rpc`
-middleware stages of every storage client working for one tenant.
-Admission is a deterministic token bucket over *simulated* time: each
-covered op reserves one token; when the bucket is empty the op waits
-exactly until its reserved token accrues (a virtual-clock reservation, so
-concurrent waiters are spaced ``1/rate`` apart with no randomness), and
-when the wait queue is already at the configured depth the op is shed with
-a retryable :class:`~repro.daos.errors.ServiceBusyError` instead — bounded
-queues, the gateway answer to overload.  Like every stage, the wait is a
-leg (``yield <float>``) of the op's driver.
+A :class:`QosAdmission` is shared by every storage client working for one
+tenant, each of which applies it in its attempt loop
+(``DaosClient._attempt``).  Admission is a deterministic token bucket over
+*simulated* time: each covered op reserves one token; when the bucket is
+empty the op waits exactly until its reserved token accrues (a
+virtual-clock reservation, so concurrent waiters are spaced ``1/rate``
+apart with no randomness), and when the wait queue is already at the
+configured depth the op is shed with a retryable
+:class:`~repro.daos.errors.ServiceBusyError` instead -- bounded queues, the
+gateway answer to overload.  The wait is a leg (``yield <float>``) of the
+op's driver.
 
-The middleware holds no reference to a simulator; like the other stages it
-reads time from the client it is handling, so one instance can be shared
-by all of a tenant's worker clients — which is precisely what makes the
-limit *per tenant* rather than per connection.
+The admission holds no reference to a simulator; it reads time from the
+client it is admitting for, so one instance can be shared by all of a
+tenant's worker clients -- which is precisely what makes the limit *per
+tenant* rather than per connection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.daos.errors import ServiceBusyError
-from repro.daos.rpc import Middleware, Request
 
-__all__ = ["QosPolicy", "TokenBucket", "QosAdmissionMiddleware"]
+__all__ = ["QosPolicy", "TokenBucket", "QosAdmission"]
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,13 @@ class TokenBucket:
         return max(0, -int(self._level // 1.0)) if self._level < 0 else 0
 
 
-class QosAdmissionMiddleware(Middleware):
+class QosAdmission:
     """Token-bucket admission + queue-depth shedding for one tenant.
 
-    Installed as the one stage of each worker client;
-    ops outside ``ops`` (when given) pass through untouched, so the
-    gateway meters one token per *field read* by covering only the index
-    lookup (``kv_get``) — shedding happens before any bulk array work.
+    Shared by each worker client of the tenant; ops outside ``ops`` (when
+    given) pass unmetered, so the gateway meters one token per *field
+    read* by covering only the index lookup (``kv_get``), and shedding
+    happens before any bulk array work.
     """
 
     def __init__(
@@ -127,28 +127,28 @@ class QosAdmissionMiddleware(Middleware):
         self.shed = 0
         self.max_waiting = 0
 
-    def _tokens_for(self, request: Request) -> int:
-        """Tokens the request must reserve: 0 = pass through unmetered.
+    def reserve(self, client, op: str, subs: tuple) -> Tuple[float, int]:
+        """Reserve ``op``'s tokens at ``client``'s clock: ``(wait, tokens)``.
 
-        A vectorized multi-op submit carries its sub-requests on the
-        wrapper (``request.subrequests``); each covered sub-op costs one
-        token, so batching N index lookups into one RPC still pays the N
-        tokens the sequential path would — the per-field-read limit cannot
-        be laundered through batching.
+        A covered op costs one token.  A multi-op (``subs``, its
+        sub-requests) costs one per covered sub-op, so batching N index
+        lookups into one RPC still pays the N tokens the sequential path
+        would -- the per-field-read limit cannot be laundered through
+        batching.  An op with nothing covered costs ``(0.0, 0)``.
+
+        A positive ``wait`` parks the op (``waiting``, ``delayed``): the
+        caller waits it out, then takes the op off ``waiting`` and adds
+        ``tokens`` to ``admitted``.  When the queue is already at the
+        policy's depth the reservations are returned instead and the op is
+        shed with :class:`ServiceBusyError`.
         """
         ops = self.ops
-        if ops is None or request.op in ops:
-            return 1
-        subs = request.subrequests
-        if subs:
-            return sum(1 for sub in subs if sub.op in ops)
-        return 0
-
-    def handle(self, client, request: Request, call):
-        tokens = self._tokens_for(request)
-        if tokens == 0:
-            result = yield from call(client, request)
-            return result
+        if ops is None or op in ops:
+            tokens = 1
+        else:
+            tokens = sum(1 for sub in subs if sub.op in ops)
+            if not tokens:
+                return 0.0, 0
         now = client.sim.now
         bucket = self.bucket
         wait = bucket.reserve(now)
@@ -161,9 +161,7 @@ class QosAdmissionMiddleware(Middleware):
                 self.shed += 1
                 for _ in range(tokens):
                     bucket.cancel(now)
-                client.sim.record(
-                    "qos_shed", tenant=self.tenant, op=request.op, wait=wait
-                )
+                client.sim.record("qos_shed", tenant=self.tenant, op=op, wait=wait)
                 raise ServiceBusyError(
                     f"tenant {self.tenant!r} over rate limit "
                     f"({self.waiting} already queued)"
@@ -172,10 +170,4 @@ class QosAdmissionMiddleware(Middleware):
             self.waiting += 1
             if self.waiting > self.max_waiting:
                 self.max_waiting = self.waiting
-            try:
-                yield wait
-            finally:
-                self.waiting -= 1
-        self.admitted += tokens
-        result = yield from call(client, request)
-        return result
+        return wait, tokens

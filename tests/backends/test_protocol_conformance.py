@@ -160,8 +160,8 @@ def test_enospc_maps_to_no_space_error(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fault_injection_and_retry_middleware_apply(backend):
-    """The shared middleware chain (metrics, retry, fault injection) wires up
-    identically on every backend; with a zero fault rate the run is clean."""
+    """The shared attempt loop (retry, fault injection) wires up identically
+    on every backend; with a zero fault rate the run is clean."""
     daos = DaosServiceConfig(
         fault_injection=FaultInjectionConfig(enabled=True, rate=0.0)
     )
@@ -242,11 +242,11 @@ def test_metadata_overload_error_past_mds_queue():
 def test_metadata_overload_error_from_the_one_mds_leg(launch):
     """The hot metadata bodies reach the MDS through the same leg as the cold
     ones, so the overload rejection holds whether a body is launched bare
-    ("driver") or as a Request through the retry stages."""
+    ("driver") or inside the attempt loop with retry on."""
     config_kwargs = {}
     if launch == "retry_chain":
-        # [retry, tracing, fault] with no injected faults: the only failures
-        # the retry sees are the MDS's own rejections.
+        # Retry and fault injection with no injected faults: the only
+        # failures the retry sees are the MDS's own rejections.
         config_kwargs["daos"] = DaosServiceConfig(
             fault_injection=FaultInjectionConfig(enabled=True, rate=0.0)
         )
@@ -275,7 +275,7 @@ def test_metadata_overload_error_from_the_one_mds_leg(launch):
     assert system.fast_drivers
     assert all(driver._generator is None for driver in system.fast_drivers)
     assert cluster.sim.pending == 0
-    assert all((client._chain is None) == (launch == "driver") for client in clients)
+    assert system.default_staged == (launch == "retry_chain")
     if launch == "driver":
         assert outcomes.count("overload") == rejected > 0 == retried
     else:

@@ -128,9 +128,8 @@ def test_finished_processes_hold_no_wake():
 
 
 def test_default_clients_build_no_stage_list_until_read():
+    """A default client builds no stage list, ever: it holds no policy
+    object (no admission), and the system turns on no default policy."""
     (_, system, _, clients, _), _ = _ior_deployment(2)
-    assert all(client._middleware is None for client in clients)
-    # Reading it builds a list of the client's own (see test_shared_chain).
-    assert clients[0].middleware is not clients[1].middleware
-    assert clients[0]._middleware is not None
-
+    assert not system.default_staged
+    assert all(client._qos is None for client in clients)

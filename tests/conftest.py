@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.bench.runner import build_deployment
@@ -32,6 +34,21 @@ def deployment(small_config):
 def client(deployment) -> DaosClient:
     cluster, system, _pool = deployment
     return DaosClient(system, cluster.client_addresses(1)[0])
+
+
+@pytest.fixture
+def attempts(monkeypatch) -> Counter:
+    """Counts, per op, every launch that runs a client's attempt loop
+    (``DaosClient._attempt``) while the test runs."""
+    counts = Counter()
+    attempt = DaosClient._attempt
+
+    def counting(self, op, body, args, subs):
+        counts[op] += 1
+        return attempt(self, op, body, args, subs)
+
+    monkeypatch.setattr(DaosClient, "_attempt", counting)
+    return counts
 
 
 def run_process(cluster_or_sim, generator):

@@ -2,9 +2,10 @@
 
 Every op has a single leg-dialect body (``DaosClient._do_*``) that runs on
 a pooled ``_FastDriver``, and ``DaosClient._call`` picks how it launches:
-bare (no stage; no op builds a Request, whether or not a tracer is
-installed) or as a Request inside the client's middleware stages.  Which
-launch runs it, whether a free grant is taken inline or queued as a wake,
+bare (no policy applies to it; no op builds a Request, whether or not a
+tracer is installed) or inside the client's attempt loop
+(``DaosClient._attempt``).  Which launch runs it, whether a free grant is
+taken inline or queued as a wake,
 and whether a tracer watches, must never show in the outcome: the same bits
 -- event timings, return values, per-op metrics, final clock.  The driver
 emits one ``rpc`` span per launched op (sub-ops of a multi-op and
@@ -17,18 +18,18 @@ seven were recorded at the last commit that still carried the Event-dialect
 ``_do_*`` twins (the de-facto timeline oracle), on both of its paths
 (``REPRO_RPC_FAST`` unset and ``=0``, equal digests); they pin those
 timelines now that the twins are gone.  The rest were recorded before data
-ops, multi-ops, event-queue submissions and every middleware configuration
+ops, multi-ops, event-queue submissions and every policy configuration
 moved from an in-process ``yield from`` chain onto the driver: an engine
 failure that makes the pool-map refresh act, one QoS admission object
 shared by every client so that it delays and sheds, and a data-plane storm
 (array I/O on single-shard, multi-shard and replicated classes, multi-ops,
-event-queue submissions) under each middleware configuration.  Each
-scenario is checked as configured, on the request path where a plain one
-launches bare (a pass-through middleware forces the Request), and again
-with every grant forced through the event queue as a queued wake, and
-with a tracer installed from the start.  At the end of every scenario no op
-is in flight, so every driver is back on its free-list and nothing is left
-queued.
+event-queue submissions) under each policy configuration.  Each scenario
+is checked as configured, through the attempt loop where a plain one
+launches bare (an ample admission covering every op never waits, so it
+only forces the loop), and again with every grant forced through the
+event queue as a queued wake, and with a tracer installed from the start.
+At the end of every scenario no op is in flight, so every driver is back
+on its free-list and nothing is left queued.
 """
 
 import dataclasses
@@ -46,8 +47,8 @@ from repro.daos.locks import RWLock
 from repro.daos.objclass import OC_RP_2G1, OC_S1, OC_SX
 from repro.daos.oid import ObjectId
 from repro.daos.payload import PatternPayload
-from repro.daos.rpc import DATA_OPS, Middleware
-from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
+from repro.daos.rpc import DATA_OPS
+from repro.serving.qos import QosAdmission, QosPolicy
 from repro.simulation.events import Event, Timeout
 from repro.simulation.resources import Resource
 from repro.simulation.trace import Tracer
@@ -117,23 +118,20 @@ def _digest(fingerprint, spans) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _clients(system, cluster, chain_factory):
+def _clients(system, cluster, admission):
     return [
-        system.make_client(
-            address,
-            middleware=chain_factory(system) if chain_factory else None,
-        )
+        system.make_client(address, middleware=admission(system) if admission else None)
         for address in cluster.client_addresses(N_CLIENTS)
     ]
 
 
 def _run_storm(
-    backend="daos", config=None, chain_factory=None, start_hook=None, mid_run_hook=None
+    backend="daos", config=None, admission=None, start_hook=None, mid_run_hook=None
 ):
     """One deterministic metadata storm; returns its fingerprint, system and clients.
 
-    ``chain_factory(system)`` builds a middleware list per client (None =
-    the client default).  ``start_hook(sim)`` runs before the first op, and
+    ``admission(system)`` gives each client its QoS admission (None: no
+    admission).  ``start_hook(sim)`` runs before the first op, and
     ``mid_run_hook(sim)`` fires from inside rank 0 halfway through its ops
     (both used to install a tracer).
     """
@@ -142,7 +140,7 @@ def _run_storm(
     sim = cluster.sim
     if start_hook is not None:
         start_hook(sim)
-    clients = _clients(system, cluster, chain_factory)
+    clients = _clients(system, cluster, admission)
 
     def bootstrap():
         container = yield from clients[0].container_create(
@@ -228,7 +226,7 @@ def _run_storm(
 
 
 def _run_data_storm(
-    backend="daos", config=None, chain_factory=None, start_hook=None, classes=None
+    backend="daos", config=None, admission=None, start_hook=None, classes=None
 ):
     """One deterministic data-plane storm; returns its fingerprint, system and clients.
 
@@ -243,7 +241,7 @@ def _run_data_storm(
     sim = cluster.sim
     if start_hook is not None:
         start_hook(sim)
-    clients = _clients(system, cluster, chain_factory)
+    clients = _clients(system, cluster, admission)
     if classes is None:
         classes = (OC_S1, OC_SX, OC_RP_2G1) if backend == "daos" else (OC_S1, OC_SX)
 
@@ -337,26 +335,23 @@ def _config(n_server_nodes=1, **overrides) -> ClusterConfig:
     return dataclasses.replace(base, daos=dataclasses.replace(base.daos, **overrides))
 
 
-def _qos_chain(system):
-    return [
-        QosAdmissionMiddleware(
-            "tenant",
-            QosPolicy(rate=5000.0, burst=2.0, max_queue_depth=1),
-            ops=("kv_get",),
-        ),
-    ]
+def _qos_admission(system):
+    """A private admission per client, covering ``kv_get``."""
+    return QosAdmission(
+        "tenant", QosPolicy(rate=5000.0, burst=2.0, max_queue_depth=1), ops=("kv_get",)
+    )
 
 
-def _shared_qos_chain(policy, ops):
-    """A chain factory whose clients all meter against one admission object."""
-    qos = QosAdmissionMiddleware("tenant", policy, ops=ops)
-    return lambda system: [qos]
+def _shared_admission(policy, ops):
+    """An admission factory whose clients all meter against one object."""
+    qos = QosAdmission("tenant", policy, ops=ops)
+    return lambda system: qos
 
 
-def _pass_through_chain(system):
-    """One do-nothing middleware: same timeline, but no longer bare, so
-    every op is launched as a Request through it."""
-    return [Middleware()]
+def _ample_admission(system):
+    """An admission covering every op whose bucket never runs dry: the same
+    timeline, but no op launches bare -- each runs the attempt loop."""
+    return QosAdmission("ample", QosPolicy(rate=1e12, burst=1e12))
 
 
 def _health(at):
@@ -389,7 +384,7 @@ def _scenario(name):
             kwargs["classes"] = (OC_S1, OC_RP_2G1)
         else:
             assert kind == "qos_shared"
-            kwargs["chain_factory"] = _shared_qos_chain(
+            kwargs["admission"] = _shared_admission(
                 QosPolicy(rate=4000.0, burst=2.0, max_queue_depth=1),
                 ops=("kv_put", "array_read"),
             )
@@ -397,19 +392,19 @@ def _scenario(name):
     if kind == "plain":
         return dict(backend=backend)
     if kind == "qos":
-        return dict(backend=backend, chain_factory=_qos_chain)
+        return dict(backend=backend, admission=_qos_admission)
     if kind == "qos_shared":
         return dict(
-            chain_factory=_shared_qos_chain(
+            admission=_shared_admission(
                 QosPolicy(rate=2000.0, burst=1.0, max_queue_depth=1), ops=("kv_get",)
             )
         )
     if kind == "pool_map_refresh":
-        # Health-enabled stages: [refresh].
+        # Health on: the map refresh.
         health = dataclasses.replace(ClusterConfig().daos.health, enabled=True)
         return dict(config=_config(n_server_nodes=2, health=health))
     if kind == "health_failure":
-        # The same chain, with an engine lost mid-storm: stale clients are
+        # The same policy, with an engine lost mid-storm: stale clients are
         # rejected, refetch the map, and retry or surface the loss.
         return dict(config=_config(n_server_nodes=2, health=_health(0.006)))
     if kind == "health_retry_fault":
@@ -419,7 +414,7 @@ def _scenario(name):
             config=_config(n_server_nodes=2, health=_health(0.006), fault_injection=fault)
         )
     if kind == "retry_fault":
-        # Faulty stages: [retry, fault].
+        # Fault injection on: retry, then fault injection.
         return dict(config=_config(fault_injection=fault))
     assert kind == "mid_run_tracer"
     return {}
@@ -505,39 +500,55 @@ def _assert_one_span_per_op(records, clients):
         assert set(span.fields) == {"op", "op_kind", "nbytes", "start", "end", "status"}
 
 
+def _launched(clients, ops=None) -> Counter:
+    """Ops the clients launched (only ``ops``, when given)."""
+    launched = Counter()
+    for client in clients:
+        for op, entry in client.op_metrics.items():
+            if ops is None or op in ops:
+                launched[op] += entry.count
+    return +launched
+
+
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
-def test_plain_chain_identity(backend):
-    """Bare launch vs request path: default clients launch every body bare,
-    a pass-through middleware sends the same bodies through
-    ``_launch_request``."""
+def test_plain_chain_identity(backend, attempts):
+    """Bare launch vs the attempt loop: default clients launch every body
+    bare; a tenant admission with ample rate, covering every op, runs each
+    op through the loop once and yields nothing (an admission with zero
+    wait), so the timeline is the plain golden."""
     name = f"plain-{backend}"
     bare = _run(name)
-    assert all(client._chain is None for client in bare.clients)
-    on_request = _run(name, chain_factory=_pass_through_chain)
-    assert all(client._chain is not None for client in on_request.clients)
-    assert bare.digest == on_request.digest == GOLDEN[name]
+    assert not attempts
+    attempted = _run(name, admission=_ample_admission)
+    assert attempts == _launched(attempted.clients)
+    for client in attempted.clients:
+        assert client._qos.admitted == sum(_launched([client]).values())
+    assert bare.digest == attempted.digest == GOLDEN[name]
 
 
-def _assert_on_request_path(name):
+def _assert_attempted(name, attempts, ops=None):
+    """Scenario ``name`` runs each launched op (of ``ops``, when given)
+    through the attempt loop once, and keeps its golden."""
     outcome = _run(name)
-    assert all(client._chain is not None for client in outcome.clients)
+    assert attempts and attempts == _launched(outcome.clients, ops)
     assert outcome.digest == GOLDEN[name]
 
 
-def test_pool_map_refresh_chain_identity():
-    """Health-enabled stages ([refresh]): every op is a Request."""
-    _assert_on_request_path("pool_map_refresh")
+def test_pool_map_refresh_chain_identity(attempts):
+    """Health on: every op runs the attempt loop."""
+    _assert_attempted("pool_map_refresh", attempts)
 
 
-def test_retry_fault_chain_identity():
-    """Faulty stages ([retry, fault]): every op is a Request."""
-    _assert_on_request_path("retry_fault")
+def test_retry_fault_chain_identity(attempts):
+    """Fault injection on: every op runs the attempt loop."""
+    _assert_attempted("retry_fault", attempts)
 
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
-def test_qos_chain_identity(backend):
-    """A QoS stage (serving tier): every op is a Request."""
-    _assert_on_request_path(f"qos-{backend}")
+def test_qos_chain_identity(backend, attempts):
+    """A tenant admission covering ``kv_get`` (serving tier): the covered
+    ops run the attempt loop, every other op launches bare."""
+    _assert_attempted(f"qos-{backend}", attempts, ops=("kv_get",))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -553,12 +564,12 @@ def test_tracing_is_bit_invisible_and_spans_every_op(name):
         _assert_one_span_per_op(outcome.records, outcome.clients)
 
 
-def test_mid_run_tracer_installation_keeps_clients_bare():
-    """Installing a tracer mid-run changes no client's launch: every client
+def test_mid_run_tracer_installation_keeps_clients_bare(attempts):
+    """Installing a tracer mid-run changes no client's launch: every op
     stays bare, and spans start at the next op that finishes -- ops already
     in flight at the installation included."""
     outcome = _run("mid_run_tracer")
-    assert all(client._chain is None for client in outcome.clients)
+    assert not attempts
     at = outcome.traced_from
     spans = [record for record in outcome.records if record.kind == "rpc"]
     assert spans and all(span["end"] >= at for span in spans)
@@ -593,9 +604,12 @@ def _every_op(client, pool, other):
 
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
-def test_one_launch_decision_for_every_op(backend, monkeypatch):
-    """A bare client builds no Request for any op, with or without a tracer
-    installed; with one, every launched op emits exactly one span."""
+def test_one_launch_decision_for_every_op(backend, monkeypatch, attempts):
+    """A bare client builds no Request for any op and runs none through the
+    attempt loop, with or without a tracer installed; with one, every
+    launched op emits exactly one span.  A tenant admission covering
+    ``kv_get`` sends exactly those ops through the loop, still building no
+    Request."""
     config = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=5)
     cluster, system, pool = build_deployment(config, backend=backend)
     owner, address = cluster.client_addresses(2)
@@ -603,9 +617,8 @@ def test_one_launch_decision_for_every_op(backend, monkeypatch):
         cluster, system.make_client(owner).container_create(pool, label="other")
     )
 
-    def launched():
-        client = system.make_client(address)
-        assert client._chain is None
+    def launched(qos=None):
+        client = system.make_client(address, middleware=qos)
         run_process(cluster, _every_op(client, pool, other))
         stats = client.stats
         assert stats.pop("container_open_cached") == 1
@@ -616,11 +629,15 @@ def test_one_launch_decision_for_every_op(backend, monkeypatch):
 
     monkeypatch.setattr(client_module, "Request", refuse)
     untraced = launched()
-    assert len(untraced) == 18
+    assert len(untraced) == 18 and not attempts
 
     cluster.sim.tracer = tracer = Tracer()
-    assert launched() == untraced
+    assert launched() == untraced and not attempts
     assert Counter(span["op"] for span in tracer.filter("rpc")) == untraced
+    cluster.sim.tracer = None
+    qos = QosAdmission("tenant", QosPolicy(rate=1e12, burst=1e12), ops=("kv_get",))
+    assert launched(qos) == untraced
+    assert attempts == {"kv_get": untraced["kv_get"]} == {"kv_get": qos.admitted}
     _assert_pooled(system)
 
 
@@ -755,28 +772,23 @@ def test_stale_multi_shard_write_completes():
 @pytest.mark.parametrize("name", ["qos_shared", "data-qos_shared"])
 def test_shared_qos_delays_and_sheds(name):
     """One admission object for every client, over its rate: it both paces
-    and sheds, so the QoS stage's waits and failures are in the golden."""
+    and sheds, so the admission's waits and failures are in the golden."""
     outcome = _run(name)
-    qos = {
-        id(stage): stage
-        for client in outcome.clients
-        for stage in client.middleware
-        if isinstance(stage, QosAdmissionMiddleware)
-    }
+    qos = {id(client._qos): client._qos for client in outcome.clients}
     assert len(qos) == 1
-    (stage,) = qos.values()
-    assert stage.delayed > 0 and stage.shed > 0
+    (admission,) = qos.values()
+    assert admission.delayed > 0 and admission.shed > 0
     assert outcome.digest == GOLDEN[name]
 
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
 def test_data_storm_identity(backend):
-    """The data plane, multi-ops and event-queue submissions on the default
-    stages, and again with a pass-through middleware in them."""
+    """The data plane, multi-ops and event-queue submissions with no
+    policy, and again through the attempt loop (an ample admission)."""
     name = f"data-plain-{backend}"
     digest = _run(name).digest
-    on_request = _run(name, chain_factory=_pass_through_chain).digest
-    assert digest == on_request == GOLDEN[name]
+    attempted = _run(name, admission=_ample_admission).digest
+    assert digest == attempted == GOLDEN[name]
 
 
 def test_health_retry_fault_refreshes_and_retries():
@@ -828,4 +840,4 @@ def test_elided_grants_match_real_grants(name, monkeypatch):
         monkeypatch.setattr(owner, claim, _queued(getattr(owner, claim)))
     assert _run(name).digest == GOLDEN[name]
     if "plain" in name:
-        assert _run(name, chain_factory=_pass_through_chain).digest == GOLDEN[name]
+        assert _run(name, admission=_ample_admission).digest == GOLDEN[name]

@@ -16,7 +16,7 @@ from repro.daos.errors import ServiceBusyError
 from repro.daos.objclass import OC_SX
 from repro.daos.oid import ObjectId
 from repro.daos.rpc import Request
-from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
+from repro.serving.qos import QosAdmission, QosPolicy
 from tests.conftest import run_process
 from tests.daos.test_fast_path import _assert_pooled
 
@@ -156,15 +156,12 @@ def _qos_client(rate=4.0, burst=2.0, max_queue_depth=0):
     cluster, system, pool = build_deployment(
         ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=7)
     )
-    qos = QosAdmissionMiddleware(
+    qos = QosAdmission(
         "tenant",
         QosPolicy(rate=rate, burst=burst, max_queue_depth=max_queue_depth),
         ops=("kv_put",),
     )
-    client = system.make_client(
-        cluster.client_addresses(1)[0],
-        middleware=[qos],
-    )
+    client = system.make_client(cluster.client_addresses(1)[0], middleware=qos)
     return cluster, pool, client, qos
 
 

@@ -1,4 +1,4 @@
-"""The RPC layer: requests, middleware, fault injection, retry, event queues."""
+"""The RPC layer: requests, op counts, fault injection, retry, event queues."""
 
 import dataclasses
 
@@ -7,13 +7,12 @@ import pytest
 from repro.bench.report import format_rpc_breakdown
 from repro.bench.runner import build_deployment
 from repro.config import ClusterConfig, FaultInjectionConfig
-from repro.daos.client import DaosClient, default_middleware
+from repro.daos.client import DaosClient
 from repro.daos.eq import EventQueue
 from repro.daos.errors import SimulatedFaultError
 from repro.daos.kv import KeyValueObject
 from repro.daos.rpc import (
     DATA_OPS,
-    Middleware,
     OpStats,
     merge_op_stats,
 )
@@ -67,26 +66,6 @@ def test_ops_flow_through_metrics_middleware(deployment, client):
 
 def test_request_kind_taxonomy():
     assert DATA_OPS == {"array_write", "array_read"}
-
-
-def test_custom_middleware_sees_every_request(deployment):
-    cluster, system, pool = deployment
-
-    class Recorder(Middleware):
-        def __init__(self):
-            self.ops = []
-
-        def handle(self, client, request, call):
-            self.ops.append(request.op)
-            result = yield from call(client, request)
-            return result
-
-    recorder = Recorder()
-    chain = [recorder] + default_middleware(system.config)
-    client = DaosClient(system, cluster.client_addresses(1)[0], middleware=chain)
-    kv = _open_kv(cluster, client, pool)
-    run_process(cluster, client.kv_put(kv, b"k", b"v"))
-    assert recorder.ops == ["container_create", "kv_open", "kv_put"]
 
 
 def test_failed_op_counts_as_error(deployment, client):
@@ -205,11 +184,15 @@ def test_retry_recovers_a_fieldio_write():
 
 
 def test_default_chain_skips_fault_machinery(deployment):
+    """No default policy unless health or fault injection is on."""
     _cluster, system, _pool = deployment
-    assert default_middleware(system.config) == []
-    faulty = _faulty_config()
-    names = [type(m).__name__ for m in default_middleware(faulty.daos)]
-    assert names == ["RetryMiddleware", "FaultInjectionMiddleware"]
+    assert system.default_staged is False
+    base = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=7)
+    health = dataclasses.replace(
+        base.daos, health=dataclasses.replace(base.daos.health, enabled=True)
+    )
+    for config in (_faulty_config(), dataclasses.replace(base, daos=health)):
+        assert build_deployment(config)[1].default_staged is True
 
 
 # -- event queue --------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Default clients have no stage chain at all; stateful ones compose their own.
+"""What clients share of their policy: the admission per tenant, nothing else.
 
-While fault injection and health are off the default stage list is empty,
-so every default client is bare: it composes no chain (and shares the
-system's one op-driver free-list), traced or not.  Anything else --
-explicit ``middleware=``, fault injection, health, QoS -- composes a chain
-of its own.  Either way every op runs on a pooled driver.  The
-bare-vs-request identity rails live in ``test_fast_path.py``.
+While fault injection and health are off a default client has no policy,
+so it launches every op bare (and shares the system's one op-driver
+free-list), traced or not.  A serving tenant's QoS admission is one object
+shared by all of the tenant's clients -- that is what makes its limit per
+tenant -- while the fault sequence and the pool-map view stay private per
+client.  Either way every op runs on a pooled driver.  The bare-vs-attempt
+identity rails live in ``test_fast_path.py``.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -16,8 +18,7 @@ from repro.bench.runner import build_deployment
 from repro.config import ClusterConfig, FaultInjectionConfig
 from repro.daos.objclass import OC_S1
 from repro.daos.oid import ObjectId
-from repro.daos.rpc import Middleware
-from repro.serving.qos import QosAdmissionMiddleware, QosPolicy
+from repro.serving.qos import QosAdmission, QosPolicy
 from repro.simulation.trace import Tracer
 from tests.conftest import run_process
 
@@ -48,16 +49,13 @@ def _ran_on_drivers(cluster, system, client, pool, label):
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
 def test_default_clients_share_the_chain_but_not_their_accounting(backend):
-    """What default clients share is the absence of a chain: none composes
-    one.  Each keeps its own accounting and its own stage list."""
+    """What default clients share is the absence of a policy: none has an
+    admission, and the system turns on no default.  Each keeps its own
+    accounting."""
     cluster, system, pool = build_deployment(_config(), backend=backend)
     first, second = _clients(system, cluster)
-    assert first._chain is None and second._chain is None
-    # The list is per client: editing one client's view is not global.
-    assert first.middleware == []
-    assert first.middleware is not second.middleware
-    first.middleware.append("scribble")
-    assert system.make_client(first.address).middleware == []
+    assert not system.default_staged
+    assert first._qos is None and second._qos is None
 
     def work(client, n_puts):
         container = yield from client.container_open(pool, "shared-chain")
@@ -94,72 +92,50 @@ def test_mid_run_tracer_spans_start_at_the_next_finishing_op():
     sim.tracer = tracer = Tracer()
     sim.run(until=create)
     run_process(cluster, second.container_exists(pool, "c"))
-    assert first._chain is None and second._chain is None
+    assert not system.default_staged and first._qos is None
     spans = tracer.filter("rpc")
     assert [span["op"] for span in spans] == ["container_create", "container_exists"]
     assert spans[0]["start"] == launched
 
 
 def test_stateful_chains_stay_private():
-    # Explicit middleware: a chain per client; an explicit empty list is
-    # bare like the default.
+    """The admission is shared per tenant; the fault sequence is private
+    per client."""
+    # QoS tenants: one admission object, metered by every worker.
     cluster, system, pool = build_deployment(_config())
-    explicit = _clients(system, cluster, middleware=[Middleware()])
-    assert explicit[0]._chain is not explicit[1]._chain
-    assert None not in {explicit[0]._chain, explicit[1]._chain}
-    _ran_on_drivers(cluster, system, explicit[0], pool, "explicit")
-    assert system.make_client(explicit[0].address, middleware=[])._chain is None
-
-    # QoS tenants: one admission object, a private chain per worker.
-    qos = QosAdmissionMiddleware("t0", QosPolicy(rate=100.0, burst=1.0))
-    tenants = _clients(system, cluster, middleware=[qos])
-    assert tenants[0]._chain is not tenants[1]._chain
-    assert tenants[0]._chain is not None
+    qos = QosAdmission("t0", QosPolicy(rate=100.0, burst=1.0))
+    tenants = _clients(system, cluster, middleware=qos)
+    assert tenants[0]._qos is tenants[1]._qos is qos
     _ran_on_drivers(cluster, system, tenants[0], pool, "tenant")
     assert qos.admitted == 1
+    _ran_on_drivers(cluster, system, tenants[1], pool, "tenant-2")
+    assert qos.admitted == 2
 
-    # Fault injection and health: the default stages carry per-client state.
-    for overrides in (
-        dict(fault_injection=FaultInjectionConfig(enabled=True, rate=0.2, seed=11)),
-        dict(health=dataclasses.replace(_config().daos.health, enabled=True)),
-    ):
-        cluster, system, pool = build_deployment(_config(**overrides))
-        first, second = _clients(system, cluster)
-        assert first._chain is not second._chain
-        assert all(a is not b for a, b in zip(first.middleware, second.middleware))
-        assert first._chain is not None
-        _ran_on_drivers(cluster, system, first, pool, "stateful")
+    # Fault injection: each client numbers its own attempts.
+    fault = FaultInjectionConfig(enabled=True, rate=0.0, seed=11)
+    cluster, system, pool = build_deployment(_config(fault_injection=fault))
+    first, second = _clients(system, cluster)
+    _ran_on_drivers(cluster, system, first, pool, "stateful")
+    assert (first._fault_seq, second._fault_seq) == (1, 0)
 
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
-def test_stage_decision_is_made_once_per_system(backend, monkeypatch):
-    """Whether the config yields any default stage is decided when the
-    system is built: a default client asks again only where it does (for
-    stages of its own), and a stage-less one still builds its (empty) list
-    when :attr:`middleware` is read."""
-    from repro.daos import client as client_module
-
-    stages = client_module.default_middleware
-    calls = []
-
-    def counting(config):
-        calls.append(config)
-        return stages(config)
-
-    for overrides, staged in (
+def test_stage_decision_is_made_once_per_system(backend, attempts):
+    """Whether the config turns on a default policy is decided when the
+    system is built (``default_staged``: health or fault injection on), and
+    every client's ops follow it: through the attempt loop if so, bare if
+    not."""
+    configs = [
         ({}, False),
-        (dict(fault_injection=FaultInjectionConfig(enabled=True, rate=0.2, seed=11)), True),
-    ):
-        cluster, system, _pool = build_deployment(_config(**overrides), backend=backend)
+        (dict(fault_injection=FaultInjectionConfig(enabled=True, rate=0.0, seed=11)), True),
+    ]
+    if backend == "daos":  # posixfs has no health model
+        health = dataclasses.replace(_config().daos.health, enabled=True)
+        configs.append((dict(health=health), True))
+    for overrides, staged in configs:
+        cluster, system, pool = build_deployment(_config(**overrides), backend=backend)
         assert system.default_staged is staged
-        monkeypatch.setattr(client_module, "default_middleware", counting)
-        del calls[:]
-        clients = _clients(system, cluster, n=3)
-        assert len(calls) == (3 if staged else 0)
-        assert all((client._chain is not None) is staged for client in clients)
-        if staged:  # private stage instances, no list built on read
-            assert len({id(client.middleware[0]) for client in clients}) == 3
-            assert len(calls) == 3
-        else:  # the empty list is built when read
-            assert clients[0].middleware == [] and len(calls) == 1
-        monkeypatch.setattr(client_module, "default_middleware", stages)
+        attempts.clear()
+        for client in _clients(system, cluster, n=3):
+            run_process(cluster, client.container_exists(pool, "absent"))
+        assert attempts == (Counter(container_exists=3) if staged else Counter())

@@ -1,23 +1,30 @@
 """Gateway serving: cache behaviour, QoS shedding, hot-object promotion."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro.bench.runner import build_deployment
-from repro.config import ClusterConfig
-from repro.daos.errors import InvalidArgumentError
+from repro.config import ClusterConfig, EngineFailureEvent, FaultInjectionConfig
+from repro.daos.errors import InvalidArgumentError, SimulatedFaultError, TargetDownError
+from repro.daos.objclass import OC_S1
+from repro.daos.oid import ObjectId
 from repro.fdb.fieldio import FieldIO
-from repro.serving import Gateway, GatewayConfig, QosPolicy
+from repro.serving import Gateway, GatewayConfig, QosAdmission, QosPolicy
+from repro.simulation.trace import Tracer
 from repro.units import KiB, MiB
 from repro.workloads.fields import field_payload
 from repro.workloads.generator import serving_catalog, serving_request
+from tests.conftest import run_process
 
 N_FIELDS = 8
 FIELD_SIZE = 16 * KiB
 
 
-def deploy(config: GatewayConfig):
+def deploy(config: GatewayConfig, cluster_config=None):
     cluster, system, pool = build_deployment(
-        ClusterConfig(n_server_nodes=1, n_client_nodes=2, seed=0)
+        cluster_config or ClusterConfig(n_server_nodes=1, n_client_nodes=2, seed=0)
     )
     sim = cluster.sim
     boot = system.make_client(cluster.client_addresses(1)[0])
@@ -120,6 +127,91 @@ def test_qos_delays_within_queue_depth():
     assert qos.delayed == 8
     assert qos.admitted == 9
     assert qos.max_waiting <= 8
+
+
+def test_qos_tenant_keeps_the_system_refresh_and_retry():
+    """A QoS tenant on a system with health and fault injection on: its
+    admission adds to the system's policy instead of replacing it, so its
+    workers refetch the pool map after an engine loss, retry injected
+    faults, and are paced."""
+    base = ClusterConfig(n_server_nodes=2, n_client_nodes=2, seed=0)
+    health = dataclasses.replace(
+        base.daos.health,
+        enabled=True,
+        arm_at_start=False,
+        events=(EngineFailureEvent(at=1e-4, engine=1, kind="fail"),),
+    )
+    fault = FaultInjectionConfig(enabled=True, rate=0.2, seed=11, ops=("kv_get",))
+    config = dataclasses.replace(
+        base, daos=dataclasses.replace(base.daos, health=health, fault_injection=fault)
+    )
+    cluster, gateway = deploy(GatewayConfig(cache_capacity=0), config)
+    system, sim = gateway.system, cluster.sim
+    workers = []
+    make_client = system.make_client
+
+    def recording_make_client(address, middleware=None):
+        workers.append(make_client(address, middleware=middleware))
+        return workers[-1]
+
+    system.make_client = recording_make_client
+    gateway.add_tenant("steady", policy=QosPolicy(rate=2000.0, burst=1.0, max_queue_depth=64))
+    system.make_client = make_client
+    sim.tracer = tracer = Tracer()
+    system.arm_failure_schedule()
+
+    def user(index):
+        request = serving_request(index % N_FIELDS, N_FIELDS)
+        try:
+            yield from gateway.serve("steady", request, worker=index)
+        except (SimulatedFaultError, TargetDownError):
+            pass  # a field with no replica left, or a retry budget spent
+
+    for index in range(16):
+        sim.process(user(index))
+    sim.run()
+    kinds = Counter(record.kind for record in tracer)
+    assert kinds["rpc_map_refresh"] > 0 and kinds["rpc_retry"] > 0
+    assert sum(client.map_refreshes for client in workers) > 0
+    assert sum(client.op_metrics["kv_get"].retries for client in workers) > 0
+    assert sum(client.faults_injected for client in workers) > 0
+    assert gateway.tenant_qos("steady").delayed > 0
+
+
+def test_shed_is_retried_and_pays_a_fresh_token():
+    """Admission sits inside retry: with retry on, a shed op backs off and
+    is re-offered, and each re-offer reserves a token again."""
+    base = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=0)
+    fault = FaultInjectionConfig(enabled=True, rate=0.0)  # retry on, no fault
+    cluster, system, pool = build_deployment(
+        dataclasses.replace(base, daos=dataclasses.replace(base.daos, fault_injection=fault))
+    )
+    # Depth 0: an op that finds the bucket empty is shed at once.  One token
+    # accrues in 500 us, over the 200 us first backoff.
+    qos = QosAdmission("t", QosPolicy(rate=2000.0, burst=1.0, max_queue_depth=0), ops=("kv_get",))
+    client = system.make_client(cluster.client_addresses(1)[0], middleware=qos)
+    offers = []
+    reserve = qos.reserve
+
+    def counting_reserve(client, op, subs):
+        if op == "kv_get":
+            offers.append(client.sim.now)
+        return reserve(client, op, subs)
+
+    qos.reserve = counting_reserve
+
+    def flow():
+        container = yield from client.container_create(pool, label="c")
+        kv = yield from client.kv_open(container, ObjectId(1, 1), OC_S1)
+        yield from client.kv_put(kv, b"k", b"v")
+        assert (yield from client.kv_get(kv, b"k")) == b"v"  # the burst token
+        assert (yield from client.kv_get(kv, b"k")) == b"v"  # shed, then retried
+
+    run_process(cluster, flow())
+    retries = client.op_metrics["kv_get"].retries
+    assert qos.shed == retries > 0
+    assert len(offers) == 2 + retries and offers == sorted(set(offers))
+    assert qos.admitted == 2 and qos.bucket.waiting_debt == 0
 
 
 def test_hot_promotion_and_replicated_reads_bit_identical():
