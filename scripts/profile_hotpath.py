@@ -3,10 +3,10 @@
 
 The tool behind the metadata-plane fast path: run a kernel scenario (from
 :mod:`repro.bench.kernel_perf`) under :mod:`cProfile` and print the top
-functions by cumulative time.  This is how the per-op overhead budget was
-attributed across the layers — middleware generator frames, event
-allocation in ``Simulator._schedule``/``_dispatch``, resource grant events,
-SCM capacity re-summing — before each was addressed (see DESIGN.md §6).
+functions by cumulative time.  This is how the per-op overhead budget is
+attributed across the layers -- the op driver and the client's attempt
+loop, ``Simulator._schedule``/``_dispatch``, resource grants, SCM
+capacity accounting (see DESIGN.md §6).
 
 Usage::
 

@@ -11,9 +11,10 @@ Two structural interfaces define what a backend must provide:
     One simulated process's handle onto a system.  Every operation is a
     *generator* driven with ``yield from`` inside a simulation process; it
     charges the backend's latency/service/bandwidth costs and returns the
-    functional result.  ``request_*`` builders expose the same ops as
-    :class:`~repro.daos.rpc.Request` objects for asynchronous submission
-    through an event queue.
+    functional result.  The same generators run asynchronously when started
+    on an event queue (``eq.launch(client.kv_put(...), op="kv_put")``), and
+    ``kv_put_many`` / ``kv_get_many`` batch index updates and lookups, over
+    any number of KVs, into one multi-op.
 
 Consumers (``FieldIO``, the IOR/mdtest/FieldIO benches, the I/O-server
 workload, ``FDB``) are written against these protocols only — they never
@@ -22,9 +23,10 @@ name a concrete client class.  The contract each implementation must keep:
 - *functional semantics* are identical across backends (same values
   returned, same error taxonomy from :mod:`repro.daos.errors`); only the
   *timing* — where latency, serialisation, and contention accrue — differs;
-- ops run on the client's op driver and under its one attempt loop, so
-  metrics, tracing, seeded fault injection, retry, map refresh and QoS
-  admission behave identically on every backend;
+- every op, blocking, asynchronous or batched, is launched by the
+  client's one launcher onto its op driver and under its one attempt
+  loop, so metrics, tracing, seeded fault injection, retry, map refresh
+  and QoS admission behave identically on every backend;
 - determinism: two same-seed runs of the same workload on the same backend
   produce bit-identical event streams.
 
@@ -137,20 +139,9 @@ class StorageClient(Protocol):
 
     def array_read(self, array, offset, length): ...
 
-    # -- async submission --------------------------------------------------------
+    # -- async and multi-op submission ------------------------------------------
     def eq_create(self, name: str = "eq"): ...
 
-    def request_kv_put(self, kv, key, value): ...
+    def kv_put_many(self, entries): ...
 
-    def request_kv_get(self, kv, key): ...
-
-    def request_array_write(self, array, offset, payload, pool=None): ...
-
-    # -- vectorized multi-op submission -------------------------------------------
-    def request_multi(self, requests, op: str = "multi"): ...
-
-    def submit_multi(self, requests, op: str = "multi"): ...
-
-    def kv_put_many(self, kv, items): ...
-
-    def kv_get_many(self, kv, keys): ...
+    def kv_get_many(self, entries): ...

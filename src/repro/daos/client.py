@@ -11,30 +11,31 @@ loop (``DaosClient._attempt``) in a fixed order: pool-map refresh when
 health is on, retry and fault injection when
 :class:`~repro.config.FaultInjectionConfig` enables them, QoS admission
 when the client works for a serving tenant.  A default client has no
-policy at all.  ``request_*`` builders expose an op as a
-:class:`~repro.daos.rpc.Request` (op kind, payload size, re-invocable
-body) so callers can submit it asynchronously through an
-:class:`~repro.daos.eq.EventQueue` (``client.eq_create()``), the
-``daos_eq_*`` idiom the pipelined Field I/O path uses.
+policy at all.
 
-**One body per op, one interpreter.**  Each op's timeline is written once,
-as a ``_do_*`` generator in the *leg dialect* every simulated process
-speaks: ``yield <float>`` is a delay, ``yield <Event>`` is a wait, and
-``yield <Gate>`` is a claim of a service slot or an object-lock side
-(granted inline when free on a settled instant, else queued).  Every
-public op ends in ``yield <driver>``: a pooled :class:`_FastDriver` (a
-:class:`~repro.simulation.process.Process` that finishes synchronously)
-runs the body -- or the attempt loop around it, which speaks the same
-dialect -- opens the client's row of the op's column in the
-system's :class:`~repro.daos.rpc.OpTable` at launch and observes the op on
-it at finish (``op_metrics`` is a view of those rows); when a tracer is
-installed, the finish also emits the op's one ``rpc`` span.  One method,
-``_call``, decides how every op launches: an op no policy applies to
-launches its body bare, traced or not; any other runs the attempt loop
-around it.  No blocking op builds a Request.  A multi-op runs each sub-op
-on a driver of its own.  The per-shard legs (``_shard_io``) run inline or
-as spawned processes; either way they take their target slot through
-``_target_leg``, like every other op.
+**One body per op, one interpreter, one launcher.**  Each op's timeline
+is written once, as a ``_do_*`` generator in the *leg dialect* every
+simulated process speaks: ``yield <float>`` is a delay, ``yield <Event>``
+is a wait, and ``yield <Gate>`` is a claim of a service slot or an
+object-lock side (granted inline when free on a settled instant, else
+queued).  Every public op ends in ``yield <driver>``: a pooled
+:class:`_FastDriver` (a :class:`~repro.simulation.process.Process` that
+finishes synchronously) runs the body -- or the attempt loop around it,
+which speaks the same dialect -- opens the client's row of the op's
+column in the system's :class:`~repro.daos.rpc.OpTable` at launch and
+observes the op on it at finish (``op_metrics`` is a view of those rows);
+when a tracer is installed, the finish also emits the op's one ``rpc``
+span.  One method, ``_call``, launches every op and decides its policy
+and its QoS token count: an op no policy applies to launches its body
+bare, traced or not; any other runs the attempt loop around it.  A
+multi-op (``kv_put_many`` / ``kv_get_many``) is one such op, metered one
+token per covered sub-op, whose body runs each sub-op bare on a driver of
+its own.  An asynchronous op is the same public generator started on an
+:class:`~repro.daos.eq.EventQueue` (``client.eq_create()``), the
+``daos_eq_*`` idiom the pipelined Field I/O path uses:
+``eq.launch(client.kv_put(kv, key, value), op="kv_put")``.  The per-shard
+legs (``_shard_io``) run inline or as spawned processes; either way they
+take their target slot through ``_target_leg``, like every other op.
 
 Connection/handle caching follows the paper (§5.2: "Pool and container
 connections in a process are cached"): repeated ``container_open`` calls for
@@ -62,7 +63,7 @@ from repro.daos.oid import ObjectId
 from repro.daos.payload import BytesPayload, Payload
 from repro.daos.placement import shard_layout
 from repro.daos.pool import Pool
-from repro.daos.rpc import DATA_OPS, OpStats, Request, fault_fires
+from repro.daos.rpc import DATA_OPS, OpStats, fault_fires
 from repro.daos.system import DaosSystem
 from repro.network.fabric import NodeSocket
 from repro.simulation.events import PENDING, Wake
@@ -295,32 +296,27 @@ class DaosClient:
         driver._resume(driver._wake)
         return driver
 
-    def _call(self, op: str, body, args: tuple, nbytes: int = 0) -> _FastDriver:
-        """Launch the op body ``body(*args)`` on a pooled driver.
+    def _call(
+        self, op: str, body, args: tuple, nbytes: int = 0, sub_op: Optional[str] = None,
+        n: int = 1,
+    ) -> _FastDriver:
+        """Launch the op body ``body(*args)`` on a pooled driver: the one
+        launcher, which decides the op's policy and its QoS token count.
 
-        The one test: the op runs through :meth:`_attempt` only if some
-        policy applies to it -- the system's config turns on a default one,
-        or the tenant's admission covers ``op``.  Otherwise the body
-        launches bare, which is what :meth:`_attempt` reduces to with no
-        policy.
+        The tenant's admission meters ``n`` tokens when it covers ``op``
+        -- or, for a multi-op, the ``sub_op`` each of its ``n`` sub-ops
+        runs -- and an op with a token to pay runs through
+        :meth:`_attempt`; so does every op when the system's config turns
+        on a default policy.  Otherwise the body launches bare, which is
+        what :meth:`_attempt` reduces to with no policy.
         """
         qos = self._qos
-        if self.system.default_staged or (qos is not None and (qos.ops is None or op in qos.ops)):
-            return self._launch(op, self._attempt(op, body, args, ()), nbytes)
+        tokens = n if qos is not None and (qos.ops is None or (sub_op or op) in qos.ops) else 0
+        if tokens or self.system.default_staged:
+            return self._launch(op, self._attempt(op, body, args, tokens), nbytes)
         return self._launch(op, body(*args), nbytes)
 
-    def _launch_request(self, request: Request) -> _FastDriver:
-        """Launch a submitted ``request`` (an event-queue submission or a
-        multi-op) on a pooled driver: through :meth:`_attempt` whenever the
-        client has any policy, as admission meters a multi-op's covered
-        sub-ops."""
-        if self.system.default_staged or self._qos is not None:
-            legs = self._attempt(request.op, request.body, (), request.subrequests)
-        else:
-            legs = request.body()
-        return self._launch(request.op, legs, request.nbytes)
-
-    def _attempt(self, op: str, body, args: tuple, subs: tuple):
+    def _attempt(self, op: str, body, args: tuple, tokens: int):
         """Run ``body(*args)`` under this client's policy: the one op path.
 
         The policy is applied in one fixed order, outermost first:
@@ -339,9 +335,9 @@ class DaosClient:
            posixfs overload or lock timeout, a QoS shed -- backs off
            exponentially from ``backoff_base`` and runs the attempt again,
            until ``max_attempts`` is spent.
-        3. **QoS admission** (the tenant's, when it covers ``op`` or one of
-           the ``subs`` of a multi-op).  Reserve the tokens, then wait for
-           them; a shed raises :class:`~repro.daos.errors.ServiceBusyError`.
+        3. **QoS admission** (``tokens > 0``: the count :meth:`_call`
+           decided).  Reserve the tokens, then wait for them; a shed raises
+           :class:`~repro.daos.errors.ServiceBusyError`.
            It sits inside retry, so a shed is re-offered after the backoff
            and pays a fresh token.
         4. **Fault injection** (on).  The seeded schedule
@@ -361,8 +357,8 @@ class DaosClient:
         attempt = 1
         while True:
             try:
-                if qos is not None:
-                    wait, tokens = qos.reserve(self, op, subs)
+                if tokens:
+                    wait = qos.reserve(self, op, tokens)
                     if wait > 0.0:
                         yield wait
                         qos.waiting -= 1
@@ -402,60 +398,54 @@ class DaosClient:
         return EventQueue(self.sim, name=name)
 
     # -- vectorized multi-op submission -------------------------------------------
-    def request_multi(self, requests: List[Request], op: str = "multi") -> Request:
-        """One Request carrying ``requests`` as a single submission.
+    def kv_put_many(self, entries):
+        """Insert/overwrite many keys in one multi-op (``kv_put_multi``).
 
-        The sub-request bodies run sequentially inside the wrapper body,
-        each on a driver of its own, so with no policy the simulated
-        timeline is identical to submitting them one by one -- what the
-        batch saves is the per-op policy pass, which dominates small-op
-        cost in index-update storms.  Per-sub-op stats are preserved: each
-        sub-op's driver counts and observes it exactly as a single launch
-        would (the wrapper op is additionally counted once under ``op``).
-        The client's policy applies to the wrapper as a unit: one
-        fault-injection/retry/QoS decision covers the whole batch (QoS
-        meters one token per covered sub-op, see
-        :meth:`~repro.serving.qos.QosAdmission.reserve`).
+        ``entries`` is an iterable of ``(kv, key, value)`` triples; the KVs
+        may differ (a FieldIO batch spans several forecast indexes).  See
+        :meth:`_do_multi` for what the batch shares and what it does not.
         """
-        subs = tuple(requests)
-        return Request(
-            op=op,
-            body=lambda: self._do_multi(subs),
-            nbytes=sum(request.nbytes for request in subs),
-            subrequests=subs,
+        entries = tuple(entries)
+        sizes = [len(value) for _kv, _key, value in entries]
+        return (
+            yield self._call(
+                "kv_put_multi", self._do_multi, ("kv_put", self._do_kv_put, entries, sizes),
+                sum(sizes), "kv_put", len(entries),
+            )
         )
 
-    def submit_multi(self, requests: List[Request], op: str = "multi"):
-        """Submit ``requests`` as one multi-op; returns their results in order."""
-        return (yield self._launch_request(self.request_multi(requests, op=op)))
+    def kv_get_many(self, entries):
+        """Look up many keys in one multi-op (``kv_get_multi``).
 
-    def kv_put_many(self, kv: KeyValueObject, items):
-        """Insert/overwrite many keys of one KV in a single multi-op submit.
-
-        ``items`` is an iterable of ``(key, value)`` pairs.
-        """
-        requests = [self.request_kv_put(kv, key, value) for key, value in items]
-        return (yield self._launch_request(self.request_multi(requests, op="kv_put_multi")))
-
-    def kv_get_many(self, kv: KeyValueObject, keys):
-        """Look up many keys of one KV in a single multi-op submit.
-
-        Returns the values in key order, ``None`` for absent keys (the
+        ``entries`` is an iterable of ``(kv, key)`` pairs.  Returns the
+        values in entry order, ``None`` for absent keys (the
         ``kv_get_or_none`` contract, per key).
         """
-        requests = [self.request_kv_get(kv, key) for key in keys]
-        return (yield self._launch_request(self.request_multi(requests, op="kv_get_multi")))
+        entries = tuple(entries)
+        return (
+            yield self._call(
+                "kv_get_multi", self._do_multi,
+                ("kv_get", self._do_kv_get_or_none, entries, [0] * len(entries)),
+                0, "kv_get", len(entries),
+            )
+        )
 
-    def _do_multi(self, requests: Tuple[Request, ...]):
-        """Run each sub-request body in turn, each on a driver of its own.
+    def _do_multi(self, op: str, body, entries: tuple, sizes: list):
+        """Run ``body(*entry)`` for each entry in turn, each a bare ``op``
+        (moving its ``sizes`` bytes) on a driver of its own.
 
+        With no policy the simulated timeline is identical to launching the
+        ops one by one; what the batch saves is the per-op policy pass.
         The sub-op's driver counts and observes it, so counts, latency and
-        byte totals land in the same per-op slots whether ops were submitted
-        singly or batched.
+        byte totals land in the same per-op slots whether ops were launched
+        singly or batched (the wrapper is additionally counted once under
+        its own op).  The client's policy applies to the wrapper as a unit:
+        one fault-injection/retry decision covers the whole batch, and QoS
+        admission meters one token per covered sub-op (:meth:`_call`).
         """
         results = []
-        for request in requests:
-            results.append((yield self._launch(request.op, request.body(), request.nbytes)))
+        for entry, nbytes in zip(entries, sizes):
+            results.append((yield self._launch(op, body(*entry), nbytes)))
         return results
 
     # -- small helpers -----------------------------------------------------------
@@ -721,13 +711,6 @@ class DaosClient:
         yield self._message_latency
         return kv
 
-    def request_kv_put(self, kv: KeyValueObject, key: bytes, value: bytes) -> Request:
-        return Request(
-            op="kv_put",
-            body=lambda: self._do_kv_put(kv, key, value),
-            nbytes=len(value),
-        )
-
     def kv_put(self, kv: KeyValueObject, key: bytes, value: bytes):
         """Insert/overwrite a key.
 
@@ -797,12 +780,6 @@ class DaosClient:
         if value is None:
             raise KeyNotFoundError(f"key {key!r} not found")
         return value
-
-    def request_kv_get(self, kv: KeyValueObject, key: bytes) -> Request:
-        return Request(
-            op="kv_get",
-            body=lambda: self._do_kv_get_or_none(kv, key),
-        )
 
     def kv_get_or_none(self, kv: KeyValueObject, key: bytes):
         """Look up a key, returning ``None`` when absent (Algorithm 1 probe).
@@ -1108,21 +1085,6 @@ class DaosClient:
             for target, length in charged:
                 pool.refund(target, min(length, pool.target_used(target)))
             raise
-
-    def request_array_write(
-        self,
-        array: ArrayObject,
-        offset: int,
-        payload: Payload,
-        pool: Optional[Pool] = None,
-    ) -> Request:
-        if not isinstance(payload, Payload):
-            payload = BytesPayload(bytes(payload))
-        return Request(
-            op="array_write",
-            body=lambda: self._do_array_write(array, offset, payload, pool),
-            nbytes=payload.size,
-        )
 
     def array_write(
         self,

@@ -8,31 +8,57 @@ overlap — index updates concurrent with array transfers — is the key lever
 for NWP write throughput.
 
 :class:`EventQueue` provides that API shape over the discrete-event
-simulator: ``launch``/``submit`` start an operation as a simulation process,
-``poll`` suspends the caller until completions are available, ``test`` reaps
-without blocking.  A submitted :class:`~repro.daos.rpc.Request` runs on the
-client's op driver like a blocking call; the process only waits on it, so
-the op starts at the process's first step — one dispatch after the submit,
-behind whatever the submitter's instant already queued.  Completions carry
-the op's value *or* its error (like ``daos_event_t.ev_error``); failures
-parked in the queue are defused so the simulator does not crash before the
-caller reaps them — but callers must reap and check, exactly as with the
-real API.
+simulator: ``launch`` starts an operation as a simulation process, ``poll``
+suspends the caller until completions are available, ``test`` reaps
+without blocking.  An asynchronous client op is the client's own public
+generator started on the queue, ``eq.launch(client.kv_put(kv, key,
+value), op="kv_put")``: the process's first step makes the op's one launch
+(``DaosClient._call``) and then waits on its driver, so the op runs under
+the client's policy like a blocking call and starts one dispatch after the
+launch, behind whatever the launcher's instant already queued.
+Completions carry the op's value *or* its error (like
+``daos_event_t.ev_error``); failures parked in the queue are defused so
+the simulator does not crash before the caller reaps them — but callers
+must reap and check, exactly as with the real API.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
-from repro.daos.rpc import Completion, Request
 from repro.simulation.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.daos.client import DaosClient
     from repro.simulation.core import Simulator
     from repro.simulation.process import Process
 
-__all__ = ["EventQueue"]
+__all__ = ["Completion", "EventQueue"]
+
+
+@dataclass(slots=True)
+class Completion:
+    """Outcome of one asynchronous operation reaped from an event queue."""
+
+    op: str
+    value: Any
+    error: Optional[BaseException]
+    submitted: float
+    completed: float
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+    @property
+    def latency(self) -> float:
+        return self.completed - self.submitted
+
+    def result(self) -> Any:
+        """The op's return value; re-raises the op's error if it failed."""
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
 class EventQueue:
@@ -69,8 +95,7 @@ class EventQueue:
         return self.n_inflight + self.n_ready
 
     # -- submission ----------------------------------------------------------
-    def launch(self, generator: Generator, op: str = "async_op",
-               request: Optional[Request] = None) -> "Process":
+    def launch(self, generator: Generator, op: str = "async_op") -> "Process":
         """Start ``generator`` as an in-flight async operation.
 
         Returns the underlying :class:`Process` (itself an event, so callers
@@ -81,7 +106,7 @@ class EventQueue:
         process = self.sim.process(generator, name=f"{self.name}:{op}")
         self._inflight[process] = op
 
-        def _on_done(event, op=op, request=request, submitted=submitted, process=process):
+        def _on_done(event, op=op, submitted=submitted, process=process):
             if event._ok:
                 value, error = event._value, None
             else:
@@ -95,7 +120,6 @@ class EventQueue:
                     error=error,
                     submitted=submitted,
                     completed=self.sim.now,
-                    request=request,
                 )
             )
             wakeup = self._wakeup
@@ -104,10 +128,6 @@ class EventQueue:
 
         process.add_callback(_on_done)
         return process
-
-    def submit(self, client: "DaosClient", request: Request) -> "Process":
-        """Submit a built :class:`Request` under ``client``'s policy."""
-        return self.launch(_run(client, request), op=request.op, request=request)
 
     # -- reaping -------------------------------------------------------------
     def test(self) -> List[Completion]:
@@ -152,13 +172,3 @@ class EventQueue:
             f"{len(self._completed)} ready>"
         )
 
-
-def _run(client: "DaosClient", request: Request):
-    """Process body of one submission: launch ``request``, wait for its driver.
-
-    Launching inside the process, not in :meth:`EventQueue.submit`, is what
-    defers the op's first step to the process's queued bootstrap: launched in
-    ``submit``, it would run synchronously inside the submitter's step, ahead
-    of every event already queued at this instant.
-    """
-    return (yield client._launch_request(request))

@@ -1,39 +1,33 @@
-"""The explicit RPC layer of the DAOS client: requests, completions, op counts.
+"""The RPC bookkeeping of the DAOS client: op counts and the fault schedule.
 
-A :class:`Request` -- op kind, payload size, and a *re-invocable* body
-generator -- is the record of an asynchronous submission: the client's
-``request_*`` builders make one for an event queue (:mod:`repro.daos.eq`),
-and a vectorized multi-op carries its sub-requests in one.  A blocking op
-builds none; the client launches its body directly.  This mirrors the
-real DAOS client library (``daos_rpc``/CaRT), where an API call submitted
-on an event queue carries an RPC descriptor to the wire.
+Every op is launched by one method, ``DaosClient._call``: it decides the
+op's policy and QoS token count, and launches the op body -- bare, or
+inside the client's attempt loop -- on a pooled op driver.  No op builds a
+request record; an asynchronous op is the same public generator started
+on an event queue (:mod:`repro.daos.eq`), and a multi-op is one op whose
+body launches each sub-op.
 
 The client's policy around an op is one loop, ``DaosClient._attempt``,
 not a stack of stages: pool-map refresh after a
 :class:`~repro.daos.errors.TargetDownError` (health on), retry with
 backoff (fault injection on), QoS admission (a serving tenant's) and
 fault injection, in that order, around the op body.  Re-running the body
-is possible precisely because a body is a factory, not a generator
-instance.  The fault schedule the loop consults is :func:`fault_fires`, a
-pure function of the seed, the client's address, the op and the client's
-attempt sequence.
+is possible precisely because the loop holds the body function and its
+arguments, not a generator instance.  The fault schedule the loop
+consults is :func:`fault_fires`, a pure function of the seed, the
+client's address, the op and the client's attempt sequence.
 
 Op counts, latencies and ``rpc`` spans are kept by the client's op driver
 (``DaosClient._launch`` and ``_FastDriver._finish``), outside the attempt
 loop, so an op counts once and its latency and span cover every retry.  A
-multi-op's sub-ops and every event-queue submission each run on a driver
-of their own, so they are counted and traced the same way.  Counts live in
+multi-op's sub-ops and every event-queue launch each run on a driver of
+their own, so they are counted and traced the same way.  Counts live in
 the system's :class:`OpTable` -- one :class:`OpColumn` of typed rows per op
 kind, one row per client slot -- not in per-client objects:
 ``client.op_metrics`` is a fresh ``{op: OpStats}`` view of the client's
 rows, and the attempt loop counts retries and injected faults through
 ``client.tally_op``.  It marks each attempt with ``rpc_retry``,
 ``rpc_fault`` and ``rpc_map_refresh`` records.
-
-A ``Request.body`` and the attempt loop speak the *leg dialect* of every
-simulation process: ``yield <float>`` is a delay, ``yield <Event>`` a
-wait, ``yield <Gate>`` a claim; the client's pooled driver, a
-:class:`~repro.simulation.process.Process`, runs them.
 
 A default client has no policy unless fault injection or health is on,
 and tracing adds no simulated events, so the blocking call path stays
@@ -46,13 +40,11 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Iterable, Optional
+from typing import Dict, Iterable
 
 __all__ = [
     "DATA_OPS",
     "COUNT_FIELDS",
-    "Request",
-    "Completion",
     "OpStats",
     "OpColumn",
     "OpTable",
@@ -63,52 +55,6 @@ __all__ = [
 #: Ops that move bulk field bytes; everything else is a metadata RPC.  The
 #: split drives the metadata-vs-data rollup of the RPC breakdown report.
 DATA_OPS = frozenset({"array_write", "array_read"})
-
-
-@dataclass(slots=True)
-class Request:
-    """One client RPC: op kind, payload size, and a re-invocable body.
-
-    ``body`` is a zero-argument factory returning a *fresh* generator that
-    performs the op when driven -- a retry re-invokes it, so bodies must
-    not close over partially-consumed state.
-    """
-
-    op: str
-    body: Callable[[], Generator]
-    #: Payload bytes moved by the op (0 for pure metadata RPCs).
-    nbytes: int = 0
-    #: For a vectorized multi-op submit (``DaosClient.request_multi``):
-    #: the sub-requests this request carries, in execution order; empty
-    #: for ordinary single-op requests.  QoS admission meters a token per
-    #: covered sub-op, so batching cannot launder rate limits.
-    subrequests: tuple = ()
-
-
-@dataclass(slots=True)
-class Completion:
-    """Outcome of one asynchronous submission reaped from an event queue."""
-
-    op: str
-    value: Any
-    error: Optional[BaseException]
-    submitted: float
-    completed: float
-    request: Optional[Request] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    @property
-    def latency(self) -> float:
-        return self.completed - self.submitted
-
-    def result(self) -> Any:
-        """The op's return value; re-raises the op's error if it failed."""
-        if self.error is not None:
-            raise self.error
-        return self.value
 
 
 @dataclass(slots=True)

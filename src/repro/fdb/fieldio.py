@@ -16,8 +16,9 @@ storage backend implementing the protocol (DAOS or posixfs) works.
 from __future__ import annotations
 
 import hashlib
+import struct
 import uuid as uuid_module
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.backends.protocol import StorageClient
@@ -51,29 +52,29 @@ class FieldNotFoundError(DaosError):
     code = -1005
 
 
-def _encode_field_ref(store_uuid: uuid_module.UUID, oid: ObjectId, size: int) -> bytes:
-    """Index entry: store container uuid + array OID + field length.
+#: The fixed tail of a field reference: array OID ``hi`` and ``lo``, then
+#: the field length, each a big-endian unsigned 64-bit word.
+_REF_TAIL = struct.Struct(">QQQ")
+
+
+def _encode_field_ref(store_ref: bytes, oid: ObjectId, size: int) -> bytes:
+    """Index entry: store container uuid (its 16 bytes) + array OID + field
+    length.
 
     FDB5 keeps the field length in the index so retrieval knows how much to
     read without an extra size query.
     """
-    return (
-        store_uuid.bytes
-        + oid.hi.to_bytes(8, "big")
-        + oid.lo.to_bytes(8, "big")
-        + size.to_bytes(8, "big")
-    )
+    return store_ref + _REF_TAIL.pack(oid.hi, oid.lo, size)
 
 
-def _decode_field_ref(data: bytes) -> Tuple[uuid_module.UUID, ObjectId, int]:
+def _decode_field_ref(data: bytes) -> Tuple[bytes, ObjectId, int]:
+    """Inverse of :func:`_encode_field_ref`.  The store uuid stays bytes: a
+    read compares it with its forecast's store and builds a UUID only to
+    open another container."""
     if len(data) != 40:
         raise ValueError(f"malformed field reference of {len(data)} bytes")
-    store_uuid = uuid_module.UUID(bytes=data[:16])
-    oid = ObjectId(
-        hi=int.from_bytes(data[16:24], "big"), lo=int.from_bytes(data[24:32], "big")
-    )
-    size = int.from_bytes(data[32:40], "big")
-    return store_uuid, oid, size
+    hi, lo, size = _REF_TAIL.unpack_from(data, 16)
+    return data[:16], ObjectId(hi=hi, lo=lo), size
 
 
 def _kv_oid_for_forecast(msk: FieldKey) -> ObjectId:
@@ -93,6 +94,11 @@ class _ForecastHandles:
     index_container: Container
     store_container: Container
     index_kv: KeyValueObject
+    #: The store container's uuid as the bytes a field reference carries.
+    store_ref: bytes = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.store_ref = self.store_container.uuid.bytes
 
 
 class FieldIO:
@@ -227,11 +233,11 @@ class FieldIO:
         Overwrites allocate a fresh array and re-point the index entry; the
         previous array is de-referenced but never deleted (§4).
         """
-        msk, lsk = self.schema.split(key)
-        if not isinstance(payload, Payload):
-            payload = BytesPayload(bytes(payload))
         client = self.client
         if self.mode is FieldIOMode.NO_INDEX:
+            self.schema.split(key)  # validates the key, as in every mode
+            if not isinstance(payload, Payload):
+                payload = BytesPayload(bytes(payload))
             main = yield from self._open_main()
             array = yield from client.array_create(
                 main, self.array_oclass, oid=_array_oid_for_field(key)
@@ -243,24 +249,43 @@ class FieldIO:
             yield from client.array_write(array, 0, payload, pool=self.pool)
             yield from client.array_close(array)
             return
-        handles = yield from self._forecast(msk, create=True)
-        array = yield from client.array_create(handles.store_container, self.array_oclass)
-        ref = _encode_field_ref(handles.store_container.uuid, array.oid, payload.size)
+        entry = yield from self._store_field(key, payload, self.async_io)
         if self.async_io:
             # Pipelined path: overlap the bulk transfer (+ close) with the
             # index update; reap both from the event queue and surface the
             # first failure, like checking ``daos_event_t.ev_error``.
             eq = self._eq
-            if eq is None:
-                self._eq = eq = client.eq_create("fieldio")
-            eq.launch(self._write_and_close(array, payload), op="array_write_close")
-            eq.submit(client, client.request_kv_put(handles.index_kv, lsk.encode(), ref))
+            eq.launch(client.kv_put(*entry), op="kv_put")
             completions = yield from eq.wait_all()
             EventQueue.raise_first_error(completions)
             return
-        yield from client.array_write(array, 0, payload, pool=self.pool)
-        yield from client.array_close(array)
-        yield from client.kv_put(handles.index_kv, lsk.encode(), ref)
+        yield from client.kv_put(*entry)
+
+    def _store_field(self, key: FieldKey, payload: Payload, overlap: bool):
+        """Legs of one indexed field write, up to its index entry.
+
+        Resolves (or creates) the forecast, creates a fresh array and moves
+        the bytes: written and closed before returning, or, with
+        ``overlap``, launched on the event queue to overlap the index update
+        the caller launches next.  Returns the ``(kv, key, ref)`` index
+        entry -- the field reference is known as soon as the array exists.
+        """
+        msk, lsk = self.schema.split(key)
+        if not isinstance(payload, Payload):
+            payload = BytesPayload(bytes(payload))
+        client = self.client
+        handles = yield from self._forecast(msk, create=True)
+        array = yield from client.array_create(handles.store_container, self.array_oclass)
+        ref = _encode_field_ref(handles.store_ref, array.oid, payload.size)
+        if overlap:
+            eq = self._eq
+            if eq is None:
+                self._eq = eq = client.eq_create("fieldio")
+            eq.launch(self._write_and_close(array, payload), op="array_write_close")
+        else:
+            yield from client.array_write(array, 0, payload, pool=self.pool)
+            yield from client.array_close(array)
+        return handles.index_kv, lsk.encode(), ref
 
     def _write_and_close(self, array, payload: Payload):
         """The array half of a pipelined write: bulk transfer, then close."""
@@ -271,37 +296,24 @@ class FieldIO:
         """Store many fields, batching all index updates into one multi-op.
 
         ``items`` is an iterable of ``(key, payload)`` pairs.  Each field's
-        array is created, written and closed exactly as :meth:`write` would
-        (same simulated timeline), but the forecast-index ``kv_put``\\ s are
-        accumulated and submitted as a single vectorized
-        ``kv_put_multi`` — one chain traversal for the whole wave instead of
-        one per field, which is where an ensemble flush's index-update storm
-        spends its client-side overhead.  In NO_INDEX mode there are no
-        index entries, so this degrades to a plain loop over :meth:`write`.
+        array is created, written and closed exactly as a blocking
+        :meth:`write` would (same simulated timeline), but the
+        forecast-index ``kv_put``\\ s, over however many forecasts the batch
+        spans, go out as a single ``kv_put_multi``: one launch and one
+        policy pass for the whole wave instead of one per field.  In
+        NO_INDEX mode there are no index entries, so this degrades to a
+        plain loop over :meth:`write`.
         """
         items = list(items)
         if self.mode is FieldIOMode.NO_INDEX:
             for key, payload in items:
                 yield from self.write(key, payload)
             return
-        client = self.client
-        puts = []
+        entries = []
         for key, payload in items:
-            msk, lsk = self.schema.split(key)
-            if not isinstance(payload, Payload):
-                payload = BytesPayload(bytes(payload))
-            handles = yield from self._forecast(msk, create=True)
-            array = yield from client.array_create(
-                handles.store_container, self.array_oclass
-            )
-            ref = _encode_field_ref(
-                handles.store_container.uuid, array.oid, payload.size
-            )
-            yield from client.array_write(array, 0, payload, pool=self.pool)
-            yield from client.array_close(array)
-            puts.append(client.request_kv_put(handles.index_kv, lsk.encode(), ref))
-        if puts:
-            yield from client.submit_multi(puts, op="kv_put_multi")
+            entries.append((yield from self._store_field(key, payload, False)))
+        if entries:
+            yield from self.client.kv_put_many(entries)
 
     # -- Algorithm 2: field read ------------------------------------------------------
     def read(self, key: FieldKey):
@@ -321,13 +333,22 @@ class FieldIO:
             return payload
         handles = yield from self._forecast(msk, create=False)
         ref = yield from client.kv_get_or_none(handles.index_kv, lsk.encode())
+        return (yield from self._load_field(key, handles, ref))
+
+    def _load_field(self, key: FieldKey, handles: _ForecastHandles, ref: Optional[bytes]):
+        """Legs of one indexed field read from its index entry ``ref``
+        (``None``: absent): the store container it names, then
+        ``array_open`` / ``array_read`` / ``array_close``."""
         if ref is None:
             raise FieldNotFoundError(f"field {key.canonical()!r} not found")
-        store_uuid, oid, size = _decode_field_ref(ref)
-        if store_uuid != handles.store_container.uuid:
+        client = self.client
+        store_ref, oid, size = _decode_field_ref(ref)
+        if store_ref != handles.store_ref:
             # A field may have been archived into a different store container
             # (not produced by this layout, but the reference is authoritative).
-            store = yield from client.container_open(self.pool, store_uuid)
+            store = yield from client.container_open(
+                self.pool, uuid_module.UUID(bytes=store_ref)
+            )
         else:
             store = handles.store_container
         array = yield from client.array_open(store, oid)
@@ -339,12 +360,13 @@ class FieldIO:
         """Retrieve many fields, batching all index lookups into one multi-op.
 
         Returns the payloads in key order.  The forecast-index ``kv_get``\\ s
-        for the whole batch go out as a single vectorized ``kv_get_multi``
-        (one chain traversal; QoS still meters one token per lookup), then
-        each field's array is opened, read and closed exactly as
-        :meth:`read` would.  Raises :class:`FieldNotFoundError` on the first
-        missing field.  NO_INDEX mode has no index lookups to batch and
-        degrades to a plain loop over :meth:`read`.
+        for the whole batch, over however many forecasts it spans, go out
+        as a single ``kv_get_multi`` (one launch and one policy pass; QoS
+        still meters one token per lookup), then each field's array is
+        opened, read and closed exactly as :meth:`read` would.  Raises
+        :class:`FieldNotFoundError` on the first missing field.  NO_INDEX
+        mode has no index lookups to batch and degrades to a plain loop
+        over :meth:`read`.
         """
         keys = list(keys)
         if self.mode is FieldIOMode.NO_INDEX:
@@ -353,30 +375,19 @@ class FieldIO:
                 payload = yield from self.read(key)
                 payloads.append(payload)
             return payloads
-        client = self.client
-        gets = []
+        lookups = []
         per_key = []
         for key in keys:
             msk, lsk = self.schema.split(key)
             handles = yield from self._forecast(msk, create=False)
-            gets.append(client.request_kv_get(handles.index_kv, lsk.encode()))
+            lookups.append((handles.index_kv, lsk.encode()))
             per_key.append(handles)
         refs = []
-        if gets:
-            refs = yield from client.submit_multi(gets, op="kv_get_multi")
+        if lookups:
+            refs = yield from self.client.kv_get_many(lookups)
         payloads = []
         for key, handles, ref in zip(keys, per_key, refs):
-            if ref is None:
-                raise FieldNotFoundError(f"field {key.canonical()!r} not found")
-            store_uuid, oid, size = _decode_field_ref(ref)
-            if store_uuid != handles.store_container.uuid:
-                store = yield from client.container_open(self.pool, store_uuid)
-            else:
-                store = handles.store_container
-            array = yield from client.array_open(store, oid)
-            payload = yield from client.array_read(array, 0, size)
-            yield from client.array_close(array)
-            payloads.append(payload)
+            payloads.append((yield from self._load_field(key, handles, ref)))
         return payloads
 
     def read_request(self, request):
@@ -408,11 +419,13 @@ class FieldIO:
             if raw == STORE_REF_KEY:
                 continue
             ref = yield from client.kv_get(handles.index_kv, raw)
-            store_uuid, oid, _size = _decode_field_ref(ref)
-            if store_uuid == handles.store_container.uuid:
+            store_ref, oid, _size = _decode_field_ref(ref)
+            if store_ref == handles.store_ref:
                 store = handles.store_container
             else:
-                store = yield from client.container_open(self.pool, store_uuid)
+                store = yield from client.container_open(
+                    self.pool, uuid_module.UUID(bytes=store_ref)
+                )
             if store.has_object(oid):
                 array = store.get_object(oid)
                 yield from client.array_punch(store, array, pool=self.pool)

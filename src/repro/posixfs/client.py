@@ -21,11 +21,10 @@ Implemented as an override of the DAOS client's ``_do_*`` op bodies and
 nothing else: each body is written once, in the leg dialect (``yield
 <float>`` a delay, ``yield <Event>`` a wait, ``yield <Gate>`` a claim; see
 :mod:`repro.daos.client`),
-and the inherited public methods and ``request_*`` builders close over
-``self``, so the one launch decision (``DaosClient._call``: bare, or
-inside the attempt loop), the op driver that runs every body,
-the event-queue async path and the op bookkeeping are shared verbatim
-rather than forked.
+and the inherited public methods reach the bodies through ``self``, so the
+one launcher (``DaosClient._call``: bare, or inside the attempt loop), the
+op driver that runs every body, multi-ops, the event-queue async path and
+the op bookkeeping are shared verbatim rather than forked.
 """
 
 from __future__ import annotations

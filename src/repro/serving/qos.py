@@ -21,7 +21,7 @@ tenant* rather than per connection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.daos.errors import ServiceBusyError
 
@@ -105,9 +105,9 @@ class QosAdmission:
     """Token-bucket admission + queue-depth shedding for one tenant.
 
     Shared by each worker client of the tenant; ops outside ``ops`` (when
-    given) pass unmetered, so the gateway meters one token per *field
-    read* by covering only the index lookup (``kv_get``), and shedding
-    happens before any bulk array work.
+    given; a multi-op is judged by its sub-op) pass unmetered, so the
+    gateway meters one token per *field read* by covering only the index
+    lookup (``kv_get``), and shedding happens before any bulk array work.
     """
 
     def __init__(
@@ -127,28 +127,21 @@ class QosAdmission:
         self.shed = 0
         self.max_waiting = 0
 
-    def reserve(self, client, op: str, subs: tuple) -> Tuple[float, int]:
-        """Reserve ``op``'s tokens at ``client``'s clock: ``(wait, tokens)``.
+    def reserve(self, client, op: str, tokens: int) -> float:
+        """Reserve ``tokens`` tokens for ``op`` at ``client``'s clock; returns
+        the wait until the last of them accrues.
 
-        A covered op costs one token.  A multi-op (``subs``, its
-        sub-requests) costs one per covered sub-op, so batching N index
-        lookups into one RPC still pays the N tokens the sequential path
-        would -- the per-field-read limit cannot be laundered through
-        batching.  An op with nothing covered costs ``(0.0, 0)``.
+        The client's launcher decides the count: one for a covered op, one
+        per covered sub-op for a multi-op, so batching N index lookups into
+        one RPC still pays the N tokens the sequential path would -- the
+        per-field-read limit cannot be laundered through batching.
 
-        A positive ``wait`` parks the op (``waiting``, ``delayed``): the
-        caller waits it out, then takes the op off ``waiting`` and adds
-        ``tokens`` to ``admitted``.  When the queue is already at the
-        policy's depth the reservations are returned instead and the op is
-        shed with :class:`ServiceBusyError`.
+        A positive wait parks the op (``waiting``, ``delayed``): the caller
+        waits it out, then takes the op off ``waiting`` and adds ``tokens``
+        to ``admitted``.  When the queue is already at the policy's depth
+        the reservations are returned instead and the op is shed with
+        :class:`ServiceBusyError`.
         """
-        ops = self.ops
-        if ops is None or op in ops:
-            tokens = 1
-        else:
-            tokens = sum(1 for sub in subs if sub.op in ops)
-            if not tokens:
-                return 0.0, 0
         now = client.sim.now
         bucket = self.bucket
         wait = bucket.reserve(now)
@@ -170,4 +163,4 @@ class QosAdmission:
             self.waiting += 1
             if self.waiting > self.max_waiting:
                 self.max_waiting = self.waiting
-        return wait, tokens
+        return wait

@@ -43,9 +43,9 @@ def attempts(monkeypatch) -> Counter:
     counts = Counter()
     attempt = DaosClient._attempt
 
-    def counting(self, op, body, args, subs):
+    def counting(self, op, body, args, tokens):
         counts[op] += 1
-        return attempt(self, op, body, args, subs)
+        return attempt(self, op, body, args, tokens)
 
     monkeypatch.setattr(DaosClient, "_attempt", counting)
     return counts

@@ -1,10 +1,9 @@
 """One body per op, one interpreter: identity rails.
 
 Every op has a single leg-dialect body (``DaosClient._do_*``) that runs on
-a pooled ``_FastDriver``, and ``DaosClient._call`` picks how it launches:
-bare (no policy applies to it; no op builds a Request, whether or not a
-tracer is installed) or inside the client's attempt loop
-(``DaosClient._attempt``).  Which launch runs it, whether a free grant is
+a pooled ``_FastDriver``, and ``DaosClient._call``, the one launcher, picks
+how it launches: bare (no policy applies to it, whether or not a tracer is
+installed) or inside the client's attempt loop (``DaosClient._attempt``).  Which launch runs it, whether a free grant is
 taken inline or queued as a wake,
 and whether a tracer watches, must never show in the outcome: the same bits
 -- event timings, return values, per-op metrics, final clock.  The driver
@@ -284,19 +283,19 @@ def _run_data_storm(
                     results.append((rank, step, index, back.content_digest().hex()))
                 except FAILURES as exc:
                     results.append((rank, step, index, type(exc).__name__))
-            items = [(f"d/{rank}/{step}/{i}".encode(), b"x" * (4 + i)) for i in range(4)]
+            items = [(kv, f"d/{rank}/{step}/{i}".encode(), b"x" * (4 + i)) for i in range(4)]
             try:
-                yield from client.kv_put_many(kv, items)
-                values = yield from client.kv_get_many(kv, [key for key, _ in items])
+                yield from client.kv_put_many(items)
+                values = yield from client.kv_get_many([(kv, key) for _, key, _ in items])
                 results.append((rank, step, "many", values))
             except FAILURES as exc:
                 results.append((rank, step, "many", type(exc).__name__))
-            eq.submit(client, client.request_kv_put(kv, f"q/{rank}/{step}".encode(), b"eq"))
-            eq.submit(
-                client,
-                client.request_array_write(
+            eq.launch(client.kv_put(kv, f"q/{rank}/{step}".encode(), b"eq"), op="kv_put")
+            eq.launch(
+                client.array_write(
                     shared, CELL * rank, PatternPayload(CELL // 2, seed=rank + step), pool
                 ),
+                op="array_write",
             )
             for done in (yield from eq.wait_all()):
                 completions.append((
@@ -578,9 +577,9 @@ def test_mid_run_tracer_installation_keeps_clients_bare(attempts):
 
 
 def _every_op(client, pool, other):
-    """Run every public op of ``client`` once; multi-op submits are left out
-    (they build their Request by contract).  ``other`` is a container the
-    client has no handle for, so its first open is a real one."""
+    """Run every public op of ``client`` once, one multi-op of two sub-ops
+    of each kind included.  ``other`` is a container the client has no
+    handle for, so its first open is a real one."""
     container = yield from client.container_create(pool, label="every-op")
     yield from client.pool_connect(pool)
     yield from client.container_open(pool, other.uuid)
@@ -590,6 +589,8 @@ def _every_op(client, pool, other):
     yield from client.kv_put(kv, b"key", b"value")
     yield from client.kv_get(kv, b"key")
     yield from client.kv_get_or_none(kv, b"absent")
+    yield from client.kv_put_many([(kv, b"a", b"1"), (kv, b"b", b"2")])
+    yield from client.kv_get_many([(kv, b"a"), (kv, b"absent")])
     yield from client.kv_list(kv)
     yield from client.kv_remove(kv, b"key")
     array = yield from client.array_create(container, OC_SX)
@@ -605,31 +606,39 @@ def _every_op(client, pool, other):
 
 @pytest.mark.parametrize("backend", ["daos", "posixfs"])
 def test_one_launch_decision_for_every_op(backend, monkeypatch, attempts):
-    """A bare client builds no Request for any op and runs none through the
-    attempt loop, with or without a tracer installed; with one, every
-    launched op emits exactly one span.  A tenant admission covering
-    ``kv_get`` sends exactly those ops through the loop, still building no
-    Request."""
+    """Every op but a multi-op's sub-ops is launched by ``_call``; a bare
+    client runs none through the attempt loop, with or without a tracer
+    installed; with one, every launched op emits exactly one span.  A
+    tenant admission covering ``kv_get`` sends exactly those ops and the
+    ``kv_get`` multi-op through the loop, and meters one token per lookup,
+    batched or not."""
     config = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=5)
     cluster, system, pool = build_deployment(config, backend=backend)
     owner, address = cluster.client_addresses(2)
     other = run_process(
         cluster, system.make_client(owner).container_create(pool, label="other")
     )
+    called = Counter()
+    call = client_module.DaosClient._call
+
+    def counting(self, op, *args, **kwargs):
+        called[op] += 1
+        return call(self, op, *args, **kwargs)
+
+    monkeypatch.setattr(client_module.DaosClient, "_call", counting)
 
     def launched(qos=None):
+        called.clear()
         client = system.make_client(address, middleware=qos)
         run_process(cluster, _every_op(client, pool, other))
         stats = client.stats
         assert stats.pop("container_open_cached") == 1
+        # The sub-ops (two puts, two gets) launch on the multi-op's body.
+        assert called + Counter(kv_put=2, kv_get=2) == stats
         return stats
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a bare client built a Request")
-
-    monkeypatch.setattr(client_module, "Request", refuse)
     untraced = launched()
-    assert len(untraced) == 18 and not attempts
+    assert len(untraced) == 20 and not attempts
 
     cluster.sim.tracer = tracer = Tracer()
     assert launched() == untraced and not attempts
@@ -637,7 +646,8 @@ def test_one_launch_decision_for_every_op(backend, monkeypatch, attempts):
     cluster.sim.tracer = None
     qos = QosAdmission("tenant", QosPolicy(rate=1e12, burst=1e12), ops=("kv_get",))
     assert launched(qos) == untraced
-    assert attempts == {"kv_get": untraced["kv_get"]} == {"kv_get": qos.admitted}
+    assert attempts == {"kv_get": untraced["kv_get"] - 2, "kv_get_multi": 1}
+    assert qos.admitted == untraced["kv_get"]
     _assert_pooled(system)
 
 

@@ -1,11 +1,11 @@
-"""Vectorized multi-op submission: stats, timeline and QoS metering.
+"""Vectorized multi-ops: stats, timeline and QoS metering.
 
-``submit_multi`` batches N sub-requests into one launch and one traversal
-of the middleware stages.  On the default stages the simulated timeline is
-contractually identical to
-submitting the ops one by one, per-op stats land in the same slots, and a
-QoS middleware covering the sub-ops meters the same token count — batching
-saves bookkeeping, never accounting.
+``kv_put_many`` / ``kv_get_many`` batch N sub-ops, over any number of KVs,
+into one launch and one pass of the client's policy.  With no policy the
+simulated timeline is contractually identical to launching the ops one by
+one, per-op stats land in the same slots, and a QoS admission covering the
+sub-ops meters the same token count -- batching saves bookkeeping, never
+accounting.
 """
 
 import pytest
@@ -14,8 +14,8 @@ from repro.backends.registry import BACKENDS, build_deployment
 from repro.config import ClusterConfig
 from repro.daos.errors import ServiceBusyError
 from repro.daos.objclass import OC_SX
+from repro.daos.client import DaosClient
 from repro.daos.oid import ObjectId
-from repro.daos.rpc import Request
 from repro.serving.qos import QosAdmission, QosPolicy
 from tests.conftest import run_process
 from tests.daos.test_fast_path import _assert_pooled
@@ -35,8 +35,14 @@ def make_env(backend="daos", **config_kwargs):
     return cluster, system, pool, client
 
 
-def _items(n=N_KEYS):
-    return [(b"k%03d" % i, b"value-%03d" % i) for i in range(n)]
+def _items(kv, n=N_KEYS):
+    """``kv_put_many`` entries: ``n`` keys of ``kv``."""
+    return [(kv, b"k%03d" % i, b"value-%03d" % i) for i in range(n)]
+
+
+def _lookups(kv, n=N_KEYS):
+    """``kv_get_many`` entries for the keys of :func:`_items`."""
+    return [(kv, key) for _, key, _ in _items(kv, n)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -46,13 +52,16 @@ def test_kv_put_get_many_roundtrip(backend):
     def flow():
         container = yield from client.container_create(pool, label="c")
         kv = yield from client.kv_open(container, KV_OID, OC_SX)
-        yield from client.kv_put_many(kv, _items())
-        keys = [key for key, _value in _items()]
-        values = yield from client.kv_get_many(kv, keys + [b"absent"])
+        other = yield from client.kv_open(container, ObjectId.from_user(0, 0x52), OC_SX)
+        # One batch may span several KVs, as FieldIO's span forecasts.
+        yield from client.kv_put_many(_items(kv) + [(other, b"k000", b"other")])
+        values = yield from client.kv_get_many(
+            _lookups(kv) + [(kv, b"absent"), (other, b"k000")]
+        )
         return values
 
     values = run_process(cluster, flow())
-    assert values == [value for _key, value in _items()] + [None]
+    assert values == [value for _kv, _key, value in _items(None)] + [None, b"other"]
 
 
 def test_multi_op_preserves_per_op_stats():
@@ -61,8 +70,8 @@ def test_multi_op_preserves_per_op_stats():
     def flow():
         container = yield from client.container_create(pool, label="c")
         kv = yield from client.kv_open(container, KV_OID, OC_SX)
-        yield from client.kv_put_many(kv, _items())
-        yield from client.kv_get_many(kv, [key for key, _ in _items()])
+        yield from client.kv_put_many(_items(kv))
+        yield from client.kv_get_many(_lookups(kv))
 
     run_process(cluster, flow())
     # Sub-ops counted individually, the wrapper once under its own op.
@@ -82,16 +91,14 @@ def test_multi_op_timeline_identical_to_sequential():
             container = yield from client.container_create(pool, label="c")
             kv = yield from client.kv_open(container, KV_OID, OC_SX)
             if batched:
-                yield from client.kv_put_many(kv, _items())
-                values = yield from client.kv_get_many(
-                    kv, [key for key, _ in _items()]
-                )
+                yield from client.kv_put_many(_items(kv))
+                values = yield from client.kv_get_many(_lookups(kv))
             else:
-                for key, value in _items():
-                    yield from client.kv_put(kv, key, value)
+                for entry in _items(kv):
+                    yield from client.kv_put(*entry)
                 values = []
-                for key, _value in _items():
-                    values.append((yield from client.kv_get_or_none(kv, key)))
+                for entry in _lookups(kv):
+                    values.append((yield from client.kv_get_or_none(*entry)))
             return cluster.sim.now, values
 
         return run_process(cluster, flow())
@@ -103,11 +110,11 @@ def test_empty_multi_submit():
     cluster, _system, _pool, client = make_env()
 
     def flow():
-        results = yield from client.submit_multi([], op="noop_multi")
+        results = yield from client.kv_put_many([])
         return results
 
     assert run_process(cluster, flow()) == []
-    assert client.stats["noop_multi"] == 1
+    assert client.stats["kv_put_multi"] == 1
 
 
 class Boom(RuntimeError):
@@ -125,30 +132,31 @@ def _boom_before_first_wait():
 
 
 @pytest.mark.parametrize("body", [_boom_after_first_leg, _boom_before_first_wait])
-def test_failed_sub_op_accounting(body):
+def test_failed_sub_op_accounting(body, monkeypatch):
     """A sub-op failing mid-batch: what ran is counted, what did not is not,
     and every driver the batch launched is handed back."""
     cluster, system, pool, client = make_env()
+    put = DaosClient._do_kv_put
+
+    def failing_put(self, kv, key, value):
+        return body() if key == b"boom" else put(self, kv, key, value)
+
+    monkeypatch.setattr(DaosClient, "_do_kv_put", failing_put)
 
     def flow():
         container = yield from client.container_create(pool, label="c")
         kv = yield from client.kv_open(container, KV_OID, OC_SX)
-        batch = [
-            client.request_kv_put(kv, b"first", b"1"),
-            Request(op="boom", body=body),
-            client.request_kv_put(kv, b"third", b"3"),
-        ]
+        batch = [(kv, b"first", b"1"), (kv, b"boom", b"2"), (kv, b"third", b"3")]
         with pytest.raises(Boom):
-            yield from client.submit_multi(batch)
+            yield from client.kv_put_many(batch)
         return kv
 
     kv = run_process(cluster, flow())
     assert list(kv.keys()) == [b"first"]
     metrics = client.op_metrics
-    assert client.stats["kv_put"] == metrics["kv_put"].count == 1
-    assert metrics["kv_put"].errors == 0
-    assert metrics["boom"].count == metrics["boom"].errors == 1
-    assert metrics["multi"].count == metrics["multi"].errors == 1
+    assert client.stats["kv_put"] == metrics["kv_put"].count == 2
+    assert metrics["kv_put"].errors == 1
+    assert metrics["kv_put_multi"].count == metrics["kv_put_multi"].errors == 1
     _assert_pooled(system)
 
 
@@ -171,9 +179,9 @@ def test_qos_meters_one_token_per_covered_sub_op():
     def flow():
         container = yield from client.container_create(pool, label="c")
         kv = yield from client.kv_open(container, KV_OID, OC_SX)
-        yield from client.kv_put_many(kv, _items())
+        yield from client.kv_put_many(_items(kv))
         # Gets are uncovered: the batch passes through unmetered.
-        yield from client.kv_get_many(kv, [key for key, _ in _items()])
+        yield from client.kv_get_many(_lookups(kv))
 
     run_process(cluster, flow())
     assert qos.admitted == N_KEYS
@@ -186,16 +194,40 @@ def test_qos_sheds_whole_batch_and_refunds_all_tokens():
         container = yield from client.container_create(pool, label="c")
         kv = yield from client.kv_open(container, KV_OID, OC_SX)
         try:
-            yield from client.kv_put_many(kv, _items())
+            yield from client.kv_put_many(_items(kv))
         except ServiceBusyError:
             pass
         else:
             raise AssertionError("expected the over-burst batch to shed")
         # The shed refunded every reserved token: a batch the burst can
         # cover is admitted immediately afterwards.
-        yield from client.kv_put_many(kv, _items(2))
+        yield from client.kv_put_many(_items(kv, 2))
 
     run_process(cluster, flow())
     assert qos.shed == 1
     assert qos.admitted == 2
     assert qos.bucket.waiting_debt == 0
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_all_ops_admission_meters_every_sub_op(batched):
+    """An admission covering every op (``ops=None``) meters a batch's
+    sub-ops, not the batch: twelve puts pay twelve tokens, batched or not."""
+    cluster, system, pool = build_deployment(
+        ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=7)
+    )
+    qos = QosAdmission("tenant", QosPolicy(rate=1e12, burst=1e12))
+    client = system.make_client(cluster.client_addresses(1)[0], middleware=qos)
+
+    def flow():
+        container = yield from client.container_create(pool, label="c")
+        kv = yield from client.kv_open(container, KV_OID, OC_SX)
+        before = qos.admitted
+        if batched:
+            yield from client.kv_put_many(_items(kv))
+        else:
+            for entry in _items(kv):
+                yield from client.kv_put(*entry)
+        return qos.admitted - before
+
+    assert run_process(cluster, flow()) == N_KEYS

@@ -109,7 +109,7 @@ def _mixed_run(backend, monkeypatch):
             yield from client.kv_put(kv, b"k%d" % key, b"v" * (key + 1))
         with pytest.raises(KeyNotFoundError):
             yield from client.kv_get(kv, b"missing")
-        yield from client.kv_put_many(kv, [(b"m%d" % key, b"x") for key in range(3)])
+        yield from client.kv_put_many([(kv, b"m%d" % key, b"x") for key in range(3)])
         array = yield from client.array_create(container, OC_S1)
         yield from client.array_write(array, 0, PatternPayload(64 * KiB, seed=index), pool=pool)
         yield from client.array_read(array, 0, 64 * KiB)

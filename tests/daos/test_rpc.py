@@ -212,8 +212,8 @@ def test_event_queue_overlaps_operations(deployment, client):
 
     def pipelined():
         eq = client.eq_create()
-        eq.submit(client, client.request_kv_put(kv, b"c", b"3"))
-        eq.submit(client, client.request_kv_put(kv, b"d", b"4"))
+        eq.launch(client.kv_put(kv, b"c", b"3"), op="kv_put")
+        eq.launch(client.kv_put(kv, b"d", b"4"), op="kv_put")
         completions = yield from eq.wait_all()
         return completions
 
@@ -254,7 +254,7 @@ def test_event_queue_poll_and_test(deployment, client):
         eq = client.eq_create()
         assert eq.test() == []  # nothing in flight
         for i in range(3):
-            eq.submit(client, client.request_kv_put(kv, b"k%d" % i, b"v"))
+            eq.launch(client.kv_put(kv, b"k%d" % i, b"v"), op="kv_put")
         assert eq.n_inflight == 3 and len(eq) == 3
         first = yield from eq.poll(min_completions=1)
         assert len(first) >= 1

@@ -180,8 +180,8 @@ def test_field_ref_encoding_roundtrip():
 
     store_uuid = uuid.uuid4()
     oid = ObjectId.from_user(0xDEAD, 0xBEEF, oclass_id=31)
-    blob = _encode_field_ref(store_uuid, oid, 123456)
-    assert _decode_field_ref(blob) == (store_uuid, oid, 123456)
+    blob = _encode_field_ref(store_uuid.bytes, oid, 123456)
+    assert _decode_field_ref(blob) == (store_uuid.bytes, oid, 123456)
     with pytest.raises(ValueError, match="malformed"):
         _decode_field_ref(blob[:-1])
 

@@ -178,9 +178,11 @@ def test_qos_tenant_keeps_the_system_refresh_and_retry():
     assert gateway.tenant_qos("steady").delayed > 0
 
 
-def test_shed_is_retried_and_pays_a_fresh_token():
-    """Admission sits inside retry: with retry on, a shed op backs off and
-    is re-offered, and each re-offer reserves a token again."""
+def _shed_and_retry():
+    """A QoS tenant covering ``kv_get`` on a system with retry on: one
+    uncovered put and open, a get on the burst token, then a get that is
+    shed and retried.  Returns the client, its admission and every
+    ``reserve`` call as ``(op, now)``."""
     base = ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=0)
     fault = FaultInjectionConfig(enabled=True, rate=0.0)  # retry on, no fault
     cluster, system, pool = build_deployment(
@@ -193,10 +195,9 @@ def test_shed_is_retried_and_pays_a_fresh_token():
     offers = []
     reserve = qos.reserve
 
-    def counting_reserve(client, op, subs):
-        if op == "kv_get":
-            offers.append(client.sim.now)
-        return reserve(client, op, subs)
+    def counting_reserve(client, op, tokens):
+        offers.append((op, client.sim.now))
+        return reserve(client, op, tokens)
 
     qos.reserve = counting_reserve
 
@@ -208,10 +209,28 @@ def test_shed_is_retried_and_pays_a_fresh_token():
         assert (yield from client.kv_get(kv, b"k")) == b"v"  # shed, then retried
 
     run_process(cluster, flow())
+    return client, qos, offers
+
+
+def test_shed_is_retried_and_pays_a_fresh_token():
+    """Admission sits inside retry: with retry on, a shed op backs off and
+    is re-offered, and each re-offer reserves a token again."""
+    client, qos, offers = _shed_and_retry()
     retries = client.op_metrics["kv_get"].retries
+    times = [now for op, now in offers if op == "kv_get"]
     assert qos.shed == retries > 0
-    assert len(offers) == 2 + retries and offers == sorted(set(offers))
+    assert len(times) == 2 + retries and times == sorted(set(times))
     assert qos.admitted == 2 and qos.bucket.waiting_debt == 0
+
+
+def test_uncovered_ops_never_reserve():
+    """The launcher decides the token count, so admission runs only for a
+    covered attempt: an op the tenant does not meter never calls
+    ``reserve``, even on a system whose policy runs every op through the
+    attempt loop."""
+    client, _qos, offers = _shed_and_retry()
+    retries = client.op_metrics["kv_get"].retries
+    assert [op for op, _ in offers] == ["kv_get"] * (2 + retries)
 
 
 def test_hot_promotion_and_replicated_reads_bit_identical():

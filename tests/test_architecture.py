@@ -28,7 +28,11 @@ so no pattern can silently stop matching.
 * **One op path.**  ``DaosClient._attempt`` applies a client's whole policy
   -- map refresh, retry, QoS admission, fault injection -- in one loop; a
   stage class, a ``handle`` method or a chain composer is the old stack of
-  middleware generators.
+  middleware generators.  ``DaosClient._call`` is the one launcher and the
+  loop's one caller: it decides every op's policy and QoS token count,
+  multi-ops and event-queue launches included.  A second caller is a
+  second launcher (the old request record's), deciding them again with a
+  test of its own.
 """
 
 import re
@@ -103,8 +107,15 @@ RULES = [
     Rule(
         "one-attempt-loop",
         re.compile(r"\bdef _attempt\b"),
-        "    def _attempt(self, op, body, args, subs):",
+        "    def _attempt(self, op, body, args, tokens):",
         path="daos/client.py",
+    ),
+    Rule(
+        "one-launch-decision",
+        re.compile(r"self\._attempt\("),
+        "        legs = self._attempt(request.op, request.body, (), request.subrequests)",
+        path="daos/client.py",
+        function="_call",
     ),
 ]
 
