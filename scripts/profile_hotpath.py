@@ -28,8 +28,9 @@ digest, and the queue entries dispatched and instants of the warm pass
 (``Simulator.events_processed`` and ``instants`` summed over every
 simulator the pass built).  Beside them it prints the warm pass's flow
 wake-ups -- armed, and stale (superseded by a later solve before they
-fired) -- and arena entries (``mode_switches``), summed over every flow
-network the pass built.  These counts are deterministic where wall time
+fired) -- arena entries (``mode_switches``) and arena releases (a network
+in arena mode whose last live flow retired drops its storage), summed over
+every flow network the pass built.  These counts are deterministic where wall time
 is not, so an A/B of two trees at equal seed reads a per-op cost change
 exactly, and equal queue counts show that no queue position moved::
 
@@ -40,12 +41,16 @@ interpreter (the script runs itself once per workload), so a workload's
 counts do not depend on which workloads ran before it: state a pass
 leaves behind, such as module-level memos, would otherwise shift them.
 
-``--memory`` (with ``--workload``) measures memory instead of calls: one
-pass with the cyclic collector paused, as the ledger worker runs it, under
-:mod:`tracemalloc`.  It prints the traced peak, what the pass still holds
-at its end, and the top allocation sites by line of what it holds -- the
-table the op-table footprint change was sized from (DESIGN.md §6), and the
-one the next footprint change should start from.
+``--memory`` (with ``--workload``) measures memory instead of calls, with
+the cyclic collector paused in each pass, as the ledger worker runs it.  A
+first pass reads the process's ``ru_maxrss`` (the high-water mark the
+ledger's ``peak_rss_mib`` reports) and then collects: what the collector
+frees is the garbage the paused pass kept, printed by type (objects and
+shallow bytes).  A second pass runs under :mod:`tracemalloc` and prints
+the traced peak, what the pass still holds at its end, and the top
+allocation sites by line of what it holds.  These are the tables the
+footprint changes were sized from (DESIGN.md §6), and the ones the next
+footprint change should start from.
 
 Scenarios that move data (``--scenario fieldio_small``, the flow storms)
 additionally get a per-function table of ``network/flow.py`` self time —
@@ -60,6 +65,7 @@ import argparse
 import cProfile
 import gc
 import pstats
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -114,9 +120,10 @@ def _counted_pass(name: str, seed: int):
     entries its simulators dispatched, the instants they advanced through,
     and its flow networks' wake-ups armed and stale and arena entries."""
     sims, nets = [], []
-    counts = {"armed": 0, "stale": 0}
+    counts = {"armed": 0, "stale": 0, "released": 0}
     sim_init, net_init = Simulator.__init__, FlowNetwork.__init__
     arm, on_wake = FlowNetwork._refresh_deadlines_and_arm, FlowNetwork._on_wake
+    release = FlowNetwork._release_arena
 
     def recording_sim_init(self, *args, **kwargs):
         sim_init(self, *args, **kwargs)
@@ -134,17 +141,24 @@ def _counted_pass(name: str, seed: int):
         counts["stale"] += wake is not self._wake
         on_wake(self, wake)
 
+    def counting_release(self):
+        # A fresh network empties its arena too, before it is in arena mode.
+        counts["released"] += self._vector
+        release(self)
+
     # The wake is bound when armed, so the patched _on_wake is the one it
     # fires while the pass runs.
     Simulator.__init__, FlowNetwork.__init__ = recording_sim_init, recording_net_init
     FlowNetwork._refresh_deadlines_and_arm = counting_arm
     FlowNetwork._on_wake = counting_on_wake
+    FlowNetwork._release_arena = counting_release
     try:
         outcomes = workloads.run_pass(name, seed)
     finally:
         Simulator.__init__, FlowNetwork.__init__ = sim_init, net_init
         FlowNetwork._refresh_deadlines_and_arm = arm
         FlowNetwork._on_wake = on_wake
+        FlowNetwork._release_arena = release
     counts["queue_entries"] = sum(sim.events_processed for sim in sims)
     counts["instants"] = sum(sim.instants for sim in sims)
     counts["arena_entries"] = sum(net.mode_switches for net in nets)
@@ -170,6 +184,7 @@ def profile_workload(name: str, seed: int, top: int, sort: str) -> None:
     print(f"instants {counts['instants']}")
     print(f"flow_wakes armed {counts['armed']} stale {counts['stale']}")
     print(f"arena_entries {counts['arena_entries']}")
+    print(f"arena_releases {counts['released']}")
     print(f"digest {digest}")
     if digest != warm:
         print(f"warm pass digest {warm} differs", file=sys.stderr)
@@ -177,9 +192,36 @@ def profile_workload(name: str, seed: int, top: int, sort: str) -> None:
 
 
 def memory_workload(name: str, seed: int, top: int) -> None:
-    """Trace one ledger pass of ``name`` with the collector paused; print
-    its peak, what it holds at the end and the top ``top`` sites by line."""
-    workloads.run_pass(name, seed)  # warm module-level memos out of the trace
+    """Two ledger passes of ``name`` with the collector paused: print the
+    first's ``ru_maxrss`` and the garbage it kept by type, then trace the
+    second and print its peak, what it holds at the end and the top ``top``
+    sites by line."""
+    gc.collect()
+    gc.disable()
+    try:
+        workloads.run_pass(name, seed)
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage, gc.garbage[:] = list(gc.garbage), []
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+    by_type: dict = {}
+    for obj in garbage:
+        entry = by_type.setdefault(type(obj).__qualname__, [0, 0])
+        entry[0] += 1
+        entry[1] += sys.getsizeof(obj)
+    del garbage
+    print(f"== {name} (seed {seed}, collector paused) ==")
+    print(f"ru_maxrss {maxrss:.2f} MiB after the first pass")
+    n_objects = sum(count for count, _ in by_type.values())
+    n_bytes = sum(size for _, size in by_type.values())
+    print(f"garbage the paused pass kept: {n_objects} objects, {n_bytes / 2**20:.2f} MiB")
+    print(f"  {'KiB':>9} {'objects':>8}  type")
+    rows = sorted(by_type.items(), key=lambda item: item[1][1], reverse=True)
+    for type_name, (count, size) in rows[:top]:
+        print(f"  {size / 1024:9.1f} {count:8d}  {type_name}")
     gc.collect()
     gc.disable()
     tracemalloc.start()
@@ -193,7 +235,6 @@ def memory_workload(name: str, seed: int, top: int) -> None:
     snapshot = snapshot.filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)]
     )
-    print(f"== {name} (seed {seed}, collector paused) ==")
     print(f"tracemalloc peak {peak / 2**20:.2f} MiB, held at pass end {held / 2**20:.2f} MiB")
     print(f"  {'KiB':>9} {'blocks':>8}  site")
     for stat in snapshot.statistics("lineno")[:top]:

@@ -1,16 +1,18 @@
 """Functional state of a DAOS Array object.
 
 A DAOS array is a sparse, byte-addressable object.  We store it as a sorted
-list of non-overlapping extents, each carrying a :class:`~repro.daos.payload.Payload`
-— newest write wins on overlap, reads of holes fail (the Field I/O layer
-never reads unwritten ranges; exposing the hole as an error catches bugs).
+tuple of non-overlapping extents, each carrying a
+:class:`~repro.daos.payload.Payload` — newest write wins on overlap, reads
+of holes fail (the Field I/O layer never reads unwritten ranges; exposing
+the hole as an error catches bugs).  A write rebuilds the extents anyway,
+so they are a tuple, the smallest container a finished run keeps per array.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.daos.errors import InvalidArgumentError, ObjectNotFoundError
 from repro.daos.objclass import ObjectClass
@@ -40,10 +42,10 @@ class ArrayObject:
     def __init__(self, oid: ObjectId, oclass: ObjectClass) -> None:
         self.oid = oid
         self.oclass = oclass
-        self._extents: List[Extent] = []  # sorted by offset, non-overlapping
+        self._extents: Tuple[Extent, ...] = ()  # sorted by offset, non-overlapping
         #: Set by the system layer (like for KV objects).
         self.lock = None
-        self.layout: List[int] = []
+        self.layout: Tuple[int, ...] = ()
         self.version = 0
 
     # -- write ----------------------------------------------------------------
@@ -72,7 +74,7 @@ class ArrayObject:
                 )
         kept.append(new)
         kept.sort(key=lambda e: e.offset)
-        self._extents = kept
+        self._extents = tuple(kept)
         self.version += 1
 
     # -- read -----------------------------------------------------------------
@@ -128,7 +130,7 @@ class ArrayObject:
                 kept.append(ext)
             elif ext.offset < size:
                 kept.append(Extent(ext.offset, ext.payload.slice(0, size - ext.offset)))
-        self._extents = kept
+        self._extents = tuple(kept)
         self.version += 1
 
     # -- inspection -------------------------------------------------------------

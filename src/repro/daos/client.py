@@ -192,9 +192,9 @@ class DaosClient:
     # An IOR wave keeps thousands of finished clients alive until its
     # deployment is collected: no per-instance ``__dict__``.
     __slots__ = (
-        "system", "address", "sim", "net", "fabric", "provider", "_message_latency",
-        "config", "_container_cache", "_slot", "container_open_cached", "faults_injected",
-        "map_refreshes", "_health", "_map_view", "_qos", "_fault_seq",
+        "system", "address", "sim", "_message_latency", "config", "_container_cache",
+        "_slot", "container_open_cached", "map_refreshes", "_health", "_map_view", "_qos",
+        "_fault_seq",
     )
 
     def __init__(
@@ -206,11 +206,8 @@ class DaosClient:
         self.system = system
         self.address = address
         self.sim = system.cluster.sim
-        self.net = system.cluster.net
-        self.fabric = system.cluster.fabric
-        self.provider = system.cluster.provider
         #: One-way small-message latency, hoisted: two legs of nearly every op.
-        self._message_latency = self.provider.message_latency
+        self._message_latency = system.cluster.provider.message_latency
         self.config = system.config
         #: Open container handles by ``(pool label, uuid or label)``; made on
         #: the first open or create (most IOR ranks never cache one).
@@ -223,8 +220,6 @@ class DaosClient:
         table.n_slots += 1
         #: ``container_open`` calls answered from the handle cache.
         self.container_open_cached = 0
-        #: Total faults injected into this client (see :meth:`_attempt`).
-        self.faults_injected = 0
         #: Pool-map refetches performed after TargetDownError rejections.
         self.map_refreshes = 0
         #: Cheap flag guarding every health check — False keeps the default
@@ -248,6 +243,12 @@ class DaosClient:
         first used each op.  Writing to it changes nothing; :meth:`_attempt`
         counts retries and faults through :meth:`tally_op`."""
         return self.system.op_table.view(self._slot)
+
+    @property
+    def faults_injected(self) -> int:
+        """Faults injected into this client (see :meth:`_attempt`): the sum
+        of its op-table fault tallies over every op."""
+        return self.system.op_table.faults(self._slot)
 
     def tally_op(self, op: str, field: str) -> None:
         """Add one to ``field`` (``"retries"`` or ``"faults_injected"``) of
@@ -278,9 +279,9 @@ class DaosClient:
         column = self.system.op_table[op]
         slot = self._slot
         base = column.base
-        # The row check is inline (``OpColumn``'s layout: five counts a row,
+        # The row check is inline (``OpColumn``'s layout: two counts a row,
         # count -1 absent) so a repeated op costs no call; a first use opens.
-        if not (base <= slot < column.stop and column.counts[(slot - base) * 5] >= 0):
+        if not (base <= slot < column.stop and column.counts[(slot - base) * 2] >= 0):
             column.open(slot)
         pool = self.system.fast_drivers
         driver = pool.pop() if pool else _FastDriver(self.sim, pool)
@@ -369,7 +370,6 @@ class DaosClient:
                     if (
                         fault.max_faults is None or self.faults_injected < fault.max_faults
                     ) and fault_fires(fault, self.address, op, sequence):
-                        self.faults_injected += 1
                         self.tally_op(op, "faults_injected")
                         self.sim.record("rpc_fault", op=op, sequence=sequence)
                         yield self._message_latency  # the round trip that never completed
@@ -738,14 +738,15 @@ class DaosClient:
     def _kv_bulk(self, target_index: int, nbytes: int, write: bool):
         """Bulk flow for an over-threshold KV value (no extra target service)."""
         engine = self.system.engine_of_target(target_index)
+        cluster = self.system.cluster
         if write:
-            path = self.fabric.write_path(self.address, engine)
+            path = cluster.fabric.write_path(self.address, engine)
         else:
-            path = self.fabric.read_path(self.address, engine)
-        yield self.net.transfer(
+            path = cluster.fabric.read_path(self.address, engine)
+        yield cluster.net.transfer(
             path,
             nbytes,
-            rate_cap=self.provider.per_flow_cap,
+            rate_cap=cluster.provider.per_flow_cap,
             name=f"{'kw' if write else 'kr'}:{target_index}",
         )
 
@@ -970,14 +971,15 @@ class DaosClient:
         )
         yield from self._target_leg(target_index, service)
         engine = self.system.engine_of_target(target_index)
+        cluster = self.system.cluster
         if write:
-            path = self.fabric.write_path(self.address, engine)
+            path = cluster.fabric.write_path(self.address, engine)
         else:
-            path = self.fabric.read_path(self.address, engine)
-        yield self.net.transfer(
+            path = cluster.fabric.read_path(self.address, engine)
+        yield cluster.net.transfer(
             path,
             nbytes,
-            rate_cap=self.provider.per_flow_cap,
+            rate_cap=cluster.provider.per_flow_cap,
             name=f"{'w' if write else 'r'}:{target_index}",
         )
 

@@ -9,7 +9,7 @@ serialisation lock, usage counters).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.daos.errors import InvalidArgumentError, KeyNotFoundError
 from repro.daos.objclass import ObjectClass
@@ -30,7 +30,7 @@ class KeyValueObject:
         #: Set by the system layer: per-object serialisation lock and the
         #: targets holding the object's dkeys.
         self.lock = None
-        self.layout: List[int] = []
+        self.layout: Tuple[int, ...] = ()
         #: Monotonic update counter (a stand-in for the object's epoch).
         self.version = 0
 

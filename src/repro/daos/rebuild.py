@@ -182,8 +182,12 @@ class RebuildService:
         # The shard is re-protected only once the copy lands: update the
         # layout and move the space accounting from the dead target to the
         # spare (clamped, like every refund against approximate placement).
-        lost_target = move.obj.layout[move.position]
-        move.obj.layout[move.position] = move.dst_target
+        # A new tuple: the old one may be shared with other objects.
+        layout = move.obj.layout
+        lost_target = layout[move.position]
+        move.obj.layout = (
+            layout[: move.position] + (move.dst_target,) + layout[move.position + 1 :]
+        )
         if move.nbytes > 0:
             move.pool.refund(
                 lost_target, min(move.nbytes, move.pool.target_used(lost_target))

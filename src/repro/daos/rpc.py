@@ -22,10 +22,14 @@ Op counts, latencies and ``rpc`` spans are kept by the client's op driver
 loop, so an op counts once and its latency and span cover every retry.  A
 multi-op's sub-ops and every event-queue launch each run on a driver of
 their own, so they are counted and traced the same way.  Counts live in
-the system's :class:`OpTable` -- one :class:`OpColumn` of typed rows per op
-kind, one row per client slot -- not in per-client objects:
-``client.op_metrics`` is a fresh ``{op: OpStats}`` view of the client's
-rows, and the attempt loop counts retries and injected faults through
+the system's :class:`OpTable` -- one :class:`OpColumn` per op kind, one
+row per client slot -- not in per-client objects.  A row keeps only what
+every op writes: ``count`` and ``total_bytes`` (``array('q')``) and the
+three times (``array('d')``), 40 bytes; ``errors``, ``retries`` and
+``faults_injected`` go to the column's sparse ``{slot: [e, r, f]}`` map,
+made on the first one.  ``client.op_metrics`` is a fresh ``{op: OpStats}``
+view of the client's rows, ``client.faults_injected`` sums its fault
+tallies, and the attempt loop counts retries and injected faults through
 ``client.tally_op``.  It marks each attempt with ``rpc_retry``,
 ``rpc_fault`` and ``rpc_map_refresh`` records.
 
@@ -44,7 +48,6 @@ from typing import Dict, Iterable
 
 __all__ = [
     "DATA_OPS",
-    "COUNT_FIELDS",
     "OpStats",
     "OpColumn",
     "OpTable",
@@ -127,13 +130,14 @@ class OpStats:
         )
 
 
-#: The integer :class:`OpStats` fields, in the order an :class:`OpColumn`
-#: ``counts`` row keeps them; its ``times`` row keeps ``total_time``,
-#: ``min_time`` and ``max_time``.
-COUNT_FIELDS = ("count", "errors", "retries", "faults_injected", "total_bytes")
+#: The integer fields only a failed, retried or faulted op writes -> their
+#: place in an :class:`OpColumn` ``tallies`` entry.
+_TALLY_INDEX = {"errors": 0, "retries": 1, "faults_injected": 2}
+#: What a slot with no ``tallies`` entry reads: no failure, retry or fault.
+_NO_TALLIES = (0, 0, 0)
 #: The rows a column starts every slot with: absent (``count`` -1 keeps it
 #: out of the slot's view), and ``min_time`` +inf as in a fresh :class:`OpStats`.
-_ABSENT_COUNTS = array("q", (-1, 0, 0, 0, 0))
+_ABSENT_COUNTS = array("q", (-1, 0))
 _FRESH_TIMES = array("d", (0.0, float("inf"), 0.0))
 
 
@@ -142,20 +146,25 @@ class OpColumn:
 
     ``op`` names the kind (the driver's ``rpc`` span reads it from here).
 
-    Row ``slot - base`` of ``counts`` (``array('q')``, five per row) and of
-    ``times`` (``array('d')``, three per row) holds that slot's eight
-    :class:`OpStats` fields.  A row whose ``count`` is -1 is *absent*: the
-    column covers its slot only because a lower and a higher slot use the
-    op, and the slot's view leaves it out.
+    Row ``slot - base`` of ``counts`` (``array('q')``, two per row:
+    ``count``, ``total_bytes``) and of ``times`` (``array('d')``, three per
+    row: ``total_time``, ``min_time``, ``max_time``) holds what every op of
+    that slot writes.  ``errors``, ``retries`` and ``faults_injected`` are
+    zero for nearly every row, so they live in ``tallies``, a ``{slot:
+    [errors, retries, faults_injected]}`` dict made when the column's first
+    failure, retry or fault is counted (None until then).  A row whose
+    ``count`` is -1 is *absent*: the column covers its slot only because a
+    lower and a higher slot use the op, and the slot's view leaves it out.
     """
 
-    __slots__ = ("op", "base", "stop", "counts", "times")
+    __slots__ = ("op", "base", "stop", "counts", "times", "tallies")
 
     def __init__(self, op: str) -> None:
         self.op = op
         self.base = self.stop = 0
         self.counts = array("q")
         self.times = array("d")
+        self.tallies = None
 
     def open(self, slot: int) -> None:
         """Give ``slot`` a present row (absent rows fill any gap): from here
@@ -179,7 +188,7 @@ class OpColumn:
             self.counts[0:0] = _ABSENT_COUNTS * gap
             self.times[0:0] = _FRESH_TIMES * gap
             self.base = slot
-        row = (slot - self.base) * 5
+        row = (slot - self.base) * 2
         if self.counts[row] < 0:
             self.counts[row] = 0
 
@@ -189,12 +198,18 @@ class OpColumn:
         elapsed``, which is ``elapsed`` itself for every ``elapsed >= +0.0``)."""
         index = slot - self.base
         counts = self.counts
-        row = index * 5
+        row = index * 2
         counts[row] += 1
-        if not ok:
-            counts[row + 1] += 1
         if nbytes:  # most metadata ops move none: skip an element read and write
-            counts[row + 4] += nbytes
+            counts[row + 1] += nbytes
+        if not ok:  # inline, not a call: a failed op pays no extra frame
+            tallies = self.tallies
+            if tallies is None:
+                self.tallies = tallies = {}
+            if slot in tallies:
+                tallies[slot][0] += 1
+            else:
+                tallies[slot] = [1, 0, 0]
         times = self.times
         row = index * 3
         times[row] += elapsed
@@ -223,9 +238,27 @@ class OpTable(dict):
         return column
 
     def tally(self, op: str, slot: int, field: str) -> None:
-        """Add one to ``field`` of ``slot``'s row for ``op``, a launched op."""
+        """Add one to ``field`` (``errors``, ``retries`` or
+        ``faults_injected``) of ``slot``'s accumulator for ``op``, a
+        launched op: its entry in the column's ``tallies``."""
         column = self[op]
-        column.counts[(slot - column.base) * 5 + COUNT_FIELDS.index(field)] += 1
+        tallies = column.tallies
+        if tallies is None:
+            column.tallies = tallies = {}
+        if slot in tallies:
+            entry = tallies[slot]
+        else:
+            tallies[slot] = entry = [0, 0, 0]
+        entry[_TALLY_INDEX[field]] += 1
+
+    def faults(self, slot: int) -> int:
+        """Faults injected into ``slot``'s ops, summed over every op kind."""
+        total = 0
+        for column in self.values():
+            tallies = column.tallies
+            if tallies is not None and slot in tallies:
+                total += tallies[slot][2]
+        return total
 
     def view(self, slot: int) -> Dict[str, OpStats]:
         """``slot``'s accumulators as a fresh ``{op: OpStats}`` dict, in the
@@ -236,13 +269,18 @@ class OpTable(dict):
             base = column.base
             if base <= slot < column.stop:
                 counts = column.counts
-                row = (slot - base) * 5
+                row = (slot - base) * 2
                 if counts[row] >= 0:
                     times = column.times
                     at = (slot - base) * 3
+                    tallies = column.tallies
+                    errors, retries, faults = (
+                        tallies[slot] if tallies is not None and slot in tallies
+                        else _NO_TALLIES
+                    )
                     stats[op] = OpStats(
-                        counts[row], counts[row + 1], counts[row + 2], counts[row + 3],
-                        times[at], times[at + 1], times[at + 2], counts[row + 4],
+                        counts[row], errors, retries, faults,
+                        times[at], times[at + 1], times[at + 2], counts[row + 1],
                     )
         return stats
 

@@ -10,7 +10,7 @@ I/O against it.
 from __future__ import annotations
 
 import uuid as uuid_module
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.daos.engine import Engine, Target
 from repro.daos.errors import InvalidArgumentError
@@ -58,6 +58,10 @@ class DaosSystem:
         #: Every client's per-op counts, latencies and bytes: one column per
         #: op kind, one row per client slot (``client.op_metrics`` is a view).
         self.op_table = OpTable()
+        #: Every object layout in use, each as one shared tuple: objects
+        #: allocated in sequence cycle through a few placements, so most of
+        #: a deployment's objects point at the same handful of tuples.
+        self._layouts: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         #: Whether the config turns on a default policy (health's map
         #: refresh, fault injection and its retry): if so every client runs
         #: each op through its attempt loop (``DaosClient._attempt``).
@@ -156,11 +160,13 @@ class DaosSystem:
         """Compute placement for a fresh object and attach its lock.
 
         Called by the client when an object is first materialised.  The
-        layout lists *global* target indices, one per shard.
+        layout lists *global* target indices, one per shard, as a tuple
+        shared by every object of the system with the same placement (a
+        layout is replaced, never mutated: see the rebuild service).
         ``container_salt`` comes from the owning container's UUID so that
         the per-container OID sequences spread over distinct targets.
         """
-        obj.layout = place_object(
+        layout = place_object(
             obj.oid,
             oclass,
             len(self.targets),
@@ -171,14 +177,21 @@ class DaosSystem:
         # creation is a server-side act, so the authoritative map applies.
         unavailable = self.pool_map.unavailable
         if unavailable:
-            for position, target in enumerate(obj.layout):
+            for position, target in enumerate(layout):
                 if target in unavailable:
-                    obj.layout[position] = remap_target(
+                    layout[position] = remap_target(
                         obj.oid,
                         position,
-                        avoid=unavailable | set(obj.layout),
+                        avoid=unavailable | set(layout),
                         n_targets=len(self.targets),
                     )
+        layout = tuple(layout)
+        layouts = self._layouts
+        if layout in layouts:
+            layout = layouts[layout]
+        else:
+            layouts[layout] = layout
+        obj.layout = layout
         obj.lock = RWLock(self.cluster.sim, name=obj.oid)
 
     def target(self, global_index: int) -> Target:

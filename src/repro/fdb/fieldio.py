@@ -169,11 +169,10 @@ class FieldIO:
 
     # -- forecast resolution (the container/index plumbing of Algorithm 1/2) --------
     def _forecast(self, msk: FieldKey, create: bool):
-        """Resolve the forecast handles for ``msk``; if it is not indexed yet,
-        create it (``create``, the write side) or fail (the read side)."""
-        cached = self._forecasts.get(msk)
-        if cached is not None:
-            return cached
+        """Resolve the forecast handles for ``msk`` on a miss of the
+        ``_forecasts`` cache (each caller reads the cache first, so a hit
+        runs no generator); if it is not indexed yet, create it
+        (``create``, the write side) or fail (the read side)."""
         main = yield from self._open_main()
         ref = yield from self.client.kv_get_or_none(self._main_kv, msk.encode())
         if ref is not None:
@@ -274,7 +273,9 @@ class FieldIO:
         if not isinstance(payload, Payload):
             payload = BytesPayload(bytes(payload))
         client = self.client
-        handles = yield from self._forecast(msk, create=True)
+        handles = self._forecasts.get(msk)
+        if handles is None:
+            handles = yield from self._forecast(msk, create=True)
         array = yield from client.array_create(handles.store_container, self.array_oclass)
         ref = _encode_field_ref(handles.store_ref, array.oid, payload.size)
         if overlap:
@@ -331,7 +332,9 @@ class FieldIO:
             payload = yield from client.array_read(array, 0, size)
             yield from client.array_close(array)
             return payload
-        handles = yield from self._forecast(msk, create=False)
+        handles = self._forecasts.get(msk)
+        if handles is None:
+            handles = yield from self._forecast(msk, create=False)
         ref = yield from client.kv_get_or_none(handles.index_kv, lsk.encode())
         return (yield from self._load_field(key, handles, ref))
 
@@ -379,7 +382,9 @@ class FieldIO:
         per_key = []
         for key in keys:
             msk, lsk = self.schema.split(key)
-            handles = yield from self._forecast(msk, create=False)
+            handles = self._forecasts.get(msk)
+            if handles is None:
+                handles = yield from self._forecast(msk, create=False)
             lookups.append((handles.index_kv, lsk.encode()))
             per_key.append(handles)
         refs = []
@@ -412,7 +417,9 @@ class FieldIO:
         if self.mode is FieldIOMode.NO_INDEX:
             raise FieldNotFoundError("wipe requires an index to enumerate fields")
         client = self.client
-        handles = yield from self._forecast(msk, create=False)
+        handles = self._forecasts.get(msk)
+        if handles is None:
+            handles = yield from self._forecast(msk, create=False)
         raw_keys = yield from client.kv_list(handles.index_kv)
         removed = 0
         for raw in raw_keys:
@@ -441,7 +448,9 @@ class FieldIO:
             raise FieldNotFoundError(
                 "listing requires an index; the NO_INDEX mode has none"
             )
-        handles = yield from self._forecast(msk, create=False)
+        handles = self._forecasts.get(msk)
+        if handles is None:
+            handles = yield from self._forecast(msk, create=False)
         raw_keys = yield from self.client.kv_list(handles.index_kv)
         fields = []
         for raw in raw_keys:
@@ -458,7 +467,9 @@ class FieldIO:
             main = yield from self._open_main()
             return main.has_object(_array_oid_for_field(key))
         try:
-            handles = yield from self._forecast(msk, create=False)
+            handles = self._forecasts.get(msk)
+            if handles is None:
+                handles = yield from self._forecast(msk, create=False)
         except FieldNotFoundError:
             return False
         ref = yield from self.client.kv_get_or_none(handles.index_kv, lsk.encode())

@@ -73,7 +73,10 @@ setting:
 * **The arena and the vector kernel.**  At the first flush that sees
   ``_VEC_ON`` live flows the network moves its hot state into a compact
   numpy arena, and keeps it there for the rest of its life (a one-way
-  switch): per-flow remaining/rate arrays are kept dense by
+  switch of *mode*; its storage is not kept: when the last live flow
+  retires the arena drops its arrays, scratch and membership dicts, and
+  the next wave regrows them): per-flow remaining/rate arrays are kept
+  dense by
   swap-deleting completed flows, and each flow's path lives in one column
   of a fixed-stride incidence matrix padded with a sentinel "link" whose
   fair share is pinned to +inf.  Progress debits, completion scans and
@@ -125,8 +128,8 @@ _INF = math.inf
 
 #: Active-flow population at whose first flush the network moves its hot
 #: state into the numpy arena, where it stays: a population that drains
-#: keeps the arena (and its array scans), so nothing hovering around the
-#: boundary can thrash between representations.
+#: keeps the arena mode (and its array scans; only the storage goes), so
+#: nothing hovering around the boundary can thrash between representations.
 _VEC_ON = 96
 
 #: Minimum size for a vectorized pass to beat scalar Python: solves with
@@ -135,6 +138,12 @@ _VEC_ON = 96
 #: numpy.
 _VEC_SOLVE_MIN = 40
 
+
+#: The arrays a drained (or fresh) arena points at: size 0, so nothing
+#: ever writes into them, and each is replaced when it is grown.
+_NO_FLOATS = np.zeros(0)
+_NO_INTS = np.zeros(0, dtype=np.int64)
+_NO_BOOLS = np.zeros(0, dtype=bool)
 
 #: C-level sort key for completion ordering (hot at 100k-flow batches).
 _fid_of = attrgetter("fid")
@@ -186,7 +195,10 @@ class Link:
         self.capacity = float(capacity)
         self.capacity_fn = capacity_fn
         self.idx = idx
-        self._fn_cache: Dict[int, float] = {}
+        # Built only for a link with a curve: a plain link never reads it.
+        self._fn_cache: Optional[Dict[int, float]] = (
+            None if capacity_fn is None else {}
+        )
         #: Live aggregation groups crossing this link -> occurrences of the
         #: link in their path (write amplification); touched only when a
         #: group appears or disappears.
@@ -421,9 +433,6 @@ class FlowNetwork:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        #: Active aggregation groups keyed by exact (path indices, cap)
-        #: signature (or flow id for singleton path-less groups).
-        self._groups: Dict[object, FlowGroup] = {}
         #: Live path-less (rate-cap-only) flows; while zero, the vector
         #: scoper may prove full coverage from the link count alone.
         self._pathless_active = 0
@@ -433,7 +442,6 @@ class FlowNetwork:
         self.links: Dict[str, Link] = {}
         self._link_list: List[Link] = []
         self._fn_links: List[Link] = []
-        self._active: Dict[Flow, None] = {}
         self._fid = count()
         self._last_advance: float = sim.now
         #: Links whose flow set changed since the last solve; their
@@ -469,45 +477,9 @@ class FlowNetwork:
         # -- flow arena (compact; columns [0, _n_live) are the live flows) -
         self._vector = False
         self._n_live = 0
-        self._flows_pos: List[Optional[Flow]] = []
-        self._rem_v = np.zeros(0)
-        self._rate_v = np.zeros(0)
-        self._rcap_v = np.zeros(0)
-        #: Incidence matrix, transposed: column i holds flow i's path as
-        #: link indices, bottom-padded with the sentinel index ``_pad``
-        #: (== len(links)).  The sentinel behaves as a link of infinite
-        #: fair share, so padded columns need no masking anywhere.  The
-        #: (stride, flows) orientation keeps the solver's per-round
-        #: reductions running along the long contiguous axis.
-        self._occ_t = np.zeros((4, 0), dtype=np.int64)
         self._stride = 4
         self._pad = 0
-        # -- group arena: one rate per group row, which is all the scalar
-        # kernel needs of it (rows [0, _ng); freed rows are recycled) -------
-        #: Per-flow group row (int64, parallel to the flow arena columns).
-        self._gid_v = np.zeros(0, dtype=np.int64)
-        self._ng = 0
-        self._g_free: List[int] = []
-        #: Rate of every member of the group as of the last solve that
-        #: touched it.  Invariant: correct for *all* active groups after
-        #: every solve (each kernel writes the rows it solved; scoped solves
-        #: leave untouched components' rates unchanged by construction), so
-        #: ``_g_rate[gid_v]`` may be scattered across the whole flow arena.
-        self._g_rate = np.zeros(0)
-        # -- solver scratch (reused across solves; sized on demand) -------
-        self._sc_flat_i = np.zeros(0, dtype=np.int64)  # (stride+1, n) indices
-        self._sc_flat_f = np.zeros(0)  # (stride+1, n) gathered shares
-        self._sc_share = np.zeros(0)  # per-link shares ++ per-flow caps
-        self._sc_capleft = np.zeros(0)
-        self._sc_div = np.zeros(0)
-        self._sc_seg = np.zeros(0, dtype=np.int64)
-        self._sc_off = np.zeros(0, dtype=np.int64)
-        self._sc_fold = np.zeros(0)
-        self._sc_folded = np.zeros(0)
-        self._sc_flow_f = np.zeros(0)  # per-flow float scratch (bounds, ...)
-        self._sc_flow_f2 = np.zeros(0)  # per-flow float scratch (rates, ...)
-        self._sc_flow_b = np.zeros(0, dtype=bool)  # per-flow bool scratch
-        self._sc_ar = np.zeros(0, dtype=np.int64)  # 0..n arange
+        self._release_arena()  # a fresh network holds an empty arena
 
     # -- topology ------------------------------------------------------------
     def add_link(self, name: str, capacity: float, capacity_fn=None) -> Link:
@@ -648,6 +620,8 @@ class FlowNetwork:
                 for link, mult in group.occ_items:
                     del link.groups[group]
                     if not link.groups:
+                        # A fresh dict: an emptied one keeps its grown table.
+                        link.groups = {}
                         self._n_occupied -= 1
                     if mult > 1:
                         link.n_amplified -= 1
@@ -672,6 +646,8 @@ class FlowNetwork:
         self.flow_changes += len(flows)
         if batch:
             self._evict_batch(np.asarray(done_pos, dtype=np.int64))
+        if not active and self._vector:
+            self._release_arena()
         # The solve is deferred to the end-of-instant flush: completions
         # resume processes that often start replacement flows at this same
         # instant, and one solve serves the departures and the replacements.
@@ -860,6 +836,55 @@ class FlowNetwork:
         self._ingest_batch(list(self._active))
         self._vector = True
         self.mode_switches += 1
+
+    def _release_arena(self) -> None:
+        """Drop the arena's storage: what a drained network keeps.
+
+        Called once the last live flow has retired (and to start a fresh
+        network): the arrays, the solver scratch and the grown membership
+        dicts go, so a finished wave's arena stops costing memory.  The
+        network stays in arena mode (``_vector`` and ``_stride`` are kept);
+        :meth:`_ensure_capacity`, :meth:`_g_ingest` and the scratch sizing
+        regrow what the next wave needs.  Nothing here is simulated state:
+        group rows are bare indices, and every array is written before it is
+        read.
+        """
+        #: Active aggregation groups keyed by exact (path indices, cap)
+        #: signature (or flow id for singleton path-less groups).
+        self._groups: Dict[object, FlowGroup] = {}
+        self._active: Dict[Flow, None] = {}
+        self._flows_pos: List[Optional[Flow]] = []
+        self._rem_v = self._rate_v = self._rcap_v = _NO_FLOATS
+        #: Incidence matrix, transposed: column i holds flow i's path as
+        #: link indices, bottom-padded with the sentinel index ``_pad``
+        #: (== len(links)).  The sentinel behaves as a link of infinite
+        #: fair share, so padded columns need no masking anywhere.  The
+        #: (stride, flows) orientation keeps the solver's per-round
+        #: reductions running along the long contiguous axis.
+        self._occ_t = np.zeros((self._stride, 0), dtype=np.int64)
+        # -- group arena: one rate per group row, which is all the scalar
+        # kernel needs of it (rows [0, _ng); freed rows are recycled) -------
+        #: Per-flow group row (int64, parallel to the flow arena columns).
+        self._gid_v = _NO_INTS
+        self._ng = 0
+        self._g_free: List[int] = []
+        #: Rate of every member of the group as of the last solve that
+        #: touched it.  Invariant: correct for *all* active groups after
+        #: every solve (each kernel writes the rows it solved; scoped solves
+        #: leave untouched components' rates unchanged by construction), so
+        #: ``_g_rate[gid_v]`` may be scattered across the whole flow arena.
+        self._g_rate = _NO_FLOATS
+        # -- solver scratch (reused across solves; sized on demand) -------
+        self._sc_flat_i = _NO_INTS  # (stride+1, n) indices
+        self._sc_flat_f = _NO_FLOATS  # (stride+1, n) gathered shares
+        self._sc_share = _NO_FLOATS  # per-link shares ++ per-flow caps
+        self._sc_capleft = self._sc_div = self._sc_folded = _NO_FLOATS
+        self._sc_seg = self._sc_off = _NO_INTS
+        self._sc_fold = _NO_FLOATS
+        self._sc_flow_f = _NO_FLOATS  # per-flow float scratch (bounds, ...)
+        self._sc_flow_f2 = _NO_FLOATS  # per-flow float scratch (rates, ...)
+        self._sc_flow_b = _NO_BOOLS  # per-flow bool scratch
+        self._sc_ar = _NO_INTS  # 0..n arange
 
     # -- internals -----------------------------------------------------------
     def _schedule_recompute(self) -> None:

@@ -107,7 +107,7 @@ def test_kv_put_get_roundtrip_with_time():
     put_time, value = run_process(cluster, flow(client, pool))
     assert value == b"v"
     config = client.config
-    provider = client.provider
+    provider = client.system.cluster.provider
     assert put_time >= 2 * provider.message_latency + config.kv_put_service_time
 
 

@@ -146,7 +146,63 @@ def test_views_and_merge_equal_a_reference_accumulation(backend, monkeypatch):
     for client in clients:
         assert _bits(client.op_metrics) == _bits(reference.stats[client])
         assert client.stats == {op: e.count for op, e in reference.stats[client].items()}
+        assert client.faults_injected == sum(
+            entry.faults_injected for entry in reference.stats[client].values()
+        )
+    # Only the columns that saw a failure, retry or fault made a tallies map,
+    # and it holds an entry for exactly the slots that had one.
+    for op, column in clients[0].system.op_table.items():
+        tallied = {
+            client._slot
+            for client in clients
+            if op in reference.stats[client]
+            and any(
+                getattr(reference.stats[client][op], field)
+                for field in ("errors", "retries", "faults_injected")
+            )
+        }
+        assert set(column.tallies or ()) == tallied, op
     assert _bits(merged) == _bits(merge_op_stats(reference.stats[c] for c in clients))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_failure_free_run_builds_no_tallies(backend):
+    """A row keeps what every op writes -- ``count`` and ``total_bytes``,
+    then the three times -- and a run with no failure, retry or fault
+    builds no column's sparse ``tallies`` map."""
+    cluster, system, pool = build_deployment(
+        ClusterConfig(n_server_nodes=1, n_client_nodes=1, seed=0), backend=backend
+    )
+    clients = [system.make_client(address) for address in cluster.client_addresses(2)]
+
+    def rank(index, client):
+        try:
+            container = yield from client.container_create(pool, label="c")
+        except ContainerExistsError:
+            container = yield from client.container_open(pool, "c")
+        kv = yield from client.kv_open(container, ObjectId.from_user(0, 0x70 + index), OC_S1)
+        yield from client.kv_put(kv, b"k", b"v")
+        yield from client.kv_get(kv, b"k")
+        array = yield from client.array_create(container, OC_S1)
+        yield from client.array_write(array, 0, PatternPayload(64 * KiB, seed=index), pool=pool)
+        yield from client.array_read(array, 0, 64 * KiB)
+        yield from client.array_close(array)
+
+    # The first rank's create succeeds: nothing has failed yet.
+    run_process(cluster, rank(0, clients[0]))
+    table = system.op_table
+    assert all(column.tallies is None for column in table.values())
+    for column in table.values():
+        rows = column.stop - column.base
+        assert (len(column.counts), len(column.times)) == (2 * rows, 3 * rows)
+    entry = clients[0].op_metrics["array_write"]
+    assert (entry.count, entry.errors, entry.retries, entry.faults_injected) == (1, 0, 0, 0)
+    assert entry.total_bytes == 64 * KiB
+    # The second rank's create fails (the container exists): that makes
+    # ``container_create``'s map, for that slot alone.
+    run_process(cluster, rank(1, clients[1]))
+    assert table["container_create"].tallies == {clients[1]._slot: [1, 0, 0]}
+    assert all(column.tallies is None for op, column in table.items() if op != "container_create")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import ClusterConfig, DaosServiceConfig, EngineFailureEvent, HealthConfig
+from repro.daos.array_object import ArrayObject
 from repro.daos.client import DaosClient
 from repro.daos.errors import TargetDownError
 from repro.daos.objclass import OC_RP_2G1, OC_S1
@@ -180,3 +181,27 @@ def test_metadata_op_on_down_target_is_rejected_before_any_state_change(op):
     # One refresh learned of the failure; the retry met the same dead target.
     assert client.map_refreshes == 2
     assert client.op_metrics[op].errors == 1
+
+
+def test_objects_share_a_layout_tuple_and_rebuild_replaces_only_its_own():
+    """Objects with one placement share one layout tuple; re-homing a shard
+    builds a new tuple for the rebuilt object, never mutating the shared one."""
+    cluster, system, pool, client = make_env()
+    data = PatternPayload(2 * MiB, seed=3)
+    array = run_process(cluster, write_array(client, pool, OC_RP_2G1, data))
+    (container,) = pool.containers()
+    # The same OID and container salt: the same placement, outside the pool.
+    twin = ArrayObject(array.oid, OC_RP_2G1)
+    system.register_object(twin, OC_RP_2G1, container_salt=container.uuid.int)
+    assert isinstance(array.layout, tuple)
+    assert twin.layout is array.layout
+    shared = array.layout
+    lost_targets = engine_targets(system, 1)
+    (lost,) = [t for t in shared if t in lost_targets]
+
+    system.arm_failure_schedule()
+    cluster.sim.run()
+
+    assert system.rebuild.runs[0].shards_rebuilt == 1
+    assert lost not in array.layout and isinstance(array.layout, tuple)
+    assert twin.layout is shared and lost in shared

@@ -149,6 +149,33 @@ def test_max_faults_caps_the_schedule():
     assert client.faults_injected == 2  # third attempt ran clean
 
 
+def test_faults_injected_sums_the_op_table_and_caps_across_ops():
+    """``client.faults_injected`` is no counter of its own but the sum of
+    the client's fault tallies over every op, and that sum is what
+    ``max_faults`` caps: two ``kv_put`` faults and one ``kv_get`` fault
+    spend a cap of three, so the ``kv_get`` retry runs clean."""
+    assert "faults_injected" not in DaosClient.__slots__
+    assert isinstance(DaosClient.faults_injected, property)
+    cluster, system, pool = build_deployment(
+        _faulty_config(rate=1.0, ops=("kv_put", "kv_get"), max_attempts=2, max_faults=3)
+    )
+    client = DaosClient(system, cluster.client_addresses(1)[0])
+    kv = _open_kv(cluster, client, pool)
+
+    def put_then_get():
+        with pytest.raises(SimulatedFaultError):
+            yield from client.kv_put(kv, b"k", b"v")  # both attempts faulted
+        return (yield from client.kv_get_or_none(kv, b"k"))
+
+    assert run_process(cluster, put_then_get()) is None
+    metrics = client.op_metrics
+    assert (metrics["kv_put"].faults_injected, metrics["kv_get"].faults_injected) == (2, 1)
+    assert client.faults_injected == 3
+    assert client.faults_injected == sum(e.faults_injected for e in metrics.values())
+    run_process(cluster, client.kv_put(kv, b"k", b"v"))  # the cap is spent
+    assert client.faults_injected == 3
+
+
 def test_fault_ops_filter_targets_specific_ops():
     cluster, system, pool = build_deployment(
         _faulty_config(rate=1.0, ops=("kv_put",), max_attempts=4, max_faults=1)

@@ -15,7 +15,9 @@ pathless rate-capped flows.
 
 import math
 import random
+import sys
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.network import flow as flow_module
@@ -117,6 +119,61 @@ def test_arena_is_entered_once_and_never_left(pin_arena, monkeypatch):
     assert first > 0 and not any(vector for _, vector in seen[:first])
     assert all(vector for _, vector in seen[first:])
     assert net.mode_switches == 1 and net.active_flows == 0 and net._vector
+
+
+def _arena_wave(seed, wave_at, first_wave):
+    """A synchronised wave of 120 flows at ``wave_at`` on a network that,
+    with ``first_wave``, has already run (and drained) another wave.
+
+    Returns the wave's completion times, the network, and its arena arrays
+    as they were between the two waves (``None`` without a first wave).
+    """
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    links = [net.add_link(f"l{i}", 40.0 + 15.0 * i) for i in range(6)]
+    links.append(net.add_link("fn", 150.0, capacity_fn=_staircase))
+    drained = None
+
+    def wave(rng):
+        specs = [
+            (rng.sample(links, rng.randint(1, 3)), rng.choice([64.0, 256.0, 1024.0]))
+            for _ in range(120)
+        ]
+        events = [net.transfer(path, size) for path, size in specs]
+        flows = yield sim.all_of(events)
+        return [flow.end_time for flow in flows.values()]
+
+    def driver():
+        nonlocal drained
+        if first_wave:
+            yield from wave(random.Random(seed + 1))
+            drained = {
+                name: value
+                for name, value in vars(net).items()
+                if isinstance(value, np.ndarray) and name != "_cap_a"
+            }
+        yield sim.timeout(wave_at - sim.now)
+        return (yield from wave(random.Random(seed)))
+
+    ends = sim.run(until=sim.process(driver()))
+    return ends, net, drained
+
+
+def test_a_drained_arena_drops_its_storage_and_regrows_bit_identically():
+    """The last retiring flow releases the arena's storage, not its mode:
+    the drained network holds size-0 arrays (and scratch) and fresh dicts,
+    and its next wave completes at the times a fresh network's does."""
+    fresh, net_fresh, _ = _arena_wave(seed=3, wave_at=500.0, first_wave=False)
+    again, net, drained = _arena_wave(seed=3, wave_at=500.0, first_wave=True)
+    assert again == fresh  # exact: no tolerance
+    assert net_fresh.mode_switches == net.mode_switches == 1 and net._vector
+    assert drained and all(array.size == 0 for array in drained.values()), {
+        name: array.shape for name, array in drained.items() if array.size
+    }
+    assert net.active_flows == 0 and net._ng == 0 and net._flows_pos == []
+    for mapping in (net._active, net._groups, *(link.groups for link in net._link_list)):
+        assert not mapping and sys.getsizeof(mapping) == sys.getsizeof({})
+    assert [link._fn_cache is None for link in net._link_list] == [True] * 6 + [False]
 
 
 def _component_rows(net, dirty, dirty_flows):
