@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo check: lint, the tier-1 test suite, the slow-marked tests, then every
-# rail (scripts/rails.py).
+# rail (scripts/rails.py), the exact count record (COUNTS.json) included.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 #
@@ -32,5 +32,5 @@ echo "== slow: pytest -m slow =="
 # Exit 5 is "nothing collected": the extra args selected no slow test.
 PYTHONPATH=src python -m pytest -x -q -m slow "$@" || [[ $? -eq 5 ]]
 
-echo "== rails: golden and -j4 identity, result cache, backend, serving, cycle =="
+echo "== rails: golden and -j4 identity, result cache, backend, serving, cycle, counts =="
 PYTHONPATH=src python scripts/rails.py

@@ -1,12 +1,14 @@
 #!/usr/bin/env python
-"""The rails: labelled checks over the CI-scale experiment results.
+"""The rails: labelled checks over the CI-scale experiment results and the
+exact count record.
 
 Each rail is a row of :data:`RAILS`, a list of ``(label, check)`` pairs.  A
 check takes the shared :class:`Renders` and returns ``(ok, detail)``; one
-whose input is missing (a series, row, note or golden section) is a FAIL
-under its own label, and every check runs whatever failed before it.  Every experiment is
-rendered once per ``(experiment, backend, jobs)`` at CI scale, seed 0, and
-shared by all the rails that read it.
+whose input is missing (a series, row, note, golden section or record row)
+is a FAIL under its own label, and every check runs whatever failed before
+it.  Every experiment is rendered once per ``(experiment, backend, jobs)``
+at CI scale, seed 0, and shared by all the rails that read it; the count
+rows are measured once, together.
 
 * ``identity`` — every serial daos report matches the golden results file
   (reproducibility headers, wall-time lines and blank lines excluded), and
@@ -24,6 +26,13 @@ shared by all the rails that read it.
   promoted, and both backends are byte-identical at ``-j4``.
 * ``cycle`` — ``operational_cycle`` on both backends: product readers
   contend the writers, and vectorized puts and gets are used.
+* ``counts`` — every row of ``COUNTS.json`` (each ledger workload at seeds
+  0 and 7, each kernel scenario), measured afresh by
+  ``scripts/profile_hotpath.py``, equals its record in every field: the
+  digest, ``calls`` as recorded for this CPython version (else the earliest
+  recorded one), queue entries, instants, flow wakes and arena entries and
+  releases.  A row that differs prints its measured JSON, ready to paste
+  into the record; ``profile_hotpath.py --record`` rewrites the record.
 
 Usage::
 
@@ -33,6 +42,7 @@ Usage::
 from __future__ import annotations
 
 import difflib
+import json
 import re
 import sys
 import tempfile
@@ -45,7 +55,11 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.runner import ExecOptions, exec_options
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import profile_hotpath  # noqa: E402
+
 GOLDEN = Path(__file__).resolve().parent.parent / "experiment_results_ci.txt"
+COUNTS = profile_hotpath.RECORD
 
 #: Worker count of every parallel render.
 JOBS = 4
@@ -85,6 +99,16 @@ class Renders:
                 warm = self._run(name, "daos", ExecOptions(JOBS, warm_cache))
             self._results[key] = cold, warm, warm_cache
         return self._results[key]
+
+    def counts(self) -> Dict[str, dict]:
+        """Every recorded count row, measured afresh."""
+        if "counts" not in self._results:
+            start = time.time()
+            rows = list(profile_hotpath.ROWS.values())
+            self._results["counts"] = profile_hotpath.measure(rows)
+            print(f"     measure {len(rows)} count rows, {profile_hotpath.JOBS} at a time: "
+                  f"{time.time() - start:.1f}s")
+        return self._results["counts"]
 
 
 Check = Callable[[Renders], Tuple[bool, str]]
@@ -264,6 +288,29 @@ def _vector_gets(backend: str, get: Renders):
     return all(row[6] > 0 for row in rows[1:]), f"multi gets {[row[6] for row in rows]}"
 
 
+# -- counts: COUNTS.json -----------------------------------------------------
+def _count_row(row_id: str, get: Renders):
+    entry = profile_hotpath.load_record(COUNTS)[row_id]
+    counts = get.counts()[row_id]
+    if "error" in counts:
+        return False, f"measuring failed: {counts['error']}"
+    version, calls = profile_hotpath.recorded_calls(entry)
+    want = {**entry, "calls": calls}
+    moved = [
+        f"{key} {str(want.get(key))[:12]} -> {str(counts.get(key))[:12]}"
+        for key in sorted(set(want) | set(counts) - {"total_calls"})
+        if want.get(key) != counts.get(key)
+    ]
+    if moved:
+        measured = {row_id: profile_hotpath.record_row(counts, entry)}
+        return False, "\n".join(
+            ["; ".join(moved), "measured:", json.dumps(measured, sort_keys=True)[1:-1]]
+        )
+    return True, (f"{len(want)} fields exact: calls {calls} (as on {version}; "
+                  f"total_calls {counts['total_calls']} not gated), "
+                  f"digest {counts['digest'][:12]}")
+
+
 RAILS: Dict[str, List[Tuple[str, Check]]] = {
     "identity": [
         row
@@ -303,6 +350,7 @@ RAILS: Dict[str, List[Tuple[str, Check]]] = {
                              ("vector-puts", _vector_puts),
                              ("vector-gets", _vector_gets))
     ],
+    "counts": [(row_id, partial(_count_row, row_id)) for row_id in profile_hotpath.ROWS],
 }
 
 

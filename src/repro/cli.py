@@ -6,10 +6,10 @@ Subcommands:
   fig3..fig7) and print the regenerated table/series.
 * ``list`` — list available experiments.
 * ``all`` — run every experiment in order.
-* ``bench`` — run the kernel perf harness (simulator speed, not simulated
-  bandwidth) and write ``BENCH_kernel.json``; ``--profile`` prints a
-  cProfile breakdown of the hottest scenario, ``--quick`` runs a
-  seconds-scale variant suitable for CI smoke checks.
+
+The simulator's own cost is measured outside the package, by
+``scripts/profile_hotpath.py`` and the end-to-end ledger in
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -45,41 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     all_parser = sub.add_parser("all", help="run every experiment")
     _add_common(all_parser)
 
-    bench_parser = sub.add_parser(
-        "bench", help="run the kernel perf harness (simulator speed)"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true", help="seconds-scale sizes (CI smoke)"
-    )
-    bench_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a cProfile breakdown of the many-flow scenario",
-    )
-    bench_parser.add_argument(
-        "--repeat", type=int, default=1, help="repeats per scenario (report min)"
-    )
-    bench_parser.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="NAME",
-        help="run only this scenario (repeatable)",
-    )
-    bench_parser.add_argument(
-        "--json",
-        type=Path,
-        default=Path("BENCH_kernel.json"),
-        metavar="PATH",
-        help="where to write the results payload (default: BENCH_kernel.json)",
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="previous BENCH_kernel.json to compute speedups against",
-    )
     return parser
 
 
@@ -128,74 +93,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.bench.kernel_perf import SCENARIOS
-    from repro.bench.runner import (
-        DigestDriftError,
-        run_kernel_benchmarks,
-        write_kernel_bench,
-    )
-
-    if args.scenarios:
-        unknown = [name for name in args.scenarios if name not in SCENARIOS]
-        if unknown:
-            print(
-                f"error: unknown scenario(s): {', '.join(unknown)}; "
-                f"available: {', '.join(SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.repeat < 1:
-        print("error: --repeat must be >= 1", file=sys.stderr)
-        return 2
-    if args.baseline is not None and not args.baseline.exists():
-        print(f"error: baseline file not found: {args.baseline}", file=sys.stderr)
-        return 2
-
-    if args.profile:
-        import cProfile
-        import pstats
-
-        from repro.bench.kernel_perf import run_scenario
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        run_scenario("many_flow_contention", quick=args.quick)
-        profiler.disable()
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
-
-    payload = run_kernel_benchmarks(
-        quick=args.quick, repeats=args.repeat, scenarios=args.scenarios
-    )
-    try:
-        payload = write_kernel_bench(payload, args.json, baseline=args.baseline)
-    except DigestDriftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if payload.get("baseline", {}).get("size_mismatch"):
-        print(
-            "note: baseline used different scenario sizes (quick flag "
-            "differs); speedups omitted"
-        )
-    for name, entry in payload["scenarios"].items():
-        speedup = payload.get("speedup", {}).get(name)
-        suffix = f"  ({speedup:.2f}x vs baseline)" if speedup else ""
-        print(
-            f"{name:24s} {entry['wall_s']:8.3f}s wall  "
-            f"{entry['sim_time']:10.4f}s simulated  digest {entry['digest'][:12]}{suffix}"
-        )
-    print(f"wrote {args.json}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
-    if args.command == "bench":
-        return _run_bench(args)
     scale = "paper" if args.paper_scale else "ci"
     names = sorted(EXPERIMENTS) if args.command == "all" else [args.experiment]
 

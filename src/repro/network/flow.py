@@ -13,7 +13,7 @@ constant, so progress is exact (no per-packet events), which keeps the event
 count proportional to the number of transfers rather than the number of
 bytes.
 
-Performance notes (the kernel fast path, see ``repro bench``).  Two kernels
+Performance notes (the kernel fast path).  Two kernels
 compute the same allocation — :meth:`FlowNetwork._solve_scalar` over
 (path, cap) groups in pure Python, :meth:`FlowNetwork._solve_vector` over
 flows in numpy — and the network picks between them from what it can

@@ -3,11 +3,13 @@
 ``scripts/rails.py`` is loaded by path.  Every shape check gets a result
 that passes every check of its rail, then one edit that violates exactly
 that check; a result missing its series, rows and notes fails every check
-under its own label instead of stopping the rail; and a report one line off
-the golden file fails with a unified diff.
+under its own label instead of stopping the rail; a report one line off
+the golden file fails with a unified diff; and a count record one count or
+one digest off fails that row alone, printing the measured row.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -87,13 +89,18 @@ def _good():
 
 
 class FakeRenders:
-    """Serves hand-built results; an absent one raises like a missing input."""
+    """Serves hand-built results and count rows; an absent one raises like a
+    missing input."""
 
-    def __init__(self, results):
+    def __init__(self, results, counts=None):
         self.results = results
+        self.measured = counts
 
     def __call__(self, name, backend="daos", jobs=1):
         return self.results[(name, backend, jobs)]
+
+    def counts(self):
+        return self.measured
 
 
 def _series(result, name):
@@ -244,3 +251,94 @@ def test_identity_rail_covers_every_registered_experiment():
 def test_unknown_rail_is_an_error(capsys):
     assert rails.main(["identity", "nope"]) == 2
     assert "unknown rail(s) ['nope']" in capsys.readouterr().err
+
+
+def _measured_counts():
+    """The committed count record as a fresh measurement of it would read."""
+    hotpath = rails.profile_hotpath
+    measured = {}
+    for row_id, entry in hotpath.load_record(rails.COUNTS).items():
+        _, calls = hotpath.recorded_calls(entry)
+        measured[row_id] = {**entry, "calls": calls, "total_calls": 2 * calls}
+    return measured
+
+
+def test_counts_rail_has_a_row_per_ledger_pass_and_scenario():
+    labels = [label for label, _ in rails.RAILS["counts"]]
+    assert len(labels) == 5 * 2 + 10
+    assert sorted(labels) == sorted(rails.profile_hotpath.load_record(rails.COUNTS))
+    assert "metadata_storm-seed7" in labels and "rpc_storm" in labels
+
+
+def test_recorded_counts_pass(capsys):
+    assert rails.run_rail("counts", FakeRenders({}, _measured_counts())) == []
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def _off_by_one(row):
+    row["queue_entries"] += 1
+    return f"queue_entries {row['queue_entries']} -> {row['queue_entries'] - 1}"
+
+
+def _moved_digest(row):
+    digest, row["digest"] = row["digest"], "0" * 64
+    return f"digest {'0' * 12} -> {digest[:12]}"
+
+
+_RECORD_EDITS = [
+    ("product_serving-seed0", _off_by_one),
+    ("fieldio_contended-seed0", _moved_digest),
+    ("rpc_storm", _off_by_one),
+    ("grid_fanout", _moved_digest),
+]
+
+
+@pytest.mark.parametrize("row_id, edit", _RECORD_EDITS,
+                         ids=[f"{row_id}-{edit.__name__[1:]}" for row_id, edit in _RECORD_EDITS])
+def test_a_record_off_by_one_fails_that_row_alone(row_id, edit, tmp_path, monkeypatch, capsys):
+    measured = _measured_counts()
+    record = json.loads(rails.COUNTS.read_text())
+    moved = edit(record["rows"][row_id])
+    path = tmp_path / "COUNTS.json"
+    path.write_text(json.dumps(record))
+    monkeypatch.setattr(rails, "COUNTS", path)
+
+    assert rails.run_rail("counts", FakeRenders({}, measured)) == [f"counts {row_id}"]
+    out = capsys.readouterr().out
+    assert f"FAIL counts {row_id}: {moved}\n" in out
+    assert f'     "{row_id}": {{"arena_entries": ' in out  # the measured row, to paste
+    for label, _ in rails.RAILS["counts"]:
+        if label != row_id:
+            assert f"ok   counts {label}: 8 fields exact" in out
+
+
+def test_a_missing_row_or_a_failed_measurement_fails_its_label(tmp_path, monkeypatch, capsys):
+    measured = _measured_counts()
+    measured["kv_storm"] = {"error": "SystemExit: digests differ"}
+    record = json.loads(rails.COUNTS.read_text())
+    del record["rows"]["barrier_burst"]
+    path = tmp_path / "COUNTS.json"
+    path.write_text(json.dumps(record))
+    monkeypatch.setattr(rails, "COUNTS", path)
+
+    assert rails.run_rail("counts", FakeRenders({}, measured)) == [
+        "counts barrier_burst", "counts kv_storm"]
+    out = capsys.readouterr().out
+    assert "FAIL counts barrier_burst: missing input: KeyError: 'barrier_burst'" in out
+    assert "FAIL counts kv_storm: measuring failed: SystemExit: digests differ" in out
+
+
+def test_a_python_without_its_own_calls_is_held_to_the_earliest(monkeypatch, capsys):
+    measured = _measured_counts()
+    recorded = rails.profile_hotpath.load_record(rails.COUNTS)["rpc_storm"]["calls"]
+    earliest = min(recorded)
+    monkeypatch.setattr(rails.profile_hotpath, "PYTHON", "3.99")
+    assert rails.run_rail("counts", FakeRenders({}, measured)) == []
+    assert f"(as on {earliest};" in capsys.readouterr().out
+    measured["rpc_storm"]["calls"] += 1
+    assert rails.run_rail("counts", FakeRenders({}, measured)) == ["counts rpc_storm"]
+    out = capsys.readouterr().out
+    calls = measured["rpc_storm"]["calls"]
+    assert f"FAIL counts rpc_storm: calls {calls - 1} -> {calls}\n" in out
+    pasted = json.dumps({**recorded, "3.99": calls}, sort_keys=True)
+    assert f'"calls": {pasted}' in out
