@@ -2,34 +2,20 @@
 
 Every paper experiment is a sweep over deployment shapes and benchmark
 parameters, repeated a few times, with either the best or the mean
-configuration reported.  :func:`build_deployment` assembles one fresh
-deployment per grid point and :func:`mean` reduces repetitions (§6.2/Fig
-3: "the mean ... across all repetitions for the best performing number of
-client processes").
+configuration reported.  :func:`build_deployment` (re-exported from
+:mod:`repro.backends.registry`) assembles one fresh deployment per grid
+point and :func:`mean` reduces repetitions (§6.2/Fig 3: "the mean ...
+across all repetitions for the best performing number of client
+processes").
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable
 
-from repro.config import ClusterConfig
-from repro.daos.system import DaosSystem
-from repro.hardware.topology import Cluster
+from repro.backends.registry import build_deployment
 
 __all__ = ["build_deployment", "mean"]
-
-
-def build_deployment(
-    config: ClusterConfig, backend: str = "daos"
-) -> Tuple[Cluster, DaosSystem, object]:
-    """Assemble a fresh cluster + storage system + pool for one run.
-
-    ``backend`` selects the storage model from :mod:`repro.backends`; the
-    default keeps the historical DAOS deployment bit for bit.
-    """
-    from repro.backends.registry import build_deployment as _build
-
-    return _build(config, backend=backend)
 
 
 def mean(values: Iterable[float]) -> float:

@@ -1,42 +1,10 @@
-"""Fast experiment drivers: CI-scale smoke with shape checks.
+"""Experiment drivers are pure functions of their seed.
 
-The heavyweight drivers (fig4, fig5) run only in benchmarks/; the fast ones
-are exercised here so a plain ``pytest tests/`` already covers the
-experiment plumbing end to end.
+The paper-shape checks on the drivers' output are rows of
+``tests/integration/test_paper_claims.py``.
 """
 
 from repro.experiments import run_experiment
-from repro.units import GiB
-
-
-def test_fig3_driver_shapes():
-    result = run_experiment("fig3", scale="ci")
-    assert {s.name for s in result.series} == {
-        "write 1x clients", "read 1x clients", "write 2x clients", "read 2x clients",
-    }
-    write = result.series_by_name("write 2x clients")
-    assert write.xs == [1, 2, 4]
-    assert write.is_nondecreasing()
-    # Per-engine write slope in the calibrated band.
-    per_engine = write.y_at(4) / 8 / GiB
-    assert 2.0 < per_engine < 3.0
-
-
-def test_fig6_driver_shapes():
-    result = run_experiment("fig6", scale="ci")
-    assert len(result.series) == 6
-    for series in result.series:
-        assert series.xs == [1, 5, 10, 20]
-    assert result.series_by_name("write SX").y_at(10) > result.series_by_name(
-        "write S1"
-    ).y_at(10)
-
-
-def test_fig7_driver_shapes():
-    result = run_experiment("fig7", scale="ci")
-    tcp = result.series_by_name("read tcp")
-    psm2 = result.series_by_name("read psm2")
-    assert all(psm2.y_at(x) >= tcp.y_at(x) for x in tcp.xs)
 
 
 def test_drivers_respect_seed():

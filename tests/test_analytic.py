@@ -78,32 +78,6 @@ def test_fieldio_bound_shared_kv_ceiling():
     assert fieldio_write_bound(large, True, 2 * MiB) <= ior_write_bound(large)
 
 
-def test_fieldio_bound_matches_fig4_ceiling():
-    """The simulator's high-contention plateau tracks the analytic ceiling."""
-    from repro.analytic.model import fieldio_write_bound
-    from repro.bench.fieldio_bench import (
-        Contention,
-        FieldIOBenchParams,
-        run_fieldio_pattern_a,
-    )
-    from repro.fdb.modes import FieldIOMode
-
-    config = ClusterConfig(n_server_nodes=6, n_client_nodes=12)
-    cluster, system, pool = build_deployment(config)
-    params = FieldIOBenchParams(
-        mode=FieldIOMode.NO_CONTAINERS,
-        contention=Contention.HIGH,
-        n_ops=80,
-        field_size=1 * MiB,
-        processes_per_node=8,
-        startup_skew=0.02,
-    )
-    measured = run_fieldio_pattern_a(cluster, system, pool, params).summary.write_global
-    bound = fieldio_write_bound(config, True, 1 * MiB)
-    assert measured <= bound * 1.02
-    assert measured >= bound * 0.8
-
-
 def test_mpi_bound_latency_sensitivity():
     config = ClusterConfig(n_server_nodes=1, n_client_nodes=2)
     small = mpi_p2p_bound(config, pairs=1, transfer_size=64 * 1024)

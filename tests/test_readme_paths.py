@@ -1,4 +1,4 @@
-"""Every path README.md names in backticks exists in the tree.
+"""Every path README.md and DESIGN.md name in backticks exists in the tree.
 
 A backticked word starting ``src/``, ``scripts/``, ``benchmarks/``,
 ``tests/`` or ``examples/`` (in an inline span or a fenced block) must name
@@ -9,6 +9,8 @@ match something.
 
 import re
 from pathlib import Path
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PREFIXES = ("src/", "scripts/", "benchmarks/", "tests/", "examples/")
@@ -29,8 +31,9 @@ def missing_paths(text, root=_ROOT):
     return missing
 
 
-def test_every_path_the_readme_names_exists():
-    assert missing_paths((_ROOT / "README.md").read_text()) == []
+@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+def test_every_path_the_readme_names_exists(doc):
+    assert missing_paths((_ROOT / doc).read_text()) == []
 
 
 def test_a_path_that_is_gone_is_reported():
@@ -38,6 +41,6 @@ def test_a_path_that_is_gone_is_reported():
         "Run `scripts/rails.py counts`, then\n`PYTHONPATH=src python scripts/gone.py\n"
         "--record`; see `tests/network/test_flow_reference.py::test_x`, `examples/<name>.py`,\n"
         "`src/repro/network/flow.py:1109` and `src/repro/`.\n"
-        "```\npytest benchmarks/nope.py --benchmark-only\n```\n"
+        "```\npytest benchmarks/nope.py -q\n```\n"
     )
     assert missing_paths(text) == ["benchmarks/nope.py", "scripts/gone.py"]
